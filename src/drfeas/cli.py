@@ -1,8 +1,9 @@
 """Command-line harness: run problem documents, check operator properties,
 reproduce the bundled experiments, and batch directories of problems.
 
-Exit codes: 0 converged / all checks pass, 1 not converged / a check failed,
-2 malformed input or I/O failure.
+Exit codes: 0 converged / all checks pass, 1 not converged (including a run
+stopped by a non-finite iterate) / a check failed, 2 malformed input or I/O
+failure.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .space import DimensionMismatch, Point
+from .space import Point, _checked_coords, _norm
 
 # Normals shorter than this make the projection formula numerically void.
 DEGENERATE_NORMAL = 1e-12
@@ -54,21 +54,20 @@ class ConvexSet(ABC):
     def dim(self) -> int:
         return self._dim
 
-    def _require_dim(self, x: Point) -> None:
-        if x.dim != self._dim:
-            raise DimensionMismatch(
-                f"point has dimension {x.dim}, set lives in dimension {self._dim}"
-            )
+    def _coords(self, x: Point) -> np.ndarray:
+        return _checked_coords(x, self._dim, "set")
 
     def project(self, x: Point) -> Point:
         """Nearest point of the set to x."""
-        self._require_dim(x)
-        return Point(self._project(x.coords))
+        return Point(self._project(self._coords(x)))
 
     def distance(self, x: Point) -> float:
         """Euclidean distance from x to the set."""
-        self._require_dim(x)
-        return float(np.linalg.norm(x.coords - self._project(x.coords)))
+        return self._distance(self._coords(x))
+
+    def _distance(self, x: np.ndarray) -> float:
+        """Distance on raw coordinate arrays (no dimension check)."""
+        return _norm(x - self._project(x))
 
     def contains(self, x: Point, tol: float = 0.0) -> bool:
         """Distance-based membership: true iff distance(x) <= tol."""
@@ -97,72 +96,72 @@ class ConvexSet(ABC):
         """JSON-serializable parameters, keyed as in problem documents."""
 
 
-class Halfspace(ConvexSet):
+class _LinearSet(ConvexSet):
+    """{x : <a, x> <= b} or {x : <a, x> = b} with a nonzero normal a.
+
+    Projections use a and b scaled by the power of two that puts the largest
+    |a_i| in [0.5, 1), so ||a||^2 cannot overflow; the scaling is exact, so
+    ordinary inputs give the same bits as the unscaled formulas.
+    """
+
+    __slots__ = ("a", "b", "_sa", "_sb", "_a_norm_sq", "_a_norm")
+
+    #: whether points with <a, x> < b belong to the set (halfspace)
+    _one_sided: bool
+
+    def __init__(self, a, b: float) -> None:
+        a = _as_vector(a, "a")
+        super().__init__(a.shape[0])
+        self.a, self.b = a, float(b)
+        exponent = int(np.frexp(np.max(np.abs(a)))[1])
+        with np.errstate(over="ignore"):  # ||a|| of a huge a, or b over a tiny a
+            if float(np.linalg.norm(a)) <= DEGENERATE_NORMAL:
+                raise InvalidSet("degenerate normal: ||a|| is numerically zero")
+            self._sb = float(np.ldexp(self.b, -exponent))
+        self._sa = np.ldexp(a, -exponent)
+        self._a_norm = float(np.linalg.norm(self._sa))
+        self._a_norm_sq = self._a_norm * self._a_norm
+
+    def _gap(self, x: np.ndarray) -> float:
+        """<a, x> - b in the scaled data."""
+        return float(np.dot(self._sa, x)) - self._sb
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        g = self._gap(x)
+        if self._one_sided and g <= 0.0:
+            return x
+        return x - (g / self._a_norm_sq) * self._sa
+
+    def scale_hint(self) -> float:
+        return abs(self._sb) / self._a_norm
+
+    def params(self) -> dict:
+        return {"kind": self.kind, "a": self.a.tolist(), "b": self.b}
+
+
+class Halfspace(_LinearSet):
     """{x : <a, x> <= b} with a nonzero normal a."""
 
-    __slots__ = ("a", "b", "_a_norm_sq", "_a_norm")
+    __slots__ = ()
 
     kind = "Halfspace"
-
-    def __init__(self, a, b: float) -> None:
-        a = _as_vector(a, "a")
-        super().__init__(a.shape[0])
-        nrm = float(np.linalg.norm(a))
-        if nrm <= DEGENERATE_NORMAL:
-            raise InvalidSet("degenerate normal: ||a|| is numerically zero")
-        self.a = a
-        self.b = float(b)
-        self._a_norm = nrm
-        self._a_norm_sq = nrm * nrm
-
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        g = float(np.dot(self.a, x)) - self.b
-        if g <= 0.0:
-            return x
-        return x - (g / self._a_norm_sq) * self.a
+    _one_sided = True
 
     def interior_margin(self, x: Point) -> float:
-        self._require_dim(x)
-        return (self.b - float(np.dot(self.a, x.coords))) / self._a_norm
-
-    def scale_hint(self) -> float:
-        return abs(self.b) / self._a_norm
-
-    def params(self) -> dict:
-        return {"kind": self.kind, "a": self.a.tolist(), "b": self.b}
+        return -self._gap(self._coords(x)) / self._a_norm
 
 
-class Hyperplane(ConvexSet):
+class Hyperplane(_LinearSet):
     """{x : <a, x> = b} with a nonzero normal a."""
 
-    __slots__ = ("a", "b", "_a_norm_sq", "_a_norm")
+    __slots__ = ()
 
     kind = "Hyperplane"
-
-    def __init__(self, a, b: float) -> None:
-        a = _as_vector(a, "a")
-        super().__init__(a.shape[0])
-        nrm = float(np.linalg.norm(a))
-        if nrm <= DEGENERATE_NORMAL:
-            raise InvalidSet("degenerate normal: ||a|| is numerically zero")
-        self.a = a
-        self.b = float(b)
-        self._a_norm = nrm
-        self._a_norm_sq = nrm * nrm
-
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        g = float(np.dot(self.a, x)) - self.b
-        return x - (g / self._a_norm_sq) * self.a
+    _one_sided = False
 
     def interior_margin(self, x: Point) -> float:
-        self._require_dim(x)
+        self._coords(x)
         return -math.inf
-
-    def scale_hint(self) -> float:
-        return abs(self.b) / self._a_norm
-
-    def params(self) -> dict:
-        return {"kind": self.kind, "a": self.a.tolist(), "b": self.b}
 
 
 class Ball(ConvexSet):
@@ -187,8 +186,7 @@ class Ball(ConvexSet):
         return self.center + (self.radius / d) * (x - self.center)
 
     def interior_margin(self, x: Point) -> float:
-        self._require_dim(x)
-        return self.radius - float(np.linalg.norm(x.coords - self.center))
+        return self.radius - float(np.linalg.norm(self._coords(x) - self.center))
 
     def scale_hint(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
@@ -219,8 +217,8 @@ class Box(ConvexSet):
         return np.clip(x, self.lo, self.hi)
 
     def interior_margin(self, x: Point) -> float:
-        self._require_dim(x)
-        return float(min(np.min(x.coords - self.lo), np.min(self.hi - x.coords)))
+        x = self._coords(x)
+        return float(min(np.min(x - self.lo), np.min(self.hi - x)))
 
     def scale_hint(self) -> float:
         return float(max(np.max(np.abs(self.lo)), np.max(np.abs(self.hi))))
@@ -268,7 +266,7 @@ class AffineSubspace(ConvexSet):
         return x - self._pinv @ (self.A @ x - self.b)
 
     def interior_margin(self, x: Point) -> float:
-        self._require_dim(x)
+        self._coords(x)
         if self._rank == 0:
             return math.inf  # zero system: the set is the whole space
         return -math.inf

@@ -11,12 +11,13 @@ asymptotic regularity series and converging runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .operators import Operator
 from .solver import FeasibilityProblem
-from .space import Point, inner, norm
+from .space import Point, _checked_coords, _norm, norm
 
 
 @dataclass(frozen=True)
@@ -28,21 +29,29 @@ class PropertyReport:
     passed: bool
 
 
-def _pair_at(seed: int, i: int, dim: int, scale: float) -> tuple[Point, Point]:
-    # Counter-based: sample i depends only on (seed, i), not on draw order.
-    rng = np.random.default_rng([seed, i])
-    x = rng.uniform(-scale, scale, size=dim)
-    y = rng.uniform(-scale, scale, size=dim)
-    return Point(x), Point(y)
-
-
-def _validate(samples: int, scale: float, seed: int) -> None:
+def _pairs(
+    dim: int, samples: int, scale: float, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The sampled pairs (x, y) of a check, after validating its parameters."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if not (scale > 0.0):
         raise ValueError("scale must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    for i in range(samples):
+        # Counter-based: sample i depends only on (seed, i), not on draw order.
+        rng = np.random.default_rng([seed, i])
+        yield rng.uniform(-scale, scale, size=dim), rng.uniform(-scale, scale, size=dim)
+
+
+def _image(T: Operator, x: np.ndarray) -> np.ndarray:
+    """T x on a raw array. A non-finite result raises, as a Point would:
+    unchecked, a NaN violation would vanish in max(worst, nan) and pass."""
+    y = T._apply(x)
+    if not np.isfinite(y).all():
+        raise ValueError("coordinates must be finite (no NaN/Inf)")
+    return y
 
 
 def check_firmly_nonexpansive(
@@ -54,12 +63,10 @@ def check_firmly_nonexpansive(
     name: str = "firmly_nonexpansive",
 ) -> PropertyReport:
     """Worst violation of <Tx - Ty, x - y> >= ||Tx - Ty||^2 over sampled pairs."""
-    _validate(samples, scale, seed)
     worst = 0.0
-    for i in range(samples):
-        x, y = _pair_at(seed, i, T.dim, scale)
-        dT = T.apply(x) - T.apply(y)
-        worst = max(worst, inner(dT, dT) - inner(dT, x - y))
+    for x, y in _pairs(T.dim, samples, scale, seed):
+        dT = _image(T, x) - _image(T, y)
+        worst = max(worst, float(np.dot(dT, dT)) - float(np.dot(dT, x - y)))
     return PropertyReport(name, samples, worst, tol, worst <= tol)
 
 
@@ -72,11 +79,9 @@ def check_nonexpansive(
     name: str = "nonexpansive",
 ) -> PropertyReport:
     """Worst violation of ||Tx - Ty|| <= ||x - y|| over sampled pairs."""
-    _validate(samples, scale, seed)
     worst = 0.0
-    for i in range(samples):
-        x, y = _pair_at(seed, i, T.dim, scale)
-        worst = max(worst, norm(T.apply(x) - T.apply(y)) - norm(x - y))
+    for x, y in _pairs(T.dim, samples, scale, seed):
+        worst = max(worst, _norm(_image(T, x) - _image(T, y)) - _norm(x - y))
     return PropertyReport(name, samples, worst, tol, worst <= tol)
 
 
@@ -90,7 +95,6 @@ def check_quasi_nonexpansive(
     name: str = "quasi_nonexpansive",
 ) -> PropertyReport:
     """Worst violation of ||Tx - p|| <= ||x - p|| for a fixed point p of T."""
-    _validate(samples, scale, seed)
     residual = norm(T.apply(p) - p)
     if residual > tol:
         raise ValueError(
@@ -98,9 +102,8 @@ def check_quasi_nonexpansive(
             f"exceeds tol {tol:.3e}"
         )
     worst = 0.0
-    for i in range(samples):
-        x, _ = _pair_at(seed, i, T.dim, scale)
-        worst = max(worst, norm(T.apply(x) - p) - norm(x - p))
+    for x, _ in _pairs(T.dim, samples, scale, seed):
+        worst = max(worst, _norm(_image(T, x) - p.coords) - _norm(x - p.coords))
     return PropertyReport(name, samples, worst, tol, worst <= tol)
 
 
@@ -114,10 +117,10 @@ def asymptotic_regularity_series(T: Operator, x0: Point, n_steps: int) -> list[f
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     series = []
-    x = x0
+    x = _checked_coords(x0, T.dim, "operator")
     for _ in range(n_steps):
-        x_next = T.apply(x)
-        series.append(norm(x_next - x))
+        x_next = _image(T, x)
+        series.append(_norm(x_next - x))
         x = x_next
     return series
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .convex import ConvexSet
-from .space import DimensionMismatch, Point
+from .space import DimensionMismatch, Point, _checked_coords
 
 
 class Operator(ABC):
@@ -30,11 +30,7 @@ class Operator(ABC):
         return self._dim
 
     def apply(self, x: Point) -> Point:
-        if x.dim != self._dim:
-            raise DimensionMismatch(
-                f"point has dimension {x.dim}, operator acts on dimension {self._dim}"
-            )
-        return Point(self._apply(x.coords))
+        return Point(self._apply(_checked_coords(x, self._dim, "operator")))
 
     __call__ = apply
 

@@ -72,6 +72,11 @@ class RunConfig:
     certifier_spec: dict | None = None
 
 
+def _is_int(value: object) -> bool:
+    """True for JSON integers; bool subclasses int, but JSON true is no number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc: dict, key: str) -> object:
     if key not in doc:
         raise ParseError(f"missing required key {key!r}")
@@ -80,7 +85,7 @@ def _require(doc: dict, key: str) -> object:
 
 def _parse_sets(doc: dict) -> list[ConvexSet]:
     dimension = _require(doc, "dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_int(dimension) or dimension < 1:
         raise ParseError("dimension must be a positive integer")
     raw_sets = _require(doc, "sets")
     if not isinstance(raw_sets, list) or not raw_sets:
@@ -139,6 +144,12 @@ def _parse_control(raw: object, where: str) -> ControlMap:
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: expected an object with a 'rule' key")
     rule = raw.get("rule")
+    for key in ("m", "M", "seed"):
+        if key in raw and not _is_int(raw[key]):
+            raise ParseError(f"{where}: {key} must be an integer, got {raw[key]!r}")
+    prefix = raw.get("prefix", [])
+    if not isinstance(prefix, list) or not all(_is_int(i) for i in prefix):
+        raise ParseError(f"{where}: prefix must be a list of integers")
     try:
         if rule == "cyclic":
             return Cyclic(raw["m"])
@@ -162,6 +173,8 @@ def _parse_stop(raw: object) -> StopRule:
     extra = set(raw) - known
     if extra:
         raise ParseError(f"stop: unknown fields {sorted(extra)}")
+    if "max_iters" in raw and not _is_int(raw["max_iters"]):
+        raise ParseError("stop: max_iters must be an integer")
     try:
         return StopRule(**raw)
     except (TypeError, ValueError) as exc:
@@ -179,7 +192,7 @@ def _parse_config(doc: dict, problem: FeasibilityProblem) -> RunConfig:
         window_control = _parse_control(doc["window_control"], "window_control")
 
     if scheme in ("unrestricted_dr", "composite_q"):
-        if not isinstance(r, int) or r <= 1:
+        if not _is_int(r) or r <= 1:
             raise ParseError(f"scheme {scheme!r} needs an integer r > 1")
         if control.m != problem.m:
             raise ParseError(
@@ -233,11 +246,11 @@ def _validate_operator_spec(
     kind = spec.get("type")
     if kind in ("projection", "relaxed_projection"):
         idx = spec.get("set")
-        if not isinstance(idx, int) or not (1 <= idx <= problem.m):
+        if not _is_int(idx) or not (1 <= idx <= problem.m):
             raise ParseError(f"{where}: set index must lie in 1..{problem.m}")
         if kind == "relaxed_projection":
             lam = spec.get("lambda")
-            if not isinstance(lam, (int, float)) or not (0.0 < float(lam) < 2.0):
+            if not (_is_int(lam) or isinstance(lam, float)) or not (0.0 < lam < 2.0):
                 raise ParseError(
                     f"{where}: lambda must lie strictly inside (0, 2) for the "
                     "operator to stay strongly nonexpansive"
@@ -247,10 +260,10 @@ def _validate_operator_spec(
         if not isinstance(idxs, list) or not idxs:
             raise ParseError(f"{where}: 'sets' must be a nonempty index list")
         for idx in idxs:
-            if not isinstance(idx, int) or not (1 <= idx <= problem.m):
+            if not _is_int(idx) or not (1 <= idx <= problem.m):
                 raise ParseError(f"{where}: set index must lie in 1..{problem.m}")
     elif kind in ("s_window", "composite_q"):
-        if window_control is None or not isinstance(r, int) or r <= 1:
+        if window_control is None or not _is_int(r) or r <= 1:
             raise ParseError(
                 f"{where}: {kind!r} needs document keys 'window_control' and 'r' > 1"
             )
@@ -261,7 +274,7 @@ def _validate_operator_spec(
             )
         if kind == "s_window":
             n = spec.get("n")
-            if not isinstance(n, int) or n < 0:
+            if not _is_int(n) or n < 0:
                 raise ParseError(f"{where}: 'n' must be a nonnegative integer")
     else:
         raise ParseError(f"{where}: unknown operator type {kind!r}")

@@ -13,7 +13,9 @@ Stopping: with displacement_tol > 0 a run stops once the step displacement
 and the worst set distance are both within tolerance (status
 ``converged_displacement``); with displacement_tol == 0 feasibility alone
 stops it (status ``feasible``); otherwise it runs to max_iters. A start
-already feasible stops immediately with status ``feasible``.
+already feasible stops immediately with status ``feasible``. A step whose
+result has a NaN or infinite coordinate ends the run with status
+``non_finite``; the trace then ends at the last finite iterate.
 """
 
 from __future__ import annotations
@@ -21,14 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .control import ControlMap, InvalidControl, cover_index, window
 from .convex import ConvexSet
 from .operators import Composition, DrOperator, Operator, dr_operator
-from .space import DimensionMismatch, Point, norm
+from .space import DimensionMismatch, Point, _checked_coords, _norm
 
 CONVERGED_DISPLACEMENT = "converged_displacement"
 FEASIBLE = "feasible"
 MAX_ITERS = "max_iters"
+NON_FINITE = "non_finite"
 
 # Declared interior points must clear every set boundary by this much.
 INTERIOR_MARGIN = 1e-9
@@ -120,37 +125,49 @@ class FeasibilityProblem:
         return [c.distance(x) for c in self.sets]
 
     def max_distance(self, x: Point) -> float:
-        return max(self.distances(x))
+        return self._max_distance(_checked_coords(x, self.dim, "problem"))
+
+    def _max_distance(self, x: np.ndarray) -> float:
+        """Worst set distance on a raw coordinate array: the stop-rule residual."""
+        return max(c._distance(x) for c in self.sets)
 
     def sampling_scale(self) -> float:
         """Default hypercube half-width for sampled diagnostics."""
         return 4.0 * max(1.0, max(c.scale_hint() for c in self.sets))
 
 
+def _window_operators(
+    problem: FeasibilityProblem, f: ControlMap, r: int
+) -> Callable[[int], DrOperator]:
+    """n -> S_n, the r-set DR operator over the sets the window at step n
+    picks; one operator is built per distinct window, so quasi-periodic
+    controls reuse a finite pool while aperiodic ones still run."""
+    cache: dict[tuple[int, ...], DrOperator] = {}
+
+    def S(n: int) -> DrOperator:
+        key = tuple(window(f, r, n))
+        op = cache.get(key)
+        if op is None:
+            if max(key) > problem.m:
+                raise InvalidControl(
+                    f"control produced set index {max(key)} but the problem has "
+                    f"{problem.m} sets"
+                )
+            op = cache[key] = dr_operator([problem.sets[i - 1] for i in key])
+        return op
+
+    return S
+
+
 def build_S(problem: FeasibilityProblem, f: ControlMap, r: int, n: int) -> DrOperator:
     """The r-set DR operator over the sets selected by the window at step n."""
-    idx = window(f, r, n)
-    if max(idx) > problem.m:
-        raise InvalidControl(
-            f"control produced set index {max(idx)} but the problem has "
-            f"{problem.m} sets"
-        )
-    return dr_operator([problem.sets[i - 1] for i in idx])
+    return _window_operators(problem, f, r)(n)
 
 
 def build_composite_Q(problem: FeasibilityProblem, f: ControlMap, r: int) -> Composition:
     """Composition S_0, ..., S_jf (applied in that order), jf = cover_index(f)."""
-    jf = cover_index(f)
-    cache: dict[tuple[int, ...], DrOperator] = {}
-    factors = []
-    for n in range(jf + 1):
-        key = tuple(window(f, r, n))
-        op = cache.get(key)
-        if op is None:
-            op = build_S(problem, f, r, n)
-            cache[key] = op
-        factors.append(op)
-    return Composition(factors)
+    S = _window_operators(problem, f, r)
+    return Composition([S(n) for n in range(cover_index(f) + 1)])
 
 
 def _require_range(f: ControlMap, size: int, what: str) -> None:
@@ -160,34 +177,45 @@ def _require_range(f: ControlMap, size: int, what: str) -> None:
         )
 
 
-def _certifier_residual(certifier: Operator | None, x: Point) -> float | None:
+def _certifier_residual(certifier: Operator | None, x: np.ndarray) -> float | None:
     if certifier is None:
         return None
-    return norm(certifier.apply(x) - x)
+    return _norm(certifier._apply(x) - x)
 
 
 def _iterate(
     next_op: Callable[[int], tuple[Operator, str]],
+    dim: int,
     x0: Point,
     stop: StopRule,
     problem: FeasibilityProblem | None,
     certifier: Operator | None,
 ) -> IterationTrace:
-    """Shared loop: next_op(n) yields the operator producing x_n (n >= 1)."""
-    x = x0
-    dist = problem.max_distance(x) if problem is not None else 0.0
-    steps = [TraceStep(0, x, 0.0, dist, "init", _certifier_residual(certifier, x))]
+    """Shared loop: next_op(n) yields the operator on R^dim producing x_n
+    (n >= 1). The loop runs on raw arrays, with no dimension checks and one
+    Point per step for the trace, so start, problem and certifier are
+    checked against dim here."""
+    for what, part in (("start", x0), ("problem", problem), ("certifier", certifier)):
+        if part is not None and part.dim != dim:
+            raise DimensionMismatch(f"{what} has dimension {part.dim}, expected {dim}")
+    x = x0.coords
+    dist = problem._max_distance(x) if problem is not None else 0.0
+    steps = [TraceStep(0, x0, 0.0, dist, "init", _certifier_residual(certifier, x))]
     if problem is not None and dist <= stop.feasibility_tol:
         return IterationTrace(steps, FEASIBLE)
 
     status = MAX_ITERS
     for n in range(1, stop.max_iters + 1):
         op, op_id = next_op(n)
-        x_next = op.apply(x)
-        disp = norm(x_next - x)
-        dist = problem.max_distance(x_next) if problem is not None else 0.0
+        x_next = op._apply(x)
+        if not np.isfinite(x_next).all():
+            status = NON_FINITE
+            break
+        disp = _norm(x_next - x)
+        dist = problem._max_distance(x_next) if problem is not None else 0.0
         steps.append(
-            TraceStep(n, x_next, disp, dist, op_id, _certifier_residual(certifier, x_next))
+            TraceStep(n, Point(x_next), disp, dist, op_id,
+                      _certifier_residual(certifier, x_next))
         )
         x = x_next
         feasible_now = problem is not None and dist <= stop.feasibility_tol
@@ -210,28 +238,12 @@ def run_unrestricted_dr(
     stop: StopRule = StopRule(),
     certifier: Operator | None = None,
 ) -> IterationTrace:
-    """Per-step DR scheme: x_n = S_{n-1} x_{n-1} over control windows.
-
-    Distinct windows are memoized by index tuple, so quasi-periodic controls
-    reuse a finite pool of operators while genuinely aperiodic ones still run.
-    """
-    if x0.dim != problem.dim:
-        raise DimensionMismatch(
-            f"start has dimension {x0.dim}, problem lives in dimension {problem.dim}"
-        )
+    """Per-step DR scheme: x_n = S_{n-1} x_{n-1} over control windows."""
     _require_range(f, problem.m, "sets")
-    cache: dict[tuple[int, ...], DrOperator] = {}
-
-    def next_op(n: int) -> tuple[Operator, str]:
-        k = n - 1
-        key = tuple(window(f, r, k))
-        op = cache.get(key)
-        if op is None:
-            op = dr_operator([problem.sets[i - 1] for i in key])
-            cache[key] = op
-        return op, f"S{k}"
-
-    return _iterate(next_op, x0, stop, problem, certifier)
+    S = _window_operators(problem, f, r)
+    return _iterate(
+        lambda n: (S(n - 1), f"S{n - 1}"), problem.dim, x0, stop, problem, certifier
+    )
 
 
 def run_composite(
@@ -243,13 +255,9 @@ def run_composite(
     certifier: Operator | None = None,
 ) -> IterationTrace:
     """Fixed-operator scheme: y_n = Q y_{n-1} with Q = S_jf ... S_0."""
-    if y0.dim != problem.dim:
-        raise DimensionMismatch(
-            f"start has dimension {y0.dim}, problem lives in dimension {problem.dim}"
-        )
     _require_range(f, problem.m, "sets")
     Q = build_composite_Q(problem, f, r)
-    return _iterate(lambda n: (Q, "Q"), y0, stop, problem, certifier)
+    return _iterate(lambda n: (Q, "Q"), problem.dim, y0, stop, problem, certifier)
 
 
 def run_unrestricted_product(
@@ -273,14 +281,10 @@ def run_unrestricted_product(
     for i, op in enumerate(operators):
         if op.dim != dim:
             raise DimensionMismatch(f"operator {i + 1} acts on dimension {op.dim}, expected {dim}")
-    if x0.dim != dim:
-        raise DimensionMismatch(f"start has dimension {x0.dim}, operators act on {dim}")
-    if problem is not None and problem.dim != dim:
-        raise DimensionMismatch("problem and operators live in different dimensions")
     _require_range(h, len(operators), "operators")
 
     def next_op(n: int) -> tuple[Operator, str]:
         j = h.index_at(n - 1)
         return operators[j - 1], f"T{j}"
 
-    return _iterate(next_op, x0, stop, problem, certifier)
+    return _iterate(next_op, dim, x0, stop, problem, certifier)

@@ -69,15 +69,28 @@ def _require_same_dim(x: Point, y: Point) -> None:
         raise DimensionMismatch(f"points have dimensions {x.dim} and {y.dim}")
 
 
+def _checked_coords(x: Point, dim: int, owner: str) -> np.ndarray:
+    """The raw coordinates of x, once x is checked to lie in R^dim: where the
+    public Point API hands over to the array-native internals."""
+    if x.dim != dim:
+        raise DimensionMismatch(f"point has dimension {x.dim}, {owner} has dimension {dim}")
+    return x.coords
+
+
 def inner(x: Point, y: Point) -> float:
     """Euclidean inner product of two points of equal dimension."""
     _require_same_dim(x, y)
     return float(np.dot(x.coords, y.coords))
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a raw coordinate array, as sqrt(<x, x>)."""
+    return math.sqrt(float(np.dot(x, x)))
+
+
 def norm(x: Point) -> float:
     """Norm induced by the inner product, computed as sqrt(inner(x, x))."""
-    return math.sqrt(inner(x, x))
+    return _norm(x.coords)
 
 
 def combine(a: float, x: Point, b: float, y: Point) -> Point:

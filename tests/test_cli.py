@@ -61,6 +61,27 @@ def test_run_hits_iteration_cap(problem_file, tmp_path, capsys):
     assert "status=max_iters" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_non_finite_iterate_is_not_converged(tmp_path, capsys):
+    doc = {
+        "dimension": 2,
+        "sets": [
+            {"kind": "Halfspace", "a": [1.0, 0.0], "b": 0.0},
+            {"kind": "Ball", "center": [0.0, 0.0], "radius": 1.0},
+        ],
+        "scheme": "unrestricted_dr",
+        "control": {"rule": "cyclic", "m": 2},
+        "r": 2,
+        "x0": [-1e308, 1e308],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["run", str(path)])
+    assert code == 1
+    assert "status=non_finite iterations=0" in capsys.readouterr().out
+    assert len(path.with_suffix(".trace.csv").read_text().splitlines()) == 2
+
+
 def test_run_rejects_document_without_scheme(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"dimension": 2, "sets": THREE_BALLS_RUN["sets"]}),

@@ -173,6 +173,20 @@ def test_member_distance_is_zero(c):
         assert c.distance(z) <= 1e-9
 
 
+@pytest.mark.parametrize("cls", [Halfspace, Hyperplane])
+def test_huge_normal_keeps_distance(cls):
+    # ||a||^2 overflows for a = (1e200, 0); the set is still {x1 <= 0} or {x1 = 0}
+    c = cls([1e200, 0.0], 0.0)
+    x = Point([1.0, 0.0])
+    assert c.distance(x) == 1.0
+    assert not c.contains(x, 1e-8)
+    assert c.project(x) == Point([0.0, 0.0])
+    assert c.params() == {"kind": cls.kind, "a": [1e200, 0.0], "b": 0.0}
+    shifted = cls([1e200, 0.0], 2e200)  # boundary x1 = 2
+    assert shifted.distance(Point([5.0, 1.0])) == pytest.approx(3.0)
+    assert shifted.scale_hint() == pytest.approx(2.0)
+
+
 def test_degenerate_normal_rejected():
     with pytest.raises(InvalidSet, match="degenerate"):
         Halfspace([1e-13, 0.0], 1.0)

@@ -1,0 +1,120 @@
+"""Golden outputs: byte-exact traces and the AC-1 report table.
+
+Each fixture under tests/golden/ was written by this module and is compared
+byte for byte, so a refactor that moves any iterate, distance or report by
+one ulp fails here. AC-9 only compares a run with a re-run; these pin the
+numbers across changes.
+
+A change that moves a float on purpose regenerates the fixtures with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and must show that every terminal status and iteration count stayed the
+same.
+"""
+
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+import pytest
+
+from drfeas import (
+    AffineSubspace,
+    Ball,
+    Box,
+    FeasibilityProblem,
+    Halfspace,
+    Hyperplane,
+    Point,
+    RandomBlock,
+    StopRule,
+    dr_operator,
+    execute_config,
+    format_reports,
+    format_trace,
+    run_unrestricted_dr,
+)
+from drfeas.repro import load_bundled, operator_class_reports
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+BUNDLED = (
+    "ac2_three_balls",
+    "ac3_cyclic_three_balls",
+    "ac3_halfspaces_r5",
+    "ac4_random_block_three_balls",
+    "ac5_interlaced_product",
+    "ac5_product_with_q",
+)
+AC4_SEEDS = (1, 2, 3, 4, 5)
+
+
+def _bundled_trace(stem: str) -> str:
+    problem, config = load_bundled(f"{stem}.json")
+    return format_trace(execute_config(problem, config), problem.dim)
+
+
+def _ac4_trace(seed: int) -> str:
+    # The AC-4 runs of `drfeas repro AC-4`: one RandomBlock seed each.
+    problem, config = load_bundled("ac4_random_block_three_balls.json")
+    trace = run_unrestricted_dr(
+        problem, RandomBlock(3, 5, seed), config.r, Point([5.0, 5.0]), config.stop
+    )
+    return format_trace(trace, problem.dim)
+
+
+def _synthetic_trace() -> str:
+    """Every set kind around a common point p, with two near-tangent balls
+    that make the run take a few hundred steps, and a certifier column."""
+    rng = np.random.default_rng(2204)
+    d = 6
+    p = rng.uniform(-1.0, 1.0, size=d)
+    u = rng.normal(size=d)
+    u /= np.linalg.norm(u)
+    a_half, a_hyper = rng.normal(size=d), rng.normal(size=d)
+    A = rng.normal(size=(2, d))
+    sets = [
+        Ball(p + u, 1.03),
+        Halfspace(a_half, float(a_half @ p) + 0.5),
+        Ball(p - u, 1.03),
+        Hyperplane(a_hyper, float(a_hyper @ p)),
+        Box(p - 1.0, p + 2.0),
+        AffineSubspace(A, A @ p),
+    ]
+    problem = FeasibilityProblem(sets)
+    trace = run_unrestricted_dr(
+        problem,
+        RandomBlock(len(sets), 9, 3),
+        3,
+        Point(rng.uniform(-5.0, 5.0, size=d)),
+        StopRule(max_iters=2000, displacement_tol=1e-12, feasibility_tol=1e-9),
+        certifier=dr_operator(sets),
+    )
+    return format_trace(trace, d)
+
+
+def golden_outputs() -> dict[str, Callable[[], str]]:
+    """Fixture file name -> zero-argument function producing its text."""
+    outputs: dict[str, Callable[[], str]] = {
+        f"{stem}.trace.csv": (lambda stem=stem: _bundled_trace(stem)) for stem in BUNDLED
+    }
+    outputs.update(
+        {f"ac4_seed{s}.trace.csv": (lambda s=s: _ac4_trace(s)) for s in AC4_SEEDS}
+    )
+    outputs["ac1_reports.csv"] = lambda: format_reports(operator_class_reports())
+    outputs["synthetic_mixed.trace.csv"] = _synthetic_trace
+    return outputs
+
+
+@pytest.mark.parametrize("name", sorted(golden_outputs()))
+def test_output_matches_golden_bytes(name):
+    expected = (GOLDEN_DIR / name).read_bytes()
+    assert golden_outputs()[name]().encode("utf-8") == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, produce in golden_outputs().items():
+        (GOLDEN_DIR / name).write_bytes(produce().encode("utf-8"))
+        print(f"wrote {GOLDEN_DIR / name}")

@@ -65,6 +65,8 @@ def test_parse_rejects_bad_json_and_missing_keys():
         parse_problem(json.dumps({"sets": []}))
     with pytest.raises(ParseError, match="sets"):
         parse_problem(json.dumps({"dimension": 2}))
+    with pytest.raises(ParseError, match="dimension must be"):
+        parse_problem(doc(dimension=True))
 
 
 def test_roundtrip_preserves_parameters_exactly():
@@ -144,6 +146,17 @@ def test_control_parsing_variants():
         parse_document(doc(control={"rule": "fancy", "m": 2}, **base))
     with pytest.raises(ParseError, match="missing field"):
         parse_document(doc(control={"rule": "random_block", "m": 2}, **base))
+    # JSON true is not an integer, although Python's bool subclasses int
+    for control in (
+        {"rule": "cyclic", "m": True},
+        {"rule": "cyclic", "m": 2.0},
+        {"rule": "explicit", "prefix": [2, True]},
+        {"rule": "explicit", "prefix": "12"},
+        {"rule": "random_block", "m": 2, "M": True, "seed": 5},
+        {"rule": "random_block", "m": 2, "M": 3, "seed": True},
+    ):
+        with pytest.raises(ParseError, match="integer"):
+            parse_document(doc(control=control, **base))
 
 
 def test_scheme_validation():
@@ -156,6 +169,12 @@ def test_scheme_validation():
     with pytest.raises(ParseError, match="stop"):
         parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
                            r=2, stop={"max_iters": 10, "typo_tol": 1.0}))
+    with pytest.raises(ParseError, match="max_iters"):
+        parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
+                           r=2, stop={"max_iters": True}))
+    with pytest.raises(ParseError, match="r > 1"):
+        parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
+                           r=True))
 
 
 def test_product_scheme_operator_specs():
@@ -180,13 +199,16 @@ def test_product_scheme_operator_specs():
 
 
 def test_product_scheme_rejects_out_of_range_set_index():
-    text = doc(
-        scheme="product",
-        control={"rule": "cyclic", "m": 1},
-        operators=[{"type": "projection", "set": 7}],
-    )
-    with pytest.raises(ParseError, match=r"operators\[0\]"):
-        parse_document(text)
+    for spec in (
+        {"type": "projection", "set": 7},
+        {"type": "projection", "set": True},
+        {"type": "relaxed_projection", "set": True, "lambda": 1.5},
+        {"type": "relaxed_projection", "set": 1, "lambda": True},
+        {"type": "dr", "sets": [1, True]},
+    ):
+        text = doc(scheme="product", control={"rule": "cyclic", "m": 1}, operators=[spec])
+        with pytest.raises(ParseError, match=r"operators\[0\]"):
+            parse_document(text)
 
 
 def test_product_scheme_rejects_boundary_lambda():
@@ -196,6 +218,18 @@ def test_product_scheme_rejects_boundary_lambda():
         operators=[{"type": "relaxed_projection", "set": 1, "lambda": 2.0}],
     )
     with pytest.raises(ParseError, match="lambda"):
+        parse_document(text)
+
+
+def test_product_scheme_rejects_boolean_window_step():
+    text = doc(
+        scheme="product",
+        control={"rule": "cyclic", "m": 1},
+        window_control={"rule": "cyclic", "m": 2},
+        r=2,
+        operators=[{"type": "s_window", "n": True}],
+    )
+    with pytest.raises(ParseError, match="'n'"):
         parse_document(text)
 
 

@@ -12,6 +12,7 @@ from drfeas import (
     Hyperplane,
     InvalidControl,
     MAX_ITERS,
+    NON_FINITE,
     Point,
     Projection,
     RandomBlock,
@@ -216,6 +217,17 @@ def test_feasibility_only_stop_mode():
     assert problem.max_distance(trace.final.iterate) <= 1e-8
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_iterate_stops_with_last_finite_step():
+    # the halfspace reflection of x0 doubles x0 and overflows to inf
+    problem = FeasibilityProblem([Halfspace([1.0, 0.0], 0.0), Ball([0.0, 0.0], 1.0)])
+    x0 = Point([-1e308, 1e308])
+    trace = run_unrestricted_dr(problem, Cyclic(2), 2, x0, STOP)
+    assert trace.terminal_status == NON_FINITE
+    assert trace.iterations == 0
+    assert trace.final.iterate == x0
+
+
 def test_certifier_residual_reported():
     problem = thin_lens_problem()
     certifier = dr_operator(list(problem.sets))
@@ -255,6 +267,11 @@ def test_run_dimension_mismatch(three_ball_problem):
         run_unrestricted_dr(three_ball_problem, Cyclic(3), 2, Point([1.0]), STOP)
     with pytest.raises(DimensionMismatch):
         run_composite(three_ball_problem, Cyclic(3), 2, Point([1.0, 2.0, 3.0]), STOP)
+    with pytest.raises(DimensionMismatch):
+        run_unrestricted_dr(three_ball_problem, Cyclic(3), 2, Point([1.0, 2.0]), STOP,
+                            certifier=Projection(Ball([0.0], 1.0)))
+    with pytest.raises(DimensionMismatch):
+        three_ball_problem.max_distance(Point([1.0]))
 
 
 def test_sampling_scale_tracks_set_magnitudes():
