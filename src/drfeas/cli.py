@@ -12,12 +12,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .control import cover_index, window
+from .control import cover_index
 from .diagnostics import check_firmly_nonexpansive, check_nonexpansive
-from .operators import Projection, Reflection, composite_reflection
+from .operators import DrOperator, Projection, Reflection, composite_reflection
 from .problem_io import (
     ParseError,
-    build_operator,
     execute_config,
     format_reports,
     load_document,
@@ -64,19 +63,17 @@ def _check_suite(problem, config):
     if config.scheme in ("unrestricted_dr", "composite_q"):
         f, r = config.control, config.r
         for n in range(cover_index(f) + 1):
-            picked = [problem.sets[i - 1] for i in window(f, r, n)]
-            suite.append((f"S{n}", build_S(problem, f, r, n), "firm"))
-            suite.append((f"V{n}", composite_reflection(picked), "ne"))
+            S = build_S(problem, f, r, n)
+            suite.append((f"S{n}", S, "firm"))
+            suite.append((f"V{n}", composite_reflection(S.sets), "ne"))
         if config.scheme == "composite_q":
             suite.append(("Q", build_composite_Q(problem, f, r), "ne"))
     else:
-        for k, spec in enumerate(config.operator_specs):
-            op = build_operator(spec, problem, config.r, config.window_control)
-            strongest = "firm" if spec["type"] in ("projection", "dr", "s_window") else "ne"
-            suite.append((f"T{k + 1}", op, strongest))
-    if config.certifier_spec is not None:
-        op = build_operator(config.certifier_spec, problem, config.r, config.window_control)
-        suite.append(("certifier", op, "ne"))
+        for k, op in enumerate(config.operators):
+            firm = isinstance(op, (Projection, DrOperator))
+            suite.append((f"T{k + 1}", op, "firm" if firm else "ne"))
+    if config.certifier is not None:
+        suite.append(("certifier", config.certifier, "ne"))
     return suite
 
 

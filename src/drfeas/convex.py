@@ -180,13 +180,14 @@ class Ball(ConvexSet):
         self.radius = float(radius)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        d = float(np.linalg.norm(x - self.center))
+        v = x - self.center
+        d = _norm(v)
         if d <= self.radius:
             return x
-        return self.center + (self.radius / d) * (x - self.center)
+        return self.center + (self.radius / d) * v
 
     def interior_margin(self, x: Point) -> float:
-        return self.radius - float(np.linalg.norm(self._coords(x) - self.center))
+        return self.radius - _norm(self._coords(x) - self.center)
 
     def scale_hint(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius

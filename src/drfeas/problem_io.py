@@ -25,7 +25,8 @@ set indices) and ``r`` > 1. Scheme ``product`` additionally needs an
 specs that derive from control windows (``s_window``, ``composite_q``) read
 ``window_control`` and ``r``. ``x0`` is a coordinate list, ``"origin"``, or
 ``"random(seed, scale)"``. An optional ``certifier`` operator spec adds a
-residual column to the trace.
+residual column to the trace. Parsing builds every set, operator and the
+start point once; the resulting ``RunConfig`` holds objects, not specs.
 
 Control rules: ``{"rule": "cyclic", "m": ...}``, ``{"rule": "explicit",
 "prefix": [...]}``, ``{"rule": "random_block", "m": ..., "M": ...,
@@ -48,7 +49,17 @@ from .control import ControlMap, Cyclic, Explicit, RandomBlock
 from .convex import ConvexSet, InvalidSet, set_from_params
 from .diagnostics import PropertyReport
 from .operators import Operator, Projection, dr_operator, relax
-from .solver import FeasibilityProblem, IterationTrace, StopRule, build_S
+from .solver import (
+    FeasibilityProblem,
+    IterationTrace,
+    StopRule,
+    build_S,
+    build_composite_Q,
+    run_composite,
+    run_unrestricted_dr,
+    run_unrestricted_product,
+)
+from .space import Point
 
 SCHEMES = ("unrestricted_dr", "composite_q", "product")
 
@@ -63,13 +74,12 @@ class ParseError(ValueError):
 class RunConfig:
     scheme: str
     control: ControlMap
+    x0: Point
     r: int | None = None
-    x0: object = "origin"
     stop: StopRule = field(default_factory=StopRule)
     trace_path: str | None = None
-    operator_specs: list[dict] | None = None
-    window_control: ControlMap | None = None
-    certifier_spec: dict | None = None
+    operators: list[Operator] | None = None
+    certifier: Operator | None = None
 
 
 def _is_int(value: object) -> bool:
@@ -106,12 +116,6 @@ def _parse_sets(doc: dict) -> list[ConvexSet]:
     return sets
 
 
-def parse_problem(text: str) -> FeasibilityProblem:
-    """Parse the problem part (dimension, sets, interior_point) of a document."""
-    problem, _ = parse_document(text)
-    return problem
-
-
 def parse_document(text: str) -> tuple[FeasibilityProblem, RunConfig | None]:
     """Parse a full document; the config is None when no scheme is given."""
     try:
@@ -120,8 +124,8 @@ def parse_document(text: str) -> tuple[FeasibilityProblem, RunConfig | None]:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
-
-    from .space import Point  # local import keeps module import order simple
+    if "true" in text or "false" in text:  # ordinary documents skip the walk
+        _reject_booleans(doc)
 
     sets = _parse_sets(doc)
     interior = None
@@ -138,6 +142,27 @@ def parse_document(text: str) -> tuple[FeasibilityProblem, RunConfig | None]:
     if "scheme" not in doc:
         return problem, None
     return problem, _parse_config(doc, problem)
+
+
+def _holds_bool(value: object) -> bool:
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
+def _reject_booleans(doc: dict) -> None:
+    """JSON true/false in a numeric field: bool subclasses int, so numpy
+    would otherwise read them as 1.0 and 0.0."""
+    fields = [(k, doc.get(k)) for k in ("interior_point", "x0")]
+    sets = doc.get("sets")
+    for i, params in enumerate(sets if isinstance(sets, list) else []):
+        if isinstance(params, dict):
+            fields += [(f"sets[{i}].{k}", v) for k, v in params.items()]
+    if isinstance(doc.get("stop"), dict):
+        fields += [(f"stop.{k}", v) for k, v in doc["stop"].items()]
+    for where, value in fields:
+        if _holds_bool(value):
+            raise ParseError(f"{where}: expected numbers, got a JSON boolean")
 
 
 def _parse_control(raw: object, where: str) -> ControlMap:
@@ -199,70 +224,70 @@ def _parse_config(doc: dict, problem: FeasibilityProblem) -> RunConfig:
                 f"control range 1..{control.m} does not match the {problem.m} sets"
             )
 
-    operator_specs = None
+    operators = None
     if scheme == "product":
         raw_ops = _require(doc, "operators")
         if not isinstance(raw_ops, list) or not raw_ops:
             raise ParseError("operators must be a nonempty list")
-        operator_specs = []
-        for i, spec in enumerate(raw_ops):
-            _validate_operator_spec(spec, problem, r, window_control, f"operators[{i}]")
-            operator_specs.append(spec)
-        if control.m != len(operator_specs):
+        operators = [
+            _parse_operator(spec, problem, r, window_control, f"operators[{i}]")
+            for i, spec in enumerate(raw_ops)
+        ]
+        if control.m != len(operators):
             raise ParseError(
                 f"control range 1..{control.m} does not match the "
-                f"{len(operator_specs)} operators"
+                f"{len(operators)} operators"
             )
 
-    certifier_spec = doc.get("certifier")
-    if certifier_spec is not None:
-        _validate_operator_spec(certifier_spec, problem, r, window_control, "certifier")
-
-    x0 = doc.get("x0", "origin")
-    _resolve_x0(x0, problem.dim)  # validate now, resolve again at run time
+    certifier = doc.get("certifier")
+    if certifier is not None:
+        certifier = _parse_operator(certifier, problem, r, window_control, "certifier")
 
     return RunConfig(
         scheme=scheme,
         control=control,
+        x0=_parse_x0(doc.get("x0", "origin"), problem.dim),
         r=r,
-        x0=x0,
         stop=_parse_stop(doc.get("stop")),
         trace_path=doc.get("trace_path"),
-        operator_specs=operator_specs,
-        window_control=window_control,
-        certifier_spec=certifier_spec,
+        operators=operators,
+        certifier=certifier,
     )
 
 
-def _validate_operator_spec(
+def _parse_operator(
     spec: object,
     problem: FeasibilityProblem,
     r: int | None,
     window_control: ControlMap | None,
     where: str,
-) -> None:
+) -> Operator:
+    """Check an operator spec and build it against the problem's sets."""
+    def pick(idx: object) -> ConvexSet:
+        if not _is_int(idx) or not (1 <= idx <= problem.m):
+            raise ParseError(f"{where}: set index must lie in 1..{problem.m}")
+        return problem.sets[idx - 1]
+
     if not isinstance(spec, dict):
         raise ParseError(f"{where}: expected an object")
     kind = spec.get("type")
     if kind in ("projection", "relaxed_projection"):
-        idx = spec.get("set")
-        if not _is_int(idx) or not (1 <= idx <= problem.m):
-            raise ParseError(f"{where}: set index must lie in 1..{problem.m}")
-        if kind == "relaxed_projection":
-            lam = spec.get("lambda")
-            if not (_is_int(lam) or isinstance(lam, float)) or not (0.0 < lam < 2.0):
-                raise ParseError(
-                    f"{where}: lambda must lie strictly inside (0, 2) for the "
-                    "operator to stay strongly nonexpansive"
-                )
-    elif kind == "dr":
+        projection = Projection(pick(spec.get("set")))
+        if kind == "projection":
+            return projection
+        lam = spec.get("lambda")
+        if not (_is_int(lam) or isinstance(lam, float)) or not (0.0 < lam < 2.0):
+            raise ParseError(
+                f"{where}: lambda must lie strictly inside (0, 2) for the "
+                "operator to stay strongly nonexpansive"
+            )
+        return relax(projection, float(lam))
+    if kind == "dr":
         idxs = spec.get("sets")
         if not isinstance(idxs, list) or not idxs:
             raise ParseError(f"{where}: 'sets' must be a nonempty index list")
-        for idx in idxs:
-            if not _is_int(idx) or not (1 <= idx <= problem.m):
-                raise ParseError(f"{where}: set index must lie in 1..{problem.m}")
-    elif kind in ("s_window", "composite_q"):
+        return dr_operator([pick(i) for i in idxs])
+    if kind in ("s_window", "composite_q"):
         if window_control is None or not _is_int(r) or r <= 1:
             raise ParseError(
                 f"{where}: {kind!r} needs document keys 'window_control' and 'r' > 1"
@@ -272,52 +297,32 @@ def _validate_operator_spec(
                 f"{where}: window_control range 1..{window_control.m} does not "
                 f"match the {problem.m} sets"
             )
-        if kind == "s_window":
-            n = spec.get("n")
-            if not _is_int(n) or n < 0:
-                raise ParseError(f"{where}: 'n' must be a nonnegative integer")
-    else:
-        raise ParseError(f"{where}: unknown operator type {kind!r}")
+        if kind == "composite_q":
+            return build_composite_Q(problem, window_control, r)
+        n = spec.get("n")
+        if not _is_int(n) or n < 0:
+            raise ParseError(f"{where}: 'n' must be a nonnegative integer")
+        return build_S(problem, window_control, r, n)
+    raise ParseError(f"{where}: unknown operator type {kind!r}")
 
 
-def build_operator(
-    spec: dict,
-    problem: FeasibilityProblem,
-    r: int | None = None,
-    window_control: ControlMap | None = None,
-) -> Operator:
-    """Materialize an operator spec against a problem's sets."""
-    kind = spec["type"]
-    if kind == "projection":
-        return Projection(problem.sets[spec["set"] - 1])
-    if kind == "relaxed_projection":
-        return relax(Projection(problem.sets[spec["set"] - 1]), float(spec["lambda"]))
-    if kind == "dr":
-        return dr_operator([problem.sets[i - 1] for i in spec["sets"]])
-    if kind == "s_window":
-        return build_S(problem, window_control, r, spec["n"])
-    if kind == "composite_q":
-        from .solver import build_composite_Q
-
-        return build_composite_Q(problem, window_control, r)
-    raise ParseError(f"unknown operator type {kind!r}")
-
-
-def _resolve_x0(x0: object, dim: int):
-    from .space import Point
-
+def _parse_x0(x0: object, dim: int) -> Point:
     if isinstance(x0, str):
         if x0 == "origin":
             return Point(np.zeros(dim))
         match = _RANDOM_X0.match(x0)
-        if match:
-            seed, scale = int(match.group(1)), float(match.group(2))
-            rng = np.random.default_rng([seed])
-            return Point(rng.uniform(-scale, scale, size=dim))
-        raise ParseError(
-            f"x0 must be a coordinate list, 'origin', or 'random(seed, scale)'; "
-            f"got {x0!r}"
-        )
+        if match is None:
+            raise ParseError(
+                f"x0 must be a coordinate list, 'origin', or 'random(seed, scale)'; "
+                f"got {x0!r}"
+            )
+        rng = np.random.default_rng([int(match.group(1))])
+        try:
+            scale = float(match.group(2))
+            coords = rng.uniform(-scale, scale, size=dim)
+        except (OverflowError, ValueError) as exc:  # 1e999, 1e308, -3, 1.2.3
+            raise ParseError(f"x0: bad scale in {x0!r}: {exc}") from exc
+        return Point(coords)
     try:
         p = Point(x0)
     except ValueError as exc:
@@ -327,47 +332,15 @@ def _resolve_x0(x0: object, dim: int):
     return p
 
 
-def resolve_x0(config: RunConfig, problem: FeasibilityProblem):
-    """The starting point a config denotes, resolved against the problem dim."""
-    return _resolve_x0(config.x0, problem.dim)
-
-
 def execute_config(problem: FeasibilityProblem, config: RunConfig) -> IterationTrace:
     """Run the scheme a config describes and return its trace."""
-    from .solver import run_composite, run_unrestricted_dr, run_unrestricted_product
-
-    x0 = resolve_x0(config, problem)
-    certifier = None
-    if config.certifier_spec is not None:
-        certifier = build_operator(
-            config.certifier_spec, problem, config.r, config.window_control
+    if config.scheme == "product":
+        return run_unrestricted_product(
+            config.operators, config.control, config.x0, config.stop, problem,
+            config.certifier,
         )
-    if config.scheme == "unrestricted_dr":
-        return run_unrestricted_dr(
-            problem, config.control, config.r, x0, config.stop, certifier
-        )
-    if config.scheme == "composite_q":
-        return run_composite(
-            problem, config.control, config.r, x0, config.stop, certifier
-        )
-    operators = [
-        build_operator(spec, problem, config.r, config.window_control)
-        for spec in config.operator_specs
-    ]
-    return run_unrestricted_product(
-        operators, config.control, x0, config.stop, problem=problem, certifier=certifier
-    )
-
-
-def serialize_problem(problem: FeasibilityProblem) -> str:
-    """Render the problem part back into a JSON document (full precision)."""
-    doc: dict = {
-        "dimension": problem.dim,
-        "sets": [c.params() for c in problem.sets],
-    }
-    if problem.interior_point is not None:
-        doc["interior_point"] = problem.interior_point.coords.tolist()
-    return json.dumps(doc, indent=2)
+    run = run_unrestricted_dr if config.scheme == "unrestricted_dr" else run_composite
+    return run(problem, config.control, config.r, config.x0, config.stop, config.certifier)
 
 
 def load_document(path) -> tuple[FeasibilityProblem, RunConfig | None]:

@@ -97,6 +97,15 @@ def test_run_rejects_malformed_document(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_overflowing_random_start(tmp_path, capsys):
+    path = tmp_path / "huge_scale.json"
+    path.write_text(json.dumps(dict(THREE_BALLS_RUN, x0="random(1, 1e999)")),
+                    encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert "x0" in capsys.readouterr().err
+    assert not path.with_suffix(".trace.csv").exists()
+
+
 def test_run_missing_file_is_input_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
 

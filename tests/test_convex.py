@@ -187,6 +187,19 @@ def test_huge_normal_keeps_distance(cls):
     assert shifted.scale_hint() == pytest.approx(2.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing dot
+def test_ball_projection_far_from_center():
+    # ||x - c||^2 overflows once ||x - c|| exceeds ~1.3e154
+    ball = Ball([0.0, 0.0], 1.0)
+    x = Point([1e160, 0.0])
+    assert ball.project(x) == Point([1.0, 0.0])
+    assert ball.distance(x) == pytest.approx(1e160)
+    assert ball.interior_margin(x) == pytest.approx(-1e160)
+    y = Point([3e200, -4e200])
+    assert list(ball.project(y)) == pytest.approx([0.6, -0.8])
+    assert ball.distance(y) == pytest.approx(5e200)
+
+
 def test_degenerate_normal_rejected():
     with pytest.raises(InvalidSet, match="degenerate"):
         Halfspace([1e-13, 0.0], 1.0)

@@ -1,4 +1,4 @@
-"""Golden outputs: byte-exact traces and the AC-1 report table.
+"""Golden outputs: byte-exact traces and the check report tables.
 
 Each fixture under tests/golden/ was written by this module and is compared
 byte for byte, so a refactor that moves any iterate, distance or report by
@@ -13,6 +13,10 @@ and must show that every terminal status and iteration count stayed the
 same.
 """
 
+import contextlib
+import io
+import json
+import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -35,6 +39,7 @@ from drfeas import (
     format_trace,
     run_unrestricted_dr,
 )
+from drfeas.cli import main
 from drfeas.repro import load_bundled, operator_class_reports
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -94,6 +99,43 @@ def _synthetic_trace() -> str:
     return format_trace(trace, d)
 
 
+# A product document with every operator type and a certifier, so that
+# `drfeas check` classifies each of them.
+EVERY_OPERATOR_PRODUCT = {
+    "dimension": 2,
+    "sets": [
+        {"kind": "Ball", "center": [0.0, 0.0], "radius": 1.0},
+        {"kind": "Ball", "center": [1.0, 0.0], "radius": 1.0},
+        {"kind": "Halfspace", "a": [0.0, 1.0], "b": 0.5},
+    ],
+    "scheme": "product",
+    "window_control": {"rule": "cyclic", "m": 3},
+    "r": 2,
+    "operators": [
+        {"type": "projection", "set": 1},
+        {"type": "relaxed_projection", "set": 2, "lambda": 1.5},
+        {"type": "dr", "sets": [3, 1, 2]},
+        {"type": "s_window", "n": 1},
+        {"type": "composite_q"},
+    ],
+    "control": {"rule": "cyclic", "m": 5},
+    "certifier": {"type": "dr", "sets": [1, 2]},
+    "x0": [3.0, -2.0],
+}
+
+
+def _check_output() -> str:
+    """Standard output of `drfeas check --samples 200` on the document above."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "every_operator_product.json"
+        path.write_text(json.dumps(EVERY_OPERATOR_PRODUCT), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", str(path), "--samples", "200"])
+    assert code == 0
+    return out.getvalue()
+
+
 def golden_outputs() -> dict[str, Callable[[], str]]:
     """Fixture file name -> zero-argument function producing its text."""
     outputs: dict[str, Callable[[], str]] = {
@@ -104,6 +146,7 @@ def golden_outputs() -> dict[str, Callable[[], str]]:
     )
     outputs["ac1_reports.csv"] = lambda: format_reports(operator_class_reports())
     outputs["synthetic_mixed.trace.csv"] = _synthetic_trace
+    outputs["check_every_operator_product.txt"] = _check_output
     return outputs
 
 

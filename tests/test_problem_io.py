@@ -7,15 +7,12 @@ from drfeas import (
     ParseError,
     Point,
     RandomBlock,
-    build_operator,
     execute_config,
     format_reports,
     format_trace,
     load_document,
     parse_document,
-    parse_problem,
-    resolve_x0,
-    serialize_problem,
+    set_from_params,
     check_nonexpansive,
     Identity,
 )
@@ -32,6 +29,10 @@ def doc(**extra) -> str:
     d = dict(TWO_BALLS)
     d.update(extra)
     return json.dumps(d)
+
+
+def parse_problem(text: str):
+    return parse_document(text)[0]
 
 
 def test_parse_problem_two_balls():
@@ -67,6 +68,19 @@ def test_parse_rejects_bad_json_and_missing_keys():
         parse_problem(json.dumps({"dimension": 2}))
     with pytest.raises(ParseError, match="dimension must be"):
         parse_problem(doc(dimension=True))
+    # JSON true is no number, although numpy would read it as 1.0
+    for sets, field in (
+        ([{"kind": "Ball", "center": [0.0, 0.0], "radius": True}], r"sets\[0\]\.radius"),
+        ([{"kind": "Ball", "center": [True, 0.0], "radius": 1.0}], r"sets\[0\]\.center"),
+        ([{"kind": "Halfspace", "a": [1.0, 0.0], "b": True}], r"sets\[0\]\.b"),
+        ([{"kind": "AffineSubspace", "A": [[1.0, False]], "b": [0.0]}], r"sets\[0\]\.A"),
+    ):
+        with pytest.raises(ParseError, match=field):
+            parse_problem(doc(sets=sets))
+    with pytest.raises(ParseError, match="interior_point"):
+        parse_problem(doc(interior_point=[0.5, False]))
+    with pytest.raises(ParseError, match="sets must be"):
+        parse_problem(json.dumps({"dimension": 2, "sets": 5, "note": True}))
 
 
 def test_roundtrip_preserves_parameters_exactly():
@@ -79,16 +93,9 @@ def test_roundtrip_preserves_parameters_exactly():
         {"kind": "AffineSubspace", "A": [[1.0, 0.5]], "b": [0.25]},
     ]
     problem = parse_problem(json.dumps({"dimension": 2, "sets": sets}))
-    clone = parse_problem(serialize_problem(problem))
-    for a, b in zip(problem.sets, clone.sets):
-        assert a.params() == b.params()
-
-
-def test_roundtrip_keeps_interior_point():
-    text = doc(interior_point=[0.75, 0.0])
-    problem = parse_problem(text)
-    clone = parse_problem(serialize_problem(problem))
-    assert clone.interior_point == problem.interior_point
+    for c in problem.sets:
+        clone = set_from_params(json.loads(json.dumps(c.params())))
+        assert clone.params() == c.params()
 
 
 def test_config_parsing_and_execution():
@@ -113,18 +120,23 @@ def test_document_without_scheme_has_no_config():
 
 
 def test_x0_forms():
-    problem, _ = parse_document(doc())
     text = doc(scheme="composite_q", control={"rule": "cyclic", "m": 2}, r=2, x0="origin")
     _, config = parse_document(text)
-    assert resolve_x0(config, problem) == Point([0.0, 0.0])
+    assert config.x0 == Point([0.0, 0.0])
 
     text = doc(scheme="composite_q", control={"rule": "cyclic", "m": 2}, r=2,
                x0="random(3, 2.5)")
-    _, config = parse_document(text)
-    a = resolve_x0(config, problem)
-    b = resolve_x0(config, problem)
+    a = parse_document(text)[1].x0
+    b = parse_document(text)[1].x0
     assert a == b  # deterministic for a fixed seed
     assert max(abs(v) for v in a) <= 2.5
+
+    # scales that overflow the sampling range, negative or malformed scales
+    for x0 in ("random(1, 1e999)", "random(1, 1e308)", "random(1, -3)",
+               "random(1, 1.2.3)", [True, 0.0]):
+        with pytest.raises(ParseError, match="x0"):
+            parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
+                               r=2, x0=x0))
 
     with pytest.raises(ParseError, match="x0"):
         parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
@@ -175,6 +187,9 @@ def test_scheme_validation():
     with pytest.raises(ParseError, match="r > 1"):
         parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
                            r=True))
+    with pytest.raises(ParseError, match="feasibility_tol"):
+        parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
+                           r=2, stop={"feasibility_tol": True}))
 
 
 def test_product_scheme_operator_specs():
@@ -191,9 +206,7 @@ def test_product_scheme_operator_specs():
         x0=[4.0, 4.0],
     )
     problem, config = parse_document(text)
-    ops = [build_operator(s, problem, config.r, config.window_control)
-           for s in config.operator_specs]
-    assert len(ops) == 3
+    assert len(config.operators) == 3
     trace = execute_config(problem, config)
     assert problem.max_distance(trace.final.iterate) <= 1e-8
 

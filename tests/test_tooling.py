@@ -1,0 +1,50 @@
+"""The benchmark's tracing hooks and the example scripts still find the
+package names they use."""
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    # Resolves each wrapper target the way Tracer.prepare does, without patching.
+    for module_name, attr, _ in _tracing_module().PROGRAM_WRAPPERS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{module_name}.{attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/three_ball_schemes.py"],
+        ["scripts/operator_checks.py", "--dims", "2", "--samples", "100"],
+    ],
+    ids=["three_ball_schemes", "operator_checks"],
+)
+def test_script_runs(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
