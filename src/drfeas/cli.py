@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .control import cover_index
-from .diagnostics import check_firmly_nonexpansive, check_nonexpansive
 from .operators import DrOperator, Projection, Reflection, composite_reflection
 from .problem_io import (
     ParseError,
@@ -22,7 +21,7 @@ from .problem_io import (
     load_document,
     write_trace,
 )
-from .repro import EXPERIMENTS, run_experiment
+from .repro import EXPERIMENTS, run_check_suite, run_experiment
 from .solver import CONVERGED_DISPLACEMENT, FEASIBLE, build_S, build_composite_Q
 
 EXIT_OK = 0
@@ -52,50 +51,35 @@ def cmd_run(args) -> int:
 
 
 def _check_suite(problem, config):
-    """Every operator a config would construct, with its strongest checkable
-    property ('firm' for projections and DR operators, 'ne' otherwise)."""
+    """Every operator a config would construct, as (label, operator, firm)
+    triples: firm for projections and DR operators, whose strongest checkable
+    property is firm nonexpansiveness, else plain nonexpansiveness."""
     suite = []
     for i, c in enumerate(problem.sets):
-        suite.append((f"P(C{i + 1})", Projection(c), "firm"))
-        suite.append((f"R(C{i + 1})", Reflection(c), "ne"))
+        suite.append((f"P(C{i + 1})", Projection(c), True))
+        suite.append((f"R(C{i + 1})", Reflection(c), False))
     if config is None:
         return suite
     if config.scheme in ("unrestricted_dr", "composite_q"):
         f, r = config.control, config.r
         for n in range(cover_index(f) + 1):
             S = build_S(problem, f, r, n)
-            suite.append((f"S{n}", S, "firm"))
-            suite.append((f"V{n}", composite_reflection(S.sets), "ne"))
+            suite.append((f"S{n}", S, True))
+            suite.append((f"V{n}", composite_reflection(S.sets), False))
         if config.scheme == "composite_q":
-            suite.append(("Q", build_composite_Q(problem, f, r), "ne"))
+            suite.append(("Q", build_composite_Q(problem, f, r), False))
     else:
         for k, op in enumerate(config.operators):
-            firm = isinstance(op, (Projection, DrOperator))
-            suite.append((f"T{k + 1}", op, "firm" if firm else "ne"))
+            suite.append((f"T{k + 1}", op, isinstance(op, (Projection, DrOperator))))
     if config.certifier is not None:
-        suite.append(("certifier", config.certifier, "ne"))
+        suite.append(("certifier", config.certifier, False))
     return suite
 
 
 def cmd_check(args) -> int:
     problem, config = load_document(args.problem)
     scale = args.scale if args.scale is not None else problem.sampling_scale()
-    reports = []
-    for name, op, strongest in _check_suite(problem, config):
-        if strongest == "firm":
-            reports.append(
-                check_firmly_nonexpansive(
-                    op, args.samples, scale, args.seed,
-                    name=f"firmly_nonexpansive[{name}]",
-                )
-            )
-        else:
-            reports.append(
-                check_nonexpansive(
-                    op, args.samples, scale, args.seed,
-                    name=f"nonexpansive[{name}]",
-                )
-            )
+    reports = run_check_suite(_check_suite(problem, config), args.samples, scale, args.seed)
     table = format_reports(reports)
     print(table, end="")
     if args.out is not None:

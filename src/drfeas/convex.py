@@ -113,6 +113,8 @@ class _LinearSet(ConvexSet):
         a = _as_vector(a, "a")
         super().__init__(a.shape[0])
         self.a, self.b = a, float(b)
+        if not math.isfinite(self.b):
+            raise InvalidSet("b must be finite")
         exponent = int(np.frexp(np.max(np.abs(a)))[1])
         with np.errstate(over="ignore"):  # ||a|| of a huge a, or b over a tiny a
             if float(np.linalg.norm(a)) <= DEGENERATE_NORMAL:
@@ -174,8 +176,8 @@ class Ball(ConvexSet):
     def __init__(self, center, radius: float) -> None:
         center = _as_vector(center, "center")
         super().__init__(center.shape[0])
-        if not (float(radius) > 0.0):
-            raise InvalidSet("radius must be positive")
+        if not (0.0 < float(radius) < math.inf):
+            raise InvalidSet("radius must be positive and finite")
         self.center = center
         self.radius = float(radius)
 
@@ -184,6 +186,12 @@ class Ball(ConvexSet):
         d = _norm(v)
         if d <= self.radius:
             return x
+        if d == math.inf:
+            # x - center overflowed, or its norm does: take the direction from
+            # x and the center scaled by a power of two, as _norm does.
+            exponent = int(np.frexp(max(np.max(np.abs(x)), np.max(np.abs(self.center))))[1])
+            v = np.ldexp(x, -exponent) - np.ldexp(self.center, -exponent)
+            d = _norm(v)
         return self.center + (self.radius / d) * v
 
     def interior_margin(self, x: Point) -> float:

@@ -6,18 +6,23 @@ property and accumulate evidence for it, never prove it; purely asymptotic
 properties (strong nonexpansiveness, weak regularity) have no finite test
 and are exercised only through their observable consequences, such as the
 asymptotic regularity series and converging runs.
+
+Each check draws its pairs in order from one generator seeded with
+``seed``, so a check with fewer samples sees a prefix of the pairs of one
+with more. The checks share one loop and differ only in their inequality.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
 from .operators import Operator
 from .solver import FeasibilityProblem
-from .space import Point, _checked_coords, _norm, norm
+from .space import Point, _checked_coords, _norm
 
 
 @dataclass(frozen=True)
@@ -29,29 +34,37 @@ class PropertyReport:
     passed: bool
 
 
-def _pairs(
-    dim: int, samples: int, scale: float, seed: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The sampled pairs (x, y) of a check, after validating its parameters."""
+def _pairs(dim: int, samples: int, scale: float, seed: int) -> np.ndarray:
+    """The sampled pairs (x, y) of a check, shape (samples, 2, dim), after
+    validating its parameters. One generator draws them all in order, so the
+    first k pairs of an n-sample check are the pairs of a k-sample check."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if not (scale > 0.0):
-        raise ValueError("scale must be positive")
+    if not (0.0 < 2.0 * scale < math.inf):  # numpy draws from a range 2 * scale wide
+        raise ValueError("scale must be positive, with 2 * scale finite")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    for i in range(samples):
-        # Counter-based: sample i depends only on (seed, i), not on draw order.
-        rng = np.random.default_rng([seed, i])
-        yield rng.uniform(-scale, scale, size=dim), rng.uniform(-scale, scale, size=dim)
+    return np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, dim))
 
 
 def _image(T: Operator, x: np.ndarray) -> np.ndarray:
-    """T x on a raw array. A non-finite result raises, as a Point would:
-    unchecked, a NaN violation would vanish in max(worst, nan) and pass."""
+    """T x on a raw array. A non-finite result raises, as a Point would."""
     y = T._apply(x)
     if not np.isfinite(y).all():
         raise ValueError("coordinates must be finite (no NaN/Inf)")
     return y
+
+
+def _report(
+    T: Operator, violation: Callable[[np.ndarray, np.ndarray], float],
+    samples: int, scale: float, seed: int, tol: float, name: str,
+) -> PropertyReport:
+    """The worst violation(x, y) over the sampled pairs of a check, as its
+    report. A NaN violation, say from an overflowing inner product, makes the
+    worst NaN, and the check fails: Python's max would drop it and pass."""
+    violations = [violation(x, y) for x, y in _pairs(T.dim, samples, scale, seed)]
+    worst = float(np.max(violations, initial=0.0))
+    return PropertyReport(name, samples, worst, tol, worst <= tol)
 
 
 def check_firmly_nonexpansive(
@@ -63,11 +76,12 @@ def check_firmly_nonexpansive(
     name: str = "firmly_nonexpansive",
 ) -> PropertyReport:
     """Worst violation of <Tx - Ty, x - y> >= ||Tx - Ty||^2 over sampled pairs."""
-    worst = 0.0
-    for x, y in _pairs(T.dim, samples, scale, seed):
+
+    def violation(x: np.ndarray, y: np.ndarray) -> float:
         dT = _image(T, x) - _image(T, y)
-        worst = max(worst, float(np.dot(dT, dT)) - float(np.dot(dT, x - y)))
-    return PropertyReport(name, samples, worst, tol, worst <= tol)
+        return float(np.dot(dT, dT)) - float(np.dot(dT, x - y))
+
+    return _report(T, violation, samples, scale, seed, tol, name)
 
 
 def check_nonexpansive(
@@ -79,10 +93,10 @@ def check_nonexpansive(
     name: str = "nonexpansive",
 ) -> PropertyReport:
     """Worst violation of ||Tx - Ty|| <= ||x - y|| over sampled pairs."""
-    worst = 0.0
-    for x, y in _pairs(T.dim, samples, scale, seed):
-        worst = max(worst, _norm(_image(T, x) - _image(T, y)) - _norm(x - y))
-    return PropertyReport(name, samples, worst, tol, worst <= tol)
+    return _report(
+        T, lambda x, y: _norm(_image(T, x) - _image(T, y)) - _norm(x - y),
+        samples, scale, seed, tol, name,
+    )
 
 
 def check_quasi_nonexpansive(
@@ -94,17 +108,19 @@ def check_quasi_nonexpansive(
     tol: float = 1e-10,
     name: str = "quasi_nonexpansive",
 ) -> PropertyReport:
-    """Worst violation of ||Tx - p|| <= ||x - p|| for a fixed point p of T."""
-    residual = norm(T.apply(p) - p)
+    """Worst violation of ||Tx - p|| <= ||x - p|| for a fixed point p of T,
+    over the first point x of each sampled pair."""
+    q = _checked_coords(p, T.dim, "operator")
+    residual = _norm(_image(T, q) - q)
     if residual > tol:
         raise ValueError(
             f"p is not a fixed point of the operator: residual {residual:.3e} "
             f"exceeds tol {tol:.3e}"
         )
-    worst = 0.0
-    for x, _ in _pairs(T.dim, samples, scale, seed):
-        worst = max(worst, _norm(_image(T, x) - p.coords) - _norm(x - p.coords))
-    return PropertyReport(name, samples, worst, tol, worst <= tol)
+    return _report(
+        T, lambda x, _: _norm(_image(T, x) - q) - _norm(x - q),
+        samples, scale, seed, tol, name,
+    )
 
 
 def asymptotic_regularity_series(T: Operator, x0: Point, n_steps: int) -> list[float]:

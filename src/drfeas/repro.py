@@ -64,37 +64,33 @@ def catalog_sets(dim: int) -> list[ConvexSet]:
 CATALOG_WINDOWS = [(1, 2), (3, 4), (5, 1), (1, 2, 3, 4, 5), (2, 2)]
 
 
+def run_check_suite(suite, samples: int, scale: float, seed: int) -> list[PropertyReport]:
+    """One report per (label, operator, firm) triple: firmly_nonexpansive[label]
+    when firm, else nonexpansive[label]. `drfeas check` and AC-1 both run here."""
+    return [
+        check_firmly_nonexpansive(op, samples, scale, seed,
+                                  name=f"firmly_nonexpansive[{label}]")
+        if firm
+        else check_nonexpansive(op, samples, scale, seed, name=f"nonexpansive[{label}]")
+        for label, op, firm in suite
+    ]
+
+
 def operator_class_reports(
     dims=(2, 5, 50), samples: int = 1000, scale: float = 4.0, seed: int = 0
 ) -> list[PropertyReport]:
     """The AC-1 suite: projections and DR operators firmly nonexpansive,
     composite reflections nonexpansive, over the whole catalog."""
-    reports = []
+    suite = []
     for dim in dims:
         sets = catalog_sets(dim)
-        for i, c in enumerate(sets):
-            reports.append(
-                check_firmly_nonexpansive(
-                    Projection(c), samples, scale, seed,
-                    name=f"firmly_nonexpansive[P(C{i + 1}),d={dim}]",
-                )
-            )
+        suite += [(f"P(C{i + 1}),d={dim}", Projection(c), True) for i, c in enumerate(sets)]
         for w in CATALOG_WINDOWS:
             picked = [sets[i - 1] for i in w]
             wname = "".join(map(str, w))
-            reports.append(
-                check_firmly_nonexpansive(
-                    dr_operator(picked), samples, scale, seed,
-                    name=f"firmly_nonexpansive[T{wname},d={dim}]",
-                )
-            )
-            reports.append(
-                check_nonexpansive(
-                    composite_reflection(picked), samples, scale, seed,
-                    name=f"nonexpansive[V{wname},d={dim}]",
-                )
-            )
-    return reports
+            suite.append((f"T{wname},d={dim}", dr_operator(picked), True))
+            suite.append((f"V{wname},d={dim}", composite_reflection(picked), False))
+    return run_check_suite(suite, samples, scale, seed)
 
 
 def repro_ac1(trace_dir=None) -> tuple[bool, list[str]]:

@@ -15,11 +15,14 @@ and the worst set distance are both within tolerance (status
 stops it (status ``feasible``); otherwise it runs to max_iters. A start
 already feasible stops immediately with status ``feasible``. A step whose
 result has a NaN or infinite coordinate ends the run with status
-``non_finite``; the trace then ends at the last finite iterate.
+``non_finite``; the trace then ends at the last finite iterate. A NaN
+stop-rule residual (a set distance that is not a number) ends it with the
+same status, at the iterate that has it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -50,8 +53,9 @@ class StopRule:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        if self.displacement_tol < 0.0 or self.feasibility_tol < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        for name in ("displacement_tol", "feasibility_tol"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 @dataclass
@@ -128,8 +132,13 @@ class FeasibilityProblem:
         return self._max_distance(_checked_coords(x, self.dim, "problem"))
 
     def _max_distance(self, x: np.ndarray) -> float:
-        """Worst set distance on a raw coordinate array: the stop-rule residual."""
-        return max(c._distance(x) for c in self.sets)
+        """Worst set distance on a raw coordinate array: the stop-rule residual.
+        A NaN distance makes it NaN, which no tolerance accepts."""
+        dists = [c._distance(x) for c in self.sets]
+        # max drops a NaN that is not first; a sum of nonnegative distances
+        # is NaN exactly when one of them is.
+        total = sum(dists)
+        return max(dists) if total == total else total
 
     def sampling_scale(self) -> float:
         """Default hypercube half-width for sampled diagnostics."""
@@ -203,6 +212,8 @@ def _iterate(
     steps = [TraceStep(0, x0, 0.0, dist, "init", _certifier_residual(certifier, x))]
     if problem is not None and dist <= stop.feasibility_tol:
         return IterationTrace(steps, FEASIBLE)
+    if dist != dist:
+        return IterationTrace(steps, NON_FINITE)
 
     status = MAX_ITERS
     for n in range(1, stop.max_iters + 1):
@@ -218,6 +229,9 @@ def _iterate(
                       _certifier_residual(certifier, x_next))
         )
         x = x_next
+        if dist != dist:
+            status = NON_FINITE
+            break
         feasible_now = problem is not None and dist <= stop.feasibility_tol
         if stop.displacement_tol > 0.0:
             within_feas = feasible_now or problem is None

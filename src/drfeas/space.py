@@ -86,14 +86,18 @@ def inner(x: Point, y: Point) -> float:
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a raw coordinate array, as sqrt(<x, x>).
 
-    When <x, x> overflows but the norm does not (||x|| above ~1.3e154), x is
-    scaled by a power of two first; other inputs never reach that branch.
+    When <x, x> overflows (||x|| above ~1.3e154), x is scaled by a power of
+    two first, and a norm beyond the largest float is inf; other inputs
+    never reach that branch.
     """
     sq = float(np.dot(x, x))
     if sq == math.inf:
         exponent = int(np.frexp(np.max(np.abs(x)))[1])
         y = np.ldexp(x, -exponent)
-        return math.ldexp(math.sqrt(float(np.dot(y, y))), exponent)
+        try:
+            return math.ldexp(math.sqrt(float(np.dot(y, y))), exponent)
+        except OverflowError:
+            return math.inf
     return math.sqrt(sq)
 
 

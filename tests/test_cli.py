@@ -82,6 +82,54 @@ def test_run_non_finite_iterate_is_not_converged(tmp_path, capsys):
     assert len(path.with_suffix(".trace.csv").read_text().splitlines()) == 2
 
 
+def _run_doc(sets: list, **extra) -> dict:
+    doc = {"dimension": 2, "sets": sets, "scheme": "unrestricted_dr",
+           "control": {"rule": "cyclic", "m": 2}, "r": 2, "x0": [0.0, 0.0]}
+    return dict(doc, **extra)
+
+
+UNIT_BALL = {"kind": "Ball", "center": [0.0, 0.0], "radius": 1.0}
+
+# Documents that each read as feasible when a NaN or infinite number slips
+# through: malformed ones exit 2, the rest end non_finite with exit 1.
+FALSE_FEASIBILITY = {
+    "nan_offset": (
+        _run_doc([UNIT_BALL, {"kind": "Halfspace", "a": [1.0, 0.0], "b": float("nan")}]), 2
+    ),
+    "minus_inf_offset": (
+        _run_doc([UNIT_BALL, {"kind": "Hyperplane", "a": [1.0, 0.0], "b": float("-inf")}]), 2
+    ),
+    "infinite_tolerance": (
+        _run_doc([UNIT_BALL, {"kind": "Ball", "center": [0.5, 0.0], "radius": 1.0}],
+                 x0=[50.0, 0.0], stop={"feasibility_tol": float("inf")}),
+        2,
+    ),
+    "nan_set_distance": (
+        _run_doc([UNIT_BALL, {"kind": "Hyperplane", "a": [1e-10, 0.0], "b": 1e308}]), 1
+    ),
+    "ball_offset_overflow": (
+        _run_doc([{"kind": "Halfspace", "a": [1.0, 0.0], "b": 1e308},
+                  {"kind": "Ball", "center": [-1e308, 0.0], "radius": 1.0}],
+                 x0=[1e308, 0.0]),
+        1,
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(FALSE_FEASIBILITY))
+def test_run_never_reads_non_finite_numbers_as_feasible(name, tmp_path, capsys):
+    doc, code = FALSE_FEASIBILITY[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == code
+    out = capsys.readouterr()
+    if code == 1:
+        assert "status=non_finite" in out.out
+    else:
+        assert "error:" in out.err
+
+
 def test_run_rejects_document_without_scheme(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"dimension": 2, "sets": THREE_BALLS_RUN["sets"]}),

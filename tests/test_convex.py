@@ -200,6 +200,20 @@ def test_ball_projection_far_from_center():
     assert ball.distance(y) == pytest.approx(5e200)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow
+def test_ball_projection_when_offset_overflows():
+    # x - center overflows to inf although both are finite
+    ball = Ball([-1e308, 0.0], 1.0)
+    x = Point([1e308, 0.0])
+    assert ball.project(x) == Point([-1e308, 0.0])  # the radius is below one ulp
+    assert ball.distance(x) == math.inf  # 2e308 is past the largest float
+    assert not ball.contains(x, 1e-8)
+    far = Ball([0.0, 0.0], 1.0)  # here ||x|| itself is past the largest float
+    y = Point([1.5e308, -1.5e308])
+    assert list(far.project(y)) == pytest.approx([0.5 ** 0.5, -(0.5 ** 0.5)])
+    assert far.distance(y) == math.inf
+
+
 def test_degenerate_normal_rejected():
     with pytest.raises(InvalidSet, match="degenerate"):
         Halfspace([1e-13, 0.0], 1.0)
@@ -217,6 +231,9 @@ def test_nonpositive_radius_rejected():
         Ball([0.0, 0.0], 0.0)
     with pytest.raises(InvalidSet):
         Ball([0.0, 0.0], -1.0)
+    for radius in (math.inf, math.nan):
+        with pytest.raises(InvalidSet, match="finite"):
+            Ball([0.0, 0.0], radius)
 
 
 def test_inconsistent_affine_system_rejected():

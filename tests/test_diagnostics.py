@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from drfeas.operators import Operator
+
 from drfeas import (
     Ball,
     Box,
     Cyclic,
+    DimensionMismatch,
     FeasibilityProblem,
     Halfspace,
     Hyperplane,
@@ -85,13 +88,44 @@ def test_quasi_nonexpansive_rejects_non_fixed_point(three_balls):
         check_quasi_nonexpansive(T, Point([5.0, 5.0]))
 
 
+class Stretch(Operator):
+    """x -> 2x: fixes the origin, expands every distance."""
+
+    def _apply(self, x):
+        return 2.0 * x
+
+
+def test_quasi_check_rejects_point_of_wrong_dimension(three_balls):
+    with pytest.raises(DimensionMismatch):
+        check_quasi_nonexpansive(dr_operator(three_balls), Point([0.5, 0.3, 0.0]))
+
+
 def test_reports_deterministic_given_seed():
-    T = Projection(Ball([0.3, -0.2], 1.5))
-    a = check_firmly_nonexpansive(T, samples=200, scale=3.0, seed=9)
-    b = check_firmly_nonexpansive(T, samples=200, scale=3.0, seed=9)
-    assert a == b
-    c = check_firmly_nonexpansive(T, samples=200, scale=3.0, seed=10)
-    assert a.worst_violation == c.worst_violation == 0.0  # both pass regardless
+    checks = (
+        check_firmly_nonexpansive,
+        check_nonexpansive,
+        lambda T, **kw: check_quasi_nonexpansive(T, Point([0.0, 0.0]), **kw),
+    )
+    for run in checks:
+        T = Projection(Ball([0.3, -0.2], 1.5))
+        a = run(T, samples=200, scale=3.0, seed=9)
+        b = run(T, samples=200, scale=3.0, seed=9)
+        assert a == b
+        c = run(T, samples=200, scale=3.0, seed=10)
+        assert a.worst_violation == c.worst_violation == 0.0  # both pass regardless
+        # A smaller check sees a prefix of the pairs of a larger one with the
+        # same seed, so its worst violation cannot be larger. x -> 2x violates
+        # all three inequalities, so the worst violations are positive.
+        small = run(Stretch(2), samples=200, scale=3.0, seed=9)
+        large = run(Stretch(2), samples=1000, scale=3.0, seed=9)
+        assert 0.0 < small.worst_violation <= large.worst_violation
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing dot
+def test_overflowing_violation_fails_the_check():
+    # At this scale <Tx - Ty, Tx - Ty> overflows, and inf - inf is NaN
+    rep = check_firmly_nonexpansive(Stretch(2), samples=10, scale=1e300)
+    assert np.isnan(rep.worst_violation) and not rep.passed
 
 
 def test_report_invariant_pass_iff_within_tolerance():
@@ -103,8 +137,9 @@ def test_report_invariant_pass_iff_within_tolerance():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         check_nonexpansive(Identity(2), samples=0)
-    with pytest.raises(ValueError):
-        check_nonexpansive(Identity(2), scale=0.0)
+    for scale in (0.0, float("nan"), float("inf"), 1e308):  # 2 * 1e308 overflows
+        with pytest.raises(ValueError, match="scale"):
+            check_nonexpansive(Identity(2), scale=scale)
     with pytest.raises(ValueError):
         check_nonexpansive(Identity(2), seed=-1)
     with pytest.raises(ValueError):

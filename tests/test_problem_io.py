@@ -74,6 +74,13 @@ def test_parse_rejects_bad_json_and_missing_keys():
         ([{"kind": "Ball", "center": [True, 0.0], "radius": 1.0}], r"sets\[0\]\.center"),
         ([{"kind": "Halfspace", "a": [1.0, 0.0], "b": True}], r"sets\[0\]\.b"),
         ([{"kind": "AffineSubspace", "A": [[1.0, False]], "b": [0.0]}], r"sets\[0\]\.A"),
+        # JSON NaN and Infinity are no finite numbers either
+        ([{"kind": "Ball", "center": [0.0, 0.0], "radius": float("inf")}], r"sets\[0\]: radius"),
+        ([{"kind": "Ball", "center": [0.0, 0.0], "radius": float("nan")}], r"sets\[0\]: radius"),
+        (TWO_BALLS["sets"][:1] + [{"kind": "Halfspace", "a": [1.0, 0.0], "b": float("nan")}],
+         r"sets\[1\]: b must be finite"),
+        (TWO_BALLS["sets"][:1] + [{"kind": "Hyperplane", "a": [1.0, 0.0], "b": float("-inf")}],
+         r"sets\[1\]: b must be finite"),
     ):
         with pytest.raises(ParseError, match=field):
             parse_problem(doc(sets=sets))
@@ -190,6 +197,10 @@ def test_scheme_validation():
     with pytest.raises(ParseError, match="feasibility_tol"):
         parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
                            r=2, stop={"feasibility_tol": True}))
+    for stop in ({"feasibility_tol": float("inf")}, {"displacement_tol": float("nan")}):
+        with pytest.raises(ParseError, match=f"stop: {next(iter(stop))} must be finite"):
+            parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
+                               r=2, stop=stop))
 
 
 def test_product_scheme_operator_specs():

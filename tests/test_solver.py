@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from drfeas import (
@@ -41,6 +43,11 @@ def test_stop_rule_validation():
         StopRule(displacement_tol=-1.0)
     with pytest.raises(ValueError):
         StopRule(feasibility_tol=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="feasibility_tol must be finite"):
+            StopRule(feasibility_tol=bad)
+        with pytest.raises(ValueError, match="displacement_tol must be finite"):
+            StopRule(displacement_tol=bad)
 
 
 def test_problem_requires_common_dimension():
@@ -226,6 +233,36 @@ def test_non_finite_iterate_stops_with_last_finite_step():
     assert trace.terminal_status == NON_FINITE
     assert trace.iterations == 0
     assert trace.final.iterate == x0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_set_distance_is_never_feasible():
+    # b / ||a|| overflows in the scaled hyperplane data, so its distance is NaN;
+    # Python's max would drop that NaN behind the ball's 0.0
+    problem = FeasibilityProblem([Ball([0.0, 0.0], 1.0), Hyperplane([1e-10, 0.0], 1e308)])
+    x0 = Point([0.0, 0.0])
+    assert math.isnan(problem.max_distance(x0))
+    # The iterate stays finite under the ball's projection; the residual ends the run.
+    trace = run_unrestricted_product([Projection(problem.sets[0])], Cyclic(1), x0,
+                                     STOP, problem=problem)
+    assert trace.terminal_status == NON_FINITE
+    assert trace.iterations == 0
+    assert math.isnan(trace.final.max_set_distance)
+    # A NaN distance first met after a step ends the run at that step.
+    sets = [Ball([5.0, 0.0], 1.0), NanRightOfTwo([1.0, 0.0], 1.0)]
+    trace = run_unrestricted_product([Projection(sets[0])], Cyclic(1), x0, STOP,
+                                     problem=FeasibilityProblem(sets))
+    assert trace.terminal_status == NON_FINITE
+    assert trace.iterations == 1
+    assert trace.final.iterate == Point([4.0, 0.0])
+    assert math.isnan(trace.final.max_set_distance)
+
+
+class NanRightOfTwo(Halfspace):
+    """{x1 <= b}, with a distance that reads NaN where x1 > 2."""
+
+    def _distance(self, x):
+        return math.nan if x[0] > 2.0 else super()._distance(x)
 
 
 def test_certifier_residual_reported():

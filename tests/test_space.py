@@ -119,3 +119,9 @@ def test_point_arithmetic_sugar():
     assert x + y == Point([1.5, 1.0])
     assert x - y == Point([0.5, 3.0])
     assert 2.0 * x == Point([2.0, 4.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing dot
+def test_norm_past_largest_float_is_inf():
+    assert norm(Point([3e200, -4e200])) == pytest.approx(5e200)
+    assert norm(Point([1.5e308, 1.5e308])) == math.inf
