@@ -31,23 +31,29 @@ EXIT_INPUT_ERROR = 2
 CONVERGED_STATUSES = (CONVERGED_DISPLACEMENT, FEASIBLE)
 
 
-def _run_one(problem, config, trace_path: Path) -> int:
+def _run_document(path: Path, trace_path: Path | None) -> tuple[str, Path, int]:
+    """Run the scheme of one document and write its trace, by default to the
+    document's trace_path or <document>.trace.csv. Returns the status text,
+    the trace path and the exit code."""
+    problem, config = load_document(path)
+    if config is None:
+        raise ParseError(f"{path}: document has no 'scheme'; nothing to run")
+    trace_path = Path(trace_path or config.trace_path or path.with_suffix(".trace.csv"))
     trace = execute_config(problem, config)
     write_trace(trace, problem.dim, trace_path)
-    print(
+    status = (
         f"status={trace.terminal_status} iterations={trace.iterations} "
         f"final_max_set_distance={trace.final.max_set_distance!r}"
     )
-    print(f"trace written to {trace_path}")
-    return EXIT_OK if trace.terminal_status in CONVERGED_STATUSES else EXIT_NOT_CONVERGED
+    converged = trace.terminal_status in CONVERGED_STATUSES
+    return status, trace_path, EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
 def cmd_run(args) -> int:
-    problem, config = load_document(args.problem)
-    if config is None:
-        raise ParseError("document has no 'scheme'; nothing to run")
-    trace_path = args.trace or config.trace_path or args.problem.with_suffix(".trace.csv")
-    return _run_one(problem, config, Path(trace_path))
+    status, trace_path, code = _run_document(args.problem, args.trace)
+    print(status)
+    print(f"trace written to {trace_path}")
+    return code
 
 
 def _check_suite(problem, config):
@@ -112,19 +118,9 @@ def cmd_batch(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     worst = EXIT_OK
     for path in paths:
-        problem, config = load_document(path)
-        if config is None:
-            raise ParseError(f"{path}: document has no 'scheme'; nothing to run")
-        trace_path = out_dir / (path.stem + ".trace.csv")
-        trace = execute_config(problem, config)
-        write_trace(trace, problem.dim, trace_path)
-        converged = trace.terminal_status in CONVERGED_STATUSES
-        worst = max(worst, EXIT_OK if converged else EXIT_NOT_CONVERGED)
-        print(
-            f"{path.name}: status={trace.terminal_status} "
-            f"iterations={trace.iterations} "
-            f"final_max_set_distance={trace.final.max_set_distance!r}"
-        )
+        status, _, code = _run_document(path, out_dir / (path.stem + ".trace.csv"))
+        worst = max(worst, code)
+        print(f"{path.name}: {status}")
     return worst
 
 

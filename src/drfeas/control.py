@@ -177,23 +177,30 @@ def cover_index(f: ControlMap) -> int:
     )
 
 
+def _every_run_covers(value_at, M: int, horizon: int, universe=None) -> bool:
+    """Whether every run of M consecutive values value_at(0), ...,
+    value_at(horizon - 1) contains all of universe (default: every value
+    that occurs within the horizon)."""
+    M = int(M)
+    if M < 1:
+        raise InvalidControl("M must be a positive integer")
+    horizon = int(horizon)
+    if horizon < M:
+        raise InvalidControl("horizon must be at least M")
+    values = [value_at(n) for n in range(horizon)]
+    universe = set(values) if universe is None else universe
+    return all(
+        set(values[start : start + M]) == universe for start in range(horizon - M + 1)
+    )
+
+
 def is_quasi_periodic(f: ControlMap, M: int, horizon: int) -> bool:
     """Check whether every length-M window within the horizon covers 1..m.
 
     Finite-horizon verification only: a True verdict holds for windows
     starting at n = 0, ..., horizon - M, not for all of N.
     """
-    M = int(M)
-    if M < 1:
-        raise InvalidControl("M must be a positive integer")
-    if int(horizon) < M:
-        raise InvalidControl("horizon must be at least M")
-    target = set(range(1, f.m + 1))
-    values = [f.index_at(n) for n in range(int(horizon))]
-    for start in range(int(horizon) - M + 1):
-        if set(values[start : start + M]) != target:
-            return False
-    return True
+    return _every_run_covers(f.index_at, M, horizon, set(range(1, f.m + 1)))
 
 
 def windows_quasi_periodic(f: ControlMap, r: int, M: int, horizon: int) -> bool:
@@ -203,14 +210,4 @@ def windows_quasi_periodic(f: ControlMap, r: int, M: int, horizon: int) -> bool:
     consecutive steps within the horizon must contain every distinct window
     tuple that occurs anywhere in the horizon.
     """
-    M = int(M)
-    if M < 1:
-        raise InvalidControl("M must be a positive integer")
-    if int(horizon) < M:
-        raise InvalidControl("horizon must be at least M")
-    tuples = [tuple(window(f, r, n)) for n in range(int(horizon))]
-    universe = set(tuples)
-    for start in range(int(horizon) - M + 1):
-        if set(tuples[start : start + M]) != universe:
-            return False
-    return True
+    return _every_run_covers(lambda n: tuple(window(f, r, n)), M, horizon)

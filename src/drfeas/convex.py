@@ -2,8 +2,8 @@
 
 Five kinds are supported: Halfspace, Hyperplane, Ball, Box and
 AffineSubspace. Each knows how to project a point onto itself, measure
-distance, test membership to a tolerance, and report how deep a point sits
-in its interior (used to validate declared interior points).
+distance, and report how deep a point sits in its interior (used to
+validate declared interior points).
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import numpy as np
 
 from .space import Point, _checked_coords, _norm
 
-# Normals shorter than this make the projection formula numerically void.
-DEGENERATE_NORMAL = 1e-12
-# Largest admissible least-squares residual for an affine system A x = b.
+# Largest admissible least-squares residual for an affine system A x = b,
+# relative to max(1, ||b||).
 AFFINE_CONSISTENCY_TOL = 1e-9
 
 
@@ -69,12 +68,6 @@ class ConvexSet(ABC):
         """Distance on raw coordinate arrays (no dimension check)."""
         return _norm(x - self._project(x))
 
-    def contains(self, x: Point, tol: float = 0.0) -> bool:
-        """Distance-based membership: true iff distance(x) <= tol."""
-        if tol < 0.0:
-            raise ValueError("tol must be nonnegative")
-        return self.distance(x) <= tol
-
     @abstractmethod
     def _project(self, x: np.ndarray) -> np.ndarray:
         """Projection on raw coordinate arrays (no dimension check)."""
@@ -91,17 +84,15 @@ class ConvexSet(ABC):
     def scale_hint(self) -> float:
         """Magnitude of the set's defining data, for choosing sampling boxes."""
 
-    @abstractmethod
-    def params(self) -> dict:
-        """JSON-serializable parameters, keyed as in problem documents."""
-
 
 class _LinearSet(ConvexSet):
     """{x : <a, x> <= b} or {x : <a, x> = b} with a nonzero normal a.
 
     Projections use a and b scaled by the power of two that puts the largest
     |a_i| in [0.5, 1), so ||a||^2 cannot overflow; the scaling is exact, so
-    ordinary inputs give the same bits as the unscaled formulas.
+    ordinary inputs give the same bits as the unscaled formulas. The set is
+    valid iff a has a nonzero entry and b / ||a||, the distance of the set
+    from the origin, is finite.
     """
 
     __slots__ = ("a", "b", "_sa", "_sb", "_a_norm_sq", "_a_norm")
@@ -115,14 +106,18 @@ class _LinearSet(ConvexSet):
         self.a, self.b = a, float(b)
         if not math.isfinite(self.b):
             raise InvalidSet("b must be finite")
+        if not a.any():
+            raise InvalidSet("degenerate normal: a is zero")
         exponent = int(np.frexp(np.max(np.abs(a)))[1])
-        with np.errstate(over="ignore"):  # ||a|| of a huge a, or b over a tiny a
-            if float(np.linalg.norm(a)) <= DEGENERATE_NORMAL:
-                raise InvalidSet("degenerate normal: ||a|| is numerically zero")
-            self._sb = float(np.ldexp(self.b, -exponent))
         self._sa = np.ldexp(a, -exponent)
         self._a_norm = float(np.linalg.norm(self._sa))
         self._a_norm_sq = self._a_norm * self._a_norm
+        try:
+            self._sb = math.ldexp(self.b, -exponent)
+        except OverflowError:  # b over a tiny a
+            self._sb = math.inf
+        if self.scale_hint() == math.inf:  # |b| / ||a||
+            raise InvalidSet("b / ||a|| overflows: the set has no finite point")
 
     def _gap(self, x: np.ndarray) -> float:
         """<a, x> - b in the scaled data."""
@@ -136,9 +131,6 @@ class _LinearSet(ConvexSet):
 
     def scale_hint(self) -> float:
         return abs(self._sb) / self._a_norm
-
-    def params(self) -> dict:
-        return {"kind": self.kind, "a": self.a.tolist(), "b": self.b}
 
 
 class Halfspace(_LinearSet):
@@ -200,9 +192,6 @@ class Ball(ConvexSet):
     def scale_hint(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
 
-    def params(self) -> dict:
-        return {"kind": self.kind, "center": self.center.tolist(), "radius": self.radius}
-
 
 class Box(ConvexSet):
     """Axis-aligned box {x : lo <= x <= hi} componentwise."""
@@ -232,9 +221,6 @@ class Box(ConvexSet):
     def scale_hint(self) -> float:
         return float(max(np.max(np.abs(self.lo)), np.max(np.abs(self.hi))))
 
-    def params(self) -> dict:
-        return {"kind": self.kind, "lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
 
 class AffineSubspace(ConvexSet):
     """Solution set {x : A x = b} of a consistent linear system.
@@ -244,7 +230,7 @@ class AffineSubspace(ConvexSet):
     here so projection never sees them.
     """
 
-    __slots__ = ("A", "b", "_pinv", "_rank")
+    __slots__ = ("A", "b", "_pinv")
 
     kind = "AffineSubspace"
 
@@ -264,9 +250,8 @@ class AffineSubspace(ConvexSet):
         self.A = A
         self.b = b
         self._pinv = np.linalg.pinv(A)
-        self._rank = int(np.linalg.matrix_rank(A))
-        residual = float(np.linalg.norm(A @ (self._pinv @ b) - b))
-        if residual > AFFINE_CONSISTENCY_TOL:
+        residual = _norm(A @ (self._pinv @ b) - b)
+        if residual > AFFINE_CONSISTENCY_TOL * max(1.0, _norm(b)):
             raise InvalidSet(
                 f"inconsistent affine system: least-squares residual {residual:.3e}"
             )
@@ -276,15 +261,12 @@ class AffineSubspace(ConvexSet):
 
     def interior_margin(self, x: Point) -> float:
         self._coords(x)
-        if self._rank == 0:
+        if not self.A.any():
             return math.inf  # zero system: the set is the whole space
         return -math.inf
 
     def scale_hint(self) -> float:
         return float(np.linalg.norm(self._pinv @ self.b))
-
-    def params(self) -> dict:
-        return {"kind": self.kind, "A": self.A.tolist(), "b": self.b.tolist()}
 
 
 SET_KINDS: dict[str, type[ConvexSet]] = {
@@ -293,7 +275,7 @@ SET_KINDS: dict[str, type[ConvexSet]] = {
 
 
 def set_from_params(params: dict) -> ConvexSet:
-    """Construct a set from its parameter dict (inverse of ConvexSet.params)."""
+    """Construct a set from its parameters, keyed as in problem documents."""
     fields = dict(params)
     kind = fields.pop("kind", None)
     cls = SET_KINDS.get(kind)

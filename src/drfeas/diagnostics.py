@@ -47,21 +47,14 @@ def _pairs(dim: int, samples: int, scale: float, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, dim))
 
 
-def _image(T: Operator, x: np.ndarray) -> np.ndarray:
-    """T x on a raw array. A non-finite result raises, as a Point would."""
-    y = T._apply(x)
-    if not np.isfinite(y).all():
-        raise ValueError("coordinates must be finite (no NaN/Inf)")
-    return y
-
-
 def _report(
     T: Operator, violation: Callable[[np.ndarray, np.ndarray], float],
     samples: int, scale: float, seed: int, tol: float, name: str,
 ) -> PropertyReport:
     """The worst violation(x, y) over the sampled pairs of a check, as its
-    report. A NaN violation, say from an overflowing inner product, makes the
-    worst NaN, and the check fails: Python's max would drop it and pass."""
+    report. A non-finite image or an overflowing inner product makes a
+    violation inf or NaN, and the check fails: Python's max would drop a NaN
+    and pass."""
     violations = [violation(x, y) for x, y in _pairs(T.dim, samples, scale, seed)]
     worst = float(np.max(violations, initial=0.0))
     return PropertyReport(name, samples, worst, tol, worst <= tol)
@@ -78,7 +71,7 @@ def check_firmly_nonexpansive(
     """Worst violation of <Tx - Ty, x - y> >= ||Tx - Ty||^2 over sampled pairs."""
 
     def violation(x: np.ndarray, y: np.ndarray) -> float:
-        dT = _image(T, x) - _image(T, y)
+        dT = T._apply(x) - T._apply(y)
         return float(np.dot(dT, dT)) - float(np.dot(dT, x - y))
 
     return _report(T, violation, samples, scale, seed, tol, name)
@@ -94,7 +87,7 @@ def check_nonexpansive(
 ) -> PropertyReport:
     """Worst violation of ||Tx - Ty|| <= ||x - y|| over sampled pairs."""
     return _report(
-        T, lambda x, y: _norm(_image(T, x) - _image(T, y)) - _norm(x - y),
+        T, lambda x, y: _norm(T._apply(x) - T._apply(y)) - _norm(x - y),
         samples, scale, seed, tol, name,
     )
 
@@ -111,14 +104,14 @@ def check_quasi_nonexpansive(
     """Worst violation of ||Tx - p|| <= ||x - p|| for a fixed point p of T,
     over the first point x of each sampled pair."""
     q = _checked_coords(p, T.dim, "operator")
-    residual = _norm(_image(T, q) - q)
-    if residual > tol:
+    residual = _norm(T._apply(q) - q)
+    if not residual <= tol:  # a NaN residual is no fixed point either
         raise ValueError(
             f"p is not a fixed point of the operator: residual {residual:.3e} "
             f"exceeds tol {tol:.3e}"
         )
     return _report(
-        T, lambda x, _: _norm(_image(T, x) - q) - _norm(x - q),
+        T, lambda x, _: _norm(T._apply(x) - q) - _norm(x - q),
         samples, scale, seed, tol, name,
     )
 
@@ -135,7 +128,9 @@ def asymptotic_regularity_series(T: Operator, x0: Point, n_steps: int) -> list[f
     series = []
     x = _checked_coords(x0, T.dim, "operator")
     for _ in range(n_steps):
-        x_next = _image(T, x)
+        x_next = T._apply(x)
+        if not np.isfinite(x_next).all():
+            raise ValueError("coordinates must be finite (no NaN/Inf)")
         series.append(_norm(x_next - x))
         x = x_next
     return series

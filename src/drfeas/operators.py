@@ -1,8 +1,8 @@
 """Operator calculus built from set projections.
 
-Operators are immutable expression trees evaluated on demand: identity,
-projection, reflection (2P - Id), relaxation (1-lam)Id + lam*T, composition,
-and the r-set Douglas-Rachford operator (Id + R_r ... R_1) / 2. No matrices
+Operators are immutable expression trees evaluated on demand: projection,
+reflection (2P - Id), relaxation (1-lam)Id + lam*T, composition, and the
+r-set Douglas-Rachford operator (Id + R_r ... R_1) / 2. No matrices
 are materialized; every node applies cheap closed forms.
 """
 
@@ -37,16 +37,6 @@ class Operator(ABC):
     @abstractmethod
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate on a raw coordinate array (no dimension check)."""
-
-
-class Identity(Operator):
-    __slots__ = ()
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def __repr__(self) -> str:
-        return "Identity()"
 
 
 class Projection(Operator):

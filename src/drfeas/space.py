@@ -1,4 +1,4 @@
-"""Dense real-vector substrate: immutable points of R^d and exact linear ops."""
+"""Dense real-vector substrate: immutable points of R^d and their norm."""
 
 from __future__ import annotations
 
@@ -52,10 +52,12 @@ class Point:
     __hash__ = None  # mutable-looking value type; identity hashing would mislead
 
     def __add__(self, other: "Point") -> "Point":
-        return combine(1.0, self, 1.0, other)
+        _require_same_dim(self, other)
+        return Point(self._coords + other._coords)
 
     def __sub__(self, other: "Point") -> "Point":
-        return combine(1.0, self, -1.0, other)
+        _require_same_dim(self, other)
+        return Point(self._coords - other._coords)
 
     def __rmul__(self, a: float) -> "Point":
         return Point(float(a) * self._coords)
@@ -77,12 +79,6 @@ def _checked_coords(x: Point, dim: int, owner: str) -> np.ndarray:
     return x.coords
 
 
-def inner(x: Point, y: Point) -> float:
-    """Euclidean inner product of two points of equal dimension."""
-    _require_same_dim(x, y)
-    return float(np.dot(x.coords, y.coords))
-
-
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a raw coordinate array, as sqrt(<x, x>).
 
@@ -102,11 +98,6 @@ def _norm(x: np.ndarray) -> float:
 
 
 def norm(x: Point) -> float:
-    """Norm induced by the inner product, computed as sqrt(inner(x, x))."""
+    """Euclidean norm of a point, computed as sqrt(<x, x>)."""
     return _norm(x.coords)
 
-
-def combine(a: float, x: Point, b: float, y: Point) -> Point:
-    """Linear combination a*x + b*y, coordinatewise."""
-    _require_same_dim(x, y)
-    return Point(float(a) * x.coords + float(b) * y.coords)

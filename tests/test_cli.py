@@ -105,7 +105,8 @@ FALSE_FEASIBILITY = {
         2,
     ),
     "nan_set_distance": (
-        _run_doc([UNIT_BALL, {"kind": "Hyperplane", "a": [1e-10, 0.0], "b": 1e308}]), 1
+        # b / ||a|| overflows: the hyperplane has no finite point
+        _run_doc([UNIT_BALL, {"kind": "Hyperplane", "a": [1e-10, 0.0], "b": 1e308}]), 2
     ),
     "ball_offset_overflow": (
         _run_doc([{"kind": "Halfspace", "a": [1.0, 0.0], "b": 1e308},
@@ -180,6 +181,18 @@ def test_check_rejects_malformed_document(tmp_path):
     path.write_text(json.dumps({"dimension": 2, "sets": [
         {"kind": "Hyperplane", "a": [0.0, 0.0], "b": 1.0}]}), encoding="utf-8")
     assert main(["check", str(path)]) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow
+def test_check_fails_on_overflowing_image(tmp_path, capsys):
+    # The reflection through {x1 <= -1e308} sends x1 past the largest float:
+    # a failed check (exit 1), not malformed input (exit 2)
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dimension": 2, "sets": [
+        {"kind": "Halfspace", "a": [1.0, 0.0], "b": -1e308}]}), encoding="utf-8")
+    assert main(["check", str(path), "--samples", "10", "--scale", "1e307"]) == 1
+    out = capsys.readouterr().out
+    assert "nonexpansive[R(C1)],10,nan,1e-10,false" in out
 
 
 def test_repro_ac2_passes(capsys):

@@ -12,7 +12,6 @@ from drfeas import (
     Hyperplane,
     InvalidSet,
     Point,
-    inner,
     norm,
     set_from_params,
 )
@@ -114,7 +113,7 @@ def test_projection_idempotent_and_contained(c):
     for _ in range(200):
         x = Point(rng.uniform(-8.0, 8.0, size=c.dim))
         p = c.project(x)
-        assert c.contains(p, 1e-9)
+        assert c.distance(p) <= 1e-9
         assert norm(c.project(p) - p) <= 1e-10
 
 
@@ -125,7 +124,7 @@ def test_projection_firmly_nonexpansive_sampled(c):
         x = Point(rng.uniform(-8.0, 8.0, size=c.dim))
         y = Point(rng.uniform(-8.0, 8.0, size=c.dim))
         dP = c.project(x) - c.project(y)
-        assert inner(dP, x - y) >= inner(dP, dP) - 1e-10
+        assert np.dot(dP.coords, (x - y).coords) >= np.dot(dP.coords, dP.coords) - 1e-10
 
 
 @pytest.mark.parametrize("c", catalog(), ids=lambda c: c.kind)
@@ -145,19 +144,19 @@ def test_variational_characterization(c):
         x = Point(rng.uniform(-8.0, 8.0, size=c.dim))
         px = c.project(x)
         z = member_of(c, rng)
-        assert inner(x - px, z - px) <= 1e-9
+        assert np.dot((x - px).coords, (z - px).coords) <= 1e-9
 
 
 def test_ball_distance_and_contains_examples():
     c = Ball([0.0, 0.0], 1.0)
     assert c.distance(Point([2.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
-    assert c.contains(Point([0.0, 0.0]), 0.0)
-    assert not c.contains(Point([2.0, 0.0]), 0.5)
+    assert c.distance(Point([0.0, 0.0])) == 0.0
+    assert c.distance(Point([2.0, 0.0])) > 0.5
 
 
 def test_hyperplane_contains_example():
     c = Hyperplane([0.0, 1.0], 1.0)
-    assert c.contains(Point([5.0, 1.0]), 0.0)
+    assert c.distance(Point([5.0, 1.0])) == 0.0
 
 
 def test_box_distance_clamp_example():
@@ -179,9 +178,8 @@ def test_huge_normal_keeps_distance(cls):
     c = cls([1e200, 0.0], 0.0)
     x = Point([1.0, 0.0])
     assert c.distance(x) == 1.0
-    assert not c.contains(x, 1e-8)
     assert c.project(x) == Point([0.0, 0.0])
-    assert c.params() == {"kind": cls.kind, "a": [1e200, 0.0], "b": 0.0}
+    assert c.a.tolist() == [1e200, 0.0] and c.b == 0.0  # the given data, unscaled
     shifted = cls([1e200, 0.0], 2e200)  # boundary x1 = 2
     assert shifted.distance(Point([5.0, 1.0])) == pytest.approx(3.0)
     assert shifted.scale_hint() == pytest.approx(2.0)
@@ -207,7 +205,6 @@ def test_ball_projection_when_offset_overflows():
     x = Point([1e308, 0.0])
     assert ball.project(x) == Point([-1e308, 0.0])  # the radius is below one ulp
     assert ball.distance(x) == math.inf  # 2e308 is past the largest float
-    assert not ball.contains(x, 1e-8)
     far = Ball([0.0, 0.0], 1.0)  # here ||x|| itself is past the largest float
     y = Point([1.5e308, -1.5e308])
     assert list(far.project(y)) == pytest.approx([0.5 ** 0.5, -(0.5 ** 0.5)])
@@ -215,10 +212,21 @@ def test_ball_projection_when_offset_overflows():
 
 
 def test_degenerate_normal_rejected():
+    # a tiny normal is no degenerate one: this is the set {x1 <= 1e13}
+    tiny = Halfspace([1e-13, 0.0], 1.0)
+    assert tiny.distance(Point([2e13, 0.0])) == pytest.approx(1e13)
     with pytest.raises(InvalidSet, match="degenerate"):
-        Halfspace([1e-13, 0.0], 1.0)
+        Halfspace([0.0, 0.0], 1.0)
     with pytest.raises(InvalidSet, match="degenerate"):
         Hyperplane([0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("cls", [Halfspace, Hyperplane])
+def test_offset_past_largest_float_rejected(cls):
+    # b / ||a|| is past the largest float, so the set has no finite point
+    for a, b in (([1e-10, 0.0], 1e308), ([0.5, 0.0], 1.7e308), ([1e-320, 0.0], 1e-10)):
+        with pytest.raises(InvalidSet, match="no finite point"):
+            cls(a, b)
 
 
 def test_bad_box_bounds_rejected():
@@ -239,6 +247,17 @@ def test_nonpositive_radius_rejected():
 def test_inconsistent_affine_system_rejected():
     with pytest.raises(InvalidSet, match="inconsistent"):
         AffineSubspace([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
+    # the tolerance grows with ||b||, but not past a gap of 1 at 1e8
+    with pytest.raises(InvalidSet, match="inconsistent"):
+        AffineSubspace([[1.0, 0.0], [1.0, 0.0]], [1e8, 1e8 + 1.0])
+
+
+def test_consistent_affine_system_far_from_origin_accepted():
+    A = np.array([[1.0, 2.0, -1.0], [0.5, -1.0, 3.0]])
+    for scale in (1e7, 1e8, 1e13):
+        p = scale * np.array([0.6, -0.48, 0.64])  # ||p|| = scale
+        c = AffineSubspace(A, A @ p)
+        assert c.distance(Point(p)) <= 1e-9 * scale
 
 
 def test_projection_dimension_mismatch():
@@ -247,11 +266,6 @@ def test_projection_dimension_mismatch():
         c.project(Point([1.0, 2.0, 3.0]))
     with pytest.raises(DimensionMismatch):
         c.distance(Point([1.0]))
-
-
-def test_contains_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        Ball([0.0, 0.0], 1.0).contains(Point([0.0, 0.0]), -1e-9)
 
 
 def test_interior_margin_semantics():
@@ -265,8 +279,15 @@ def test_interior_margin_semantics():
 
 @pytest.mark.parametrize("c", catalog(), ids=lambda c: c.kind)
 def test_params_roundtrip(c):
-    clone = set_from_params(c.params())
-    assert clone.params() == c.params()
+    fields = {
+        "Halfspace": ("a", "b"), "Hyperplane": ("a", "b"), "Ball": ("center", "radius"),
+        "Box": ("lo", "hi"), "AffineSubspace": ("A", "b"),
+    }[c.kind]
+    params = {key: np.asarray(getattr(c, key)).tolist() for key in fields}
+    clone = set_from_params({"kind": c.kind, **params})
+    assert type(clone) is type(c)
+    for key in fields:
+        assert np.array_equal(getattr(clone, key), getattr(c, key)), key
 
 
 def test_set_from_params_unknown_kind():

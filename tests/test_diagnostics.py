@@ -11,7 +11,6 @@ from drfeas import (
     FeasibilityProblem,
     Halfspace,
     Hyperplane,
-    Identity,
     Point,
     Projection,
     Reflection,
@@ -25,6 +24,11 @@ from drfeas import (
     feasibility_report,
     relax,
 )
+
+
+class Identity(Operator):
+    def _apply(self, x):
+        return x
 
 
 def test_identity_has_zero_violation_everywhere():
@@ -126,6 +130,24 @@ def test_overflowing_violation_fails_the_check():
     # At this scale <Tx - Ty, Tx - Ty> overflows, and inf - inf is NaN
     rep = check_firmly_nonexpansive(Stretch(2), samples=10, scale=1e300)
     assert np.isnan(rep.worst_violation) and not rep.passed
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow
+def test_non_finite_image_fails_the_check():
+    # The reflection sends x1 past the largest float: the image is infinite,
+    # and a check fails where it used to raise
+    R = Reflection(Halfspace([1.0, 0.0], -1e308))
+    rep = check_nonexpansive(R, samples=10, scale=1e307)
+    assert not rep.passed and not rep.worst_violation <= rep.tolerance
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_quasi_check_treats_nan_residual_as_not_fixed():
+    # The first reflection sends the origin to x1 = -inf, the second to
+    # 2 * (-inf) - (-inf) = NaN, so the fixed-point residual is NaN
+    T = composite_reflection([Halfspace([1.0, 0.0], -1e308), Halfspace([1.0, 0.0], 0.0)])
+    with pytest.raises(ValueError, match="not a fixed point"):
+        check_quasi_nonexpansive(T, Point([0.0, 0.0]))
 
 
 def test_report_invariant_pass_iff_within_tolerance():

@@ -237,10 +237,10 @@ def test_non_finite_iterate_stops_with_last_finite_step():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_set_distance_is_never_feasible():
-    # b / ||a|| overflows in the scaled hyperplane data, so its distance is NaN;
-    # Python's max would drop that NaN behind the ball's 0.0
-    problem = FeasibilityProblem([Ball([0.0, 0.0], 1.0), Hyperplane([1e-10, 0.0], 1e308)])
-    x0 = Point([0.0, 0.0])
+    # The second set's distance is NaN at x0; Python's max would drop that NaN
+    # behind the ball's 2.0
+    problem = FeasibilityProblem([Ball([0.0, 0.0], 1.0), NanRightOfTwo([1.0, 0.0], 1.0)])
+    x0 = Point([3.0, 0.0])
     assert math.isnan(problem.max_distance(x0))
     # The iterate stays finite under the ball's projection; the residual ends the run.
     trace = run_unrestricted_product([Projection(problem.sets[0])], Cyclic(1), x0,
@@ -249,6 +249,7 @@ def test_nan_set_distance_is_never_feasible():
     assert trace.iterations == 0
     assert math.isnan(trace.final.max_set_distance)
     # A NaN distance first met after a step ends the run at that step.
+    x0 = Point([0.0, 0.0])
     sets = [Ball([5.0, 0.0], 1.0), NanRightOfTwo([1.0, 0.0], 1.0)]
     trace = run_unrestricted_product([Projection(sets[0])], Cyclic(1), x0, STOP,
                                      problem=FeasibilityProblem(sets))

@@ -1,6 +1,8 @@
 """The benchmark's tracing hooks and the example scripts still find the
-package names they use."""
+package names they use, and every public name has a caller outside the
+tests."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -11,6 +13,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Public names that no package code calls, kept for the checks of the
+# paper's claims: the acceptance tests AC-7 and AC-3 run
+# asymptotic_regularity_series and windows_quasi_periodic, and
+# check_quasi_nonexpansive is the quasi-nonexpansiveness check of the
+# operator-class suite in tests/test_diagnostics.py.
+KEPT_WITHOUT_CALLER = {
+    "asymptotic_regularity_series",
+    "check_quasi_nonexpansive",
+    "windows_quasi_periodic",
+}
 
 
 def _tracing_module():
@@ -48,3 +61,22 @@ def test_script_runs(argv):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_every_export_has_a_caller():
+    # A name counts as called where it is loaded, as a Name or an Attribute,
+    # in the package (apart from __init__.py), the scripts or the benchmark.
+    import drfeas
+
+    files = [p for p in (ROOT / "src" / "drfeas").glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    assert KEPT_WITHOUT_CALLER <= set(drfeas.__all__)
+    uncalled = set(drfeas.__all__) - used - KEPT_WITHOUT_CALLER
+    assert not uncalled, sorted(uncalled)
