@@ -4,20 +4,30 @@ Five kinds are supported: Halfspace, Hyperplane, Ball, Box and
 AffineSubspace. Each knows how to project a point onto itself, measure
 distance, and report how deep a point sits in its interior (used to
 validate declared interior points).
+
+Halfspaces with hyperplanes, balls and boxes also measure the distances
+from x to a whole family of their sets at once, from data stacked into
+matrices (``STACKED_DISTANCES``); an entry that is not finite is left for
+the set's own ``_distance``.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .space import Point, _checked_coords, _norm
+from .space import Point, _checked_coords, _norm, _row_norms
 
 # Largest admissible least-squares residual for an affine system A x = b,
 # relative to max(1, ||b||).
 AFFINE_CONSISTENCY_TOL = 1e-9
+
+
+#: x -> the distances from x to each set of a family, in the family's order.
+FamilyDistances = Callable[[np.ndarray], np.ndarray]
 
 
 class InvalidSet(ValueError):
@@ -132,6 +142,22 @@ class _LinearSet(ConvexSet):
     def scale_hint(self) -> float:
         return abs(self._sb) / self._a_norm
 
+    @staticmethod
+    def _family_distances(sets: Sequence[_LinearSet]) -> FamilyDistances:
+        """One matrix of scaled normals: the gap (<a, x> - b) / ||a|| per row,
+        clamped at 0 for halfspaces and taken in absolute value for
+        hyperplanes."""
+        SA = np.stack([c._sa for c in sets])
+        sb = np.array([c._sb for c in sets])
+        a_norm = np.array([c._a_norm for c in sets])
+        one_sided = np.array([c._one_sided for c in sets])
+
+        def distances(x: np.ndarray) -> np.ndarray:
+            g = (SA @ x - sb) / a_norm
+            return np.where(one_sided, np.maximum(g, 0.0), np.abs(g))
+
+        return distances
+
 
 class Halfspace(_LinearSet):
     """{x : <a, x> <= b} with a nonzero normal a."""
@@ -192,6 +218,18 @@ class Ball(ConvexSet):
     def scale_hint(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
 
+    @staticmethod
+    def _family_distances(sets: Sequence[Ball]) -> FamilyDistances:
+        """max(||x - c|| - r, 0) per row of a center matrix; a row whose
+        squared norm overflows reads inf."""
+        centers = np.stack([c.center for c in sets])
+        radii = np.array([c.radius for c in sets])
+
+        def distances(x: np.ndarray) -> np.ndarray:
+            return np.maximum(_row_norms(x - centers) - radii, 0.0)
+
+        return distances
+
 
 class Box(ConvexSet):
     """Axis-aligned box {x : lo <= x <= hi} componentwise."""
@@ -220,6 +258,17 @@ class Box(ConvexSet):
 
     def scale_hint(self) -> float:
         return float(max(np.max(np.abs(self.lo)), np.max(np.abs(self.hi))))
+
+    @staticmethod
+    def _family_distances(sets: Sequence[Box]) -> FamilyDistances:
+        """||x - clip(x, lo, hi)|| per row of stacked bounds."""
+        lo = np.stack([c.lo for c in sets])
+        hi = np.stack([c.hi for c in sets])
+
+        def distances(x: np.ndarray) -> np.ndarray:
+            return _row_norms(x - np.minimum(np.maximum(x, lo), hi))
+
+        return distances
 
 
 class AffineSubspace(ConvexSet):
@@ -271,6 +320,17 @@ class AffineSubspace(ConvexSet):
 
 SET_KINDS: dict[str, type[ConvexSet]] = {
     cls.kind: cls for cls in (Halfspace, Hyperplane, Ball, Box, AffineSubspace)
+}
+
+# Exact set type -> builder of the distances to a family of such sets; the
+# sets of one builder stack together. Keyed by exact type because a subclass
+# may redefine _distance. Other sets, AffineSubspace among them, are measured
+# one at a time.
+STACKED_DISTANCES: dict[type[ConvexSet], Callable[[Sequence], FamilyDistances]] = {
+    Halfspace: _LinearSet._family_distances,
+    Hyperplane: _LinearSet._family_distances,
+    Ball: Ball._family_distances,
+    Box: Box._family_distances,
 }
 
 

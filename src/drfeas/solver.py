@@ -18,6 +18,13 @@ result has a NaN or infinite coordinate ends the run with status
 ``non_finite``; the trace then ends at the last finite iterate. A NaN
 stop-rule residual (a set distance that is not a number) ends it with the
 same status, at the iterate that has it.
+
+The stop-rule residual is the largest entry of one distance vector that
+``FeasibilityProblem`` evaluates per step: halfspaces with hyperplanes, balls,
+and boxes each as one stacked family (see ``convex.STACKED_DISTANCES``),
+every other set by its own ``_distance``, and any family entry that is not
+finite again by its set's ``_distance``. Projections, operators and
+displacements never use the stacked data.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .control import ControlMap, InvalidControl, cover_index, window
-from .convex import ConvexSet
+from .convex import STACKED_DISTANCES, ConvexSet
 from .operators import Composition, DrOperator, Operator, dr_operator
 from .space import DimensionMismatch, Point, _checked_coords, _norm
 
@@ -88,9 +95,13 @@ class FeasibilityProblem:
     A declared interior point is optional; when present it must sit strictly
     inside every set (margin >= 1e-9), which rules out declarations for
     empty-interior sets such as hyperplanes.
+
+    At construction the sets are grouped by the stacked family their kind
+    belongs to, so that the distances from x to all m sets, and the worst of
+    them, come from a few numpy calls per family instead of m projections.
     """
 
-    __slots__ = ("sets", "interior_point")
+    __slots__ = ("sets", "interior_point", "_families", "_singles")
 
     def __init__(self, sets: Sequence[ConvexSet], interior_point: Point | None = None):
         sets = tuple(sets)
@@ -116,6 +127,13 @@ class FeasibilityProblem:
                     )
         self.sets = sets
         self.interior_point = interior_point
+        members: dict[Callable | None, list[int]] = {}
+        for i, c in enumerate(sets):
+            members.setdefault(STACKED_DISTANCES.get(type(c)), []).append(i)
+        self._singles = tuple(members.pop(None, []))
+        self._families = tuple(
+            (np.array(idx), stack([sets[i] for i in idx])) for stack, idx in members.items()
+        )
 
     @property
     def m(self) -> int:
@@ -126,19 +144,29 @@ class FeasibilityProblem:
         return self.sets[0].dim
 
     def distances(self, x: Point) -> list[float]:
-        return [c.distance(x) for c in self.sets]
+        """Distance from x to each set, in set order."""
+        return self._distances(_checked_coords(x, self.dim, "problem")).tolist()
 
     def max_distance(self, x: Point) -> float:
         return self._max_distance(_checked_coords(x, self.dim, "problem"))
 
+    def _distances(self, x: np.ndarray) -> np.ndarray:
+        """Distance from a raw coordinate array to each set, in set order."""
+        out = np.zeros(len(self.sets))
+        for idx, family in self._families:
+            out[idx] = family(x)
+        if not np.isfinite(out).all():
+            # Overflow and NaN stay the business of each set's own _distance.
+            for i in np.flatnonzero(~np.isfinite(out)).tolist():
+                out[i] = self.sets[i]._distance(x)
+        for i in self._singles:
+            out[i] = self.sets[i]._distance(x)
+        return out
+
     def _max_distance(self, x: np.ndarray) -> float:
         """Worst set distance on a raw coordinate array: the stop-rule residual.
         A NaN distance makes it NaN, which no tolerance accepts."""
-        dists = [c._distance(x) for c in self.sets]
-        # max drops a NaN that is not first; a sum of nonnegative distances
-        # is NaN exactly when one of them is.
-        total = sum(dists)
-        return max(dists) if total == total else total
+        return float(np.max(self._distances(x)))
 
     def sampling_scale(self) -> float:
         """Default hypercube half-width for sampled diagnostics."""

@@ -97,6 +97,12 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(sq)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a matrix, as sqrt(<v_i, v_i>); unlike
+    _norm, a row whose <v_i, v_i> overflows reads inf."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
+
+
 def norm(x: Point) -> float:
     """Euclidean norm of a point, computed as sqrt(<x, x>)."""
     return _norm(x.coords)

@@ -10,12 +10,16 @@ A change that moves a float on purpose regenerates the fixtures with
     PYTHONPATH=src python tests/test_golden.py
 
 and must show that every terminal status and iteration count stayed the
-same.
+same. Before writing, the command prints per fixture the row counts, the
+columns whose values changed and the worst absolute change in each; for
+trace columns it adds the worst change relative to max(1, max |coord| of
+the row).
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 from typing import Callable
@@ -156,8 +160,67 @@ def test_output_matches_golden_bytes(name):
     assert golden_outputs()[name]().encode("utf-8") == expected
 
 
+def _table(text: str) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a fixture, every line split at commas."""
+    header, *rows = (line.split(",") for line in text.splitlines())
+    return header, rows
+
+
+def _change(old: str, new: str) -> float:
+    try:
+        return abs(float(new) - float(old))
+    except ValueError:  # a cell that is not a number
+        return math.inf
+
+
+def change_summary(name: str, old: str, new: str) -> str:
+    """One line per fixture: row counts, then each changed column with the
+    number of cells changed and the worst absolute change; in a trace, also
+    the worst change relative to max(1, max |coord| of the row)."""
+    head = f"{name}: {len(new.splitlines()) - 1} rows (was {len(old.splitlines()) - 1})"
+    if old == new:
+        return f"{head}, byte-identical"
+    header, old_rows = _table(old)
+    new_header, new_rows = _table(new)
+    if new_header != header or list(map(len, new_rows)) != list(map(len, old_rows)):
+        return f"{head}, header or row shape changed"
+    coords = [j for j, col in enumerate(header) if col.startswith("coord_")]
+    changes: dict[str, list[float]] = {}  # column -> [cells, worst abs, worst rel]
+    for old_row, new_row in zip(old_rows, new_rows):
+        scale = max([1.0] + [abs(float(old_row[j])) for j in coords])
+        for j, (o, n) in enumerate(zip(old_row, new_row)):
+            if o != n:
+                entry = changes.setdefault(header[j], [0, 0.0, 0.0])
+                delta = _change(o, n)
+                entry[0] += 1
+                entry[1] = max(entry[1], delta)
+                entry[2] = max(entry[2], delta / scale)
+    parts = [
+        f"{col} ({cells} cells, worst abs {worst:.3g}" + (f", rel {rel:.3g})" if coords else ")")
+        for col, (cells, worst, rel) in changes.items()
+    ]
+    return f"{head}, changed: " + "; ".join(parts)
+
+
+def test_change_summary_names_each_changed_column():
+    old = "n,max_set_distance,coord_1\n0,1.0,-4.0\n1,0.5,2.0\n"
+    new = "n,max_set_distance,coord_1\n0,1.0000000000000004,-4.0\n1,0.5,2.0\n"
+    assert change_summary("t.csv", old, old) == "t.csv: 2 rows (was 2), byte-identical"
+    assert change_summary("t.csv", old, new) == (
+        "t.csv: 2 rows (was 2), changed: max_set_distance (1 cells, worst abs 4.44e-16, rel 1.11e-16)"
+    )
+    assert change_summary("t.csv", old, old + "2,0.1,1.0\n").endswith(
+        "3 rows (was 2), header or row shape changed"
+    )
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, produce in golden_outputs().items():
-        (GOLDEN_DIR / name).write_bytes(produce().encode("utf-8"))
+    produced = {name: produce() for name, produce in golden_outputs().items()}
+    for name, text in produced.items():
+        path = GOLDEN_DIR / name
+        old = path.read_text(encoding="utf-8") if path.exists() else ""
+        print(change_summary(name, old, text) if old else f"{name}: new fixture")
+    for name, text in produced.items():
+        (GOLDEN_DIR / name).write_bytes(text.encode("utf-8"))
         print(f"wrote {GOLDEN_DIR / name}")

@@ -259,6 +259,21 @@ def test_nan_set_distance_is_never_feasible():
     assert math.isnan(trace.final.max_set_distance)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ball_offset_past_squared_overflow_keeps_its_distance():
+    # ||x - c||^2 overflows in the stacked ball rows, so the far ball's
+    # distance comes from Ball._distance, which rescales before the norm.
+    far = Ball([1e200, 0.0], 1.0)
+    problem = FeasibilityProblem([Ball([0.0, 0.0], 1.0), far, Ball([0.0, 1.0], 1.0)])
+    x0 = Point([3.0, 0.0])
+    assert problem.max_distance(x0) == far._distance(x0.coords) == 1e200
+    assert problem.distances(x0)[1] == far.distance(x0)
+    trace = run_unrestricted_product([Projection(problem.sets[0])], Cyclic(1), x0,
+                                     StopRule(max_iters=5), problem=problem)
+    assert trace.terminal_status == MAX_ITERS
+    assert all(step.max_set_distance == 1e200 for step in trace.steps)
+
+
 class NanRightOfTwo(Halfspace):
     """{x1 <= b}, with a distance that reads NaN where x1 > 2."""
 
@@ -310,6 +325,8 @@ def test_run_dimension_mismatch(three_ball_problem):
                             certifier=Projection(Ball([0.0], 1.0)))
     with pytest.raises(DimensionMismatch):
         three_ball_problem.max_distance(Point([1.0]))
+    with pytest.raises(DimensionMismatch):
+        three_ball_problem.distances(Point([1.0]))
 
 
 def test_sampling_scale_tracks_set_magnitudes():
