@@ -12,7 +12,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .control import cover_index
+from .control import InvalidControl, cover_index
+from .convex import InvalidSet
+from .diagnostics import CheckParameterError
 from .operators import DrOperator, Projection, Reflection, composite_reflection
 from .problem_io import (
     ParseError,
@@ -23,6 +25,7 @@ from .problem_io import (
 )
 from .repro import EXPERIMENTS, run_check_suite, run_experiment
 from .solver import CONVERGED_DISPLACEMENT, FEASIBLE, build_S, build_composite_Q
+from .space import DimensionMismatch
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
@@ -169,7 +172,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, InvalidSet, InvalidControl, DimensionMismatch,
+            CheckParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except OSError as exc:

@@ -5,6 +5,9 @@ AffineSubspace. Each knows how to project a point onto itself, measure
 distance, and report how deep a point sits in its interior (used to
 validate declared interior points).
 
+Projections take one point of shape (d,) or a batch of shape (..., d); a
+batch row gets the arithmetic of a single point, so it has the same bits.
+
 Halfspaces with hyperplanes, balls and boxes also measure the distances
 from x to a whole family of their sets at once, from data stacked into
 matrices (``STACKED_DISTANCES``); an entry that is not finite is left for
@@ -19,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .space import Point, _checked_coords, _norm, _row_norms
+from .space import Point, _checked_coords, _norm, _row_dots, _row_norms
 
 # Largest admissible least-squares residual for an affine system A x = b,
 # relative to max(1, ||b||).
@@ -80,7 +83,11 @@ class ConvexSet(ABC):
 
     @abstractmethod
     def _project(self, x: np.ndarray) -> np.ndarray:
-        """Projection on raw coordinate arrays (no dimension check)."""
+        """Projection on raw coordinate arrays (no dimension check).
+
+        Takes a point of shape (d,) or a batch of shape (..., d) and projects
+        each row; the sampled checks evaluate all their points in one call.
+        """
 
     @abstractmethod
     def interior_margin(self, x: Point) -> float:
@@ -134,6 +141,11 @@ class _LinearSet(ConvexSet):
         return float(np.dot(self._sa, x)) - self._sb
 
     def _project(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim > 1:  # one gap per row, each the dot product of one point
+            g = _row_dots(x, self._sa) - self._sb
+            if self._one_sided:
+                g = np.maximum(g, 0.0)
+            return x - (g / self._a_norm_sq)[..., None] * self._sa
         g = self._gap(x)
         if self._one_sided and g <= 0.0:
             return x
@@ -200,6 +212,8 @@ class Ball(ConvexSet):
         self.radius = float(radius)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim > 1:
+            return self._project_rows(x)
         v = x - self.center
         d = _norm(v)
         if d <= self.radius:
@@ -211,6 +225,20 @@ class Ball(ConvexSet):
             v = np.ldexp(x, -exponent) - np.ldexp(self.center, -exponent)
             d = _norm(v)
         return self.center + (self.radius / d) * v
+
+    def _project_rows(self, x: np.ndarray) -> np.ndarray:
+        """_project on a (..., d) batch: rows inside the ball stay, the others
+        move to the sphere; a row whose squared distance from the center
+        overflows takes the power-of-two branch of a single point."""
+        out = x - self.center
+        d = _row_norms(out)
+        # max(d, radius) is d wherever the row moves, and never 0
+        out *= (self.radius / np.maximum(d, self.radius))[..., None]
+        out += self.center
+        np.copyto(out, x, where=(d <= self.radius)[..., None])
+        for i in zip(*np.nonzero(d == math.inf)):
+            out[i] = self._project(x[i])
+        return out
 
     def interior_margin(self, x: Point) -> float:
         return self.radius - _norm(self._coords(x) - self.center)
@@ -306,6 +334,9 @@ class AffineSubspace(ConvexSet):
             )
 
     def _project(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim > 1:  # a matrix-vector product per row, as for one point
+            r = (self.A @ x[..., None])[..., 0] - self.b
+            return x - (self._pinv @ r[..., None])[..., 0]
         return x - self._pinv @ (self.A @ x - self.b)
 
     def interior_margin(self, x: Point) -> float:

@@ -9,7 +9,18 @@ asymptotic regularity series and converging runs.
 
 Each check draws its pairs in order from one generator seeded with
 ``seed``, so a check with fewer samples sees a prefix of the pairs of one
-with more. The checks share one loop and differ only in their inequality.
+with more. A check evaluates all its pairs at once: one ``T._apply`` call
+on the batch of first points and one on the batch of second points, then
+per-row inner products and norms. The checks share one report function and
+differ only in their inequality.
+
+Violations are relative, so that one tolerance serves every sampling
+scale. With M = max(1, ||x||, ||y||, ||Tx||, ||Ty||) for a pair, a firm
+violation is divided by M ||x - y|| and a plain one by M; the rounding error
+of a correct operator grows like eps M ||x - y||, so both stay near eps.
+The differences are first divided by the power of two that brings M into
+[0.5, 1), as ``space._norm`` scales a vector, so no inner product overflows
+and a violation is finite wherever the images are.
 """
 
 from __future__ import annotations
@@ -22,7 +33,11 @@ import numpy as np
 
 from .operators import Operator
 from .solver import FeasibilityProblem
-from .space import Point, _checked_coords, _norm
+from .space import Point, _checked_coords, _norm, _row_dots, _row_norms
+
+
+class CheckParameterError(ValueError):
+    """A sampled check was given parameters it cannot run with."""
 
 
 @dataclass(frozen=True)
@@ -39,24 +54,45 @@ def _pairs(dim: int, samples: int, scale: float, seed: int) -> np.ndarray:
     validating its parameters. One generator draws them all in order, so the
     first k pairs of an n-sample check are the pairs of a k-sample check."""
     if samples < 1:
-        raise ValueError("samples must be at least 1")
+        raise CheckParameterError("samples must be at least 1")
     if not (0.0 < 2.0 * scale < math.inf):  # numpy draws from a range 2 * scale wide
-        raise ValueError("scale must be positive, with 2 * scale finite")
+        raise CheckParameterError("scale must be positive, with 2 * scale finite")
     if seed < 0:
-        raise ValueError("seed must be nonnegative")
+        raise CheckParameterError("seed must be nonnegative")
     return np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, dim))
 
 
+def _norms(b: np.ndarray) -> np.ndarray:
+    """Norms of the rows of a (n, d) batch; a row whose <v, v> overflows is
+    recomputed with _norm, which scales it first."""
+    norms = _row_norms(b)
+    for i in np.flatnonzero(norms == math.inf):
+        norms[i] = _norm(b[i])
+    return norms
+
+
+def _scale(*batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i, M / 2^e and the column of factors 2^-e, where M = max(1,
+    the norm of row i in each batch) and 2^e is the power of two with
+    M / 2^e in [0.5, 1). Multiplying by 2^-e is exact, and inner products of
+    rows so scaled cannot overflow. A batch of one row broadcasts."""
+    M = 1.0
+    for b in batches:
+        M = np.maximum(M, _norms(b))
+    unit = np.ldexp(1.0, -np.frexp(M)[1])  # NaN and inf give 1: left unscaled
+    return M * unit, unit[:, None]
+
+
 def _report(
-    T: Operator, violation: Callable[[np.ndarray, np.ndarray], float],
+    T: Operator, violation: Callable[[np.ndarray, np.ndarray], np.ndarray],
     samples: int, scale: float, seed: int, tol: float, name: str,
 ) -> PropertyReport:
-    """The worst violation(x, y) over the sampled pairs of a check, as its
-    report. A non-finite image or an overflowing inner product makes a
-    violation inf or NaN, and the check fails: Python's max would drop a NaN
-    and pass."""
-    violations = [violation(x, y) for x, y in _pairs(T.dim, samples, scale, seed)]
-    worst = float(np.max(violations, initial=0.0))
+    """The worst of violation(x, y), one entry per sampled pair for the
+    (samples, d) batches of first and second points, as the check's report.
+    A non-finite image makes a violation inf or NaN, and np.max keeps a NaN,
+    so the check fails."""
+    P = _pairs(T.dim, samples, scale, seed)
+    worst = float(np.max(violation(P[:, 0], P[:, 1]), initial=0.0))
     return PropertyReport(name, samples, worst, tol, worst <= tol)
 
 
@@ -68,11 +104,18 @@ def check_firmly_nonexpansive(
     tol: float = 1e-10,
     name: str = "firmly_nonexpansive",
 ) -> PropertyReport:
-    """Worst violation of <Tx - Ty, x - y> >= ||Tx - Ty||^2 over sampled pairs."""
+    """Worst violation of <Tx - Ty, x - y> >= ||Tx - Ty||^2 over sampled
+    pairs, relative to M ||x - y||."""
 
-    def violation(x: np.ndarray, y: np.ndarray) -> float:
-        dT = T._apply(x) - T._apply(y)
-        return float(np.dot(dT, dT)) - float(np.dot(dT, x - y))
+    def violation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        Tx, Ty = T._apply(x), T._apply(y)
+        M, unit = _scale(x, y, Tx, Ty)
+        dT, d = (Tx - Ty) * unit, (x - y) * unit
+        excess = _row_dots(dT, dT) - _row_dots(dT, d)
+        # A pair drawn twice, or so close that ||x - y|| underflows, has
+        # ||x - y|| = 0; its excess is 0 then, or NaN from a non-finite image
+        bound = M * _row_norms(d)
+        return np.divide(excess, bound, out=excess, where=bound > 0.0)
 
     return _report(T, violation, samples, scale, seed, tol, name)
 
@@ -85,11 +128,15 @@ def check_nonexpansive(
     tol: float = 1e-10,
     name: str = "nonexpansive",
 ) -> PropertyReport:
-    """Worst violation of ||Tx - Ty|| <= ||x - y|| over sampled pairs."""
-    return _report(
-        T, lambda x, y: _norm(T._apply(x) - T._apply(y)) - _norm(x - y),
-        samples, scale, seed, tol, name,
-    )
+    """Worst violation of ||Tx - Ty|| <= ||x - y|| over sampled pairs,
+    relative to M."""
+
+    def violation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        Tx, Ty = T._apply(x), T._apply(y)
+        M, unit = _scale(x, y, Tx, Ty)
+        return (_row_norms((Tx - Ty) * unit) - _row_norms((x - y) * unit)) / M
+
+    return _report(T, violation, samples, scale, seed, tol, name)
 
 
 def check_quasi_nonexpansive(
@@ -102,18 +149,22 @@ def check_quasi_nonexpansive(
     name: str = "quasi_nonexpansive",
 ) -> PropertyReport:
     """Worst violation of ||Tx - p|| <= ||x - p|| for a fixed point p of T,
-    over the first point x of each sampled pair."""
+    over the first point x of each sampled pair, relative to
+    max(1, ||x||, ||p||, ||Tx||)."""
     q = _checked_coords(p, T.dim, "operator")
     residual = _norm(T._apply(q) - q)
     if not residual <= tol:  # a NaN residual is no fixed point either
-        raise ValueError(
+        raise CheckParameterError(
             f"p is not a fixed point of the operator: residual {residual:.3e} "
             f"exceeds tol {tol:.3e}"
         )
-    return _report(
-        T, lambda x, _: _norm(T._apply(x) - q) - _norm(x - q),
-        samples, scale, seed, tol, name,
-    )
+
+    def violation(x: np.ndarray, _: np.ndarray) -> np.ndarray:
+        Tx = T._apply(x)
+        M, unit = _scale(x, Tx, q[None])
+        return (_row_norms((Tx - q) * unit) - _row_norms((x - q) * unit)) / M
+
+    return _report(T, violation, samples, scale, seed, tol, name)
 
 
 def asymptotic_regularity_series(T: Operator, x0: Point, n_steps: int) -> list[float]:

@@ -36,7 +36,11 @@ class Operator(ABC):
 
     @abstractmethod
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate on a raw coordinate array (no dimension check)."""
+        """Evaluate on a raw coordinate array (no dimension check).
+
+        Takes a point of shape (d,) or a batch of shape (..., d) and maps
+        each row; the sampled checks evaluate all their points in one call.
+        """
 
 
 class Projection(Operator):

@@ -97,10 +97,16 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(sq)
 
 
+def _row_dots(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<v_i, w_i> for each row i of two (..., d) arrays, or of one and a
+    (d,) vector; each is the dot product numpy takes of the two rows."""
+    return (v[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a matrix, as sqrt(<v_i, v_i>); unlike
-    _norm, a row whose <v_i, v_i> overflows reads inf."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
+    """Euclidean norm of each row of a (..., d) array, as sqrt(<v_i, v_i>);
+    unlike _norm, a row whose <v_i, v_i> overflows reads inf."""
+    return np.sqrt(_row_dots(v, v))
 
 
 def norm(x: Point) -> float:

@@ -195,6 +195,53 @@ def test_check_fails_on_overflowing_image(tmp_path, capsys):
     assert "nonexpansive[R(C1)],10,nan,1e-10,false" in out
 
 
+def test_check_passes_a_correct_halfspace_projection(tmp_path, capsys):
+    # Absolute rounding error grows with the sampling box (scale 4 * 300 /
+    # ||a||); the violations are relative, so a correct projection passes
+    path = tmp_path / "halfspace.json"
+    path.write_text(json.dumps({"dimension": 3, "sets": [
+        {"kind": "Halfspace", "a": [1, 2, -0.5], "b": 300}]}), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert "2/2 property reports pass" in capsys.readouterr().out
+
+
+BUNDLED = (
+    "ac2_three_balls.json",
+    "ac3_cyclic_three_balls.json",
+    "ac3_halfspaces_r5.json",
+    "ac4_random_block_three_balls.json",
+    "ac5_interlaced_product.json",
+    "ac5_product_with_q.json",
+)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_check_passes_on_bundled_documents(name, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(bundled_document(name), encoding="utf-8")
+    assert main(["check", str(path)]) == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "option", [["--samples", "0"], ["--seed", "-1"], ["--scale", "1e308"]],
+    ids=["samples", "seed", "scale"],
+)
+def test_check_rejects_bad_sampling_parameters(problem_file, option, capsys):
+    assert main(["check", str(problem_file), *option]) == 2
+    assert option[0][2:] in capsys.readouterr().err
+
+
+def test_unexpected_value_error_is_not_malformed_input(problem_file, monkeypatch):
+    # Only the package's input errors mean exit 2; any other ValueError, such
+    # as a numpy shape error, is a fault of the program and propagates
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("drfeas.cli.run_check_suite", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["check", str(problem_file)])
+
+
 def test_repro_ac2_passes(capsys):
     code = main(["repro", "AC-2"])
     out = capsys.readouterr().out
@@ -238,13 +285,6 @@ def test_bundled_documents_parse():
     # the shipped experiment documents stay loadable
     from drfeas import parse_document
 
-    for name in (
-        "ac2_three_balls.json",
-        "ac3_cyclic_three_balls.json",
-        "ac3_halfspaces_r5.json",
-        "ac4_random_block_three_balls.json",
-        "ac5_interlaced_product.json",
-        "ac5_product_with_q.json",
-    ):
+    for name in BUNDLED:
         problem, config = parse_document(bundled_document(name))
         assert config is not None

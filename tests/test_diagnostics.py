@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from drfeas.operators import Operator
+from drfeas.repro import operator_class_reports
 
 from drfeas import (
     Ball,
     Box,
+    CheckParameterError,
     Cyclic,
     DimensionMismatch,
+    DrOperator,
     FeasibilityProblem,
     Halfspace,
     Hyperplane,
@@ -88,7 +91,7 @@ def test_quasi_nonexpansive_for_dr_with_common_point(three_balls):
 
 def test_quasi_nonexpansive_rejects_non_fixed_point(three_balls):
     T = dr_operator(three_balls)
-    with pytest.raises(ValueError, match="residual"):
+    with pytest.raises(CheckParameterError, match="residual"):
         check_quasi_nonexpansive(T, Point([5.0, 5.0]))
 
 
@@ -127,9 +130,11 @@ def test_reports_deterministic_given_seed():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing dot
 def test_overflowing_violation_fails_the_check():
-    # At this scale <Tx - Ty, Tx - Ty> overflows, and inf - inf is NaN
+    # At this scale <Tx - Ty, Tx - Ty> overflows unscaled; on pairs scaled by
+    # a power of two the violation is finite, and still fails the check
     rep = check_firmly_nonexpansive(Stretch(2), samples=10, scale=1e300)
-    assert np.isnan(rep.worst_violation) and not rep.passed
+    assert np.isfinite(rep.worst_violation) and rep.worst_violation > rep.tolerance
+    assert not rep.passed
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow
@@ -150,6 +155,39 @@ def test_quasi_check_treats_nan_residual_as_not_fixed():
         check_quasi_nonexpansive(T, Point([0.0, 0.0]))
 
 
+def sphere_projection(self, x):
+    """Ball._project without its d <= radius case: interior points move out
+    to the sphere."""
+    v = x - self.center
+    return self.center + (self.radius / np.linalg.norm(v, axis=-1, keepdims=True)) * v
+
+
+def overscaled_dr(self, x):
+    """DrOperator._apply scaled by 1.1: 0.55 (x + v) in place of 0.5 (x + v)."""
+    v = x
+    for c in self.sets:
+        v = 2.0 * c._project(v) - v
+    return 0.55 * (x + v)
+
+
+@pytest.mark.parametrize(
+    "owner, attr, mutant, refuted",
+    [
+        (Ball, "_project", sphere_projection, ["firmly_nonexpansive[P(C1),d=2]"]),
+        (DrOperator, "_apply", overscaled_dr,
+         [f"firmly_nonexpansive[T22,d={d}]" for d in (2, 5, 50)]),
+    ],
+    ids=["ball_to_sphere", "dr_times_1.1"],
+)
+def test_ac1_suite_refutes_mutants(monkeypatch, owner, attr, mutant, refuted):
+    # Relative violations must not make the checks looser: the AC-1 suite
+    # passes on the real operators and fails each mutant where it is wrong.
+    assert all(rep.passed for rep in operator_class_reports())
+    monkeypatch.setattr(owner, attr, mutant)
+    failed = {rep.property_name for rep in operator_class_reports() if not rep.passed}
+    assert set(refuted) <= failed
+
+
 def test_report_invariant_pass_iff_within_tolerance():
     rep = check_firmly_nonexpansive(Reflection(Halfspace([1.0, 0.0], 0.0)),
                                     samples=200, tol=1e-10)
@@ -157,12 +195,12 @@ def test_report_invariant_pass_iff_within_tolerance():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckParameterError):
         check_nonexpansive(Identity(2), samples=0)
     for scale in (0.0, float("nan"), float("inf"), 1e308):  # 2 * 1e308 overflows
-        with pytest.raises(ValueError, match="scale"):
+        with pytest.raises(CheckParameterError, match="scale"):
             check_nonexpansive(Identity(2), scale=scale)
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckParameterError):
         check_nonexpansive(Identity(2), seed=-1)
     with pytest.raises(ValueError):
         asymptotic_regularity_series(Identity(2), Point([0.0, 0.0]), 0)

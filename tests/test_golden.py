@@ -161,8 +161,12 @@ def test_output_matches_golden_bytes(name):
 
 
 def _table(text: str) -> tuple[list[str], list[list[str]]]:
-    """Header and rows of a fixture, every line split at commas."""
-    header, *rows = (line.split(",") for line in text.splitlines())
+    """Header and rows of a fixture, every line split at its last commas,
+    one per header column after the first: a report's property name such as
+    firmly_nonexpansive[P(C1),d=2] holds commas of its own."""
+    lines = text.splitlines()
+    width = lines[0].count(",")
+    header, *rows = (line.rsplit(",", width) for line in lines)
     return header, rows
 
 
@@ -211,6 +215,11 @@ def test_change_summary_names_each_changed_column():
     )
     assert change_summary("t.csv", old, old + "2,0.1,1.0\n").endswith(
         "3 rows (was 2), header or row shape changed"
+    )
+    old = "property_name,worst_violation,pass\nfirm[P(C1),d=2],1e-15,true\n"
+    new = "property_name,worst_violation,pass\nfirm[P(C1),d=2],2e-15,true\n"
+    assert change_summary("r.csv", old, new) == (
+        "r.csv: 1 rows (was 1), changed: worst_violation (1 cells, worst abs 1e-15)"
     )
 
 

@@ -2,8 +2,11 @@
 scales from 1e-150 to 1e150, with halfspace and hyperplane normals from
 1e-150 to 1e150: idempotence, zero distance of a projected point and firm
 nonexpansiveness, the last computed here with numpy. A problem's stacked
-distance vector agrees with each set's own distance at the same scales."""
+distance vector agrees with each set's own distance at the same scales, and
+every set kind and operator class maps a (n, d) batch as it maps each of its
+rows."""
 
+import inspect
 import math
 
 import numpy as np
@@ -11,15 +14,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drfeas import AffineSubspace, Ball, Box, FeasibilityProblem, Halfspace, Hyperplane, Point
+from drfeas import (
+    AffineSubspace,
+    Ball,
+    Box,
+    Composition,
+    ConvexSet,
+    DrOperator,
+    FeasibilityProblem,
+    Halfspace,
+    Hyperplane,
+    Operator,
+    Point,
+    Projection,
+    Reflection,
+    Relaxation,
+)
+from drfeas.convex import SET_KINDS
 
 DIM = 3
 # Errors are relative to the size of the points, up to this factor.
 REL_TOL = 1e-9
 
-KINDS = ["Halfspace", "Hyperplane", "Ball", "Box", "AffineSubspace"]
+KINDS = list(SET_KINDS)
+# A batched row may differ from the single point by this much, relative to
+# max(1, ||x||): a batch may take a matrix product where a point takes dot
+# products, which sum in another order.
+BATCH_TOL = 8 * np.finfo(float).eps
 
 exponents = st.floats(min_value=-150.0, max_value=150.0)
+far_exponents = st.floats(min_value=155.0, max_value=300.0)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -59,7 +83,7 @@ def test_projection_properties_across_scales(kind, exponent, normal_exponent, se
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(deadline=None, max_examples=25)
 @given(exponent=exponents, normal_exponent=exponents, seed=seeds,
-       far_exponent=st.floats(min_value=155.0, max_value=300.0))
+       far_exponent=far_exponents)
 def test_stacked_distances_match_each_set(exponent, normal_exponent, seed, far_exponent):
     # Every kind three times, interleaved, each set through its own point,
     # plus two balls whose offset from x overflows ||x - c||^2: one at a
@@ -83,3 +107,72 @@ def test_stacked_distances_match_each_set(exponent, normal_exponent, seed, far_e
         else:
             assert abs(got - want) <= tol
     assert math.inf in each
+
+
+def operators_over(sets, rng):
+    """One operator of each class the package defines, built from the sets."""
+    return [
+        Projection(sets[0]),
+        Reflection(sets[1]),
+        Relaxation(Reflection(sets[2]), rng.uniform(0.0, 2.0)),
+        Composition([Reflection(c) for c in sets[:3]]),
+        DrOperator(sets),
+    ]
+
+
+def assert_batch_matches_rows(batched, X, single):
+    assert batched.shape == X.shape
+    for x, got in zip(X, batched):
+        assert np.max(np.abs(got - single(x))) <= BATCH_TOL * max(1.0, np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, max_examples=25)
+@given(exponent=exponents, normal_exponent=exponents, seed=seeds,
+       far_exponent=far_exponents)
+def test_batched_projection_matches_each_point(kind, exponent, normal_exponent, seed,
+                                               far_exponent):
+    # A ball also gets a row whose offset from the center overflows
+    # ||x - c||^2: it takes the single-point branch and matches it exactly.
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    p = scale * rng.uniform(-1.0, 1.0, DIM)
+    c = set_through(kind, p, scale, 10.0**normal_exponent, rng)
+    X = p + 4.0 * scale * rng.uniform(-1.0, 1.0, (8, DIM))
+    if kind == "Ball":
+        far = int(rng.integers(len(X) + 1))
+        X = np.insert(X, far, p + 10.0**far_exponent * rng.uniform(0.5, 1.0, DIM), axis=0)
+        assert np.array_equal(c._project(X)[far], c._project(X[far]))
+    assert_batch_matches_rows(c._project(X), X, c._project)
+
+
+@settings(deadline=None, max_examples=25)
+@given(exponent=exponents, normal_exponent=exponents, seed=seeds)
+def test_batched_operators_match_each_point(exponent, normal_exponent, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    p = scale * rng.uniform(-1.0, 1.0, DIM)
+    sets = [set_through(kind, p, scale, 10.0**normal_exponent, rng)
+            for kind in rng.permutation(KINDS)]
+    X = p + 4.0 * scale * rng.uniform(-1.0, 1.0, (8, DIM))
+    for op in operators_over(sets, rng):
+        assert_batch_matches_rows(op._apply(X), X, op._apply)
+
+
+def _concrete_subclasses(base: type) -> set[type]:
+    found, todo = set(), [base]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("drfeas.") and not inspect.isabstract(sub):
+                found.add(sub)
+    return found
+
+
+def test_batch_properties_cover_every_class():
+    # A new set kind or operator class must join the two properties above.
+    rng = np.random.default_rng(0)
+    sets = [set_through(kind, np.zeros(DIM), 1.0, 1.0, rng) for kind in KINDS]
+    assert {type(c) for c in sets} == _concrete_subclasses(ConvexSet)
+    assert {type(op) for op in operators_over(sets, rng)} == _concrete_subclasses(Operator)
