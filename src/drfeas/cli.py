@@ -100,14 +100,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    ac_id = args.ac_id.upper()
-    if ac_id not in EXPERIMENTS:
-        raise ParseError(
-            f"unknown experiment {args.ac_id!r}; choose from {', '.join(EXPERIMENTS)}"
-        )
-    if args.trace_dir is not None:
-        args.trace_dir.mkdir(parents=True, exist_ok=True)
-    ok = run_experiment(ac_id, args.trace_dir)
+    ok = run_experiment(args.ac_id, args.trace_dir)
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 

@@ -15,12 +15,16 @@ per-row inner products and norms. The checks share one report function and
 differ only in their inequality.
 
 Violations are relative, so that one tolerance serves every sampling
-scale. With M = max(1, ||x||, ||y||, ||Tx||, ||Ty||) for a pair, a firm
+scale. With M = max(||x||, ||y||, ||Tx||, ||Ty||) for a pair, a firm
 violation is divided by M ||x - y|| and a plain one by M; the rounding error
 of a correct operator grows like eps M ||x - y||, so both stay near eps.
 The differences are first divided by the power of two that brings M into
 [0.5, 1), as ``space._norm`` scales a vector, so no inner product overflows
-and a violation is finite wherever the images are.
+or underflows and a violation is finite wherever the images are. Where the
+norms themselves underflow or pass the largest float, that power of two
+comes from the largest |coordinate| of the pair. No floor is put under M,
+so a check reads the same at every scale: x -> 2x fails at 1e-170 as it
+does at 1. A pair whose M is 0 (all four points at the origin) reads 0.
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ def _pairs(dim: int, samples: int, scale: float, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, dim))
 
 
+# sqrt of the smallest normal float 2^-1022: below this norm, <v, v> is
+# subnormal or 0 and has lost bits.
+_TINY_NORM = 2.0**-511
+
+
 def _norms(b: np.ndarray) -> np.ndarray:
     """Norms of the rows of a (n, d) batch; a row whose <v, v> overflows is
     recomputed with _norm, which scales it first."""
@@ -72,15 +81,29 @@ def _norms(b: np.ndarray) -> np.ndarray:
 
 
 def _scale(*batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row i, M / 2^e and the column of factors 2^-e, where M = max(1,
-    the norm of row i in each batch) and 2^e is the power of two with
-    M / 2^e in [0.5, 1). Multiplying by 2^-e is exact, and inner products of
-    rows so scaled cannot overflow. A batch of one row broadcasts."""
-    M = 1.0
+    """Per row i, M 2^-e and the column of factors 2^-e, where M is the
+    largest norm of row i in any batch and 2^e is the power of two with
+    M 2^-e in [0.5, 1). Multiplying by 2^-e is exact, and inner products of
+    rows so scaled cannot overflow. A row whose M is below _TINY_NORM (its
+    <v, v> underflows) or inf (its norm passes the largest float) takes 2^e
+    from its largest |coordinate| instead, as _norm does, and M 2^-e from
+    the scaled rows; an all-zero row gets 1 there, so it reads 0. A batch
+    of one row broadcasts."""
+    M = 0.0
     for b in batches:
         M = np.maximum(M, _norms(b))
-    unit = np.ldexp(1.0, -np.frexp(M)[1])  # NaN and inf give 1: left unscaled
-    return M * unit, unit[:, None]
+    unit = np.ldexp(1.0, -np.frexp(M)[1])  # NaN gives 1: left unscaled
+    scaled = M * unit
+    odd = np.flatnonzero((M < _TINY_NORM) | (M == math.inf))
+    if odd.size:
+        rows = np.stack([b[odd] for b in np.broadcast_arrays(*batches)])
+        top = np.max(np.abs(rows), axis=(0, 2))
+        # at most 2^1023, which still brings a subnormal row to >= 2^-51;
+        # an inf coordinate gives 1
+        unit[odd] = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1023))
+        M_odd = np.max(_row_norms(rows * unit[odd, None]), axis=0)
+        scaled[odd] = np.where(M_odd > 0.0, M_odd, 1.0)
+    return scaled, unit[:, None]
 
 
 def _report(
@@ -150,7 +173,7 @@ def check_quasi_nonexpansive(
 ) -> PropertyReport:
     """Worst violation of ||Tx - p|| <= ||x - p|| for a fixed point p of T,
     over the first point x of each sampled pair, relative to
-    max(1, ||x||, ||p||, ||Tx||)."""
+    max(||x||, ||p||, ||Tx||)."""
     q = _checked_coords(p, T.dim, "operator")
     residual = _norm(T._apply(q) - q)
     if not residual <= tol:  # a NaN residual is no fixed point either

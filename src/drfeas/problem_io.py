@@ -80,6 +80,7 @@ class RunConfig:
     trace_path: str | None = None
     operators: list[Operator] | None = None
     certifier: Operator | None = None
+    window_control: ControlMap | None = None
 
 
 def _is_int(value: object) -> bool:
@@ -252,6 +253,7 @@ def _parse_config(doc: dict, problem: FeasibilityProblem) -> RunConfig:
         trace_path=doc.get("trace_path"),
         operators=operators,
         certifier=certifier,
+        window_control=window_control,
     )
 
 

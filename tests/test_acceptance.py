@@ -1,278 +1,50 @@
 """Acceptance suite: one test per criterion AC-1..AC-9.
 
-Each test prints a single PASS/FAIL line (run pytest with -s to see them
-live) and asserts the criterion at its stated tolerance.
+Each criterion is defined once, in ``drfeas.repro``; a test asserts the
+verdict of the function that ``drfeas repro AC-k`` runs. Run pytest with -s
+to see its verdict lines.
 """
 
-import time
-
-import numpy as np
-
-from drfeas import (
-    Ball,
-    Cyclic,
-    FeasibilityProblem,
-    Halfspace,
-    Hyperplane,
-    Point,
-    Projection,
-    RandomBlock,
-    Reflection,
-    StopRule,
-    asymptotic_regularity_series,
-    build_S,
-    build_composite_Q,
-    check_firmly_nonexpansive,
-    check_nonexpansive,
-    composite_reflection,
-    cover_index,
-    dr_operator,
-    format_trace,
-    is_quasi_periodic,
-    norm,
-    relax,
-    run_composite,
-    run_unrestricted_dr,
-    run_unrestricted_product,
-    window,
-    windows_quasi_periodic,
-)
-from drfeas.repro import CATALOG_WINDOWS, catalog_sets
-
-FEAS_TOL = 1e-8
-DISP_TOL = 1e-10
-STOP_10K = StopRule(max_iters=10_000, displacement_tol=DISP_TOL, feasibility_tol=FEAS_TOL)
-
-
-def verdict(name: str, ok: bool, detail: str) -> None:
-    print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
-    assert ok, f"{name} failed: {detail}"
-
-
-def three_ball_problem() -> FeasibilityProblem:
-    return FeasibilityProblem(
-        [Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0), Ball([0.5, 0.8], 1.0)],
-        interior_point=Point([0.5, 0.3]),
-    )
-
-
-def halfspace_r5_problem() -> FeasibilityProblem:
-    normals = [
-        [1.0, 1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 1.0],
-        [1.0, 0.0, 0.0, 0.0, 1.0],
-    ]
-    return FeasibilityProblem(
-        [Halfspace(a, 1.0) for a in normals], interior_point=Point([0.0] * 5)
-    )
+from drfeas.repro import EXPERIMENTS, run_experiment
 
 
 def test_ac1_operator_class_suite():
-    t0 = time.perf_counter()
-    worst = 0.0
-    count = 0
-    all_pass = True
-    for dim in (2, 5, 50):
-        sets = catalog_sets(dim)
-        assert {c.kind for c in sets} == {
-            "Ball", "Halfspace", "Hyperplane", "Box", "AffineSubspace"
-        }
-        for c in sets:
-            rep = check_firmly_nonexpansive(Projection(c), samples=1000, tol=1e-10)
-            all_pass &= rep.passed
-            worst = max(worst, rep.worst_violation)
-            count += 1
-        for w in CATALOG_WINDOWS:
-            picked = [sets[i - 1] for i in w]
-            rep = check_firmly_nonexpansive(dr_operator(picked), samples=1000, tol=1e-10)
-            all_pass &= rep.passed
-            worst = max(worst, rep.worst_violation)
-            rep = check_nonexpansive(composite_reflection(picked), samples=1000, tol=1e-10)
-            all_pass &= rep.passed
-            worst = max(worst, rep.worst_violation)
-            count += 2
-    elapsed = time.perf_counter() - t0
-    ok = all_pass and elapsed < 10.0
-    verdict("AC-1", ok, f"{count} reports, worst violation {worst:.2e}, {elapsed:.2f}s < 10s")
+    assert run_experiment("AC-1")
 
 
 def test_ac2_composite_scheme_converges_with_cauchy_tail():
-    problem = three_ball_problem()
-    trace = run_composite(problem, Cyclic(3), 2, Point([5.0, 5.0]), STOP_10K)
-    ok = (
-        trace.iterations <= 10_000
-        and trace.final.max_set_distance <= FEAS_TOL
-        and trace.final.displacement <= DISP_TOL
-    )
-    verdict(
-        "AC-2", ok,
-        f"status={trace.terminal_status} iters={trace.iterations} "
-        f"max_dist={trace.final.max_set_distance:.2e} tail={trace.final.displacement:.2e}",
-    )
+    assert run_experiment("AC-2")
 
 
 def test_ac3_cyclic_control_reaches_feasibility():
-    details = []
-    ok = True
-    for label, problem, m, x0 in (
-        ("three-balls", three_ball_problem(), 3, Point([5.0, 5.0])),
-        ("halfspaces-R5", halfspace_r5_problem(), 5, Point([5.0] * 5)),
-    ):
-        f = Cyclic(m)
-        assert all(f.index_at(n) == n % m + 1 for n in range(50))
-        assert is_quasi_periodic(f, m, horizon=20 * m)
-        assert windows_quasi_periodic(f, 2, m, horizon=20 * m)
-        trace = run_unrestricted_dr(problem, f, 2, x0, STOP_10K)
-        good = trace.iterations <= 10_000 and trace.final.max_set_distance <= FEAS_TOL
-        ok &= good
-        details.append(f"{label}: iters={trace.iterations} "
-                       f"max_dist={trace.final.max_set_distance:.2e}")
-    verdict("AC-3", ok, "; ".join(details))
+    assert run_experiment("AC-3")
 
 
 def test_ac4_quasi_periodic_random_control():
-    problem = three_ball_problem()
-    finals = []
-    ok = True
-    for seed in (1, 2, 3, 4, 5):
-        trace = run_unrestricted_dr(problem, RandomBlock(3, 5, seed), 2,
-                                    Point([5.0, 5.0]), STOP_10K)
-        ok &= trace.final.max_set_distance <= FEAS_TOL
-        finals.append(trace.final.max_set_distance)
-    verdict("AC-4", ok, "five seeds, worst max_dist "
-            f"{max(finals):.2e} (limits need not coincide)")
+    assert run_experiment("AC-4")
 
 
 def test_ac5_interlaced_products():
-    problem = three_ball_problem()
-    f = Cyclic(3)
-    jf = cover_index(f)
-    family = [build_S(problem, f, 2, n) for n in range(jf + 1)]
-    family += [Projection(problem.sets[0]), relax(Projection(problem.sets[1]), 1.5)]
-    k = len(family)
-    assert k == jf + 3
-    stop = StopRule(max_iters=20_000, displacement_tol=DISP_TOL, feasibility_tol=FEAS_TOL)
-    trace_i = run_unrestricted_product(
-        family, RandomBlock(k, 2 * k, 11), Point([5.0, 5.0]), stop, problem=problem
-    )
-
-    Q = build_composite_Q(problem, f, 2)
-    family_q = [Q, Projection(problem.sets[0])]
-    h = RandomBlock(2, 3, 7)
-    assert is_quasi_periodic(h, 2 * h.M - 1, horizon=120)
-    trace_ii = run_unrestricted_product(
-        family_q, h, Point([5.0, 5.0]), stop, problem=problem
-    )
-
-    ok = (trace_i.final.max_set_distance <= FEAS_TOL
-          and trace_ii.final.max_set_distance <= FEAS_TOL)
-    verdict(
-        "AC-5", ok,
-        f"interlaced max_dist={trace_i.final.max_set_distance:.2e}, "
-        f"with-Q max_dist={trace_ii.final.max_set_distance:.2e}",
-    )
+    assert run_experiment("AC-5")
 
 
 def test_ac6_fixed_point_sandwich():
-    problem = three_ball_problem()
-    f = Cyclic(3)
-    jf = cover_index(f)
-    p = problem.interior_point
-
-    # (a) a common point is fixed by every window operator up to jf
-    worst_fix = max(
-        norm(build_S(problem, f, 2, n).apply(p) - p) for n in range(jf + 1)
-    )
-    part_a = worst_fix <= 1e-10
-
-    # (b) limits of the composite from random starts land in the intersection
-    Q = build_composite_Q(problem, f, 2)
-    rng = np.random.default_rng(0)
-    worst_dist = 0.0
-    for _ in range(100):
-        x = Point(rng.uniform(-10.0, 10.0, size=2))
-        run = run_unrestricted_product([Q], Cyclic(1), x, StopRule(100_000, 1e-12, 0.0))
-        assert run.final.displacement <= 1e-12  # certified near-fixed point of Q
-        worst_dist = max(worst_dist, problem.max_distance(run.final.iterate))
-    part_b = worst_dist <= 1e-7
-
-    verdict("AC-6", part_a and part_b,
-            f"fixed-point residual {worst_fix:.2e} <= 1e-10, "
-            f"worst limit distance {worst_dist:.2e} <= 1e-7")
+    assert run_experiment("AC-6")
 
 
 def test_ac7_asymptotic_regularity_and_counterexample():
-    problem = three_ball_problem()
-    Q = build_composite_Q(problem, Cyclic(3), 2)
-    series = asymptotic_regularity_series(Q, Point([5.0, 5.0]), 2000)
-    decays = series[-1] <= 1e-8
-
-    R = Reflection(Hyperplane([0.0, 1.0], 0.0))
-    flat = asymptotic_regularity_series(R, Point([3.0, 1.0]), 50)
-    constant_positive = (min(flat) > 0.0
-                         and max(flat) - min(flat) <= 1e-12)
-
-    verdict("AC-7", decays and constant_positive,
-            f"composite final step {series[-1]:.2e} <= 1e-8; "
-            f"involution series constant at {flat[0]:.2e}")
+    assert run_experiment("AC-7")
 
 
 def test_ac8_control_law_unit_suite():
-    covers = all(cover_index(Cyclic(m)) == m for m in range(1, 11))
-
-    window_formula = True
-    for m in range(1, 6):
-        f = Cyclic(m)
-        for r in range(2, 6):
-            for n in range(101):
-                expected = [f.index_at((r - 1) * n + j - 1) for j in range(1, r + 1)]
-                window_formula &= window(f, r, n) == expected
-
-    qp_verdicts = (
-        is_quasi_periodic(Cyclic(4), 4, horizon=100)
-        and not is_quasi_periodic(Cyclic(3), 2, horizon=100)
-        and all(
-            is_quasi_periodic(RandomBlock(3, 5, seed), 2 * 5 - 1, horizon=150)
-            for seed in (0, 1, 2)
-        )
-    )
-
-    verdict("AC-8", covers and window_formula and qp_verdicts,
-            f"cover={covers} window_formula={window_formula} quasi_periodic={qp_verdicts}")
+    assert run_experiment("AC-8")
 
 
-def test_ac9_deterministic_traces(tmp_path):
-    problem = three_ball_problem()
-    stop = StopRule(max_iters=20_000, displacement_tol=DISP_TOL, feasibility_tol=FEAS_TOL)
+def test_ac9_deterministic_traces():
+    assert run_experiment("AC-9")
 
-    def runs():
-        f = Cyclic(3)
-        out = {
-            "ac2": run_composite(problem, f, 2, Point([5.0, 5.0]), STOP_10K),
-            "ac3": run_unrestricted_dr(halfspace_r5_problem(), Cyclic(5), 2,
-                                       Point([5.0] * 5), STOP_10K),
-            "ac4": run_unrestricted_dr(problem, RandomBlock(3, 5, 1), 2,
-                                       Point([5.0, 5.0]), STOP_10K),
-        }
-        jf = cover_index(f)
-        family = [build_S(problem, f, 2, n) for n in range(jf + 1)]
-        family += [Projection(problem.sets[0]), relax(Projection(problem.sets[1]), 1.5)]
-        out["ac5"] = run_unrestricted_product(
-            family, RandomBlock(len(family), 2 * len(family), 11),
-            Point([5.0, 5.0]), stop, problem=problem,
-        )
-        return out
 
-    first, second = runs(), runs()
-    identical = True
-    for name in first:
-        dim = first[name].final.iterate.dim
-        a = tmp_path / f"{name}_a.trace.csv"
-        b = tmp_path / f"{name}_b.trace.csv"
-        a.write_text(format_trace(first[name], dim), encoding="utf-8")
-        b.write_text(format_trace(second[name], dim), encoding="utf-8")
-        identical &= a.read_bytes() == b.read_bytes()
-
-    verdict("AC-9", identical, "AC-2..AC-5 reruns produced byte-identical trace files")
+def test_every_criterion_has_a_test():
+    # test_ac<k>_... asserts AC-<k>
+    tested = {f"AC-{name[7:].split('_')[0]}" for name in globals() if name.startswith("test_ac")}
+    assert tested == set(EXPERIMENTS)

@@ -1,4 +1,5 @@
 import json
+from importlib.resources import files
 
 import pytest
 
@@ -205,13 +206,9 @@ def test_check_passes_a_correct_halfspace_projection(tmp_path, capsys):
     assert "2/2 property reports pass" in capsys.readouterr().out
 
 
-BUNDLED = (
-    "ac2_three_balls.json",
-    "ac3_cyclic_three_balls.json",
-    "ac3_halfspaces_r5.json",
-    "ac4_random_block_three_balls.json",
-    "ac5_interlaced_product.json",
-    "ac5_product_with_q.json",
+# Every document the package ships
+BUNDLED = sorted(
+    p.name for p in files("drfeas").joinpath("problems").iterdir() if p.name.endswith(".json")
 )
 
 

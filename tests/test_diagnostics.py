@@ -137,6 +137,37 @@ def test_overflowing_violation_fails_the_check():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e-170])
+@pytest.mark.parametrize("check", [check_firmly_nonexpansive, check_nonexpansive])
+def test_expansion_below_unit_scale_fails_the_check(check, scale):
+    # M has no floor of 1, so a tiny expansion reads as large as at unit
+    # scale; at 1e-170 the squared norms underflow, and the pair is scaled
+    # by the power of two of its largest coordinate
+    rep = check(Stretch(2), scale=scale)
+    assert rep.worst_violation > 0.5 and not rep.passed
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing dot
+def test_norm_past_largest_float_stays_finite():
+    # ||x|| of 50 coordinates near 8e307 passes the largest float; the pair is
+    # scaled by the power of two of its largest coordinate, not left as inf
+    rep = check_nonexpansive(Identity(50), samples=100, scale=8e307)
+    assert np.isfinite(rep.worst_violation) and rep.passed
+
+
+class Zero(Operator):
+    def _apply(self, x):
+        return 0.0 * x
+
+
+@pytest.mark.parametrize("check", [check_firmly_nonexpansive, check_nonexpansive])
+def test_pair_at_the_origin_reads_zero(check):
+    # At the smallest subnormal scale some sampled pairs are (0, 0): all four
+    # points are the origin, M is 0, and the pair reads 0 rather than 0 / 0
+    rep = check(Zero(1), samples=100, scale=5e-324)
+    assert rep.worst_violation == 0.0 and rep.passed
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow
 def test_non_finite_image_fails_the_check():
     # The reflection sends x1 past the largest float: the image is infinite,

@@ -21,6 +21,7 @@ import io
 import json
 import math
 import tempfile
+from importlib.resources import files
 from pathlib import Path
 from typing import Callable
 
@@ -48,14 +49,13 @@ from drfeas.repro import load_bundled, operator_class_reports
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-BUNDLED = (
-    "ac2_three_balls",
-    "ac3_cyclic_three_balls",
-    "ac3_halfspaces_r5",
-    "ac4_random_block_three_balls",
-    "ac5_interlaced_product",
-    "ac5_product_with_q",
+# Every document the package ships, by stem
+BUNDLED = sorted(
+    p.name.removesuffix(".json") for p in files("drfeas").joinpath("problems").iterdir()
+    if p.name.endswith(".json")
 )
+# AC-1 prints its wall time, so its output is no fixture
+REPRO_IDS = ("AC-2", "AC-3", "AC-4", "AC-5", "AC-6", "AC-7", "AC-8", "AC-9")
 AC4_SEEDS = (1, 2, 3, 4, 5)
 
 
@@ -128,16 +128,21 @@ EVERY_OPERATOR_PRODUCT = {
 }
 
 
+def _stdout(argv: list[str]) -> str:
+    """Standard output of `drfeas <argv>`, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return out.getvalue()
+
+
 def _check_output() -> str:
     """Standard output of `drfeas check --samples 200` on the document above."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "every_operator_product.json"
         path.write_text(json.dumps(EVERY_OPERATOR_PRODUCT), encoding="utf-8")
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["check", str(path), "--samples", "200"])
-    assert code == 0
-    return out.getvalue()
+        return _stdout(["check", str(path), "--samples", "200"])
 
 
 def golden_outputs() -> dict[str, Callable[[], str]]:
@@ -151,6 +156,9 @@ def golden_outputs() -> dict[str, Callable[[], str]]:
     outputs["ac1_reports.csv"] = lambda: format_reports(operator_class_reports())
     outputs["synthetic_mixed.trace.csv"] = _synthetic_trace
     outputs["check_every_operator_product.txt"] = _check_output
+    outputs["repro_ac2_to_ac9.txt"] = lambda: "".join(
+        _stdout(["repro", ac_id]) for ac_id in REPRO_IDS
+    )
     return outputs
 
 

@@ -14,17 +14,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Public names that no package code calls, kept for the checks of the
-# paper's claims: the acceptance tests AC-7 and AC-3 run
-# asymptotic_regularity_series and windows_quasi_periodic, and
-# check_quasi_nonexpansive is the quasi-nonexpansiveness check of the
-# operator-class suite in tests/test_diagnostics.py.
-KEPT_WITHOUT_CALLER = {
-    "asymptotic_regularity_series",
-    "check_quasi_nonexpansive",
-    "windows_quasi_periodic",
-}
-
 
 def _tracing_module():
     spec = importlib.util.spec_from_file_location(
@@ -77,6 +66,5 @@ def test_every_export_has_a_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
-    assert KEPT_WITHOUT_CALLER <= set(drfeas.__all__)
-    uncalled = set(drfeas.__all__) - used - KEPT_WITHOUT_CALLER
+    uncalled = set(drfeas.__all__) - used
     assert not uncalled, sorted(uncalled)
