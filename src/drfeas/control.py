@@ -44,6 +44,12 @@ class ControlMap(ABC):
     def index_at(self, n: int) -> int:
         """Index selected at step n >= 0."""
 
+    def indices(self, start: int, count: int) -> list[int]:
+        """Indices selected at steps start, ..., start + count - 1 (count >= 0):
+        the list of index_at over them. A subclass may override it with a
+        faster form that returns the same list."""
+        return [self.index_at(n) for n in range(start, start + count)]
+
     def _require_step(self, n: int) -> int:
         n = int(n)
         if n < 0:
@@ -109,7 +115,7 @@ def _block_pattern(m: int, M: int, seed: int, block: int) -> tuple[int, ...]:
         [rng.permutation(m) + 1, rng.integers(1, m + 1, size=M - m)]
     )
     rng.shuffle(vals)
-    return tuple(int(v) for v in vals)
+    return tuple(vals.tolist())
 
 
 class RandomBlock(ControlMap):
@@ -140,23 +146,35 @@ class RandomBlock(ControlMap):
         block, pos = divmod(n, self.M)
         return _block_pattern(self.m, self.M, self.seed, block)[pos]
 
+    def indices(self, start: int, count: int) -> list[int]:
+        start = self._require_step(start)
+        first, pos = divmod(start, self.M)
+        out: list[int] = []
+        for block in range(first, (start + count - 1) // self.M + 1):
+            out += _block_pattern(self.m, self.M, self.seed, block)
+        return out[pos : pos + count]
+
     def __repr__(self) -> str:
         return f"RandomBlock(m={self.m}, M={self.M}, seed={self.seed})"
 
 
-def window(f: ControlMap, r: int, n: int) -> list[int]:
+def window(f: ControlMap, r: int, n: int, steps: int = 1) -> list[int]:
     """The r indices selected at step n: f((r-1)n + j - 1) for j = 1..r.
 
-    Consecutive windows overlap because the stride is r - 1.
+    Consecutive windows overlap because the stride is r - 1. With steps > 1
+    the windows of steps n, ..., n + steps - 1 come as one run of
+    (r-1) steps + 1 indices, in which the window of step n + k is the slice
+    [(r-1)k, (r-1)k + r).
     """
     r = int(r)
     if r <= 1:
         raise InvalidControl("window width r must be an integer greater than 1")
-    n = int(n)
+    n, steps = int(n), int(steps)
     if n < 0:
         raise InvalidControl("step number must be nonnegative")
-    base = (r - 1) * n
-    return [f.index_at(base + j) for j in range(r)]
+    if steps < 1:
+        raise InvalidControl("window run must span at least one step")
+    return f.indices((r - 1) * n, (r - 1) * steps + 1)
 
 
 def cover_index(f: ControlMap) -> int:

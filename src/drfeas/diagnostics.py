@@ -173,13 +173,16 @@ def check_quasi_nonexpansive(
 ) -> PropertyReport:
     """Worst violation of ||Tx - p|| <= ||x - p|| for a fixed point p of T,
     over the first point x of each sampled pair, relative to
-    max(||x||, ||p||, ||Tx||)."""
+    max(||x||, ||p||, ||Tx||). p counts as fixed when ||Tp - p|| is within
+    tol of max(||p||, ||Tp||)."""
     q = _checked_coords(p, T.dim, "operator")
-    residual = _norm(T._apply(q) - q)
+    Tq = T._apply(q)
+    M, unit = _scale(q[None], Tq[None])
+    residual = float(_row_norms((Tq - q) * unit)[0] / M[0])
     if not residual <= tol:  # a NaN residual is no fixed point either
         raise CheckParameterError(
-            f"p is not a fixed point of the operator: residual {residual:.3e} "
-            f"exceeds tol {tol:.3e}"
+            f"p is not a fixed point of the operator: relative residual "
+            f"{residual:.3e} exceeds tol {tol:.3e}"
         )
 
     def violation(x: np.ndarray, _: np.ndarray) -> np.ndarray:

@@ -352,18 +352,18 @@ def load_document(path) -> tuple[FeasibilityProblem, RunConfig | None]:
 
 def format_trace(trace: IterationTrace, dim: int) -> str:
     """Comma-separated trace table: one header line, then one row per step."""
-    with_certifier = any(s.certifier_residual is not None for s in trace.steps)
+    with_certifier = any(c is not None for c in trace.certifier_residuals)
     header = ["n", "applied_operator_id", "displacement", "max_set_distance"]
     header += [f"coord_{i + 1}" for i in range(dim)]
     if with_certifier:
         header.append("certifier_residual")
     lines = [",".join(header)]
-    for s in trace.steps:
-        row = [str(s.n), s.applied_operator_id, repr(float(s.displacement)),
-               repr(float(s.max_set_distance))]
-        row += [repr(float(c)) for c in s.iterate.coords]
+    rows = zip(trace.iterates, trace.operator_ids, trace.displacements,
+               trace.max_set_distances, trace.certifier_residuals)
+    for n, (x, op_id, disp, dist, residual) in enumerate(rows):
+        row = [str(n), op_id, repr(disp), repr(dist), *map(repr, x.tolist())]
         if with_certifier:
-            row.append(repr(float(s.certifier_residual)))
+            row.append(repr(residual))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -23,14 +23,24 @@ The stop-rule residual is the largest entry of one distance vector that
 ``FeasibilityProblem`` evaluates per step: halfspaces with hyperplanes, balls,
 and boxes each as one stacked family (see ``convex.STACKED_DISTANCES``),
 every other set by its own ``_distance``, and any family entry that is not
-finite again by its set's ``_distance``. Projections, operators and
-displacements never use the stacked data.
+finite again by its set's ``_distance``; when one family holds every set, its
+vector is the distance vector. Projections, operators and displacements
+never use the stacked data.
+
+Per step the loop builds no ``Point``: ``IterationTrace`` keeps columns of
+raw values (the iterate arrays, made read-only) and builds ``TraceStep``
+views on demand. The DR schemes keep the array their operator returned; the
+controlled product keeps a float copy, since its operators may be any
+subclass. The DR schemes read their windows from the control a run of steps
+at a time (``window`` with ``steps > 1``, over ``ControlMap.indices``), runs
+doubling from one step up to a fixed chunk; an out-of-range set index still
+raises at the step whose window first holds it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,16 +87,42 @@ class TraceStep:
 
 @dataclass
 class IterationTrace:
-    steps: list[TraceStep] = field(default_factory=list)
+    """A run's steps as columns, one entry per step n = 0, 1, ...: the
+    iterate (the read-only array the loop produced, not a copy), the
+    displacement, the worst set distance, the operator id and the certifier
+    residual (None without a certifier). ``steps`` and ``final`` build
+    TraceStep views of the rows on demand; ``steps`` builds a new list of
+    them on every access. Two traces are equal when their steps and terminal
+    statuses are."""
+
+    iterates: list[np.ndarray]
+    displacements: list[float]
+    max_set_distances: list[float]
+    operator_ids: list[str]
+    certifier_residuals: list[float | None]
     terminal_status: str = MAX_ITERS
+
+    def _step(self, n: int) -> TraceStep:
+        return TraceStep(n, Point(self.iterates[n]), self.displacements[n],
+                         self.max_set_distances[n], self.operator_ids[n],
+                         self.certifier_residuals[n])
+
+    @property
+    def steps(self) -> list[TraceStep]:
+        return [self._step(n) for n in range(len(self.iterates))]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IterationTrace):
+            return NotImplemented
+        return self.terminal_status == other.terminal_status and self.steps == other.steps
 
     @property
     def final(self) -> TraceStep:
-        return self.steps[-1]
+        return self._step(len(self.iterates) - 1)
 
     @property
     def iterations(self) -> int:
-        return len(self.steps) - 1
+        return len(self.iterates) - 1
 
 
 class FeasibilityProblem:
@@ -101,7 +137,7 @@ class FeasibilityProblem:
     them, come from a few numpy calls per family instead of m projections.
     """
 
-    __slots__ = ("sets", "interior_point", "_families", "_singles")
+    __slots__ = ("sets", "interior_point", "_families", "_singles", "_whole")
 
     def __init__(self, sets: Sequence[ConvexSet], interior_point: Point | None = None):
         sets = tuple(sets)
@@ -134,6 +170,9 @@ class FeasibilityProblem:
         self._families = tuple(
             (np.array(idx), stack([sets[i] for i in idx])) for stack, idx in members.items()
         )
+        # One family holding every set, in set order, yields the whole vector.
+        whole = len(self._families) == 1 and not self._singles
+        self._whole = self._families[0][1] if whole else None
 
     @property
     def m(self) -> int:
@@ -152,9 +191,12 @@ class FeasibilityProblem:
 
     def _distances(self, x: np.ndarray) -> np.ndarray:
         """Distance from a raw coordinate array to each set, in set order."""
-        out = np.zeros(len(self.sets))
-        for idx, family in self._families:
-            out[idx] = family(x)
+        if self._whole is not None:
+            out = self._whole(x)
+        else:
+            out = np.zeros(len(self.sets))
+            for idx, family in self._families:
+                out[idx] = family(x)
         if not np.isfinite(out).all():
             # Overflow and NaN stay the business of each set's own _distance.
             for i in np.flatnonzero(~np.isfinite(out)).tolist():
@@ -166,11 +208,15 @@ class FeasibilityProblem:
     def _max_distance(self, x: np.ndarray) -> float:
         """Worst set distance on a raw coordinate array: the stop-rule residual.
         A NaN distance makes it NaN, which no tolerance accepts."""
-        return float(np.max(self._distances(x)))
+        return float(self._distances(x).max())
 
     def sampling_scale(self) -> float:
         """Default hypercube half-width for sampled diagnostics."""
         return 4.0 * max(1.0, max(c.scale_hint() for c in self.sets))
+
+
+# Most steps whose windows a run fetches from its control in one window() call.
+_WINDOW_CHUNK = 64
 
 
 def _window_operators(
@@ -178,11 +224,23 @@ def _window_operators(
 ) -> Callable[[int], DrOperator]:
     """n -> S_n, the r-set DR operator over the sets the window at step n
     picks; one operator is built per distinct window, so quasi-periodic
-    controls reuse a finite pool while aperiodic ones still run."""
+    controls reuse a finite pool while aperiodic ones still run.
+
+    Windows are fetched a run of steps at a time, from the first step asked
+    for outside the last run; runs double from 1 step up to _WINDOW_CHUNK,
+    so a caller in step order never fetches more windows than it uses. A set
+    index out of range raises at the first step whose window holds it."""
     cache: dict[tuple[int, ...], DrOperator] = {}
+    base, steps, run = 0, 0, []  # the windows of steps base, ..., base + steps - 1
 
     def S(n: int) -> DrOperator:
-        key = tuple(window(f, r, n))
+        nonlocal base, steps, run
+        k = n - base
+        if not 0 <= k < steps:
+            steps = min(2 * steps, _WINDOW_CHUNK) or 1
+            base, run, k = n, window(f, r, n, steps), 0
+        i = (r - 1) * k
+        key = tuple(run[i : i + r])
         op = cache.get(key)
         if op is None:
             if max(key) > problem.m:
@@ -227,35 +285,50 @@ def _iterate(
     stop: StopRule,
     problem: FeasibilityProblem | None,
     certifier: Operator | None,
+    copy: bool,
 ) -> IterationTrace:
     """Shared loop: next_op(n) yields the operator on R^dim producing x_n
-    (n >= 1). The loop runs on raw arrays, with no dimension checks and one
-    Point per step for the trace, so start, problem and certifier are
-    checked against dim here."""
+    (n >= 1). The loop runs on raw arrays, with no dimension checks and no
+    Point, so start, problem and certifier are checked against dim here.
+
+    The trace keeps each iterate array and makes it read-only. With copy the
+    array kept is a float copy of what the operator returned, so an operator
+    may reuse or keep its output buffer; without it the array kept is the
+    one returned, which must be new. The library's DR operators and their
+    compositions always return a new array."""
     for what, part in (("start", x0), ("problem", problem), ("certifier", certifier)):
         if part is not None and part.dim != dim:
             raise DimensionMismatch(f"{what} has dimension {part.dim}, expected {dim}")
     x = x0.coords
     dist = problem._max_distance(x) if problem is not None else 0.0
-    steps = [TraceStep(0, x0, 0.0, dist, "init", _certifier_residual(certifier, x))]
+    trace = IterationTrace([x], [0.0], [dist], ["init"], [_certifier_residual(certifier, x)])
     if problem is not None and dist <= stop.feasibility_tol:
-        return IterationTrace(steps, FEASIBLE)
+        trace.terminal_status = FEASIBLE
+        return trace
     if dist != dist:
-        return IterationTrace(steps, NON_FINITE)
+        trace.terminal_status = NON_FINITE
+        return trace
 
+    add_iterate, add_disp = trace.iterates.append, trace.displacements.append
+    add_dist, add_id = trace.max_set_distances.append, trace.operator_ids.append
+    add_residual = trace.certifier_residuals.append
     status = MAX_ITERS
     for n in range(1, stop.max_iters + 1):
         op, op_id = next_op(n)
         x_next = op._apply(x)
+        if copy:
+            x_next = np.array(x_next, dtype=float)
         if not np.isfinite(x_next).all():
             status = NON_FINITE
             break
+        x_next.setflags(write=False)
         disp = _norm(x_next - x)
         dist = problem._max_distance(x_next) if problem is not None else 0.0
-        steps.append(
-            TraceStep(n, Point(x_next), disp, dist, op_id,
-                      _certifier_residual(certifier, x_next))
-        )
+        add_iterate(x_next)
+        add_disp(disp)
+        add_dist(dist)
+        add_id(op_id)
+        add_residual(_certifier_residual(certifier, x_next))
         x = x_next
         if dist != dist:
             status = NON_FINITE
@@ -269,7 +342,8 @@ def _iterate(
         elif feasible_now:
             status = FEASIBLE
             break
-    return IterationTrace(steps, status)
+    trace.terminal_status = status
+    return trace
 
 
 def run_unrestricted_dr(
@@ -284,7 +358,7 @@ def run_unrestricted_dr(
     _require_range(f, problem.m, "sets")
     S = _window_operators(problem, f, r)
     return _iterate(
-        lambda n: (S(n - 1), f"S{n - 1}"), problem.dim, x0, stop, problem, certifier
+        lambda n: (S(n - 1), f"S{n - 1}"), problem.dim, x0, stop, problem, certifier, False
     )
 
 
@@ -299,7 +373,7 @@ def run_composite(
     """Fixed-operator scheme: y_n = Q y_{n-1} with Q = S_jf ... S_0."""
     _require_range(f, problem.m, "sets")
     Q = build_composite_Q(problem, f, r)
-    return _iterate(lambda n: (Q, "Q"), problem.dim, y0, stop, problem, certifier)
+    return _iterate(lambda n: (Q, "Q"), problem.dim, y0, stop, problem, certifier, False)
 
 
 def run_unrestricted_product(
@@ -329,4 +403,5 @@ def run_unrestricted_product(
         j = h.index_at(n - 1)
         return operators[j - 1], f"T{j}"
 
-    return _iterate(next_op, dim, x0, stop, problem, certifier)
+    # The family may hold any Operator subclass, so its outputs are copied.
+    return _iterate(next_op, dim, x0, stop, problem, certifier, True)

@@ -87,6 +87,44 @@ def test_window_is_pure_indexing(m, r, n):
     assert w == [f.index_at((r - 1) * n + j - 1) for j in range(1, r + 1)]
 
 
+# Small block lengths and counts up to 100, so runs cross many blocks
+CONTROLS = st.one_of(
+    st.integers(1, 7).map(Cyclic),
+    st.lists(st.integers(1, 4), min_size=0, max_size=5).map(
+        lambda extra: Explicit([1, 2, 3, 4] + extra)
+    ),
+    st.tuples(st.integers(1, 5), st.integers(0, 6), st.integers(0, 50)).map(
+        lambda t: RandomBlock(t[0], t[0] + t[1], t[2])
+    ),
+)
+
+
+@given(f=CONTROLS, start=st.integers(0, 200), count=st.integers(0, 100))
+def test_indices_is_index_at_over_a_run(f, start, count):
+    assert f.indices(start, count) == [f.index_at(n) for n in range(start, start + count)]
+
+
+@given(
+    f=CONTROLS,
+    r=st.integers(2, 4),
+    n=st.integers(0, 100),
+    steps=st.integers(1, 40),
+)
+def test_window_run_slices_into_one_step_windows(f, r, n, steps):
+    run = window(f, r, n, steps)
+    assert len(run) == (r - 1) * steps + 1
+    for k in range(steps):
+        assert run[(r - 1) * k : (r - 1) * k + r] == window(f, r, n + k)
+
+
+def test_indices_rejects_negative_start():
+    for f in (Cyclic(2), Explicit([1, 2]), RandomBlock(2, 3, 0)):
+        with pytest.raises(InvalidControl):
+            f.indices(-1, 3)
+    with pytest.raises(InvalidControl):
+        window(Cyclic(2), 2, 0, steps=0)
+
+
 def test_cyclic_windows_tile_index_set():
     # for r <= m+1, the first m windows jointly visit every set index
     for m in range(1, 6):

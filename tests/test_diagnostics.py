@@ -25,6 +25,7 @@ from drfeas import (
     composite_reflection,
     dr_operator,
     feasibility_report,
+    norm,
     relax,
 )
 
@@ -93,6 +94,22 @@ def test_quasi_nonexpansive_rejects_non_fixed_point(three_balls):
     T = dr_operator(three_balls)
     with pytest.raises(CheckParameterError, match="residual"):
         check_quasi_nonexpansive(T, Point([5.0, 5.0]))
+
+
+def test_quasi_check_accepts_projected_point_far_from_origin():
+    # ||P(q) - q|| is 2.7e-7 here, ~2e-16 of ||q||: a fixed point in
+    # floating point, which an absolute residual tolerance rejects
+    P = Projection(Hyperplane([1.0, 2.0, -0.5], 3e9))
+    q = P.apply(Point([0.0, 0.0, 0.0]))
+    assert norm(P.apply(q) - q) > 1e-10
+    assert check_quasi_nonexpansive(P, q, samples=100).passed
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9])
+def test_quasi_check_rejects_off_hyperplane_point_at_any_scale(scale):
+    P = Projection(Hyperplane([1.0, 2.0, -0.5], 3.0 * scale))
+    with pytest.raises(CheckParameterError, match="not a fixed point"):
+        check_quasi_nonexpansive(P, Point([scale, scale, scale]))
 
 
 class Stretch(Operator):

@@ -17,6 +17,7 @@ the row).
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -45,7 +46,7 @@ from drfeas import (
     run_unrestricted_dr,
 )
 from drfeas.cli import main
-from drfeas.repro import load_bundled, operator_class_reports
+from drfeas.repro import load_bundled, operator_class_reports, repro_ac4
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -64,13 +65,16 @@ def _bundled_trace(stem: str) -> str:
     return format_trace(execute_config(problem, config), problem.dim)
 
 
-def _ac4_trace(seed: int) -> str:
-    # The AC-4 runs of `drfeas repro AC-4`: one RandomBlock seed each.
-    problem, config = load_bundled("ac4_random_block_three_balls.json")
-    trace = run_unrestricted_dr(
-        problem, RandomBlock(3, 5, seed), config.r, Point([5.0, 5.0]), config.stop
-    )
-    return format_trace(trace, problem.dim)
+@functools.cache
+def _ac4_traces() -> dict[int, str]:
+    # The traces `drfeas repro AC-4` writes, one per RandomBlock seed, from
+    # one run of the criterion.
+    with tempfile.TemporaryDirectory() as tmp:
+        repro_ac4(tmp)
+        return {
+            s: (Path(tmp) / f"ac4_seed{s}.trace.csv").read_text(encoding="utf-8")
+            for s in AC4_SEEDS
+        }
 
 
 def _synthetic_trace() -> str:
@@ -151,7 +155,7 @@ def golden_outputs() -> dict[str, Callable[[], str]]:
         f"{stem}.trace.csv": (lambda stem=stem: _bundled_trace(stem)) for stem in BUNDLED
     }
     outputs.update(
-        {f"ac4_seed{s}.trace.csv": (lambda s=s: _ac4_trace(s)) for s in AC4_SEEDS}
+        {f"ac4_seed{s}.trace.csv": (lambda s=s: _ac4_traces()[s]) for s in AC4_SEEDS}
     )
     outputs["ac1_reports.csv"] = lambda: format_reports(operator_class_reports())
     outputs["synthetic_mixed.trace.csv"] = _synthetic_trace

@@ -1,12 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
+from drfeas import solver
 from drfeas import (
     Ball,
     CONVERGED_DISPLACEMENT,
+    ControlMap,
     Cyclic,
     DimensionMismatch,
+    DrOperator,
     Explicit,
     FEASIBLE,
     FeasibilityProblem,
@@ -15,13 +19,16 @@ from drfeas import (
     InvalidControl,
     MAX_ITERS,
     NON_FINITE,
+    Operator,
     Point,
     Projection,
     RandomBlock,
     StopRule,
     build_S,
     build_composite_Q,
+    cover_index,
     dr_operator,
+    format_trace,
     norm,
     run_composite,
     run_unrestricted_dr,
@@ -334,3 +341,209 @@ def test_sampling_scale_tracks_set_magnitudes():
     big = FeasibilityProblem([Ball([100.0, 0.0], 1.0)])
     assert small.sampling_scale() == 4.0  # floor at 4 * 1.0
     assert big.sampling_scale() == pytest.approx(404.0)
+
+
+# Three disjoint unit balls: a run with both tolerances 0 never stops early
+def disjoint_problem():
+    return FeasibilityProblem(
+        [Ball([0.0, 0.0], 1.0), Ball([6.0, 0.0], 1.0), Ball([0.0, 6.0], 1.0)]
+    )
+
+
+def never_stop(max_iters):
+    return StopRule(max_iters, displacement_tol=0.0, feasibility_tol=0.0)
+
+
+def test_run_windows_are_the_build_S_windows(monkeypatch):
+    # A run fetches its windows in runs of up to K steps; whatever the order
+    # of the calls, S(n) must be the operator build_S gives for step n
+    problem, f, r, K = disjoint_problem(), RandomBlock(3, 4, 7), 3, solver._WINDOW_CHUNK
+    expected = [build_S(problem, f, r, n).sets for n in range(3 * K + 1)]
+    applied = []
+    apply = DrOperator._apply
+
+    def recording(self, x):
+        applied.append(self.sets)
+        return apply(self, x)
+
+    monkeypatch.setattr(DrOperator, "_apply", recording)
+    trace = run_unrestricted_dr(problem, f, r, Point([3.0, 3.0]), never_stop(3 * K + 1))
+    assert trace.iterations == 3 * K + 1
+    assert applied == expected
+    S = solver._window_operators(problem, f, r)
+    order = [2 * K + 5, 0, K, K - 1, 3 * K, 1, 2 * K + 5, K + 1, *range(3 * K, -1, -1)]
+    assert [S(n).sets for n in order] == [expected[n] for n in order]
+
+
+class OutOfRangeAt(ControlMap):
+    """Cyclic over 1..3, except the index 4 at one argument."""
+
+    m = quasi_period = 3
+
+    def __init__(self, at):
+        self.at = at
+
+    def index_at(self, n):
+        return 4 if n == self.at else n % 3 + 1
+
+
+def test_out_of_range_index_raises_at_the_step_that_uses_it():
+    # With r = 2 the window of step n is (f(n), f(n + 1)) and x_n comes from
+    # S_{n-1}, so f(K + 10) is first used by iteration K + 10; it is fetched
+    # earlier, with the run of windows of steps K - 1..2K - 2
+    K = solver._WINDOW_CHUNK
+    f, problem, x0 = OutOfRangeAt(K + 10), disjoint_problem(), Point([3.0, 3.0])
+    trace = run_unrestricted_dr(problem, f, 2, x0, never_stop(K + 9))
+    assert (trace.terminal_status, trace.iterations) == (MAX_ITERS, K + 9)
+    with pytest.raises(InvalidControl, match="set index 4"):
+        run_unrestricted_dr(problem, f, 2, x0, never_stop(K + 10))
+
+
+def test_run_stores_read_only_arrays_and_builds_no_point_per_step(monkeypatch):
+    problem, x0 = disjoint_problem(), Point([3.0, 3.0])
+    built = []
+    init = Point.__init__
+
+    def counting(self, coords):
+        built.append(coords)
+        init(self, coords)
+
+    monkeypatch.setattr(Point, "__init__", counting)
+    counts = []
+    for max_iters in (10, 300):
+        built.clear()
+        trace = run_unrestricted_dr(problem, Cyclic(3), 2, x0, never_stop(max_iters))
+        counts.append(len(built))
+        assert trace.iterations == max_iters
+        assert not any(x.flags.writeable for x in trace.iterates)
+    assert counts[0] == counts[1]
+
+
+def reference_rows(next_op, x0, n_steps, problem=None, certifier=None):
+    """(n, iterate, displacement, max_set_distance, operator id, certifier
+    residual) of steps 0..n_steps, computed on the public Point API."""
+
+    def row(n, x, disp, op_id):
+        dist = problem.max_distance(x) if problem is not None else 0.0
+        residual = norm(certifier.apply(x) - x) if certifier is not None else None
+        return (n, x, disp, dist, op_id, residual)
+
+    x, rows = x0, [row(0, x0, 0.0, "init")]
+    for n in range(1, n_steps + 1):
+        op, op_id = next_op(n)
+        x_next = op.apply(x)
+        rows.append(row(n, x_next, norm(x_next - x), op_id))
+        x = x_next
+    return rows
+
+
+def step_rows(trace):
+    return [
+        (s.n, s.iterate, s.displacement, s.max_set_distance, s.applied_operator_id,
+         s.certifier_residual)
+        for s in trace.steps
+    ]
+
+
+def test_trace_views_match_the_reference_loop():
+    problem, f, r, x0 = disjoint_problem(), RandomBlock(3, 4, 2), 3, Point([3.0, -2.0])
+    certifier = dr_operator(problem.sets)
+    trace = run_unrestricted_dr(problem, f, r, x0, never_stop(50), certifier=certifier)
+    expected = reference_rows(
+        lambda n: (build_S(problem, f, r, n - 1), f"S{n - 1}"), x0, 50, problem, certifier
+    )
+    assert step_rows(trace) == expected
+    assert trace.final == trace.steps[-1]
+    assert trace.iterations == 50
+
+
+class Blowup(Operator):
+    """x -> 1e100 x: the fourth step from a unit start overflows."""
+
+    def _apply(self, x):
+        return 1e100 * x
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_trace_ends_at_the_last_finite_step():
+    T, x0 = Blowup(2), Point([1.0, -1.0])
+    trace = run_unrestricted_product([T], Cyclic(1), x0, STOP)
+    assert trace.terminal_status == NON_FINITE
+    assert trace.iterations == 3
+    assert step_rows(trace) == reference_rows(lambda n: (T, "T1"), x0, 3)
+    assert trace.final == trace.steps[-1]
+    assert trace.final.iterate == Point([1e300, -1e300])
+
+
+def test_window_runs_double_up_to_the_chunk(monkeypatch):
+    # Runs of 1, 2, 4, ... steps up to K: a run over N steps fetches fewer
+    # than 2N windows, build_S one and build_composite_Q fewer than 2(jf + 1)
+    fetched = []
+    window = solver.window
+
+    def recording(f, r, n, steps=1):
+        fetched.append(steps)
+        return window(f, r, n, steps)
+
+    monkeypatch.setattr(solver, "window", recording)
+    problem, f, K = disjoint_problem(), RandomBlock(3, 4, 7), solver._WINDOW_CHUNK
+    for n_steps in (1, 3, 10, K, 3 * K):
+        fetched.clear()
+        run_unrestricted_dr(problem, f, 3, Point([3.0, 3.0]), never_stop(n_steps))
+        assert fetched == [min(2**i, K) for i in range(len(fetched))]
+        assert n_steps <= sum(fetched) < 2 * n_steps
+    fetched.clear()
+    build_S(problem, f, 3, 40)
+    assert fetched == [1]
+    fetched.clear()
+    build_composite_Q(problem, f, 3)
+    assert cover_index(f) + 1 <= sum(fetched) < 2 * (cover_index(f) + 1)
+
+
+def test_traces_compare_by_value():
+    problem, f = disjoint_problem(), RandomBlock(3, 4, 2)
+
+    def run(x0):
+        return run_unrestricted_dr(problem, f, 3, Point(x0), never_stop(20))
+
+    assert run([3.0, -2.0]) == run([3.0, -2.0])
+    assert run([3.0, -2.0]) != run([3.0, -1.0])
+
+
+class HalveInto(Operator):
+    """x -> x / 2, written into one buffer that every call returns."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.buf = np.empty(dim)
+
+    def _apply(self, x):
+        return np.multiply(x, 0.5, out=self.buf)
+
+
+class Constant(Operator):
+    """x -> the vector of all `value`, in value's own dtype."""
+
+    def __init__(self, dim, value):
+        super().__init__(dim)
+        self.value = value
+
+    def _apply(self, x):
+        return np.full(x.shape, self.value)
+
+
+def test_product_keeps_a_float_copy_of_each_operator_output():
+    # An operator may reuse or keep the array it returns: the product trace
+    # neither aliases nor freezes it, and stores integer outputs as floats
+    T, x0 = HalveInto(2), Point([1.0, -2.0])
+    trace = run_unrestricted_product([T], Cyclic(1), x0, never_stop(5))
+    assert [s.iterate for s in trace.steps] == [
+        Point([2.0**-n, -(2.0 ** (1 - n))]) for n in range(6)
+    ]
+    assert T.buf.flags.writeable
+    ints, floats = (
+        run_unrestricted_product([Constant(2, v)], Cyclic(1), x0, never_stop(2))
+        for v in (2, 2.0)
+    )
+    assert all(x.dtype == np.float64 for x in ints.iterates)
+    assert format_trace(ints, 2) == format_trace(floats, 2)
