@@ -8,10 +8,10 @@ validate declared interior points).
 Projections take one point of shape (d,) or a batch of shape (..., d); a
 batch row gets the arithmetic of a single point, so it has the same bits.
 
-Halfspaces with hyperplanes, balls and boxes also measure the distances
-from x to a whole family of their sets at once, from data stacked into
-matrices (``STACKED_DISTANCES``); an entry that is not finite is left for
-the set's own ``_distance``.
+Every kind also measures the distances from x to a whole family of its
+sets at once, from data stacked into matrices (``STACKED_DISTANCES``;
+halfspaces and hyperplanes share one family); an entry that is not finite
+is left for the set's own ``_distance``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ from .space import Point, _checked_coords, _norm, _row_dots, _row_norms
 # Largest admissible least-squares residual for an affine system A x = b,
 # relative to max(1, ||b||).
 AFFINE_CONSISTENCY_TOL = 1e-9
+
+# Most entries of A for which an affine set's data is copied into the stacks
+# of its family (see AffineSubspace._family_distances).
+_STACK_LIMIT = 1 << 16
 
 
 #: x -> the distances from x to each set of a family, in the family's order.
@@ -303,11 +307,13 @@ class AffineSubspace(ConvexSet):
     """Solution set {x : A x = b} of a consistent linear system.
 
     The pseudoinverse of A is computed once at construction; projections then
-    cost one matrix-vector product each. Inconsistent systems are rejected
-    here so projection never sees them.
+    cost one matrix-vector product each. Distances use a row-major copy of its
+    transpose, whose product with a few residuals is one fast sweep over x's
+    length. Inconsistent systems are rejected here so projection never sees
+    them.
     """
 
-    __slots__ = ("A", "b", "_pinv")
+    __slots__ = ("A", "b", "_pinv", "_pinv_t")
 
     kind = "AffineSubspace"
 
@@ -327,6 +333,7 @@ class AffineSubspace(ConvexSet):
         self.A = A
         self.b = b
         self._pinv = np.linalg.pinv(A)
+        self._pinv_t = np.ascontiguousarray(self._pinv.T)
         residual = _norm(A @ (self._pinv @ b) - b)
         if residual > AFFINE_CONSISTENCY_TOL * max(1.0, _norm(b)):
             raise InvalidSet(
@@ -339,6 +346,11 @@ class AffineSubspace(ConvexSet):
             return x - (self._pinv @ r[..., None])[..., 0]
         return x - self._pinv @ (self.A @ x - self.b)
 
+    def _distance(self, x: np.ndarray) -> float:
+        """||pinv (A x - b)||, the length of the step _project takes, with
+        pinv (A x - b) taken as (A x - b) pinv^T."""
+        return _norm((self.A @ x - self.b) @ self._pinv_t)
+
     def interior_margin(self, x: Point) -> float:
         self._coords(x)
         if not self.A.any():
@@ -348,20 +360,56 @@ class AffineSubspace(ConvexSet):
     def scale_hint(self) -> float:
         return float(np.linalg.norm(self._pinv @ self.b))
 
+    @staticmethod
+    def _family_distances(sets: Sequence[AffineSubspace]) -> FamilyDistances:
+        """||pinv (A x - b)|| per set: for the K sets with q rows, two batched
+        products over their stacked (K, q, d) matrices and transposed
+        pseudoinverses. A batched product makes, set by set, the
+        matrix-vector product _distance makes, so an entry has its bits. Sets
+        are grouped by row count rather than padded to the largest, so one
+        many-row set does not enlarge the stacks of the others; a set with
+        more than _STACK_LIMIT entries in A is not copied into a stack but
+        measured by its own _distance, as the calls a stack saves are small
+        next to its products."""
+        groups: dict[int, list[int]] = {}
+        own = []
+        for k, c in enumerate(sets):
+            if c.A.size > _STACK_LIMIT:
+                own.append(k)
+            else:
+                groups.setdefault(c.A.shape[0], []).append(k)
+        stacks = [
+            (np.array(ks), np.array([sets[k].A for k in ks]),
+             np.array([sets[k].b for k in ks]), np.array([sets[k]._pinv_t for k in ks]))
+            for ks in groups.values()
+        ]
+
+        def distances(x: np.ndarray) -> np.ndarray:
+            out = np.empty(len(sets))
+            for ks, A, b, pinv_t in stacks:
+                r = A @ x - b
+                out[ks] = _row_norms((r[:, None, :] @ pinv_t)[:, 0])
+            for k in own:
+                out[k] = sets[k]._distance(x)
+            return out
+
+        return distances
+
 
 SET_KINDS: dict[str, type[ConvexSet]] = {
     cls.kind: cls for cls in (Halfspace, Hyperplane, Ball, Box, AffineSubspace)
 }
 
 # Exact set type -> builder of the distances to a family of such sets; the
-# sets of one builder stack together. Keyed by exact type because a subclass
-# may redefine _distance. Other sets, AffineSubspace among them, are measured
-# one at a time.
+# sets of one builder stack together. Every kind of SET_KINDS has one. Keyed
+# by exact type because a subclass may redefine _distance; the sets of a
+# subclass are measured one at a time.
 STACKED_DISTANCES: dict[type[ConvexSet], Callable[[Sequence], FamilyDistances]] = {
     Halfspace: _LinearSet._family_distances,
     Hyperplane: _LinearSet._family_distances,
     Ball: Ball._family_distances,
     Box: Box._family_distances,
+    AffineSubspace: AffineSubspace._family_distances,
 }
 
 

@@ -357,15 +357,16 @@ def format_trace(trace: IterationTrace, dim: int) -> str:
     header += [f"coord_{i + 1}" for i in range(dim)]
     if with_certifier:
         header.append("certifier_residual")
-    lines = [",".join(header)]
+    # Lines end in their own newline: one join builds the table, with no second copy.
+    lines = [",".join(header) + "\n"]
     rows = zip(trace.iterates, trace.operator_ids, trace.displacements,
                trace.max_set_distances, trace.certifier_residuals)
     for n, (x, op_id, disp, dist, residual) in enumerate(rows):
         row = [str(n), op_id, repr(disp), repr(dist), *map(repr, x.tolist())]
         if with_certifier:
             row.append(repr(residual))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
 
 
 def write_trace(trace: IterationTrace, dim: int, path) -> None:

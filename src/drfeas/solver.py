@@ -21,11 +21,13 @@ same status, at the iterate that has it.
 
 The stop-rule residual is the largest entry of one distance vector that
 ``FeasibilityProblem`` evaluates per step: halfspaces with hyperplanes, balls,
-and boxes each as one stacked family (see ``convex.STACKED_DISTANCES``),
-every other set by its own ``_distance``, and any family entry that is not
-finite again by its set's ``_distance``; when one family holds every set, its
-vector is the distance vector. Projections, operators and displacements
-never use the stacked data.
+boxes and affine subspaces each as one stacked family (see
+``convex.STACKED_DISTANCES``; an affine set too large to copy into a stack is
+measured inside its family by its own ``_distance``), only sets of other
+``ConvexSet`` subclasses by their own ``_distance``, and any family entry
+that is not finite again by its set's ``_distance``; when one family holds
+every set, its vector is the distance vector. Projections, operators and displacements never use the
+stacked data.
 
 Per step the loop builds no ``Point``: ``IterationTrace`` keeps columns of
 raw values (the iterate arrays, made read-only) and builds ``TraceStep``
@@ -33,7 +35,7 @@ views on demand. The DR schemes keep the array their operator returned; the
 controlled product keeps a float copy, since its operators may be any
 subclass. The DR schemes read their windows from the control a run of steps
 at a time (``window`` with ``steps > 1``, over ``ControlMap.indices``), runs
-doubling from one step up to a fixed chunk; an out-of-range set index still
+doubling from one step up to a fixed chunk; a set index outside 1..m still
 raises at the step whose window first holds it.
 """
 
@@ -229,7 +231,7 @@ def _window_operators(
     Windows are fetched a run of steps at a time, from the first step asked
     for outside the last run; runs double from 1 step up to _WINDOW_CHUNK,
     so a caller in step order never fetches more windows than it uses. A set
-    index out of range raises at the first step whose window holds it."""
+    index outside 1..m raises at the first step whose window holds it."""
     cache: dict[tuple[int, ...], DrOperator] = {}
     base, steps, run = 0, 0, []  # the windows of steps base, ..., base + steps - 1
 
@@ -243,10 +245,11 @@ def _window_operators(
         key = tuple(run[i : i + r])
         op = cache.get(key)
         if op is None:
-            if max(key) > problem.m:
+            bad = [i for i in key if not 1 <= i <= problem.m]
+            if bad:
                 raise InvalidControl(
-                    f"control produced set index {max(key)} but the problem has "
-                    f"{problem.m} sets"
+                    f"control produced set index {bad[0]} but the problem has "
+                    f"sets 1..{problem.m}"
                 )
             op = cache[key] = dr_operator([problem.sets[i - 1] for i in key])
         return op
@@ -401,6 +404,11 @@ def run_unrestricted_product(
 
     def next_op(n: int) -> tuple[Operator, str]:
         j = h.index_at(n - 1)
+        if not 1 <= j <= len(operators):
+            raise InvalidControl(
+                f"control produced operator index {j} but there are operators "
+                f"1..{len(operators)}"
+            )
         return operators[j - 1], f"T{j}"
 
     # The family may hold any Operator subclass, so its outputs are copied.

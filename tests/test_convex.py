@@ -8,6 +8,7 @@ from drfeas import (
     Ball,
     Box,
     DimensionMismatch,
+    FeasibilityProblem,
     Halfspace,
     Hyperplane,
     InvalidSet,
@@ -15,6 +16,7 @@ from drfeas import (
     norm,
     set_from_params,
 )
+from drfeas.convex import _STACK_LIMIT, SET_KINDS, STACKED_DISTANCES
 
 # One instance per kind in R^3, used by the sampled property tests.
 def catalog():
@@ -288,6 +290,28 @@ def test_params_roundtrip(c):
     assert type(clone) is type(c)
     for key in fields:
         assert np.array_equal(getattr(clone, key), getattr(c, key)), key
+
+
+def test_every_set_kind_has_a_stacked_family():
+    # only sets of user subclasses are left to their own _distance per step
+    assert set(SET_KINDS.values()) <= set(STACKED_DISTANCES)
+
+
+def test_affine_family_leaves_a_large_set_to_its_own_distance(monkeypatch):
+    # A 70 x 1000 system passes _STACK_LIMIT, so its family measures it by its
+    # own _distance instead of copying it; the 2-row sets beside it are stacked
+    rng = np.random.default_rng(3)
+    d = 1000
+    sets = [AffineSubspace(A, A @ rng.standard_normal(d))
+            for A in (rng.standard_normal((q, d)) for q in (2, 70, 2))]
+    assert sets[1].A.size > _STACK_LIMIT
+    x = rng.standard_normal(d)
+    want = [c._distance(x) for c in sets]
+    measured, own = [], AffineSubspace._distance
+    monkeypatch.setattr(AffineSubspace, "_distance",
+                        lambda c, x: measured.append(c) or own(c, x))
+    assert FeasibilityProblem(sets).distances(Point(x)) == want
+    assert measured == [sets[1]]
 
 
 def test_set_from_params_unknown_kind():

@@ -109,6 +109,40 @@ def test_stacked_distances_match_each_set(exponent, normal_exponent, seed, far_e
     assert math.inf in each
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, max_examples=25)
+@given(exponent=exponents, seed=seeds, far_exponent=far_exponents)
+def test_stacked_affine_distances_match_each_set(exponent, seed, far_exponent):
+    # Affine sets with Gaussian rows, of every row count 1..DIM, twice each
+    # and interleaved, so the family has one group per row count; the zero
+    # system, which is the whole space; a set 1e155..1e300 from x, whose
+    # stacked row norm overflows; and a set with normals near the largest
+    # float, whose residual A x - b overflows once ||x|| passes ~10. Both take
+    # the per-set fallback.
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    x = scale * rng.uniform(-4.0, 4.0, DIM)
+    sets = []
+    for q in rng.permutation(list(range(1, DIM + 1)) * 2):
+        A = rng.standard_normal((q, DIM))
+        sets.append(AffineSubspace(A, A @ (scale * rng.uniform(-1.0, 1.0, DIM))))
+    a = rng.standard_normal((1, DIM))
+    far = AffineSubspace(a, a @ x + 10.0**far_exponent * np.linalg.norm(a))
+    huge = AffineSubspace([1e307 * np.sign(x)], [0.0])
+    for c in (AffineSubspace(np.zeros((2, DIM)), np.zeros(2)), far, huge):
+        sets.insert(int(rng.integers(len(sets) + 1)), c)
+    stacked = FeasibilityProblem(sets).distances(Point(x))
+    each = [c._distance(x) for c in sets]
+    tol = 8 * np.finfo(float).eps * max(1.0, np.linalg.norm(x))
+    for c, got, want in zip(sets, stacked, each):
+        if c is far or not math.isfinite(want):
+            assert got == want
+        else:
+            assert abs(got - want) <= tol
+    assert math.isfinite(each[sets.index(far)])
+    assert 0.0 in each
+
+
 def operators_over(sets, rng):
     """One operator of each class the package defines, built from the sets."""
     return [

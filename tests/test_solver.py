@@ -5,6 +5,7 @@ import pytest
 
 from drfeas import solver
 from drfeas import (
+    AffineSubspace,
     Ball,
     CONVERGED_DISPLACEMENT,
     ControlMap,
@@ -281,6 +282,35 @@ def test_ball_offset_past_squared_overflow_keeps_its_distance():
     assert all(step.max_set_distance == 1e200 for step in trace.steps)
 
 
+def test_ill_conditioned_affine_distance_is_never_read_as_feasible():
+    # A has singular values 1 and 1e-8 and b = 0; each x lies 1e-6 from the
+    # null space, mostly along the weak singular direction. Through the normal
+    # equations, sqrt(r^T (A A^T)^-1 r), the condition number squares to 1e16
+    # and this distance loses every digit; through pinv it keeps about eight.
+    rng = np.random.default_rng(5)
+    d = 50
+    U = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    V = np.linalg.qr(rng.standard_normal((d, 2)))[0]
+    A = U @ np.diag([1.0, 1e-8]) @ V.T
+    assert 0.99e8 < np.linalg.cond(A) < 1.01e8
+    stop = StopRule()
+    for theta in (0.0, 0.3, 1.2):
+        x = 1e-6 * (math.cos(theta) * V[:, 1] + math.sin(theta) * V[:, 0])
+        plane = rng.standard_normal(d)
+        plane -= (plane @ x) / (x @ x) * x  # through 0 and x
+        problem = FeasibilityProblem([
+            Halfspace(np.ones(d), 1.0), AffineSubspace(A, np.zeros(2)),
+            AffineSubspace([plane], [0.0]),
+        ])
+        residual = problem.max_distance(Point(x))
+        assert abs(residual - 1e-6) <= 1e-12
+        assert residual > stop.feasibility_tol
+        # a start read as feasible would stop the run at step 0
+        trace = run_unrestricted_dr(problem, Cyclic(3), 2, Point(x), StopRule(max_iters=1))
+        assert trace.iterations == 1
+        assert trace.steps[0].max_set_distance == residual
+
+
 class NanRightOfTwo(Halfspace):
     """{x1 <= b}, with a distance that reads NaN where x1 > 2."""
 
@@ -376,15 +406,16 @@ def test_run_windows_are_the_build_S_windows(monkeypatch):
 
 
 class OutOfRangeAt(ControlMap):
-    """Cyclic over 1..3, except the index 4 at one argument."""
+    """Cyclic over 1..3, except an index outside 1..3 (4 by default) at one
+    argument."""
 
     m = quasi_period = 3
 
-    def __init__(self, at):
-        self.at = at
+    def __init__(self, at, index=4):
+        self.at, self.index = at, index
 
     def index_at(self, n):
-        return 4 if n == self.at else n % 3 + 1
+        return self.index if n == self.at else n % 3 + 1
 
 
 def test_out_of_range_index_raises_at_the_step_that_uses_it():
@@ -397,6 +428,23 @@ def test_out_of_range_index_raises_at_the_step_that_uses_it():
     assert (trace.terminal_status, trace.iterations) == (MAX_ITERS, K + 9)
     with pytest.raises(InvalidControl, match="set index 4"):
         run_unrestricted_dr(problem, f, 2, x0, never_stop(K + 10))
+
+
+def test_index_zero_raises_instead_of_picking_the_last_set():
+    # Index 0 would select problem.sets[-1]; f(1) = 0 sits in the window of
+    # step 0, (f(0), f(1)), and is used by iteration 1
+    f, problem = OutOfRangeAt(1, index=0), disjoint_problem()
+    with pytest.raises(InvalidControl, match="set index 0"):
+        build_S(problem, f, 2, 0)
+    with pytest.raises(InvalidControl, match="set index 0"):
+        run_unrestricted_dr(problem, f, 2, Point([3.0, 3.0]), never_stop(5))
+    # the controlled product checks its operator indices the same way; past
+    # the last operator it raises InvalidControl too, not IndexError
+    ops = [Projection(c) for c in problem.sets]
+    with pytest.raises(InvalidControl, match="operator index 0"):
+        run_unrestricted_product(ops, f, Point([3.0, 3.0]), never_stop(5))
+    with pytest.raises(InvalidControl, match="operator index 4"):
+        run_unrestricted_product(ops, OutOfRangeAt(1), Point([3.0, 3.0]), never_stop(5))
 
 
 def test_run_stores_read_only_arrays_and_builds_no_point_per_step(monkeypatch):
