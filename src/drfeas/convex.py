@@ -1,9 +1,10 @@
 """Closed convex sets with exact closed-form metric projections.
 
-Five kinds are supported: Halfspace, Hyperplane, Ball, Box and
-AffineSubspace. Each knows how to project a point onto itself, measure
-distance, and report how deep a point sits in its interior (used to
-validate declared interior points).
+Five kinds are supported: Halfspace, Hyperplane, Ball, Box and AffineSubspace.
+Each knows how to project a point onto itself, measure distance, and report
+how deep a point sits in its interior (used to validate declared interior
+points). Halfspaces, hyperplanes and affine subspaces hold their data scaled
+by a power of two, so its products with ordinary points cannot overflow.
 
 Projections take one point of shape (d,) or a batch of shape (..., d); a
 batch row gets the arithmetic of a single point, so it has the same bits.
@@ -303,17 +304,25 @@ class Box(ConvexSet):
         return distances
 
 
+def _affine_steps(x: np.ndarray, A: np.ndarray, b: np.ndarray, pinv_t: np.ndarray) -> np.ndarray:
+    """(A x - b) pinv^T, the step from x to its projection onto {x : A x = b},
+    for points of shape (..., d), or for one point and a (K, q, d) stack of
+    systems; each point and system gets the products of a single one."""
+    r = (A @ x[..., None])[..., 0] - b
+    return (r[..., None, :] @ pinv_t)[..., 0, :]
+
+
 class AffineSubspace(ConvexSet):
     """Solution set {x : A x = b} of a consistent linear system.
 
-    The pseudoinverse of A is computed once at construction; projections then
-    cost one matrix-vector product each. Distances use a row-major copy of its
-    transpose, whose product with a few residuals is one fast sweep over x's
-    length. Inconsistent systems are rejected here so projection never sees
-    them.
+    A and b are held scaled by the power of two that puts the largest |A_ij|
+    in [0.5, 1), as in _LinearSet, so A x cannot overflow for an ordinary
+    point (the public A and b are the given data). All arithmetic is the step
+    of _affine_steps, with the scaled A's transposed pseudoinverse computed
+    once. Systems inconsistent or with no finite point are rejected here.
     """
 
-    __slots__ = ("A", "b", "_pinv", "_pinv_t")
+    __slots__ = ("A", "b", "_sA", "_sb", "_pinv_t")
 
     kind = "AffineSubspace"
 
@@ -332,24 +341,26 @@ class AffineSubspace(ConvexSet):
         A.setflags(write=False)
         self.A = A
         self.b = b
-        self._pinv = np.linalg.pinv(A)
-        self._pinv_t = np.ascontiguousarray(self._pinv.T)
-        residual = _norm(A @ (self._pinv @ b) - b)
-        if residual > AFFINE_CONSISTENCY_TOL * max(1.0, _norm(b)):
-            raise InvalidSet(
-                f"inconsistent affine system: least-squares residual {residual:.3e}"
-            )
+        exponent = int(np.frexp(np.max(np.abs(A)))[1])
+        self._sA = np.ldexp(A, -exponent)
+        self._pinv_t = np.ascontiguousarray(np.linalg.pinv(self._sA).T)
+        # The least-squares residual of the minimum-norm solution, taken back
+        # to the units of b before its norm (scaled, it underflows for a huge
+        # A). It reads inf or NaN, which fails the test, when b over a tiny A
+        # overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._sb = np.ldexp(b, -exponent)
+            x = self._project(np.zeros(self._dim))
+            residual = _norm(np.ldexp(self._sA @ x - self._sb, exponent))
+            tol = AFFINE_CONSISTENCY_TOL * max(1.0, _norm(b))
+        if not residual <= tol:
+            raise InvalidSet(f"inconsistent affine system: least-squares residual {residual:.3e}")
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim > 1:  # a matrix-vector product per row, as for one point
-            r = (self.A @ x[..., None])[..., 0] - self.b
-            return x - (self._pinv @ r[..., None])[..., 0]
-        return x - self._pinv @ (self.A @ x - self.b)
+        return x - _affine_steps(x, self._sA, self._sb, self._pinv_t)
 
     def _distance(self, x: np.ndarray) -> float:
-        """||pinv (A x - b)||, the length of the step _project takes, with
-        pinv (A x - b) taken as (A x - b) pinv^T."""
-        return _norm((self.A @ x - self.b) @ self._pinv_t)
+        return _norm(_affine_steps(x, self._sA, self._sb, self._pinv_t))
 
     def interior_margin(self, x: Point) -> float:
         self._coords(x)
@@ -357,20 +368,17 @@ class AffineSubspace(ConvexSet):
             return math.inf  # zero system: the set is the whole space
         return -math.inf
 
-    def scale_hint(self) -> float:
-        return float(np.linalg.norm(self._pinv @ self.b))
+    def scale_hint(self) -> float:  # the norm of the minimum-norm solution
+        return self._distance(np.zeros(self._dim))
 
     @staticmethod
     def _family_distances(sets: Sequence[AffineSubspace]) -> FamilyDistances:
-        """||pinv (A x - b)|| per set: for the K sets with q rows, two batched
-        products over their stacked (K, q, d) matrices and transposed
-        pseudoinverses. A batched product makes, set by set, the
-        matrix-vector product _distance makes, so an entry has its bits. Sets
-        are grouped by row count rather than padded to the largest, so one
-        many-row set does not enlarge the stacks of the others; a set with
-        more than _STACK_LIMIT entries in A is not copied into a stack but
-        measured by its own _distance, as the calls a stack saves are small
-        next to its products."""
+        """The length of the step per set, from one _affine_steps over the
+        stacked (K, q, d) scaled data of the K sets with q rows, so an entry
+        has the bits of _distance. Grouping by row count, not padding, keeps a
+        many-row set from enlarging the others' stacks; a set with more than
+        _STACK_LIMIT entries in A is measured by its own _distance, not copied,
+        as the calls a stack saves are small next to its products."""
         groups: dict[int, list[int]] = {}
         own = []
         for k, c in enumerate(sets):
@@ -379,16 +387,15 @@ class AffineSubspace(ConvexSet):
             else:
                 groups.setdefault(c.A.shape[0], []).append(k)
         stacks = [
-            (np.array(ks), np.array([sets[k].A for k in ks]),
-             np.array([sets[k].b for k in ks]), np.array([sets[k]._pinv_t for k in ks]))
+            (np.array(ks), np.array([sets[k]._sA for k in ks]),
+             np.array([sets[k]._sb for k in ks]), np.array([sets[k]._pinv_t for k in ks]))
             for ks in groups.values()
         ]
 
         def distances(x: np.ndarray) -> np.ndarray:
             out = np.empty(len(sets))
             for ks, A, b, pinv_t in stacks:
-                r = A @ x - b
-                out[ks] = _row_norms((r[:, None, :] @ pinv_t)[:, 0])
+                out[ks] = _row_norms(_affine_steps(x, A, b, pinv_t))
             for k in own:
                 out[k] = sets[k]._distance(x)
             return out

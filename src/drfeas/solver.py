@@ -20,14 +20,12 @@ stop-rule residual (a set distance that is not a number) ends it with the
 same status, at the iterate that has it.
 
 The stop-rule residual is the largest entry of one distance vector that
-``FeasibilityProblem`` evaluates per step: halfspaces with hyperplanes, balls,
-boxes and affine subspaces each as one stacked family (see
-``convex.STACKED_DISTANCES``; an affine set too large to copy into a stack is
-measured inside its family by its own ``_distance``), only sets of other
-``ConvexSet`` subclasses by their own ``_distance``, and any family entry
-that is not finite again by its set's ``_distance``; when one family holds
-every set, its vector is the distance vector. Projections, operators and displacements never use the
-stacked data.
+``FeasibilityProblem`` evaluates per step, from the families of
+``convex.STACKED_DISTANCES`` and one of the sets of other ``ConvexSet``
+subclasses, each measured by its own ``_distance``: the family vectors,
+concatenated, with an entry that is not finite taken again from its set's
+``_distance``; only ``distances`` puts them in set order, by one gather.
+Projections, operators and displacements never use the stacked data.
 
 Per step the loop builds no ``Point``: ``IterationTrace`` keeps columns of
 raw values (the iterate arrays, made read-only) and builds ``TraceStep``
@@ -48,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .control import ControlMap, InvalidControl, cover_index, window
-from .convex import STACKED_DISTANCES, ConvexSet
+from .convex import STACKED_DISTANCES, ConvexSet, FamilyDistances
 from .operators import Composition, DrOperator, Operator, dr_operator
 from .space import DimensionMismatch, Point, _checked_coords, _norm
 
@@ -136,10 +134,11 @@ class FeasibilityProblem:
 
     At construction the sets are grouped by the stacked family their kind
     belongs to, so that the distances from x to all m sets, and the worst of
-    them, come from a few numpy calls per family instead of m projections.
+    them, come from a few numpy calls per family instead of m projections;
+    sets of user subclasses form one more family, measured set by set.
     """
 
-    __slots__ = ("sets", "interior_point", "_families", "_singles", "_whole")
+    __slots__ = ("sets", "interior_point", "_families", "_grouped", "_order")
 
     def __init__(self, sets: Sequence[ConvexSet], interior_point: Point | None = None):
         sets = tuple(sets)
@@ -165,16 +164,18 @@ class FeasibilityProblem:
                     )
         self.sets = sets
         self.interior_point = interior_point
-        members: dict[Callable | None, list[int]] = {}
+        members: dict[Callable, list[int]] = {}
         for i, c in enumerate(sets):
-            members.setdefault(STACKED_DISTANCES.get(type(c)), []).append(i)
-        self._singles = tuple(members.pop(None, []))
+            members.setdefault(STACKED_DISTANCES.get(type(c), _each_distance), []).append(i)
         self._families = tuple(
-            (np.array(idx), stack([sets[i] for i in idx])) for stack, idx in members.items()
+            family([sets[i] for i in idx]) for family, idx in members.items()
         )
-        # One family holding every set, in set order, yields the whole vector.
-        whole = len(self._families) == 1 and not self._singles
-        self._whole = self._families[0][1] if whole else None
+        # The family vectors, concatenated, list the sets in this order. The
+        # worst distance needs no other; distances() puts them in set order
+        # by one gather with its inverse, unless they are so already.
+        order = [i for idx in members.values() for i in idx]
+        self._grouped = tuple(sets[i] for i in order)
+        self._order = None if order == sorted(order) else np.argsort(order)
 
     @property
     def m(self) -> int:
@@ -186,25 +187,22 @@ class FeasibilityProblem:
 
     def distances(self, x: Point) -> list[float]:
         """Distance from x to each set, in set order."""
-        return self._distances(_checked_coords(x, self.dim, "problem")).tolist()
+        out = self._distances(_checked_coords(x, self.dim, "problem"))
+        return (out if self._order is None else out[self._order]).tolist()
 
     def max_distance(self, x: Point) -> float:
         return self._max_distance(_checked_coords(x, self.dim, "problem"))
 
     def _distances(self, x: np.ndarray) -> np.ndarray:
-        """Distance from a raw coordinate array to each set, in set order."""
-        if self._whole is not None:
-            out = self._whole(x)
+        """Distance from a raw coordinate array to each set of self._grouped."""
+        if len(self._families) == 1:
+            out = self._families[0](x)
         else:
-            out = np.zeros(len(self.sets))
-            for idx, family in self._families:
-                out[idx] = family(x)
+            out = np.concatenate([family(x) for family in self._families])
         if not np.isfinite(out).all():
             # Overflow and NaN stay the business of each set's own _distance.
-            for i in np.flatnonzero(~np.isfinite(out)).tolist():
-                out[i] = self.sets[i]._distance(x)
-        for i in self._singles:
-            out[i] = self.sets[i]._distance(x)
+            for j in np.flatnonzero(~np.isfinite(out)).tolist():
+                out[j] = self._grouped[j]._distance(x)
         return out
 
     def _max_distance(self, x: np.ndarray) -> float:
@@ -215,6 +213,11 @@ class FeasibilityProblem:
     def sampling_scale(self) -> float:
         """Default hypercube half-width for sampled diagnostics."""
         return 4.0 * max(1.0, max(c.scale_hint() for c in self.sets))
+
+
+def _each_distance(sets: Sequence[ConvexSet]) -> FamilyDistances:
+    """The family of the sets with no stacked kind, each by its own _distance."""
+    return lambda x: np.array([c._distance(x) for c in sets], dtype=float)
 
 
 # Most steps whose windows a run fetches from its control in one window() call.

@@ -262,6 +262,53 @@ def test_consistent_affine_system_far_from_origin_accepted():
         assert c.distance(Point(p)) <= 1e-9 * scale
 
 
+def test_unreachable_affine_systems_rejected():
+    # Each solution lies past the largest float. Scaled by the power of two
+    # of its tiny A, b overflows, and the residual of the scaled system reads
+    # inf or NaN, which must fail the consistency check.
+    for A, b in (([[1e-200, 0.0]], [1e200]), ([[1e-310]], [1.0])):
+        with pytest.raises(InvalidSet, match="inconsistent"):
+            AffineSubspace(A, b)
+
+
+def test_affine_consistency_tolerance_is_in_the_units_of_b():
+    # [[1, 0], [1, 0]] x = (0, t) has the least-squares residual t / sqrt(2)
+    # whatever the size of A; the tolerance is 1e-9 * max(1, ||b||)
+    rows = np.array([[1.0, 0.0], [1.0, 0.0]])
+    for size in (1e-200, 1.0, 1e200):
+        AffineSubspace(size * rows, [0.0, 1e-9])
+        with pytest.raises(InvalidSet, match="inconsistent"):
+            AffineSubspace(size * rows, [0.0, 1e-8])
+
+
+def test_scaled_affine_data_keeps_bits():
+    # A and b are stored scaled by the power of two of max |A_ij|, so 2^k A
+    # and 2^k b, from entries near 1e-300 to near 1e307, project and measure
+    # with the bits of A and b; A x would overflow for the large ones.
+    rng = np.random.default_rng(11)
+    for q, d in ((1, 3), (2, 3), (3, 3), (2, 7)):
+        A = rng.standard_normal((q, d))
+        A /= np.max(np.abs(A))
+        b = A @ rng.uniform(-1.0, 1.0, d)
+        base = AffineSubspace(A, b)
+        X = 1e3 * rng.uniform(-1.0, 1.0, (6, d))
+        for k in (*range(-996, 1020, 37), 1019):
+            c = AffineSubspace(np.ldexp(A, k), np.ldexp(b, k))
+            assert np.array_equal(c._project(X), base._project(X)), k
+            for x in X:
+                assert np.array_equal(c._project(x), base._project(x)), k
+                assert c._distance(x) == base._distance(x), k
+
+
+def test_affine_rows_near_the_largest_float_keep_their_distance():
+    # A x is 3e308 at x = (10, 10, 10), past the largest float
+    c = AffineSubspace([[1e307] * 3], [0.0])
+    x = Point([10.0, 10.0, 10.0])
+    assert c.distance(x) == pytest.approx(math.sqrt(300.0), rel=1e-12)
+    assert np.all(np.isfinite(c.project(x).coords))
+    assert c.distance(c.project(x)) <= 1e-12
+
+
 def test_projection_dimension_mismatch():
     c = Ball([0.0, 0.0], 1.0)
     with pytest.raises(DimensionMismatch):

@@ -1,10 +1,10 @@
 """Projections onto every set kind keep their defining properties at data
 scales from 1e-150 to 1e150, with halfspace and hyperplane normals from
-1e-150 to 1e150: idempotence, zero distance of a projected point and firm
-nonexpansiveness, the last computed here with numpy. A problem's stacked
-distance vector agrees with each set's own distance at the same scales, and
-every set kind and operator class maps a (n, d) batch as it maps each of its
-rows."""
+1e-150 to 1e150 and affine rows from 1e-150 to 1e300: idempotence, zero
+distance of a projected point and firm nonexpansiveness, the last computed
+here with numpy. A problem's stacked distance vector agrees with each set's
+own distance at the same scales, and every set kind and operator class maps
+a (n, d) batch as it maps each of its rows."""
 
 import inspect
 import math
@@ -58,7 +58,9 @@ def set_through(kind: str, p: np.ndarray, scale: float, normal_scale: float, rng
     if kind == "Box":
         lo, hi = scale * rng.uniform(0.0, 1.0, (2, DIM))
         return Box(p - lo, p + hi)
-    A = rng.standard_normal((2, DIM))
+    # rows of size 1e-150..1e300, and below 1e300 / scale, so that b = A p is finite
+    rows = 10.0 ** rng.uniform(-150.0, 300.0 - max(0.0, math.log10(scale)))
+    A = rows * rng.standard_normal((2, DIM))
     return AffineSubspace(A, A @ p)
 
 
@@ -116,9 +118,9 @@ def test_stacked_affine_distances_match_each_set(exponent, seed, far_exponent):
     # Affine sets with Gaussian rows, of every row count 1..DIM, twice each
     # and interleaved, so the family has one group per row count; the zero
     # system, which is the whole space; a set 1e155..1e300 from x, whose
-    # stacked row norm overflows; and a set with normals near the largest
-    # float, whose residual A x - b overflows once ||x|| passes ~10. Both take
-    # the per-set fallback.
+    # stacked row norm overflows, so it takes the per-set fallback; and a set
+    # with normals near the largest float, whose A x would overflow once
+    # ||x|| passes ~10 but for the scaled data, so its distance is finite.
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
     x = scale * rng.uniform(-4.0, 4.0, DIM)
@@ -140,6 +142,7 @@ def test_stacked_affine_distances_match_each_set(exponent, seed, far_exponent):
         else:
             assert abs(got - want) <= tol
     assert math.isfinite(each[sets.index(far)])
+    assert math.isfinite(each[sets.index(huge)])
     assert 0.0 in each
 
 

@@ -7,6 +7,7 @@ from drfeas import solver
 from drfeas import (
     AffineSubspace,
     Ball,
+    Box,
     CONVERGED_DISPLACEMENT,
     ControlMap,
     Cyclic,
@@ -309,6 +310,49 @@ def test_ill_conditioned_affine_distance_is_never_read_as_feasible():
         trace = run_unrestricted_dr(problem, Cyclic(3), 2, Point(x), StopRule(max_iters=1))
         assert trace.iterations == 1
         assert trace.steps[0].max_set_distance == residual
+
+
+def test_affine_rows_near_the_largest_float_run_to_convergence():
+    # A x passes the largest float at x0; the set holds A scaled by a power
+    # of two, so the first step and its residual are finite
+    problem = FeasibilityProblem([AffineSubspace([[1e307] * 3], [0.0]), Ball([0.0] * 3, 1.0)])
+    x0 = Point([10.0, 10.0, 10.0])
+    assert problem.max_distance(x0) == pytest.approx(math.sqrt(300.0), rel=1e-12)
+    trace = run_unrestricted_dr(problem, Cyclic(2), 2, x0, STOP)
+    assert trace.terminal_status == CONVERGED_DISPLACEMENT
+    assert problem.max_distance(trace.final.iterate) <= 1e-8
+
+
+class DoubledBall(Ball):
+    """A Ball subclass whose _distance is twice the ball's: it must not be
+    measured in the stacked ball family."""
+
+    def _distance(self, x):
+        return 2.0 * super()._distance(x)
+
+
+def test_subclass_distances_keep_set_order_among_stacked_kinds():
+    # Sets of a user subclass first and between interleaved stacked kinds:
+    # the family vectors are concatenated and gathered back into set order
+    d = 4
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((2, d))
+    sets = [
+        DoubledBall(np.zeros(d), 1.0), Halfspace(np.ones(d), -1.0), Ball(np.ones(d), 0.5),
+        DoubledBall(-np.ones(d), 0.25), Box(np.zeros(d), np.ones(d)),
+        AffineSubspace(A, A @ np.ones(d)), Hyperplane(np.arange(1.0, d + 1), 2.0),
+        DoubledBall(np.full(d, 3.0), 1.0), Halfspace(-np.ones(d), 0.5), Ball(-np.ones(d), 2.0),
+    ]
+    problem = FeasibilityProblem(sets)
+    for x in 3.0 * rng.uniform(-1.0, 1.0, (5, d)):
+        got = problem.distances(Point(x))
+        want = [c._distance(x) for c in sets]
+        for c, g, w in zip(sets, got, want):
+            if type(c) is DoubledBall:
+                assert g == w
+            else:
+                assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
+        assert problem.max_distance(Point(x)) == max(got)
 
 
 class NanRightOfTwo(Halfspace):
