@@ -16,9 +16,7 @@ from drfeas import (
     Projection,
     RandomBlock,
     StopRule,
-    build_S,
     build_composite_Q,
-    cover_index,
     feasibility_report,
     relax,
     run_composite,
@@ -58,8 +56,7 @@ def main():
     summarize("composite Q",
               run_composite(problem, f, 2, x0, stop), problem)
 
-    jf = cover_index(f)
-    family = [build_S(problem, f, 2, n) for n in range(jf + 1)]
+    family = list(build_composite_Q(problem, f, 2).factors)  # S_0, ..., S_jf
     family += [Projection(problem.sets[0]), relax(Projection(problem.sets[1]), 1.5)]
     h = RandomBlock(len(family), 2 * len(family), args.seed)
     summarize("interlaced product",

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .control import InvalidControl, cover_index
+from .control import InvalidControl
 from .convex import InvalidSet
 from .diagnostics import CheckParameterError
 from .operators import DrOperator, Projection, Reflection, composite_reflection
@@ -24,7 +24,7 @@ from .problem_io import (
     write_trace,
 )
 from .repro import EXPERIMENTS, run_check_suite, run_experiment
-from .solver import CONVERGED_DISPLACEMENT, FEASIBLE, build_S, build_composite_Q
+from .solver import CONVERGED_DISPLACEMENT, FEASIBLE, build_composite_Q
 from .space import DimensionMismatch
 
 EXIT_OK = 0
@@ -70,13 +70,12 @@ def _check_suite(problem, config):
     if config is None:
         return suite
     if config.scheme in ("unrestricted_dr", "composite_q"):
-        f, r = config.control, config.r
-        for n in range(cover_index(f) + 1):
-            S = build_S(problem, f, r, n)
+        Q = build_composite_Q(problem, config.control, config.r)  # S_0, ..., S_jf
+        for n, S in enumerate(Q.factors):
             suite.append((f"S{n}", S, True))
             suite.append((f"V{n}", composite_reflection(S.sets), False))
         if config.scheme == "composite_q":
-            suite.append(("Q", build_composite_Q(problem, f, r), False))
+            suite.append(("Q", Q, False))
     else:
         for k, op in enumerate(config.operators):
             suite.append((f"T{k + 1}", op, isinstance(op, (Projection, DrOperator))))

@@ -111,9 +111,12 @@ def _block_pattern(m: int, M: int, seed: int, block: int) -> tuple[int, ...]:
     # Counter-based: each block's content depends only on (seed, block), so
     # lookups are order-independent and need no shared RNG state.
     rng = np.random.default_rng([seed, block])
-    vals = np.concatenate(
-        [rng.permutation(m) + 1, rng.integers(1, m + 1, size=M - m)]
-    )
+    try:
+        vals = np.concatenate(
+            [rng.permutation(m) + 1, rng.integers(1, m + 1, size=M - m)]
+        )
+    except ValueError as exc:  # numpy refuses the size before allocating it
+        raise InvalidControl(f"cannot draw a block of length M={M}: {exc}") from exc
     rng.shuffle(vals)
     return tuple(vals.tolist())
 

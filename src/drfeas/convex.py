@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .space import Point, _checked_coords, _norm, _row_dots, _row_norms
+from .space import Point, _as_coords, _checked_coords, _norm, _row_dots, _row_norms
 
 # Largest admissible least-squares residual for an affine system A x = b,
 # relative to max(1, ||b||).
@@ -43,16 +43,10 @@ class InvalidSet(ValueError):
 
 
 def _as_vector(v, name: str) -> np.ndarray:
-    if isinstance(v, Point):
-        arr = np.array(v.coords, dtype=float)
-    else:
-        arr = np.array(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidSet(f"{name} must be a nonempty vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidSet(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
+    try:
+        return _as_coords(v.coords if isinstance(v, Point) else v, name)
+    except ValueError as exc:
+        raise InvalidSet(str(exc)) from exc
 
 
 class ConvexSet(ABC):
@@ -344,15 +338,16 @@ class AffineSubspace(ConvexSet):
         exponent = int(np.frexp(np.max(np.abs(A)))[1])
         self._sA = np.ldexp(A, -exponent)
         self._pinv_t = np.ascontiguousarray(np.linalg.pinv(self._sA).T)
-        # The least-squares residual of the minimum-norm solution, taken back
-        # to the units of b before its norm (scaled, it underflows for a huge
-        # A). It reads inf or NaN, which fails the test, when b over a tiny A
-        # overflows.
+        # The minimum-norm solution x, which is not finite when b over a tiny
+        # A overflows, and its least-squares residual, taken back to the
+        # units of b before its norm (scaled, it underflows for a huge A).
         with np.errstate(over="ignore", invalid="ignore"):
             self._sb = np.ldexp(b, -exponent)
             x = self._project(np.zeros(self._dim))
             residual = _norm(np.ldexp(self._sA @ x - self._sb, exponent))
             tol = AFFINE_CONSISTENCY_TOL * max(1.0, _norm(b))
+        if not np.isfinite(x).all():
+            raise InvalidSet("minimum-norm solution not finite: the set has no finite point")
         if not residual <= tol:
             raise InvalidSet(f"inconsistent affine system: least-squares residual {residual:.3e}")
 
@@ -408,15 +403,11 @@ SET_KINDS: dict[str, type[ConvexSet]] = {
 }
 
 # Exact set type -> builder of the distances to a family of such sets; the
-# sets of one builder stack together. Every kind of SET_KINDS has one. Keyed
-# by exact type because a subclass may redefine _distance; the sets of a
-# subclass are measured one at a time.
+# sets of one builder stack together (halfspaces and hyperplanes share
+# _LinearSet's). Keyed by exact type because a subclass may redefine
+# _distance; the sets of a subclass are measured one at a time.
 STACKED_DISTANCES: dict[type[ConvexSet], Callable[[Sequence], FamilyDistances]] = {
-    Halfspace: _LinearSet._family_distances,
-    Hyperplane: _LinearSet._family_distances,
-    Ball: Ball._family_distances,
-    Box: Box._family_distances,
-    AffineSubspace: AffineSubspace._family_distances,
+    cls: cls._family_distances for cls in SET_KINDS.values()
 }
 
 
@@ -424,10 +415,10 @@ def set_from_params(params: dict) -> ConvexSet:
     """Construct a set from its parameters, keyed as in problem documents."""
     fields = dict(params)
     kind = fields.pop("kind", None)
-    cls = SET_KINDS.get(kind)
+    cls = SET_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InvalidSet(f"unknown set kind {kind!r}")
     try:
         return cls(**fields)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # a missing field, an int beyond floats
         raise InvalidSet(f"bad parameters for {kind}: {exc}") from exc

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .convex import ConvexSet
-from .space import DimensionMismatch, Point, _checked_coords
+from .space import Point, _checked_coords, _common_dim
 
 
 class Operator(ABC):
@@ -102,13 +102,7 @@ class Composition(Operator):
 
     def __init__(self, factors: Sequence[Operator]) -> None:
         factors = tuple(factors)
-        if not factors:
-            raise ValueError("composition needs at least one factor")
-        dim = factors[0].dim
-        for op in factors[1:]:
-            if op.dim != dim:
-                raise DimensionMismatch("composition factors must share a dimension")
-        super().__init__(dim)
+        super().__init__(_common_dim(factors, "composition factor"))
         self.factors = factors
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -131,13 +125,7 @@ class DrOperator(Operator):
 
     def __init__(self, sets: Sequence[ConvexSet]) -> None:
         sets = tuple(sets)
-        if not sets:
-            raise ValueError("a DR operator needs at least one set")
-        dim = sets[0].dim
-        for c in sets[1:]:
-            if c.dim != dim:
-                raise DimensionMismatch("DR operator sets must share a dimension")
-        super().__init__(dim)
+        super().__init__(_common_dim(sets, "DR operator set"))
         self.sets = sets
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
@@ -157,9 +145,6 @@ def relax(op: Operator, lam: float) -> Relaxation:
 
 def composite_reflection(sets: Sequence[ConvexSet]) -> Composition:
     """Reflections through the given sets composed in order (first set first)."""
-    sets = tuple(sets)
-    if not sets:
-        raise ValueError("composite reflection needs at least one set")
     return Composition([Reflection(c) for c in sets])
 
 

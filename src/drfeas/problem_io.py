@@ -218,12 +218,7 @@ def _parse_config(doc: dict, problem: FeasibilityProblem) -> RunConfig:
         window_control = _parse_control(doc["window_control"], "window_control")
 
     if scheme in ("unrestricted_dr", "composite_q"):
-        if not _is_int(r) or r <= 1:
-            raise ParseError(f"scheme {scheme!r} needs an integer r > 1")
-        if control.m != problem.m:
-            raise ParseError(
-                f"control range 1..{control.m} does not match the {problem.m} sets"
-            )
+        _check_windows(f"scheme {scheme!r}", r, control, "control", problem.m)
 
     operators = None
     if scheme == "product":
@@ -243,6 +238,9 @@ def _parse_config(doc: dict, problem: FeasibilityProblem) -> RunConfig:
     certifier = doc.get("certifier")
     if certifier is not None:
         certifier = _parse_operator(certifier, problem, r, window_control, "certifier")
+    trace_path = doc.get("trace_path")
+    if trace_path is not None and not isinstance(trace_path, str):
+        raise ParseError(f"trace_path must be a string, got {trace_path!r}")
 
     return RunConfig(
         scheme=scheme,
@@ -250,11 +248,20 @@ def _parse_config(doc: dict, problem: FeasibilityProblem) -> RunConfig:
         x0=_parse_x0(doc.get("x0", "origin"), problem.dim),
         r=r,
         stop=_parse_stop(doc.get("stop")),
-        trace_path=doc.get("trace_path"),
+        trace_path=trace_path,
         operators=operators,
         certifier=certifier,
         window_control=window_control,
     )
+
+
+def _check_windows(where: str, r: object, control: ControlMap, key: str, m: int) -> None:
+    """What DR windows need: an integer width r > 1 and a control (document
+    key `key`) whose range is the problem's sets 1..m."""
+    if not _is_int(r) or r <= 1:
+        raise ParseError(f"{where} needs an integer r > 1")
+    if control.m != m:
+        raise ParseError(f"{where}: {key} range 1..{control.m} does not match the {m} sets")
 
 
 def _parse_operator(
@@ -290,15 +297,9 @@ def _parse_operator(
             raise ParseError(f"{where}: 'sets' must be a nonempty index list")
         return dr_operator([pick(i) for i in idxs])
     if kind in ("s_window", "composite_q"):
-        if window_control is None or not _is_int(r) or r <= 1:
-            raise ParseError(
-                f"{where}: {kind!r} needs document keys 'window_control' and 'r' > 1"
-            )
-        if window_control.m != problem.m:
-            raise ParseError(
-                f"{where}: window_control range 1..{window_control.m} does not "
-                f"match the {problem.m} sets"
-            )
+        if window_control is None:
+            raise ParseError(f"{where}: {kind!r} needs document keys 'window_control' and 'r' > 1")
+        _check_windows(f"{where}: {kind!r}", r, window_control, "window_control", problem.m)
         if kind == "composite_q":
             return build_composite_Q(problem, window_control, r)
         n = spec.get("n")

@@ -36,7 +36,6 @@ from .operators import Projection, Reflection, composite_reflection, dr_operator
 from .problem_io import ParseError, execute_config, parse_document, write_trace
 from .solver import (
     StopRule,
-    build_S,
     build_composite_Q,
     run_unrestricted_dr,
     run_unrestricted_product,
@@ -200,14 +199,11 @@ def repro_ac5(trace_dir=None) -> tuple[bool, list[str]]:
 
 def repro_ac6(trace_dir=None) -> tuple[bool, list[str]]:
     problem, config = load_bundled("ac2_three_balls.json")
-    f, r = config.control, config.r
-    jf = cover_index(f)
+    Q = build_composite_Q(problem, config.control, config.r)
+    jf = len(Q.factors) - 1
     p = problem.interior_point
 
-    worst_fix = max(
-        norm(build_S(problem, f, r, n).apply(p) - p) for n in range(jf + 1)
-    )
-    Q = build_composite_Q(problem, f, r)
+    worst_fix = max(norm(S.apply(p) - p) for S in Q.factors)
     quasi = check_quasi_nonexpansive(Q, p)
 
     rng = np.random.default_rng(0)

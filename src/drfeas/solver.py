@@ -23,8 +23,8 @@ The stop-rule residual is the largest entry of one distance vector that
 ``FeasibilityProblem`` evaluates per step, from the families of
 ``convex.STACKED_DISTANCES`` and one of the sets of other ``ConvexSet``
 subclasses, each measured by its own ``_distance``: the family vectors,
-concatenated, with an entry that is not finite taken again from its set's
-``_distance``; only ``distances`` puts them in set order, by one gather.
+concatenated, with a stacked entry that is not finite taken again from its
+set's ``_distance``; only ``distances`` puts them in set order, by one gather.
 Projections, operators and displacements never use the stacked data.
 
 Per step the loop builds no ``Point``: ``IterationTrace`` keeps columns of
@@ -48,7 +48,7 @@ import numpy as np
 from .control import ControlMap, InvalidControl, cover_index, window
 from .convex import STACKED_DISTANCES, ConvexSet, FamilyDistances
 from .operators import Composition, DrOperator, Operator, dr_operator
-from .space import DimensionMismatch, Point, _checked_coords, _norm
+from .space import DimensionMismatch, Point, _checked_coords, _common_dim, _norm
 
 CONVERGED_DISPLACEMENT = "converged_displacement"
 FEASIBLE = "feasible"
@@ -142,14 +142,7 @@ class FeasibilityProblem:
 
     def __init__(self, sets: Sequence[ConvexSet], interior_point: Point | None = None):
         sets = tuple(sets)
-        if not sets:
-            raise ValueError("a feasibility problem needs at least one set")
-        dim = sets[0].dim
-        for i, c in enumerate(sets):
-            if c.dim != dim:
-                raise DimensionMismatch(
-                    f"set {i + 1} has dimension {c.dim}, expected {dim}"
-                )
+        dim = _common_dim(sets, "set")
         if interior_point is not None:
             if interior_point.dim != dim:
                 raise DimensionMismatch(
@@ -200,9 +193,11 @@ class FeasibilityProblem:
         else:
             out = np.concatenate([family(x) for family in self._families])
         if not np.isfinite(out).all():
-            # Overflow and NaN stay the business of each set's own _distance.
+            # Overflow and NaN stay the business of each set's own _distance,
+            # which gave the entries of a user subclass already.
             for j in np.flatnonzero(~np.isfinite(out)).tolist():
-                out[j] = self._grouped[j]._distance(x)
+                if type(self._grouped[j]) in STACKED_DISTANCES:
+                    out[j] = self._grouped[j]._distance(x)
         return out
 
     def _max_distance(self, x: np.ndarray) -> float:
@@ -397,12 +392,7 @@ def run_unrestricted_product(
     rule reduces to displacement only (k = 1 gives plain Picard iteration).
     """
     operators = tuple(operators)
-    if not operators:
-        raise ValueError("operator family must be nonempty")
-    dim = operators[0].dim
-    for i, op in enumerate(operators):
-        if op.dim != dim:
-            raise DimensionMismatch(f"operator {i + 1} acts on dimension {op.dim}, expected {dim}")
+    dim = _common_dim(operators, "operator")
     _require_range(h, len(operators), "operators")
 
     def next_op(n: int) -> tuple[Operator, str]:

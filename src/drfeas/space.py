@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -12,19 +12,40 @@ class DimensionMismatch(ValueError):
     """Raised when two objects that must share a dimension do not."""
 
 
+def _as_coords(values, name: str) -> np.ndarray:
+    """values as a read-only, finite, nonempty (d,) float array; anything
+    else raises ValueError naming the values."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # an object, a string, a huge int
+        raise ValueError(f"{name} must be a vector of reals: {exc}") from exc
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d sequence of reals")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite (no NaN/Inf)")
+    arr.setflags(write=False)
+    return arr
+
+
+def _common_dim(items: Sequence, what: str) -> int:
+    """The dimension every member of a nonempty family shares; what names a
+    member in the errors."""
+    if not items:
+        raise ValueError(f"at least one {what} is needed")
+    dim = items[0].dim
+    for i, item in enumerate(items):
+        if item.dim != dim:
+            raise DimensionMismatch(f"{what} {i + 1} has dimension {item.dim}, expected {dim}")
+    return dim
+
+
 class Point:
     """An immutable point of R^d with finite coordinates, d >= 1."""
 
     __slots__ = ("_coords",)
 
     def __init__(self, coords) -> None:
-        arr = np.array(coords, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coords must be a nonempty 1-d sequence of reals")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coordinates must be finite (no NaN/Inf)")
-        arr.setflags(write=False)
-        self._coords = arr
+        self._coords = _as_coords(coords, "coordinates")
 
     @property
     def coords(self) -> np.ndarray:

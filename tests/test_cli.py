@@ -132,6 +132,35 @@ def test_run_never_reads_non_finite_numbers_as_feasible(name, tmp_path, capsys):
         assert "error:" in out.err
 
 
+# Malformed documents whose errors once escaped as tracebacks; each must be
+# an input error (exit 2) with an "error:" line.
+RANDOM_BLOCK = {"rule": "random_block", "m": 3, "seed": 1}
+MALFORMED = {
+    "trace_path_true": dict(THREE_BALLS_RUN, trace_path=True),
+    "trace_path_number": dict(THREE_BALLS_RUN, trace_path=5),
+    "trace_path_list": dict(THREE_BALLS_RUN, trace_path=["a"]),
+    "x0_object": dict(THREE_BALLS_RUN, x0={"a": 1}),
+    "x0_int_beyond_floats": dict(THREE_BALLS_RUN, x0=[10**400, 0]),
+    "interior_point_object": dict(THREE_BALLS_RUN, interior_point={"a": 1}),
+    "kind_list": dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, kind=["Ball"])] * 3),
+    "kind_object": dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, kind={"a": 1})] * 3),
+    "radius_int_beyond_floats": dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, radius=10**400)] * 3),
+    # numpy refuses both block lengths before allocating anything
+    "block_past_max_dimension": dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=10**30)),
+    "block_too_big": dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=2**62)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_run_classifies_malformed_document_as_input_error(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED[name]), encoding="utf-8")
+    assert main(["run", str(path)]) == 2  # an escaping exception fails here instead
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not path.with_suffix(".trace.csv").exists()
+
+
 def test_run_rejects_document_without_scheme(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"dimension": 2, "sets": THREE_BALLS_RUN["sets"]}),

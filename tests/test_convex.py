@@ -264,10 +264,10 @@ def test_consistent_affine_system_far_from_origin_accepted():
 
 def test_unreachable_affine_systems_rejected():
     # Each solution lies past the largest float. Scaled by the power of two
-    # of its tiny A, b overflows, and the residual of the scaled system reads
-    # inf or NaN, which must fail the consistency check.
+    # of its tiny A, b overflows, so the minimum-norm solution is not finite;
+    # the error names that cause, not inconsistency.
     for A, b in (([[1e-200, 0.0]], [1e200]), ([[1e-310]], [1.0])):
-        with pytest.raises(InvalidSet, match="inconsistent"):
+        with pytest.raises(InvalidSet, match="no finite point"):
             AffineSubspace(A, b)
 
 

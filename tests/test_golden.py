@@ -22,7 +22,7 @@ import io
 import json
 import math
 import tempfile
-from importlib.resources import files
+from importlib.resources import as_file, files
 from pathlib import Path
 from typing import Callable
 
@@ -58,6 +58,8 @@ BUNDLED = sorted(
 # AC-1 prints its wall time, so its output is no fixture
 REPRO_IDS = ("AC-2", "AC-3", "AC-4", "AC-5", "AC-6", "AC-7", "AC-8", "AC-9")
 AC4_SEEDS = (1, 2, 3, 4, 5)
+# Bundled documents whose `drfeas check` output is a fixture
+CHECKED_BUNDLED = ("ac2_three_balls", "ac4_random_block_three_balls")
 
 
 def _bundled_trace(stem: str) -> str:
@@ -149,6 +151,12 @@ def _check_output() -> str:
         return _stdout(["check", str(path), "--samples", "200"])
 
 
+def _check_bundled(stem: str) -> str:
+    """Standard output of `drfeas check --samples 200` on a bundled document."""
+    with as_file(files("drfeas").joinpath("problems", f"{stem}.json")) as path:
+        return _stdout(["check", str(path), "--samples", "200"])
+
+
 def golden_outputs() -> dict[str, Callable[[], str]]:
     """Fixture file name -> zero-argument function producing its text."""
     outputs: dict[str, Callable[[], str]] = {
@@ -160,6 +168,9 @@ def golden_outputs() -> dict[str, Callable[[], str]]:
     outputs["ac1_reports.csv"] = lambda: format_reports(operator_class_reports())
     outputs["synthetic_mixed.trace.csv"] = _synthetic_trace
     outputs["check_every_operator_product.txt"] = _check_output
+    # S_n and V_n for n = 0..jf, then Q: a composite_q and a RandomBlock DR document
+    for stem in CHECKED_BUNDLED:
+        outputs[f"check_{stem}.txt"] = lambda stem=stem: _check_bundled(stem)
     outputs["repro_ac2_to_ac9.txt"] = lambda: "".join(
         _stdout(["repro", ac_id]) for ac_id in REPRO_IDS
     )

@@ -268,6 +268,31 @@ def test_nan_set_distance_is_never_feasible():
     assert math.isnan(trace.final.max_set_distance)
 
 
+class InfiniteBall(Ball):
+    """A ball whose distance reads inf everywhere, counting its calls."""
+
+    calls = 0
+
+    def _distance(self, x):
+        InfiniteBall.calls += 1
+        return math.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_user_subclass_distance_is_measured_once():
+    # An entry of the user-subclass family already came from the set's own
+    # _distance; only stacked entries that are not finite are measured again.
+    problem = FeasibilityProblem([Ball([0.0, 0.0], 1.0), InfiniteBall([1.0, 0.0], 1.0),
+                                  Ball([1e200, 0.0], 1.0)])
+    x0 = Point([3.0, 0.0])
+    InfiniteBall.calls = 0
+    for expected in (1, 2, 3):
+        assert problem.max_distance(x0) == math.inf
+        assert InfiniteBall.calls == expected
+    assert problem.distances(x0)[1:] == [math.inf, 1e200]
+    assert InfiniteBall.calls == 4
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ball_offset_past_squared_overflow_keeps_its_distance():
     # ||x - c||^2 overflows in the stacked ball rows, so the far ball's
