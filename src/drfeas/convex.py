@@ -3,16 +3,18 @@
 Five kinds are supported: Halfspace, Hyperplane, Ball, Box and AffineSubspace.
 Each knows how to project a point onto itself, measure distance, and report
 how deep a point sits in its interior (used to validate declared interior
-points). Halfspaces, hyperplanes and affine subspaces hold their data scaled
-by a power of two, so its products with ordinary points cannot overflow.
+points). Halfspaces and hyperplanes hold their normal scaled by a power of
+two, and an affine subspace an orthonormal basis of its row space, so their
+products with ordinary points cannot overflow.
 
 Projections take one point of shape (d,) or a batch of shape (..., d); a
 batch row gets the arithmetic of a single point, so it has the same bits.
 
 Every kind also measures the distances from x to a whole family of its
 sets at once, from data stacked into matrices (``STACKED_DISTANCES``;
-halfspaces and hyperplanes share one family); an entry that is not finite
-is left for the set's own ``_distance``.
+halfspaces and hyperplanes share one family); an entry agrees with the
+set's own ``_distance`` to rounding, and one that is not finite is left for
+``_distance``.
 """
 
 from __future__ import annotations
@@ -23,15 +25,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .space import Point, _as_coords, _checked_coords, _norm, _row_dots, _row_norms
+from .space import Point, _as_coords, _checked_coords, _exponent, _norm, _row_dots, _row_norms
 
 # Largest admissible least-squares residual for an affine system A x = b,
 # relative to max(1, ||b||).
 AFFINE_CONSISTENCY_TOL = 1e-9
-
-# Most entries of A for which an affine set's data is copied into the stacks
-# of its family (see AffineSubspace._family_distances).
-_STACK_LIMIT = 1 << 16
 
 
 #: x -> the distances from x to each set of a family, in the family's order.
@@ -124,7 +122,7 @@ class _LinearSet(ConvexSet):
             raise InvalidSet("b must be finite")
         if not a.any():
             raise InvalidSet("degenerate normal: a is zero")
-        exponent = int(np.frexp(np.max(np.abs(a)))[1])
+        exponent = _exponent(a)
         self._sa = np.ldexp(a, -exponent)
         self._a_norm = float(np.linalg.norm(self._sa))
         self._a_norm_sq = self._a_norm * self._a_norm
@@ -220,7 +218,7 @@ class Ball(ConvexSet):
         if d == math.inf:
             # x - center overflowed, or its norm does: take the direction from
             # x and the center scaled by a power of two, as _norm does.
-            exponent = int(np.frexp(max(np.max(np.abs(x)), np.max(np.abs(self.center))))[1])
+            exponent = max(_exponent(x), _exponent(self.center))
             v = np.ldexp(x, -exponent) - np.ldexp(self.center, -exponent)
             d = _norm(v)
         return self.center + (self.radius / d) * v
@@ -298,25 +296,20 @@ class Box(ConvexSet):
         return distances
 
 
-def _affine_steps(x: np.ndarray, A: np.ndarray, b: np.ndarray, pinv_t: np.ndarray) -> np.ndarray:
-    """(A x - b) pinv^T, the step from x to its projection onto {x : A x = b},
-    for points of shape (..., d), or for one point and a (K, q, d) stack of
-    systems; each point and system gets the products of a single one."""
-    r = (A @ x[..., None])[..., 0] - b
-    return (r[..., None, :] @ pinv_t)[..., 0, :]
-
-
 class AffineSubspace(ConvexSet):
     """Solution set {x : A x = b} of a consistent linear system.
 
-    A and b are held scaled by the power of two that puts the largest |A_ij|
-    in [0.5, 1), as in _LinearSet, so A x cannot overflow for an ordinary
-    point (the public A and b are the given data). All arithmetic is the step
-    of _affine_steps, with the scaled A's transposed pseudoinverse computed
-    once. Systems inconsistent or with no finite point are rejected here.
+    The set is held as {x : W x = c}: W is an orthonormal basis of the row
+    space of A, one row per singular value of A above 1e-15 times the largest
+    (the rank cut of np.linalg.pinv), and c = W x for every solution x. Both
+    come from one SVD of A scaled by the power of two of max |A_ij|, so the
+    SVD cannot overflow; the entries of W are at most 1, so W x cannot
+    overflow for an ordinary point. The projection is x - W^T (W x - c) and
+    the distance ||W x - c||; the public A and b are the given data. Systems
+    inconsistent or with no finite point are rejected here.
     """
 
-    __slots__ = ("A", "b", "_sA", "_sb", "_pinv_t")
+    __slots__ = ("A", "b", "_W", "_c")
 
     kind = "AffineSubspace"
 
@@ -335,16 +328,19 @@ class AffineSubspace(ConvexSet):
         A.setflags(write=False)
         self.A = A
         self.b = b
-        exponent = int(np.frexp(np.max(np.abs(A)))[1])
-        self._sA = np.ldexp(A, -exponent)
-        self._pinv_t = np.ascontiguousarray(np.linalg.pinv(self._sA).T)
-        # The minimum-norm solution x, which is not finite when b over a tiny
-        # A overflows, and its least-squares residual, taken back to the
-        # units of b before its norm (scaled, it underflows for a huge A).
+        exponent = _exponent(A)
+        sA = np.ldexp(A, -exponent)
+        U, s, Vt = np.linalg.svd(sA, full_matrices=False)
+        k = int(np.count_nonzero(s > 1e-15 * s[0]))
+        self._W = Vt[:k].copy()  # not a view that keeps all of Vt
+        # The minimum-norm solution x = W^T c, which is not finite when b over
+        # a tiny A overflows, and its least-squares residual, taken back to
+        # the units of b before its norm (scaled, it underflows for a huge A).
         with np.errstate(over="ignore", invalid="ignore"):
-            self._sb = np.ldexp(b, -exponent)
+            sb = np.ldexp(b, -exponent)
+            self._c = (sb @ U[:, :k]) / s[:k]
             x = self._project(np.zeros(self._dim))
-            residual = _norm(np.ldexp(self._sA @ x - self._sb, exponent))
+            residual = _norm(np.ldexp(sA @ x - sb, exponent))
             tol = AFFINE_CONSISTENCY_TOL * max(1.0, _norm(b))
         if not np.isfinite(x).all():
             raise InvalidSet("minimum-norm solution not finite: the set has no finite point")
@@ -352,10 +348,12 @@ class AffineSubspace(ConvexSet):
             raise InvalidSet(f"inconsistent affine system: least-squares residual {residual:.3e}")
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return x - _affine_steps(x, self._sA, self._sb, self._pinv_t)
+        # per row of a (..., d) batch, the products of a single point
+        g = (self._W @ x[..., None])[..., 0] - self._c
+        return x - (g[..., None, :] @ self._W)[..., 0, :]
 
     def _distance(self, x: np.ndarray) -> float:
-        return _norm(_affine_steps(x, self._sA, self._sb, self._pinv_t))
+        return _norm(self._W @ x - self._c)
 
     def interior_margin(self, x: Point) -> float:
         self._coords(x)
@@ -364,36 +362,20 @@ class AffineSubspace(ConvexSet):
         return -math.inf
 
     def scale_hint(self) -> float:  # the norm of the minimum-norm solution
-        return self._distance(np.zeros(self._dim))
+        return _norm(self._c)
 
     @staticmethod
     def _family_distances(sets: Sequence[AffineSubspace]) -> FamilyDistances:
-        """The length of the step per set, from one _affine_steps over the
-        stacked (K, q, d) scaled data of the K sets with q rows, so an entry
-        has the bits of _distance. Grouping by row count, not padding, keeps a
-        many-row set from enlarging the others' stacks; a set with more than
-        _STACK_LIMIT entries in A is measured by its own _distance, not copied,
-        as the calls a stack saves are small next to its products."""
-        groups: dict[int, list[int]] = {}
-        own = []
-        for k, c in enumerate(sets):
-            if c.A.size > _STACK_LIMIT:
-                own.append(k)
-            else:
-                groups.setdefault(c.A.shape[0], []).append(k)
-        stacks = [
-            (np.array(ks), np.array([sets[k]._sA for k in ks]),
-             np.array([sets[k]._sb for k in ks]), np.array([sets[k]._pinv_t for k in ks]))
-            for ks in groups.values()
-        ]
+        """||W x - c|| per set, from one product with the rows of every set
+        stacked and one sum of squares per set; a set of rank 0 (the zero
+        system) has no row and reads 0."""
+        W = np.concatenate([c._W for c in sets])
+        offsets = np.concatenate([c._c for c in sets])
+        owner = np.repeat(np.arange(len(sets)), [c._c.size for c in sets])
 
         def distances(x: np.ndarray) -> np.ndarray:
-            out = np.empty(len(sets))
-            for ks, A, b, pinv_t in stacks:
-                out[ks] = _row_norms(_affine_steps(x, A, b, pinv_t))
-            for k in own:
-                out[k] = sets[k]._distance(x)
-            return out
+            g = W @ x - offsets
+            return np.sqrt(np.bincount(owner, g * g, minlength=len(sets)))
 
         return distances
 

@@ -71,8 +71,14 @@ class StopRule:
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
         for name in ("displacement_tol", "feasibility_tol"):
-            if not (0.0 <= getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be finite and nonnegative")
+            tol = getattr(self, name)
+            message = f"{name} must be finite and nonnegative"
+            if not (0.0 <= tol < math.inf):
+                raise ValueError(message)
+            try:
+                object.__setattr__(self, name, float(tol))
+            except OverflowError:  # an int past the largest float
+                raise ValueError(message) from None
 
 
 @dataclass

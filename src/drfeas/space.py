@@ -100,6 +100,13 @@ def _checked_coords(x: Point, dim: int, owner: str) -> np.ndarray:
     return x.coords
 
 
+def _exponent(v: np.ndarray) -> int:
+    """The power of two that puts the largest |v_i| in [0.5, 1): v scaled by
+    2^-exponent (np.ldexp) keeps its bits and has no entry of 1 or more;
+    0 for a zero array."""
+    return int(np.frexp(np.max(np.abs(v)))[1])
+
+
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a raw coordinate array, as sqrt(<x, x>).
 
@@ -109,7 +116,7 @@ def _norm(x: np.ndarray) -> float:
     """
     sq = float(np.dot(x, x))
     if sq == math.inf:
-        exponent = int(np.frexp(np.max(np.abs(x)))[1])
+        exponent = _exponent(x)
         y = np.ldexp(x, -exponent)
         try:
             return math.ldexp(math.sqrt(float(np.dot(y, y))), exponent)

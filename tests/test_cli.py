@@ -145,6 +145,10 @@ MALFORMED = {
     "kind_list": dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, kind=["Ball"])] * 3),
     "kind_object": dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, kind={"a": 1})] * 3),
     "radius_int_beyond_floats": dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, radius=10**400)] * 3),
+    "feasibility_tol_int_beyond_floats": dict(
+        THREE_BALLS_RUN, stop=dict(THREE_BALLS_RUN["stop"], feasibility_tol=10**400)),
+    "displacement_tol_int_beyond_floats": dict(
+        THREE_BALLS_RUN, stop=dict(THREE_BALLS_RUN["stop"], displacement_tol=10**400)),
     # numpy refuses both block lengths before allocating anything
     "block_past_max_dimension": dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=10**30)),
     "block_too_big": dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=2**62)),

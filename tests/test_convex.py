@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from drfeas import (
     norm,
     set_from_params,
 )
-from drfeas.convex import _STACK_LIMIT, SET_KINDS, STACKED_DISTANCES
+from drfeas.convex import SET_KINDS, STACKED_DISTANCES
 
 # One instance per kind in R^3, used by the sampled property tests.
 def catalog():
@@ -344,21 +345,43 @@ def test_every_set_kind_has_a_stacked_family():
     assert set(SET_KINDS.values()) <= set(STACKED_DISTANCES)
 
 
-def test_affine_family_leaves_a_large_set_to_its_own_distance(monkeypatch):
-    # A 70 x 1000 system passes _STACK_LIMIT, so its family measures it by its
-    # own _distance instead of copying it; the 2-row sets beside it are stacked
+def test_affine_sets_and_their_family_hold_one_basis_each():
+    # Eight 50 x 1000 systems of rank 50 and their problem hold each set's A
+    # and orthonormal basis and one stack of every basis: 24 arrays of
+    # 0.4 MB, 9.6 MB, with no room for one more 50 x 1000 array.
     rng = np.random.default_rng(3)
-    d = 1000
-    sets = [AffineSubspace(A, A @ rng.standard_normal(d))
-            for A in (rng.standard_normal((q, d)) for q in (2, 70, 2))]
-    assert sets[1].A.size > _STACK_LIMIT
-    x = rng.standard_normal(d)
-    want = [c._distance(x) for c in sets]
-    measured, own = [], AffineSubspace._distance
-    monkeypatch.setattr(AffineSubspace, "_distance",
-                        lambda c, x: measured.append(c) or own(c, x))
-    assert FeasibilityProblem(sets).distances(Point(x)) == want
-    assert measured == [sets[1]]
+    d, q = 1000, 50
+    tracemalloc.start()
+    try:
+        problem = FeasibilityProblem([
+            AffineSubspace(A, A @ rng.standard_normal(d))
+            for A in (rng.standard_normal((q, d)) for _ in range(8))
+        ])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 9.7e6
+    assert all(c._W.shape == (q, d) for c in problem.sets)
+
+
+def test_affine_basis_has_one_row_per_rank():
+    # A 3-row system of rank 2 (its second row is twice the first) holds two
+    # orthonormal rows; the zero system holds none and reads 0 in the family,
+    # next to sets that have rows.
+    A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, -1.0]])
+    p = np.array([0.5, -1.0, 2.0])
+    deficient = AffineSubspace(A, A @ p)
+    zero = AffineSubspace(np.zeros((2, 3)), np.zeros(2))
+    assert deficient._W.shape == (2, 3)
+    assert zero._W.shape == (0, 3)
+    assert np.allclose(deficient._W @ deficient._W.T, np.eye(2), rtol=0.0, atol=1e-15)
+    x = np.array([4.0, 6.0, 5.0])
+    want = kkt_projection(A[1:], A[1:] @ p, x)
+    assert np.allclose(deficient._project(x), want, rtol=0.0, atol=1e-14)
+    sets = [deficient, zero, AffineSubspace([[1.0, 0.0, 0.0]], [1.0])]
+    got = FeasibilityProblem(sets).distances(Point(x))
+    assert got[1] == 0.0
+    assert got == pytest.approx([np.linalg.norm(x - want), 0.0, 3.0], rel=1e-14)
 
 
 def test_set_from_params_unknown_kind():

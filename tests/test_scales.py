@@ -116,11 +116,12 @@ def test_stacked_distances_match_each_set(exponent, normal_exponent, seed, far_e
 @given(exponent=exponents, seed=seeds, far_exponent=far_exponents)
 def test_stacked_affine_distances_match_each_set(exponent, seed, far_exponent):
     # Affine sets with Gaussian rows, of every row count 1..DIM, twice each
-    # and interleaved, so the family has one group per row count; the zero
-    # system, which is the whole space; a set 1e155..1e300 from x, whose
-    # stacked row norm overflows, so it takes the per-set fallback; and a set
-    # with normals near the largest float, whose A x would overflow once
-    # ||x|| passes ~10 but for the scaled data, so its distance is finite.
+    # and interleaved, so the family's row stack mixes sets of every rank; a
+    # rank-deficient set, whose basis has fewer rows than its A; the zero
+    # system, which is the whole space and holds no row; a set 1e155..1e300
+    # from x, whose stacked sum of squares overflows, so it takes the per-set
+    # fallback; and a set with normals near the largest float, whose A x
+    # would overflow once ||x|| passes ~10, while its basis W x cannot.
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
     x = scale * rng.uniform(-4.0, 4.0, DIM)
@@ -131,7 +132,10 @@ def test_stacked_affine_distances_match_each_set(exponent, seed, far_exponent):
     a = rng.standard_normal((1, DIM))
     far = AffineSubspace(a, a @ x + 10.0**far_exponent * np.linalg.norm(a))
     huge = AffineSubspace([1e307 * np.sign(x)], [0.0])
-    for c in (AffineSubspace(np.zeros((2, DIM)), np.zeros(2)), far, huge):
+    A = rng.standard_normal((2, DIM))
+    A = np.concatenate([A, 2.0 * A[:1]])  # rank 2
+    deficient = AffineSubspace(A, A @ (scale * rng.uniform(-1.0, 1.0, DIM)))
+    for c in (AffineSubspace(np.zeros((2, DIM)), np.zeros(2)), far, huge, deficient):
         sets.insert(int(rng.integers(len(sets) + 1)), c)
     stacked = FeasibilityProblem(sets).distances(Point(x))
     each = [c._distance(x) for c in sets]
@@ -143,6 +147,7 @@ def test_stacked_affine_distances_match_each_set(exponent, seed, far_exponent):
             assert abs(got - want) <= tol
     assert math.isfinite(each[sets.index(far)])
     assert math.isfinite(each[sets.index(huge)])
+    assert deficient._W.shape[0] == 2
     assert 0.0 in each
 
 

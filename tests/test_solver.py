@@ -52,7 +52,7 @@ def test_stop_rule_validation():
         StopRule(displacement_tol=-1.0)
     with pytest.raises(ValueError):
         StopRule(feasibility_tol=-1.0)
-    for bad in (math.inf, math.nan):
+    for bad in (math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="feasibility_tol must be finite"):
             StopRule(feasibility_tol=bad)
         with pytest.raises(ValueError, match="displacement_tol must be finite"):
@@ -312,7 +312,8 @@ def test_ill_conditioned_affine_distance_is_never_read_as_feasible():
     # A has singular values 1 and 1e-8 and b = 0; each x lies 1e-6 from the
     # null space, mostly along the weak singular direction. Through the normal
     # equations, sqrt(r^T (A A^T)^-1 r), the condition number squares to 1e16
-    # and this distance loses every digit; through pinv it keeps about eight.
+    # and this distance loses every digit; through the SVD's orthonormal basis
+    # it keeps about eight.
     rng = np.random.default_rng(5)
     d = 50
     U = np.linalg.qr(rng.standard_normal((2, 2)))[0]
