@@ -14,7 +14,8 @@ Every kind also measures the distances from x to a whole family of its
 sets at once, from data stacked into matrices (``STACKED_DISTANCES``;
 halfspaces and hyperplanes share one family); an entry agrees with the
 set's own ``_distance`` to rounding, and one that is not finite is left for
-``_distance``.
+``_distance``. A family takes one point, giving one distance per set, or a
+(..., d) batch, giving (..., sets); a batch row has the bits of its point.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .space import Point, _as_coords, _checked_coords, _exponent, _norm, _row_do
 AFFINE_CONSISTENCY_TOL = 1e-9
 
 
-#: x -> the distances from x to each set of a family, in the family's order.
+#: x -> the distances from x to each set of a family, in the family's order,
+#: along a last axis added to the (...) of a (..., d) batch.
 FamilyDistances = Callable[[np.ndarray], np.ndarray]
 
 
@@ -104,9 +106,11 @@ class _LinearSet(ConvexSet):
 
     Projections use a and b scaled by the power of two that puts the largest
     |a_i| in [0.5, 1), so ||a||^2 cannot overflow; the scaling is exact, so
-    ordinary inputs give the same bits as the unscaled formulas. The set is
-    valid iff a has a nonzero entry and b / ||a||, the distance of the set
-    from the origin, is finite.
+    ordinary inputs give the same bits as the unscaled formulas. A point
+    whose projection step (<a, x> - b) / ||a||^2 overflows is projected
+    scaled by a power of two, as is the set. The set is valid iff a has a
+    nonzero entry and b / ||a||, the distance of the set from the origin, is
+    finite.
     """
 
     __slots__ = ("a", "b", "_sa", "_sb", "_a_norm_sq", "_a_norm")
@@ -138,15 +142,35 @@ class _LinearSet(ConvexSet):
         return float(np.dot(self._sa, x)) - self._sb
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim > 1:  # one gap per row, each the dot product of one point
-            g = _row_dots(x, self._sa) - self._sb
-            if self._one_sided:
-                g = np.maximum(g, 0.0)
-            return x - (g / self._a_norm_sq)[..., None] * self._sa
+        if x.ndim > 1:
+            return self._project_rows(x)
         g = self._gap(x)
         if self._one_sided and g <= 0.0:
             return x
-        return x - (g / self._a_norm_sq) * self._sa
+        t = g / self._a_norm_sq
+        if not math.isfinite(t):
+            # <a, x> - b or its quotient overflowed: project x scaled by a
+            # power of two onto the set scaled alike, as Ball._project does.
+            exponent = max(_exponent(x), math.frexp(self._sb)[1])
+            y = np.ldexp(x, -exponent)
+            g = float(np.dot(self._sa, y)) - math.ldexp(self._sb, -exponent)
+            if self._one_sided and g <= 0.0:
+                return x
+            return np.ldexp(y - (g / self._a_norm_sq) * self._sa, exponent)
+        return x - t * self._sa
+
+    def _project_rows(self, x: np.ndarray) -> np.ndarray:
+        """_project on a (..., d) batch: one gap per row, each the dot product
+        of one point; a row whose step overflows takes the power-of-two
+        branch of a single point."""
+        g = _row_dots(x, self._sa) - self._sb
+        if self._one_sided:
+            g = np.maximum(g, 0.0)
+        t = g / self._a_norm_sq
+        out = x - t[..., None] * self._sa
+        for i in zip(*np.nonzero(~np.isfinite(t))):
+            out[i] = self._project(x[i])
+        return out
 
     def scale_hint(self) -> float:
         return abs(self._sb) / self._a_norm
@@ -162,7 +186,7 @@ class _LinearSet(ConvexSet):
         one_sided = np.array([c._one_sided for c in sets])
 
         def distances(x: np.ndarray) -> np.ndarray:
-            g = (SA @ x - sb) / a_norm
+            g = ((SA @ x[..., None])[..., 0] - sb) / a_norm
             return np.where(one_sided, np.maximum(g, 0.0), np.abs(g))
 
         return distances
@@ -251,7 +275,7 @@ class Ball(ConvexSet):
         radii = np.array([c.radius for c in sets])
 
         def distances(x: np.ndarray) -> np.ndarray:
-            return np.maximum(_row_norms(x - centers) - radii, 0.0)
+            return np.maximum(_row_norms(x[..., None, :] - centers) - radii, 0.0)
 
         return distances
 
@@ -291,6 +315,7 @@ class Box(ConvexSet):
         hi = np.stack([c.hi for c in sets])
 
         def distances(x: np.ndarray) -> np.ndarray:
+            x = x[..., None, :]
             return _row_norms(x - np.minimum(np.maximum(x, lo), hi))
 
         return distances
@@ -367,15 +392,20 @@ class AffineSubspace(ConvexSet):
     @staticmethod
     def _family_distances(sets: Sequence[AffineSubspace]) -> FamilyDistances:
         """||W x - c|| per set, from one product with the rows of every set
-        stacked and one sum of squares per set; a set of rank 0 (the zero
-        system) has no row and reads 0."""
+        stacked and one sum of squares per set and point, each point's
+        squares in bins of their own; a set of rank 0 (the zero system) has
+        no row and reads 0."""
         W = np.concatenate([c._W for c in sets])
         offsets = np.concatenate([c._c for c in sets])
         owner = np.repeat(np.arange(len(sets)), [c._c.size for c in sets])
+        k = len(sets)
 
         def distances(x: np.ndarray) -> np.ndarray:
-            g = W @ x - offsets
-            return np.sqrt(np.bincount(owner, g * g, minlength=len(sets)))
+            g = (W @ x[..., None])[..., 0] - offsets
+            g = g.reshape(-1, g.shape[-1])
+            bins = owner + np.arange(0, len(g) * k, k)[:, None]
+            sums = np.bincount(bins.ravel(), (g * g).ravel(), minlength=len(g) * k)
+            return np.sqrt(sums).reshape(x.shape[:-1] + (k,))
 
         return distances
 

@@ -20,10 +20,10 @@ are required; the rest configure a run:
     }
 
 Schemes: ``unrestricted_dr`` and ``composite_q`` need ``control`` (over the
-set indices) and ``r`` > 1. Scheme ``product`` additionally needs an
-``operators`` list and uses ``control`` over the operator indices; operator
-specs that derive from control windows (``s_window``, ``composite_q``) read
-``window_control`` and ``r``. ``x0`` is a coordinate list, ``"origin"``, or
+set indices) and an integer ``r`` in 2..``MAX_R``. Scheme ``product``
+additionally needs an ``operators`` list and uses ``control`` over the
+operator indices; operator specs that derive from control windows
+(``s_window``, ``composite_q``) read ``window_control`` and ``r``. ``x0`` is a coordinate list, ``"origin"``, or
 ``"random(seed, scale)"``. An optional ``certifier`` operator spec adds a
 residual column to the trace. Parsing builds every set, operator and the
 start point once; the resulting ``RunConfig`` holds objects, not specs.
@@ -62,6 +62,11 @@ from .solver import (
 from .space import Point
 
 SCHEMES = ("unrestricted_dr", "composite_q", "product")
+
+# Widest DR window a document may ask for: a run fetches the windows of up
+# to 64 steps at once, r - 1 new indices per step, so this bounds one fetch
+# at ~640k indices.
+MAX_R = 10_000
 
 _RANDOM_X0 = re.compile(r"^random\(\s*(\d+)\s*,\s*([0-9.eE+-]+)\s*\)$")
 
@@ -256,10 +261,10 @@ def _parse_config(doc: dict, problem: FeasibilityProblem) -> RunConfig:
 
 
 def _check_windows(where: str, r: object, control: ControlMap, key: str, m: int) -> None:
-    """What DR windows need: an integer width r > 1 and a control (document
-    key `key`) whose range is the problem's sets 1..m."""
-    if not _is_int(r) or r <= 1:
-        raise ParseError(f"{where} needs an integer r > 1")
+    """What DR windows need: an integer width r in 2..MAX_R and a control
+    (document key `key`) whose range is the problem's sets 1..m."""
+    if not _is_int(r) or not 1 < r <= MAX_R:
+        raise ParseError(f"{where} needs an integer r > 1 and <= {MAX_R}")
     if control.m != m:
         raise ParseError(f"{where}: {key} range 1..{control.m} does not match the {m} sets")
 

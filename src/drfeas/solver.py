@@ -19,12 +19,29 @@ result has a NaN or infinite coordinate ends the run with status
 stop-rule residual (a set distance that is not a number) ends it with the
 same status, at the iterate that has it.
 
+The worst set distance of a step is computed at once only where it can
+decide the run: at the start point and at a step that can stop it, which is
+every step when displacement_tol == 0 and otherwise a step whose
+displacement is within displacement_tol. Any other step defers it. The
+deferred rows are filled from one batched ``FeasibilityProblem._distances``
+call over their stacked iterates once the oldest of them is
+``_RESIDUAL_BLOCK`` - 1 steps old, so a call takes at most
+``_RESIDUAL_BLOCK`` rows, and when the loop ends. A batch row has the bits
+of a single point, so the trace is the same as with every distance computed
+at once. A NaN in a deferred row ends the trace at that row with status
+``non_finite``: up to ``_RESIDUAL_BLOCK`` - 1 later steps may have been
+applied by then, and their rows are dropped, as is an exception one of them
+raised. When the batched call raises, the rows are measured again one at a
+time in step order, so a NaN row before the one that raises still ends the
+run there.
+
 The stop-rule residual is the largest entry of one distance vector that
-``FeasibilityProblem`` evaluates per step, from the families of
-``convex.STACKED_DISTANCES`` and one of the sets of other ``ConvexSet``
-subclasses, each measured by its own ``_distance``: the family vectors,
-concatenated, with a stacked entry that is not finite taken again from its
-set's ``_distance``; only ``distances`` puts them in set order, by one gather.
+``FeasibilityProblem`` evaluates per iterate, or per row of a stack, from the
+families of ``convex.STACKED_DISTANCES`` and one of the sets of other
+``ConvexSet`` subclasses, each measured by its own ``_distance``: the family
+vectors, concatenated, with a stacked entry that is not finite taken again
+from its set's ``_distance``; only ``distances`` puts them in set order, by
+one gather.
 Projections, operators and displacements never use the stacked data.
 
 Per step the loop builds no ``Point``: ``IterationTrace`` keeps columns of
@@ -193,17 +210,19 @@ class FeasibilityProblem:
         return self._max_distance(_checked_coords(x, self.dim, "problem"))
 
     def _distances(self, x: np.ndarray) -> np.ndarray:
-        """Distance from a raw coordinate array to each set of self._grouped."""
+        """Distance from a raw coordinate array to each set of self._grouped:
+        from one point, a vector; from a (..., d) batch, a (..., m) array
+        whose rows have the bits of their points' vectors."""
         if len(self._families) == 1:
             out = self._families[0](x)
         else:
-            out = np.concatenate([family(x) for family in self._families])
+            out = np.concatenate([family(x) for family in self._families], axis=-1)
         if not np.isfinite(out).all():
             # Overflow and NaN stay the business of each set's own _distance,
             # which gave the entries of a user subclass already.
-            for j in np.flatnonzero(~np.isfinite(out)).tolist():
+            for *row, j in zip(*np.nonzero(~np.isfinite(out))):
                 if type(self._grouped[j]) in STACKED_DISTANCES:
-                    out[j] = self._grouped[j]._distance(x)
+                    out[(*row, j)] = self._grouped[j]._distance(x[tuple(row)])
         return out
 
     def _max_distance(self, x: np.ndarray) -> float:
@@ -217,12 +236,22 @@ class FeasibilityProblem:
 
 
 def _each_distance(sets: Sequence[ConvexSet]) -> FamilyDistances:
-    """The family of the sets with no stacked kind, each by its own _distance."""
-    return lambda x: np.array([c._distance(x) for c in sets], dtype=float)
+    """The family of the sets with no stacked kind, each by its own _distance,
+    point by point."""
+
+    def distances(x: np.ndarray) -> np.ndarray:
+        points = x.reshape(-1, x.shape[-1])
+        out = np.array([[c._distance(p) for c in sets] for p in points], dtype=float)
+        return out.reshape(x.shape[:-1] + (len(sets),))
+
+    return distances
 
 
 # Most steps whose windows a run fetches from its control in one window() call.
 _WINDOW_CHUNK = 64
+# Steps over which the loop defers stop-rule residuals, to compute them in
+# one batched call.
+_RESIDUAL_BLOCK = 64
 
 
 def _window_operators(
@@ -302,7 +331,11 @@ def _iterate(
     array kept is a float copy of what the operator returned, so an operator
     may reuse or keep its output buffer; without it the array kept is the
     one returned, which must be new. The library's DR operators and their
-    compositions always return a new array."""
+    compositions always return a new array.
+
+    A step that cannot stop the run (its displacement is above a
+    displacement_tol > 0) defers its worst set distance, as the module
+    docstring describes; fill() computes the deferred ones."""
     for what, part in (("start", x0), ("problem", problem), ("certifier", certifier)):
         if part is not None and part.dim != dim:
             raise DimensionMismatch(f"{what} has dimension {part.dim}, expected {dim}")
@@ -316,39 +349,87 @@ def _iterate(
         trace.terminal_status = NON_FINITE
         return trace
 
-    add_iterate, add_disp = trace.iterates.append, trace.displacements.append
-    add_dist, add_id = trace.max_set_distances.append, trace.operator_ids.append
-    add_residual = trace.certifier_residuals.append
+    columns = (trace.iterates, trace.displacements, trace.max_set_distances,
+               trace.operator_ids, trace.certifier_residuals)
+    add_iterate, add_disp, add_dist, add_id, add_residual = (c.append for c in columns)
+    iterates, dists, tol = trace.iterates, trace.max_set_distances, stop.displacement_tol
+    deferred: list[int] = []  # the rows (= steps) whose worst set distance waits
+
+    def fill() -> bool:
+        """Give the deferred rows their worst set distance; at a NaN, end the
+        trace at the first row that has it and return True."""
+        rows = deferred.copy()
+        deferred.clear()  # so that a raising set is not measured again on the way out
+        points = [iterates[i] for i in rows]
+        try:
+            worst = problem._distances(np.stack(points)).max(axis=-1).tolist()
+        except Exception:
+            # a set raised on some row: measure them again in step order, so
+            # that a NaN row before that one ends the run as it would at once
+            worst = []
+            for p in points:
+                worst.append(problem._max_distance(p))
+                if worst[-1] != worst[-1]:
+                    break
+        for i, d in zip(rows, worst):
+            dists[i] = d
+        nan = [i for i, d in zip(rows, worst) if d != d]
+        if not nan:
+            return False
+        for column in columns:
+            del column[nan[0] + 1 :]
+        return True
+
     status = MAX_ITERS
-    for n in range(1, stop.max_iters + 1):
-        op, op_id = next_op(n)
-        x_next = op._apply(x)
-        if copy:
-            x_next = np.array(x_next, dtype=float)
-        if not np.isfinite(x_next).all():
-            status = NON_FINITE
-            break
-        x_next.setflags(write=False)
-        disp = _norm(x_next - x)
-        dist = problem._max_distance(x_next) if problem is not None else 0.0
-        add_iterate(x_next)
-        add_disp(disp)
-        add_dist(dist)
-        add_id(op_id)
-        add_residual(_certifier_residual(certifier, x_next))
-        x = x_next
-        if dist != dist:
-            status = NON_FINITE
-            break
-        feasible_now = problem is not None and dist <= stop.feasibility_tol
-        if stop.displacement_tol > 0.0:
-            within_feas = feasible_now or problem is None
-            if disp <= stop.displacement_tol and within_feas:
-                status = CONVERGED_DISPLACEMENT
+    try:
+        for n in range(1, stop.max_iters + 1):
+            op, op_id = next_op(n)
+            x_next = op._apply(x)
+            if copy:
+                x_next = np.array(x_next, dtype=float)
+            disp = _norm(x_next - x)
+            # x is finite, so a finite displacement means a finite x_next
+            if not disp < math.inf and not np.isfinite(x_next).all():
+                status = NON_FINITE
                 break
-        elif feasible_now:
-            status = FEASIBLE
-            break
+            x_next.setflags(write=False)
+            residual = _certifier_residual(certifier, x_next)
+            settles = not 0.0 < tol < disp  # whether this step can stop the run
+            if problem is None:
+                dist = 0.0
+            elif settles:
+                dist = problem._max_distance(x_next)
+            else:
+                dist = math.nan  # until fill() computes it
+                deferred.append(n)
+            add_iterate(x_next)
+            add_disp(disp)
+            add_dist(dist)
+            add_id(op_id)
+            add_residual(residual)
+            x = x_next
+            if deferred and n - deferred[0] == _RESIDUAL_BLOCK - 1 and fill():
+                status = NON_FINITE
+                break
+            if not settles:
+                continue
+            if dist != dist:
+                status = NON_FINITE
+                break
+            if problem is None:
+                if tol > 0.0:
+                    status = CONVERGED_DISPLACEMENT
+                    break
+            elif dist <= stop.feasibility_tol:
+                status = CONVERGED_DISPLACEMENT if tol > 0.0 else FEASIBLE
+                break
+    except Exception:
+        # a NaN row before the step that raised ends the run there instead
+        if not (deferred and fill()):
+            raise
+        status = NON_FINITE
+    if deferred and fill():
+        status = NON_FINITE
     trace.terminal_status = status
     return trace
 

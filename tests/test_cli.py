@@ -152,6 +152,8 @@ MALFORMED = {
     # numpy refuses both block lengths before allocating anything
     "block_past_max_dimension": dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=10**30)),
     "block_too_big": dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=2**62)),
+    # a window this wide would be fetched without bound at the first step
+    "r_past_limit": dict(THREE_BALLS_RUN, r=10**30),
 }
 
 

@@ -214,6 +214,22 @@ def test_ball_projection_when_offset_overflows():
     assert far.distance(y) == math.inf
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow
+def test_linear_projection_when_step_overflows():
+    # The step <a, x> / ||a||^2 overflows for the scaled normal (0.5, 0),
+    # although the projection is finite; in the last case the gap <a, x> - b
+    # itself is past the largest float
+    for c, x, want in (
+        (Halfspace([1.0, 0.0], 0.0), [1e308, 0.0], [0.0, 0.0]),
+        (Hyperplane([1.0, 0.0], 0.0), [-1e308, 1e308], [0.0, 1e308]),
+        (Hyperplane([1.0, 0.0], 1.5e308), [-1.5e308, 1.0], [1.5e308, 1.0]),
+    ):
+        assert c.project(Point(x)) == Point(want)
+        assert c._distance(np.array(x)) == pytest.approx(abs(x[0] - want[0]))
+        batch = np.array([x, [1.0, 2.0], x])
+        assert np.array_equal(c._project(batch), [want, c._project(batch[1]), want])
+
+
 def test_degenerate_normal_rejected():
     # a tiny normal is no degenerate one: this is the set {x1 <= 1e13}
     tiny = Halfspace([1e-13, 0.0], 1.0)

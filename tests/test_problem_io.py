@@ -16,6 +16,7 @@ from drfeas import (
     check_nonexpansive,
 )
 from drfeas.operators import Operator
+from drfeas.problem_io import MAX_R
 
 
 class Identity(Operator):
@@ -202,6 +203,13 @@ def test_scheme_validation():
     with pytest.raises(ParseError, match="r > 1"):
         parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
                            r=True))
+    # r is bounded, so that one fetch of windows is too
+    _, config = parse_document(doc(scheme="unrestricted_dr",
+                                   control={"rule": "cyclic", "m": 2}, r=MAX_R))
+    assert config.r == MAX_R
+    with pytest.raises(ParseError, match=f"<= {MAX_R}"):
+        parse_document(doc(scheme="unrestricted_dr", control={"rule": "cyclic", "m": 2},
+                           r=MAX_R + 1))
     with pytest.raises(ParseError, match="feasibility_tol"):
         parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
                            r=2, stop={"feasibility_tol": True}))

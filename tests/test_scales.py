@@ -4,7 +4,8 @@ scales from 1e-150 to 1e150, with halfspace and hyperplane normals from
 distance of a projected point and firm nonexpansiveness, the last computed
 here with numpy. A problem's stacked distance vector agrees with each set's
 own distance at the same scales, and every set kind and operator class maps
-a (n, d) batch as it maps each of its rows."""
+a (n, d) batch as it maps each of its rows; a batch's distances keep the
+bits of each row's."""
 
 import inspect
 import math
@@ -149,6 +150,38 @@ def test_stacked_affine_distances_match_each_set(exponent, seed, far_exponent):
     assert math.isfinite(each[sets.index(huge)])
     assert deficient._W.shape[0] == 2
     assert 0.0 in each
+
+
+class MeasuredBall(Ball):
+    """A user subclass: its sets are measured one by one, not stacked."""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, max_examples=25)
+@given(exponent=exponents, normal_exponent=exponents, seed=seeds,
+       far_exponent=far_exponents)
+def test_batched_distances_keep_the_bits_of_each_point(exponent, normal_exponent, seed,
+                                                       far_exponent):
+    # Each family, and the problem over all of them and a user subclass, maps
+    # a (6, d) batch, and a (2, 3, d) one, to rows with the bits of its single
+    # points. One row lies 1e155..1e300 away and one near the largest float,
+    # so some stacked entries are not finite and fall back to _distance.
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    sets = [set_through(kind, scale * rng.uniform(-1.0, 1.0, DIM), scale,
+                        10.0**normal_exponent, rng)
+            for kind in rng.permutation(KINDS * 2)]
+    sets.insert(int(rng.integers(len(sets) + 1)), MeasuredBall(np.zeros(DIM), scale))
+    X = scale * rng.uniform(-4.0, 4.0, (6, DIM))
+    X[1] = 10.0**far_exponent * rng.uniform(0.5, 1.0, DIM)
+    X[4] = 1.5e308 * rng.choice([-1.0, 1.0], DIM)
+    problem = FeasibilityProblem(sets)
+    stacked = np.concatenate([family(X) for family in problem._families], axis=-1)
+    assert not np.isfinite(stacked).all()
+    for measure in (*problem._families, problem._distances):
+        batch = measure(X)
+        assert batch.tobytes() == np.stack([measure(x) for x in X]).tobytes()
+        assert measure(X.reshape(2, 3, DIM)).tobytes() == batch.tobytes()
 
 
 def operators_over(sets, rng):

@@ -25,6 +25,7 @@ from drfeas import (
     Point,
     Projection,
     RandomBlock,
+    Reflection,
     StopRule,
     build_S,
     build_composite_Q,
@@ -563,16 +564,135 @@ def step_rows(trace):
     ]
 
 
-def test_trace_views_match_the_reference_loop():
+def run_against_the_reference_loop(stop):
+    """A DR run over the disjoint balls to max_iters, checked row by row
+    against reference_rows."""
     problem, f, r, x0 = disjoint_problem(), RandomBlock(3, 4, 2), 3, Point([3.0, -2.0])
     certifier = dr_operator(problem.sets)
-    trace = run_unrestricted_dr(problem, f, r, x0, never_stop(50), certifier=certifier)
-    expected = reference_rows(
-        lambda n: (build_S(problem, f, r, n - 1), f"S{n - 1}"), x0, 50, problem, certifier
-    )
+    trace = run_unrestricted_dr(problem, f, r, x0, stop, certifier=certifier)
+    expected = reference_rows(lambda n: (build_S(problem, f, r, n - 1), f"S{n - 1}"),
+                              x0, stop.max_iters, problem, certifier)
     assert step_rows(trace) == expected
     assert trace.final == trace.steps[-1]
-    assert trace.iterations == 50
+    assert (trace.terminal_status, trace.iterations) == (MAX_ITERS, stop.max_iters)
+    return trace
+
+
+def test_trace_views_match_the_reference_loop():
+    run_against_the_reference_loop(never_stop(50))
+
+
+def test_trace_views_match_the_reference_loop_with_deferred_residuals():
+    # With displacement_tol 1.5, 290 of the 300 steps cannot stop the run
+    # and defer their residual; the other ten could stop it, but the balls
+    # are disjoint
+    trace = run_against_the_reference_loop(StopRule(300, displacement_tol=1.5,
+                                                    feasibility_tol=0.0))
+    assert sum(d <= 1.5 for d in trace.displacements[1:]) == 10
+
+
+def test_residual_is_computed_at_once_only_at_steps_that_can_stop(monkeypatch):
+    # Each row's worst set distance is computed once: by a single-point call
+    # at the start and at each step whose displacement is within
+    # displacement_tol, in step order; the other rows' in batches, in step
+    # order, each over rows less than a block of steps apart
+    problem, f, r, x0 = disjoint_problem(), RandomBlock(3, 4, 2), 3, Point([3.0, -2.0])
+    K, tol = solver._RESIDUAL_BLOCK, 1.5
+    calls = []
+    distances = FeasibilityProblem._distances
+
+    def recording(self, x):
+        calls.append(x)
+        return distances(self, x)
+
+    monkeypatch.setattr(FeasibilityProblem, "_distances", recording)
+    trace = run_unrestricted_dr(problem, f, r, x0, StopRule(300, tol, 0.0))
+    at_once = [n for n, d in enumerate(trace.displacements) if d <= tol]
+    deferred = [n for n, d in enumerate(trace.displacements) if d > tol]
+    single = [x for x in calls if x.ndim == 1]
+    batches = [x for x in calls if x.ndim == 2]
+    assert len(single) == len(at_once) == 11
+    assert all(x is trace.iterates[n] for x, n in zip(single, at_once))
+    assert np.array_equal(np.concatenate(batches), [trace.iterates[n] for n in deferred])
+    sizes = [len(x) for x in batches]
+    assert sizes == [61, 63, 63, 61, 42]  # the deferred rows of blocks of 64 steps
+    starts = np.cumsum([0] + sizes[:-1])
+    assert all(deferred[a + k - 1] - deferred[a] < K for a, k in zip(starts, sizes))
+
+
+class ShiftRight(Operator):
+    """x -> x + (1, 0), raising at its `fail`-th call."""
+
+    def __init__(self, fail=None):
+        super().__init__(2)
+        self.calls, self.fail = 0, fail
+
+    def _apply(self, x):
+        self.calls += 1
+        if self.calls == self.fail:
+            raise RuntimeError("a step after the NaN row")
+        return x + np.array([1.0, 0.0])
+
+
+class RaisingRightOf(Halfspace):
+    """{x1 <= b}, with a distance that raises where x1 > edge, counting raises."""
+
+    raised = 0
+
+    def __init__(self, a, b, edge):
+        super().__init__(a, b)
+        self.edge = edge
+
+    def _distance(self, x):
+        if x[0] > self.edge:
+            RaisingRightOf.raised += 1
+            raise ArithmeticError("no distance here")
+        return super()._distance(x)
+
+
+@pytest.mark.parametrize("fail", [5, None])
+@pytest.mark.parametrize("raising", [False, True])
+def test_nan_deferred_row_ends_the_run_at_its_row(fail, raising):
+    # x_2 = (2.5, 0) is the first iterate whose distance is NaN; its row is
+    # deferred, as the displacement 1 is above displacement_tol. The steps
+    # applied after it are dropped, the one that raises included, and no
+    # more than the rest of a block of them is applied. A set that raises
+    # from x_3 = (3.5, 0) on makes the batch raise; the rows are then
+    # measured in step order, and the NaN row still ends the run first.
+    sets = [Ball([10.0, 0.0], 1.0), NanRightOfTwo([1.0, 0.0], 1.0)]
+    if raising:
+        sets.append(RaisingRightOf([1.0, 0.0], 1.0, 3.0))
+    T = ShiftRight(fail)
+    trace = run_unrestricted_product([T], Cyclic(1), Point([0.5, 0.0]), STOP,
+                                     problem=FeasibilityProblem(sets))
+    assert trace.terminal_status == NON_FINITE
+    assert trace.iterations == 2
+    assert trace.final.iterate == Point([2.5, 0.0])
+    assert math.isnan(trace.final.max_set_distance)
+    assert trace.max_set_distances[:2] == [8.5, 7.5]
+    assert T.calls <= 2 + solver._RESIDUAL_BLOCK - 1
+
+
+def test_set_that_raises_on_a_deferred_row_raises_in_step_order():
+    # The set raises on x_2 = (2.5, 0) in the batch, then once more when the
+    # rows are measured in step order, and is not measured again on the way
+    # out of the loop
+    problem = FeasibilityProblem([Ball([10.0, 0.0], 1.0), RaisingRightOf([1.0, 0.0], 1.0, 2.0)])
+    RaisingRightOf.raised = 0
+    with pytest.raises(ArithmeticError, match="no distance"):
+        run_unrestricted_product([ShiftRight()], Cyclic(1), Point([0.5, 0.0]), STOP,
+                                 problem=problem)
+    assert RaisingRightOf.raised == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_finite_step_with_overflowing_displacement_keeps_running():
+    # Each reflection is finite, near -+1e308, but x_next - x overflows, so
+    # the displacement is inf without the iterate being non-finite
+    T = Reflection(Ball([0.0, 0.0], 1.0))
+    trace = run_unrestricted_product([T], Cyclic(1), Point([1e308, 0.0]), StopRule(max_iters=3))
+    assert (trace.terminal_status, trace.iterations) == (MAX_ITERS, 3)
+    assert trace.displacements == [0.0, math.inf, math.inf, math.inf]
 
 
 class Blowup(Operator):
