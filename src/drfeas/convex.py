@@ -14,8 +14,10 @@ Every kind also measures the distances from x to a whole family of its
 sets at once, from data stacked into matrices (``STACKED_DISTANCES``;
 halfspaces and hyperplanes share one family); an entry agrees with the
 set's own ``_distance`` to rounding, and one that is not finite is left for
-``_distance``. A family takes one point, giving one distance per set, or a
-(..., d) batch, giving (..., sets); a batch row has the bits of its point.
+``_distance``. A nonzero distance whose sum of squares underflows is not
+read as 0: it is measured scaled by a power of two, as ``space._norm``
+does. A family takes one point, giving one distance per set, or a (..., d)
+batch, giving (..., sets); a batch row has the bits of its point.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .space import Point, _as_coords, _checked_coords, _exponent, _norm, _row_dots, _row_norms
+from .space import (
+    _TINY, Point, _as_coords, _checked_coords, _exponent, _norm, _row_dots, _row_norms,
+)
 
 # Largest admissible least-squares residual for an affine system A x = b,
 # relative to max(1, ||b||).
@@ -394,7 +398,8 @@ class AffineSubspace(ConvexSet):
         """||W x - c|| per set, from one product with the rows of every set
         stacked and one sum of squares per set and point, each point's
         squares in bins of their own; a set of rank 0 (the zero system) has
-        no row and reads 0."""
+        no row and reads 0. A sum below the smallest normal float, from a
+        W x - c that is not 0, is measured again by the set's _distance."""
         W = np.concatenate([c._W for c in sets])
         offsets = np.concatenate([c._c for c in sets])
         owner = np.repeat(np.arange(len(sets)), [c._c.size for c in sets])
@@ -405,7 +410,14 @@ class AffineSubspace(ConvexSet):
             g = g.reshape(-1, g.shape[-1])
             bins = owner + np.arange(0, len(g) * k, k)[:, None]
             sums = np.bincount(bins.ravel(), (g * g).ravel(), minlength=len(g) * k)
-            return np.sqrt(sums).reshape(x.shape[:-1] + (k,))
+            out = np.sqrt(sums).reshape(len(g), k)
+            small = sums < _TINY
+            if small.any():
+                nonzero = np.bincount(bins.ravel(), (g != 0.0).ravel(), minlength=len(g) * k)
+                points = x.reshape(-1, x.shape[-1])
+                for i, j in zip(*np.nonzero((small & (nonzero > 0)).reshape(len(g), k))):
+                    out[i, j] = sets[j]._distance(points[i])
+            return out.reshape(x.shape[:-1] + (k,))
 
         return distances
 

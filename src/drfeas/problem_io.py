@@ -367,8 +367,11 @@ def format_trace(trace: IterationTrace, dim: int) -> str:
     lines = [",".join(header) + "\n"]
     rows = zip(trace.iterates, trace.operator_ids, trace.displacements,
                trace.max_set_distances, trace.certifier_residuals)
+    last = None
     for n, (x, op_id, disp, dist, residual) in enumerate(rows):
-        row = [str(n), op_id, repr(disp), repr(dist), *map(repr, x.tolist())]
+        if x is not last:  # consecutive rows of an unchanged iterate share one array
+            last, coords = x, ",".join(map(repr, x.tolist()))
+        row = [str(n), op_id, repr(disp), repr(dist), coords]
         if with_certifier:
             row.append(repr(residual))
         lines.append(",".join(row) + "\n")

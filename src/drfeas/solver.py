@@ -35,6 +35,15 @@ raised. When the batched call raises, the rows are measured again one at a
 time in step order, so a NaN row before the one that raises still ends the
 run there.
 
+A step that returns its iterate unchanged, with a zero displacement and the
+same bytes (-0.0 and 0.0 differ), adds a row that keeps the previous row's
+array, so consecutive rows may share one read-only array. The row reuses
+the previous row's certifier residual, so the certifier is not applied
+again, and its worst set distance, so no set is measured again, unless that
+distance is still deferred: then it is computed at once. Late in a run most
+windows may already hold the iterate, and their DR steps return it bit for
+bit.
+
 The stop-rule residual is the largest entry of one distance vector that
 ``FeasibilityProblem`` evaluates per iterate, or per row of a stack, from the
 families of ``convex.STACKED_DISTANCES`` and one of the sets of other
@@ -111,7 +120,8 @@ class TraceStep:
 @dataclass
 class IterationTrace:
     """A run's steps as columns, one entry per step n = 0, 1, ...: the
-    iterate (the read-only array the loop produced, not a copy), the
+    iterate (the read-only array the loop produced, not a copy; consecutive
+    rows of an unchanged iterate share one array and its residuals), the
     displacement, the worst set distance, the operator id and the certifier
     residual (None without a certifier). ``steps`` and ``final`` build
     TraceStep views of the rows on demand; ``steps`` builds a new list of
@@ -392,11 +402,20 @@ def _iterate(
             if not disp < math.inf and not np.isfinite(x_next).all():
                 status = NON_FINITE
                 break
-            x_next.setflags(write=False)
-            residual = _certifier_residual(certifier, x_next)
+            # a zero displacement does not prove x_next equal to x: -0.0
+            # against 0.0 gives one
+            same = disp == 0.0 and x_next.tobytes() == x.tobytes()
+            if same:
+                x_next = x
+                residual = trace.certifier_residuals[-1]
+            else:
+                x_next.setflags(write=False)
+                residual = _certifier_residual(certifier, x_next)
             settles = not 0.0 < tol < disp  # whether this step can stop the run
             if problem is None:
                 dist = 0.0
+            elif same and not (deferred and deferred[-1] == n - 1):
+                dist = dists[-1]
             elif settles:
                 dist = problem._max_distance(x_next)
             else:

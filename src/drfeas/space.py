@@ -107,15 +107,20 @@ def _exponent(v: np.ndarray) -> int:
     return int(np.frexp(np.max(np.abs(v)))[1])
 
 
+# The smallest normal float: a sum of squares below it has lost bits.
+_TINY = float(np.finfo(float).tiny)
+
+
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a raw coordinate array, as sqrt(<x, x>).
 
-    When <x, x> overflows (||x|| above ~1.3e154), x is scaled by a power of
-    two first, and a norm beyond the largest float is inf; other inputs
-    never reach that branch.
+    When <x, x> overflows (||x|| above ~1.3e154), or falls below the
+    smallest normal float for a nonzero x (every |x_i| below ~1.5e-154),
+    x is scaled by a power of two first, and a norm beyond the largest float
+    is inf; other inputs never reach that branch.
     """
     sq = float(np.dot(x, x))
-    if sq == math.inf:
+    if sq == math.inf or (sq < _TINY and x.any()):
         exponent = _exponent(x)
         y = np.ldexp(x, -exponent)
         try:
@@ -133,8 +138,16 @@ def _row_dots(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (..., d) array, as sqrt(<v_i, v_i>);
-    unlike _norm, a row whose <v_i, v_i> overflows reads inf."""
-    return np.sqrt(_row_dots(v, v))
+    a nonzero row whose <v_i, v_i> is below the smallest normal float is
+    measured by _norm, but unlike _norm, a row whose <v_i, v_i> overflows
+    reads inf."""
+    sq = _row_dots(v, v)
+    out = np.sqrt(sq)
+    small = sq < _TINY
+    if small.any():
+        for i in zip(*np.nonzero(small & v.any(axis=-1))):
+            out[i] = _norm(v[i])
+    return out
 
 
 def norm(x: Point) -> float:

@@ -19,6 +19,7 @@ from drfeas import (
     Halfspace,
     Hyperplane,
     InvalidControl,
+    IterationTrace,
     MAX_ITERS,
     NON_FINITE,
     Operator,
@@ -267,6 +268,29 @@ def test_nan_set_distance_is_never_feasible():
     assert trace.iterations == 1
     assert trace.final.iterate == Point([4.0, 0.0])
     assert math.isnan(trace.final.max_set_distance)
+
+
+# Disjoint sets 1.5e-200 to 5e-201 from the start, which <x, x> squares to 0
+TINY_DISJOINT = {
+    "balls": ([Ball([0.0, 0.0], 1e-200), Ball([5e-200, 0.0], 1e-200)], [2.5e-200, 0.0]),
+    "boxes": ([Box([0.0, 0.0], [1e-200, 1e-200]), Box([3e-200, 0.0], [4e-200, 1e-200])],
+              [2e-200, 5e-201]),
+    "affine": ([AffineSubspace([[1.0, 0.0]], [0.0]), AffineSubspace([[1.0, 0.0]], [1e-200])],
+               [5e-201, 0.0]),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300])  # every row at once, or deferred
+@pytest.mark.parametrize("case", list(TINY_DISJOINT))
+def test_tiny_disjoint_sets_are_never_read_as_feasible(case, tol):
+    sets, x0 = TINY_DISJOINT[case]
+    problem = FeasibilityProblem(sets)
+    assert min(problem.distances(Point(x0))) >= 5e-201
+    trace = run_unrestricted_dr(problem, Cyclic(2), 2, Point(x0),
+                                StopRule(max_iters=50, displacement_tol=tol, feasibility_tol=0.0))
+    assert (trace.terminal_status, trace.iterations) == (MAX_ITERS, 50)
+    assert all(0.0 < d == problem.max_distance(Point(x))
+               for x, d in zip(trace.iterates, trace.max_set_distances))
 
 
 class InfiniteBall(Ball):
@@ -785,3 +809,156 @@ def test_product_keeps_a_float_copy_of_each_operator_output():
     )
     assert all(x.dtype == np.float64 for x in ints.iterates)
     assert format_trace(ints, 2) == format_trace(floats, 2)
+
+
+def repeating_problem():
+    # Two overlapping boxes and a halfspace through their overlap fix an
+    # iterate inside them; the far ball keeps the problem infeasible
+    return FeasibilityProblem([Box([0.0, 0.0], [2.0, 2.0]), Box([1.0, 1.0], [3.0, 3.0]),
+                               Halfspace([1.0, 1.0], 3.5), Ball([10.0, 10.0], 1.0)])
+
+
+def repeated_rows(trace):
+    """The rows whose iterate has the bytes of the row before it."""
+    x = trace.iterates
+    return [n for n in range(1, len(x)) if x[n].tobytes() == x[n - 1].tobytes()]
+
+
+def shared_rows(trace):
+    x = trace.iterates
+    return [n for n in range(1, len(x)) if x[n] is x[n - 1]]
+
+
+def test_unchanged_iterate_shares_the_previous_array():
+    # A window whose sets hold the iterate returns it bit for bit: its row
+    # keeps the previous array, distance and certifier residual
+    problem = repeating_problem()
+    trace = run_unrestricted_dr(problem, Cyclic(4), 2, Point([5.0, -2.0]), never_stop(40),
+                                certifier=dr_operator(problem.sets))
+    repeats = repeated_rows(trace)
+    assert repeats == [5, 9, 13, 17, 21, 25, 29, 33, 37]
+    assert shared_rows(trace) == repeats
+    for n in repeats:
+        assert trace.max_set_distances[n] == trace.max_set_distances[n - 1]
+        assert trace.certifier_residuals[n] == trace.certifier_residuals[n - 1]
+    assert step_rows(trace) == reference_rows(
+        lambda n: (build_S(problem, Cyclic(4), 2, n - 1), f"S{n - 1}"),
+        Point([5.0, -2.0]), 40, problem, dr_operator(problem.sets))
+
+
+class CountingBox(Box):
+    """A box whose distance counts the points it measures."""
+
+    measured: list = []
+
+    def _distance(self, x):
+        CountingBox.measured.append(x)
+        return super()._distance(x)
+
+
+class CountingProjection(Projection):
+    """A projection that counts its calls."""
+
+    def __init__(self, set_):
+        super().__init__(set_)
+        self.calls = 0
+
+    def _apply(self, x):
+        self.calls += 1
+        return super()._apply(x)
+
+
+def product_with_repeats(stop):
+    """P1 twice, then P2, over two disjoint boxes: every third step projects
+    onto the box that already holds the iterate."""
+    sets = [CountingBox([0.0, 0.0], [1.0, 1.0]), CountingBox([3.0, 0.0], [4.0, 1.0])]
+    ops = [Projection(sets[0]), Projection(sets[0]), Projection(sets[1])]
+    certifier = CountingProjection(sets[1])
+    CountingBox.measured = []
+    trace = run_unrestricted_product(ops, Cyclic(3), Point([2.0, 5.0]), stop,
+                                     problem=FeasibilityProblem(sets), certifier=certifier)
+    assert trace.terminal_status == MAX_ITERS
+    repeats = repeated_rows(trace)
+    assert repeats == list(range(2, stop.max_iters + 1, 3))
+    # the product copies each output, and still keeps the previous array
+    assert shared_rows(trace) == repeats
+    assert certifier.calls == len(trace.iterates) - len(repeats)
+    return trace, repeats
+
+
+def test_unchanged_iterate_after_a_known_row_measures_nothing():
+    trace, repeats = product_with_repeats(never_stop(30))
+    # each set measures every row but the repeated ones, once
+    assert len(CountingBox.measured) == 2 * (len(trace.iterates) - len(repeats))
+
+
+def test_unchanged_iterate_after_a_deferred_row_is_measured_at_once():
+    # The step before each repeat moves by more than displacement_tol, so its
+    # row is deferred; the repeat can stop the run and is measured at once
+    trace, repeats = product_with_repeats(StopRule(30, displacement_tol=0.5,
+                                                   feasibility_tol=0.0))
+    assert all(trace.displacements[n - 1] > 0.5 for n in repeats)
+    assert len(CountingBox.measured) == 2 * len(trace.iterates)
+    # a batch measures copies; a single point, a view of the row's own array
+    at_once = [x for x in CountingBox.measured
+               if any(np.shares_memory(x, trace.iterates[n]) for n in repeats)]
+    assert len(at_once) == 2 * len(repeats)
+    assert not any(math.isnan(d) for d in trace.max_set_distances)
+
+
+class Negate(Operator):
+    """x -> -x, which maps 0.0 to -0.0."""
+
+    def _apply(self, x):
+        return -x
+
+
+class NudgeUp(Operator):
+    """x -> x plus the smallest subnormal in its first coordinate."""
+
+    def _apply(self, x):
+        return x + np.array([5e-324, 0.0])
+
+
+def test_step_to_negative_zero_keeps_its_own_array():
+    x0 = Point([0.0, 0.0])
+    trace = run_unrestricted_product([Negate(2)], Cyclic(1), x0, never_stop(2))
+    assert trace.displacements == [0.0, 0.0, 0.0]
+    assert shared_rows(trace) == []
+    assert [np.signbit(x).tolist() for x in trace.iterates] == [[False] * 2, [True] * 2,
+                                                                 [False] * 2]
+    assert format_trace(trace, 2).splitlines()[2] == "1,T1,0.0,0.0,-0.0,-0.0"
+
+
+def test_step_by_a_subnormal_keeps_its_own_array():
+    trace = run_unrestricted_product([NudgeUp(2)], Cyclic(1), Point([0.0, 0.0]),
+                                     never_stop(1))
+    assert shared_rows(trace) == []
+    assert trace.displacements[1] == 5e-324
+    assert list(trace.iterates[1]) == [5e-324, 0.0]
+
+
+def reference_format(trace, dim):
+    """format_trace with every row's coordinates formatted anew."""
+    lines = ["n,applied_operator_id,displacement,max_set_distance,"
+             + ",".join(f"coord_{i + 1}" for i in range(dim))]
+    for n, s in enumerate(trace.steps):
+        lines.append(",".join([str(n), s.applied_operator_id, repr(s.displacement),
+                               repr(s.max_set_distance), *map(repr, s.iterate)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("x0", [[0.0, 0.0], [0.0, 0.5]])
+def test_trace_format_matches_a_reference_formatter(x0):
+    # Negation maps 0.0 to -0.0 and the box keeps every row it gets, so rows
+    # alternate between a new array, equal to the last one from 0.0 on, and
+    # the same array; with the arrays copied every row is a distinct array
+    ops = [Negate(2), Projection(Box([-1.0, -1.0], [1.0, 1.0]))]
+    trace = run_unrestricted_product(ops, Cyclic(2), Point(x0), never_stop(8))
+    assert shared_rows(trace) == [2, 4, 6, 8]
+    copied = IterationTrace([x.copy() for x in trace.iterates], trace.displacements,
+                            trace.max_set_distances, trace.operator_ids,
+                            trace.certifier_residuals)
+    expected = reference_format(trace, 2)
+    assert format_trace(trace, 2) == format_trace(copied, 2) == expected
+    assert "-0.0" in expected

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from drfeas import DimensionMismatch, Point, norm
+from drfeas.space import _norm
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -35,8 +36,23 @@ def test_inner_gives_squared_norm():
 
 @given(st.lists(finite, min_size=1, max_size=8))
 def test_norm_is_sqrt_of_inner(xs):
+    # below the smallest normal float <x, x> has lost bits, and a nonzero x
+    # is measured scaled (test_norm_scales_with_a_power_of_two)
     x = Point(xs)
-    assert norm(x) == math.sqrt(np.dot(x.coords, x.coords))
+    sq = np.dot(x.coords, x.coords)
+    assume(sq >= np.finfo(float).tiny or not x.coords.any())
+    assert norm(x) == math.sqrt(sq)
+
+
+# Magnitudes whose products with 2^-600 are normal floats
+unscaled = st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-100))
+
+
+@given(st.lists(unscaled, min_size=1, max_size=8))
+def test_norm_scales_with_a_power_of_two(xs):
+    # At 2^-600 every square underflows, so <x, x> alone would read 0
+    x = np.array(xs)
+    assert _norm(np.ldexp(x, -600)) == math.ldexp(_norm(x), -600)
 
 
 def test_combine_identity_case():
