@@ -92,7 +92,9 @@ def _scale(*batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M = 0.0
     for b in batches:
         M = np.maximum(M, _norms(b))
-    unit = np.ldexp(1.0, -np.frexp(M)[1])  # NaN gives 1: left unscaled
+    # NaN gives 1: left unscaled; a subnormal M is clamped as the odd rows
+    # below are, and those rows are overwritten there
+    unit = np.ldexp(1.0, np.minimum(-np.frexp(M)[1], 1023))
     scaled = M * unit
     odd = np.flatnonzero((M < _TINY_NORM) | (M == math.inf))
     if odd.size:

@@ -119,12 +119,12 @@ def _norm(x: np.ndarray) -> float:
     x is scaled by a power of two first, and a norm beyond the largest float
     is inf; other inputs never reach that branch.
     """
-    sq = float(np.dot(x, x))
+    sq = float(x.dot(x))
     if sq == math.inf or (sq < _TINY and x.any()):
         exponent = _exponent(x)
         y = np.ldexp(x, -exponent)
         try:
-            return math.ldexp(math.sqrt(float(np.dot(y, y))), exponent)
+            return math.ldexp(math.sqrt(float(y.dot(y))), exponent)
         except OverflowError:
             return math.inf
     return math.sqrt(sq)
@@ -143,9 +143,9 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     reads inf."""
     sq = _row_dots(v, v)
     out = np.sqrt(sq)
-    small = sq < _TINY
-    if small.any():
-        for i in zip(*np.nonzero(small & v.any(axis=-1))):
+    # one reduction; a NaN sum enters the branch, but its row is not < _TINY
+    if not sq.min(initial=math.inf) >= _TINY:
+        for i in zip(*np.nonzero((sq < _TINY) & v.any(axis=-1))):
             out[i] = _norm(v[i])
     return out
 

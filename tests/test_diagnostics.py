@@ -177,6 +177,7 @@ class Zero(Operator):
         return 0.0 * x
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # _scale must not overflow either
 @pytest.mark.parametrize("check", [check_firmly_nonexpansive, check_nonexpansive])
 def test_pair_at_the_origin_reads_zero(check):
     # At the smallest subnormal scale some sampled pairs are (0, 0): all four

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from drfeas import solver
+from drfeas import problem_io, solver
 from drfeas import (
     AffineSubspace,
     Ball,
@@ -940,11 +940,16 @@ def test_step_by_a_subnormal_keeps_its_own_array():
 
 def reference_format(trace, dim):
     """format_trace with every row's coordinates formatted anew."""
+    with_certifier = any(c is not None for c in trace.certifier_residuals)
     lines = ["n,applied_operator_id,displacement,max_set_distance,"
-             + ",".join(f"coord_{i + 1}" for i in range(dim))]
+             + ",".join(f"coord_{i + 1}" for i in range(dim))
+             + (",certifier_residual" if with_certifier else "")]
     for n, s in enumerate(trace.steps):
-        lines.append(",".join([str(n), s.applied_operator_id, repr(s.displacement),
-                               repr(s.max_set_distance), *map(repr, s.iterate)]))
+        row = [str(n), s.applied_operator_id, repr(s.displacement),
+               repr(s.max_set_distance), *map(repr, s.iterate)]
+        if with_certifier:
+            row.append(repr(s.certifier_residual))
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -962,3 +967,35 @@ def test_trace_format_matches_a_reference_formatter(x0):
     expected = reference_format(trace, 2)
     assert format_trace(trace, 2) == format_trace(copied, 2) == expected
     assert "-0.0" in expected
+
+
+@pytest.mark.parametrize("certified", [False, True])
+def test_trace_format_matches_a_reference_formatter_from_the_diff_dimension(certified):
+    # From problem_io._DIFF_MIN_DIM on, a new array reformats only the
+    # coordinates whose bits changed. Here a few coordinates change between
+    # distinct rows, coordinate 5 goes 0.0 -> -0.0 -> 0.0 (equal as floats,
+    # not as bits) and the rest keep their bits; rows 1, 4 and 5 repeat the
+    # array before them, and with the arrays copied every row is distinct
+    dim = problem_io._DIFF_MIN_DIM
+    x0 = np.random.default_rng(3).normal(size=dim)
+    x0[5] = 0.0
+    x1 = x0.copy()
+    x1[[0, 7, dim - 1]] = [1.5, -2.25, 1e-300]
+    x1[5] = -0.0
+    x2 = x1.copy()
+    x2[5] = 0.0
+    x3 = x2.copy()
+    x3[7] = 3.0
+    iterates = [x0, x0, x1, x2, x2, x2, x3]
+    n = len(iterates)
+    residuals = [0.5 * k if certified else None for k in range(n)]
+    trace = IterationTrace(iterates, [0.0] + [1.0 / k for k in range(1, n)],
+                           [2.0 ** -k for k in range(n)], ["T1", "T2"] * 3 + ["T1"],
+                           residuals)
+    copied = IterationTrace([x.copy() for x in iterates], trace.displacements,
+                            trace.max_set_distances, trace.operator_ids, residuals)
+    expected = reference_format(trace, dim)
+    assert format_trace(trace, dim) == format_trace(copied, dim) == expected
+    rows = [line.split(",") for line in expected.splitlines()[1:]]
+    assert [row[4 + 5] for row in rows] == ["0.0", "0.0", "-0.0", "0.0", "0.0", "0.0", "0.0"]
+    assert ("certifier_residual" in expected) == certified
