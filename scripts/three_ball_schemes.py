@@ -15,10 +15,10 @@ from drfeas import (
     Point,
     Projection,
     RandomBlock,
+    Relaxation,
     StopRule,
     build_composite_Q,
     feasibility_report,
-    relax,
     run_composite,
     run_unrestricted_dr,
     run_unrestricted_product,
@@ -57,7 +57,7 @@ def main():
               run_composite(problem, f, 2, x0, stop), problem)
 
     family = list(build_composite_Q(problem, f, 2).factors)  # S_0, ..., S_jf
-    family += [Projection(problem.sets[0]), relax(Projection(problem.sets[1]), 1.5)]
+    family += [Projection(problem.sets[0]), Relaxation(Projection(problem.sets[1]), 1.5)]
     h = RandomBlock(len(family), 2 * len(family), args.seed)
     summarize("interlaced product",
               run_unrestricted_product(family, h, x0, stop, problem=problem), problem)

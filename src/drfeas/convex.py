@@ -33,7 +33,7 @@ from .space import (
 )
 
 # Largest admissible least-squares residual for an affine system A x = b,
-# relative to max(1, ||b||).
+# relative to ||b||, so that an empty set is rejected at every scale of b.
 AFFINE_CONSISTENCY_TOL = 1e-9
 
 
@@ -370,7 +370,7 @@ class AffineSubspace(ConvexSet):
             self._c = (sb @ U[:, :k]) / s[:k]
             x = self._project(np.zeros(self._dim))
             residual = _norm(np.ldexp(sA @ x - sb, exponent))
-            tol = AFFINE_CONSISTENCY_TOL * max(1.0, _norm(b))
+            tol = AFFINE_CONSISTENCY_TOL * _norm(b)
         if not np.isfinite(x).all():
             raise InvalidSet("minimum-norm solution not finite: the set has no finite point")
         if not residual <= tol:

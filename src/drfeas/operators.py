@@ -138,11 +138,6 @@ class DrOperator(Operator):
         return f"DrOperator({[c.kind for c in self.sets]})"
 
 
-def relax(op: Operator, lam: float) -> Relaxation:
-    """Relaxation of an operator; lam=0 acts as identity, lam=1 as op itself."""
-    return Relaxation(op, lam)
-
-
 def composite_reflection(sets: Sequence[ConvexSet]) -> Composition:
     """Reflections through the given sets composed in order (first set first)."""
     return Composition([Reflection(c) for c in sets])

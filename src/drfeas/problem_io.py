@@ -48,7 +48,7 @@ import numpy as np
 from .control import ControlMap, Cyclic, Explicit, RandomBlock
 from .convex import ConvexSet, InvalidSet, set_from_params
 from .diagnostics import PropertyReport
-from .operators import Operator, Projection, dr_operator, relax
+from .operators import Operator, Projection, Relaxation, dr_operator
 from .solver import (
     FeasibilityProblem,
     IterationTrace,
@@ -303,7 +303,7 @@ def _parse_operator(
                 f"{where}: lambda must lie strictly inside (0, 2) for the "
                 "operator to stay strongly nonexpansive"
             )
-        return relax(projection, float(lam))
+        return Relaxation(projection, float(lam))
     if kind == "dr":
         idxs = spec.get("sets")
         if not isinstance(idxs, list) or not idxs:

@@ -19,30 +19,28 @@ result has a NaN or infinite coordinate ends the run with status
 stop-rule residual (a set distance that is not a number) ends it with the
 same status, at the iterate that has it.
 
-The worst set distance of a step is computed at once only where it can
-decide the run: at the start point and at a step that can stop it, which is
-every step when displacement_tol == 0 and otherwise a step whose
-displacement is within displacement_tol. Any other step defers it. The
-deferred rows are filled from one batched ``FeasibilityProblem._distances``
-call over their stacked iterates once the oldest of them is
-``_RESIDUAL_BLOCK`` - 1 steps old, so a call takes at most
-``_RESIDUAL_BLOCK`` rows, and when the loop ends. A batch row has the bits
-of a single point, so the trace is the same as with every distance computed
-at once. A NaN in a deferred row ends the trace at that row with status
-``non_finite``: up to ``_RESIDUAL_BLOCK`` - 1 later steps may have been
-applied by then, and their rows are dropped, as is an exception one of them
-raised. When the batched call raises, the rows are measured again one at a
-time in step order, so a NaN row before the one that raises still ends the
-run there.
+Each new iterate is measured once. A row's worst set distance is deferred
+until the loop measures the rows that lack one: at the start point, at a
+step that can stop the run (every step when displacement_tol == 0, otherwise
+a step whose displacement is within displacement_tol), once the oldest
+deferred row is ``_RESIDUAL_BLOCK`` - 1 steps old, and when the loop ends, so
+a measurement takes at most ``_RESIDUAL_BLOCK`` rows. A row that keeps the
+previous row's array copies that row's distance; the others are measured by
+one batched ``FeasibilityProblem._distances`` call over their stacked
+iterates, whose rows have the bits of single points, so the trace is the
+same as with every distance computed at once. A NaN in a deferred row ends
+the trace at that row with status ``non_finite``: up to
+``_RESIDUAL_BLOCK`` - 1 later steps may have been applied by then, and their
+rows are dropped, as is an exception one of them raised. When the batched
+call raises, the rows are measured again one at a time in step order, so a
+NaN row before the one that raises still ends the run there.
 
 A step that returns its iterate unchanged, with a zero displacement and the
 same bytes (-0.0 and 0.0 differ), adds a row that keeps the previous row's
-array, so consecutive rows may share one read-only array. The row reuses
-the previous row's certifier residual, so the certifier is not applied
-again, and its worst set distance, so no set is measured again, unless that
-distance is still deferred: then it is computed at once. Late in a run most
-windows may already hold the iterate, and their DR steps return it bit for
-bit.
+array, certifier residual and worst set distance, so consecutive rows may
+share one read-only array, which neither the certifier nor any set sees
+again. Late in a run most windows may already hold the iterate, and their
+DR steps return it bit for bit.
 
 The stop-rule residual is the largest entry of one distance vector that
 ``FeasibilityProblem`` evaluates per iterate, or per row of a stack, from the
@@ -343,52 +341,61 @@ def _iterate(
     one returned, which must be new. The library's DR operators and their
     compositions always return a new array.
 
-    A step that cannot stop the run (its displacement is above a
-    displacement_tol > 0) defers its worst set distance, as the module
-    docstring describes; fill() computes the deferred ones."""
+    Each row's worst set distance is deferred until measure() gives it, as
+    the module docstring describes: at the start, at a step that can stop
+    the run, when the oldest deferred row is _RESIDUAL_BLOCK - 1 steps old,
+    and on the way out."""
     for what, part in (("start", x0), ("problem", problem), ("certifier", certifier)):
         if part is not None and part.dim != dim:
             raise DimensionMismatch(f"{what} has dimension {part.dim}, expected {dim}")
     x = x0.coords
-    dist = problem._max_distance(x) if problem is not None else 0.0
-    trace = IterationTrace([x], [0.0], [dist], ["init"], [_certifier_residual(certifier, x)])
-    if problem is not None and dist <= stop.feasibility_tol:
-        trace.terminal_status = FEASIBLE
-        return trace
-    if dist != dist:
-        trace.terminal_status = NON_FINITE
-        return trace
-
+    blank = 0.0 if problem is None else math.nan  # a distance not measured yet
+    trace = IterationTrace([x], [0.0], [blank], ["init"], [_certifier_residual(certifier, x)])
     columns = (trace.iterates, trace.displacements, trace.max_set_distances,
                trace.operator_ids, trace.certifier_residuals)
     add_iterate, add_disp, add_dist, add_id, add_residual = (c.append for c in columns)
     iterates, dists, tol = trace.iterates, trace.max_set_distances, stop.displacement_tol
-    deferred: list[int] = []  # the rows (= steps) whose worst set distance waits
+    known = 0  # the rows before this one have their worst set distance
 
-    def fill() -> bool:
-        """Give the deferred rows their worst set distance; at a NaN, end the
-        trace at the first row that has it and return True."""
-        rows = deferred.copy()
-        deferred.clear()  # so that a raising set is not measured again on the way out
-        points = [iterates[i] for i in rows]
-        try:
-            worst = problem._distances(np.stack(points)).max(axis=-1).tolist()
-        except Exception:
-            # a set raised on some row: measure them again in step order, so
-            # that a NaN row before that one ends the run as it would at once
-            worst = []
-            for p in points:
-                worst.append(problem._max_distance(p))
-                if worst[-1] != worst[-1]:
-                    break
-        for i, d in zip(rows, worst):
-            dists[i] = d
-        nan = [i for i, d in zip(rows, worst) if d != d]
-        if not nan:
-            return False
-        for column in columns:
-            del column[nan[0] + 1 :]
-        return True
+    def measure() -> bool:
+        """Give the deferred rows their worst set distance: a row that keeps
+        the previous row's array copies its distance, and the others are
+        measured once, by one batched call. At a NaN, end the trace at the
+        first row that has it and return True."""
+        nonlocal known
+        # moved on first, so that a raising set is not measured again on the
+        # way out
+        rows, known = range(known, len(iterates)), len(iterates)
+        if problem is None:
+            return False  # the column holds 0.0
+        fresh = [i for i in rows if not (i and iterates[i] is iterates[i - 1])]
+        if fresh:
+            points = [iterates[i] for i in fresh]
+            try:
+                worst = problem._distances(np.array(points)).max(axis=1).tolist()
+            except Exception:
+                # a set raised on some row: measure them again in step order,
+                # so that a NaN row before that one ends the run as it would
+                # alone
+                worst = []
+                for p in points:
+                    worst.append(problem._max_distance(p))
+                    if worst[-1] != worst[-1]:
+                        break
+            for i, d in zip(fresh, worst):
+                dists[i] = d
+        for i in rows:
+            if i and iterates[i] is iterates[i - 1]:
+                dists[i] = dists[i - 1]
+            if dists[i] != dists[i]:
+                for column in columns:
+                    del column[i + 1 :]
+                return True
+        return False
+
+    if measure() or problem is not None and dists[0] <= stop.feasibility_tol:
+        trace.terminal_status = NON_FINITE if math.isnan(dists[0]) else FEASIBLE
+        return trace
 
     status = MAX_ITERS
     try:
@@ -404,50 +411,33 @@ def _iterate(
                 break
             # a zero displacement does not prove x_next equal to x: -0.0
             # against 0.0 gives one
-            same = disp == 0.0 and x_next.tobytes() == x.tobytes()
-            if same:
+            if disp == 0.0 and x_next.tobytes() == x.tobytes():
                 x_next = x
                 residual = trace.certifier_residuals[-1]
             else:
                 x_next.setflags(write=False)
                 residual = _certifier_residual(certifier, x_next)
-            settles = not 0.0 < tol < disp  # whether this step can stop the run
-            if problem is None:
-                dist = 0.0
-            elif same and not (deferred and deferred[-1] == n - 1):
-                dist = dists[-1]
-            elif settles:
-                dist = problem._max_distance(x_next)
-            else:
-                dist = math.nan  # until fill() computes it
-                deferred.append(n)
             add_iterate(x_next)
             add_disp(disp)
-            add_dist(dist)
+            add_dist(blank)
             add_id(op_id)
             add_residual(residual)
             x = x_next
-            if deferred and n - deferred[0] == _RESIDUAL_BLOCK - 1 and fill():
+            settles = not 0.0 < tol < disp  # whether this step can stop the run
+            if (settles or n - known == _RESIDUAL_BLOCK - 1) and measure():
                 status = NON_FINITE
                 break
             if not settles:
                 continue
-            if dist != dist:
-                status = NON_FINITE
-                break
-            if problem is None:
-                if tol > 0.0:
-                    status = CONVERGED_DISPLACEMENT
-                    break
-            elif dist <= stop.feasibility_tol:
+            if dists[-1] <= stop.feasibility_tol and (problem is not None or tol > 0.0):
                 status = CONVERGED_DISPLACEMENT if tol > 0.0 else FEASIBLE
                 break
     except Exception:
         # a NaN row before the step that raised ends the run there instead
-        if not (deferred and fill()):
+        if not measure():
             raise
         status = NON_FINITE
-    if deferred and fill():
+    if measure():
         status = NON_FINITE
     trace.terminal_status = status
     return trace

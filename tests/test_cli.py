@@ -167,6 +167,19 @@ def test_run_classifies_malformed_document_as_input_error(name, tmp_path, capsys
     assert not path.with_suffix(".trace.csv").exists()
 
 
+def test_run_rejects_an_empty_affine_set_with_a_tiny_b(tmp_path, capsys):
+    # x1 = 0 and x1 = 1e-12 have no common point, so the document is malformed;
+    # held as the least-squares set x1 = 5e-13, it once ran to a
+    # converged_displacement verdict with the unit ball
+    doc = _run_doc([{"kind": "AffineSubspace", "A": [[1, 0], [1, 0]], "b": [0, 1e-12]},
+                    UNIT_BALL], x0=[3.0, 4.0])
+    path = tmp_path / "empty_affine.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "inconsistent affine system" in err
+
+
 def test_run_rejects_document_without_scheme(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"dimension": 2, "sets": THREE_BALLS_RUN["sets"]}),

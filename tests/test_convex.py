@@ -289,13 +289,23 @@ def test_unreachable_affine_systems_rejected():
 
 
 def test_affine_consistency_tolerance_is_in_the_units_of_b():
-    # [[1, 0], [1, 0]] x = (0, t) has the least-squares residual t / sqrt(2)
-    # whatever the size of A; the tolerance is 1e-9 * max(1, ||b||)
+    # [[1, 0], [1, 0]] x = (t, u) has the least-squares residual
+    # |u - t| / sqrt(2) whatever the size of A; the tolerance is
+    # 1e-9 * ||b|| with no floor, so it scales with b
     rows = np.array([[1.0, 0.0], [1.0, 0.0]])
     for size in (1e-200, 1.0, 1e200):
-        AffineSubspace(size * rows, [0.0, 1e-9])
-        with pytest.raises(InvalidSet, match="inconsistent"):
-            AffineSubspace(size * rows, [0.0, 1e-8])
+        for scale in (2.0**-300, 1.0, 2.0**300):
+            AffineSubspace(size * rows, [scale, scale * (1.0 + 1e-9)])
+            with pytest.raises(InvalidSet, match="inconsistent"):
+                AffineSubspace(size * rows, [scale, scale * (1.0 + 1e-8)])
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-12, 2.0**-300])
+def test_empty_affine_system_with_a_tiny_b_rejected(gap):
+    # x1 = 0 and x1 = gap have no common point however small the gap: its
+    # residual gap / sqrt(2) is most of ||b|| = gap
+    with pytest.raises(InvalidSet, match="inconsistent"):
+        AffineSubspace([[1.0, 0.0], [1.0, 0.0]], [0.0, gap])
 
 
 def test_scaled_affine_data_keeps_bits():

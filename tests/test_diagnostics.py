@@ -17,6 +17,7 @@ from drfeas import (
     Point,
     Projection,
     Reflection,
+    Relaxation,
     asymptotic_regularity_series,
     build_composite_Q,
     check_firmly_nonexpansive,
@@ -26,7 +27,6 @@ from drfeas import (
     dr_operator,
     feasibility_report,
     norm,
-    relax,
 )
 
 
@@ -73,7 +73,7 @@ def test_composite_reflection_nonexpansive():
 
 def test_relaxed_projection_nonexpansive():
     for lam in (0.25, 1.0, 1.75, 2.0):
-        rep = check_nonexpansive(relax(Projection(Ball([0.0, 0.0], 1.0)), lam),
+        rep = check_nonexpansive(Relaxation(Projection(Ball([0.0, 0.0], 1.0)), lam),
                                  samples=500, tol=1e-10)
         assert rep.passed, lam
 
@@ -87,7 +87,7 @@ def test_quasi_nonexpansive_for_dr_with_common_point(three_balls):
     T = dr_operator(three_balls)
     p = Point([0.5, 0.3])
     assert check_quasi_nonexpansive(T, p, samples=1000, tol=1e-10).passed
-    assert check_quasi_nonexpansive(relax(T, 1.5), p, samples=1000, tol=1e-10).passed
+    assert check_quasi_nonexpansive(Relaxation(T, 1.5), p, samples=1000, tol=1e-10).passed
 
 
 def test_quasi_nonexpansive_rejects_non_fixed_point(three_balls):

@@ -15,10 +15,10 @@ from drfeas import (
     Point,
     Projection,
     Reflection,
+    Relaxation,
     composite_reflection,
     dr_operator,
     norm,
-    relax,
 )
 
 coords2 = st.lists(
@@ -63,7 +63,7 @@ def test_dr_fixes_common_points(three_balls):
 
 def test_relax_lambda_one_behaves_as_operator():
     T = Projection(Ball([0.0, 0.0], 1.0))
-    T1 = relax(T, 1.0)
+    T1 = Relaxation(T, 1.0)
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = Point(rng.uniform(-5.0, 5.0, size=2))
@@ -73,11 +73,11 @@ def test_relax_lambda_one_behaves_as_operator():
 def test_relax_lambda_zero_is_identity():
     T = Projection(Ball([0.0, 0.0], 1.0))
     x = Point([5.0, -5.0])
-    assert relax(T, 0.0).apply(x) == x
+    assert Relaxation(T, 0.0).apply(x) == x
 
 
 def test_relax_two_is_reflection():
-    T = relax(Projection(Ball([0.0, 0.0], 1.0)), 2.0)
+    T = Relaxation(Projection(Ball([0.0, 0.0], 1.0)), 2.0)
     got = T.apply(Point([3.0, 4.0]))
     assert norm(got - Point([-1.8, -2.4])) <= 1e-12
 
@@ -85,7 +85,7 @@ def test_relax_two_is_reflection():
 @pytest.mark.parametrize("lam", [-0.1, 2.5])
 def test_relax_rejects_out_of_range(lam):
     with pytest.raises(ValueError):
-        relax(Identity(2), lam)
+        Relaxation(Identity(2), lam)
 
 
 def test_composite_reflection_single_set_is_reflection():
@@ -139,13 +139,13 @@ def test_relaxation_preserves_fixed_points(three_balls):
     T = dr_operator(three_balls)
     p = Point([0.5, 0.3])  # common point, hence fixed
     for lam in (0.5, 1.0, 1.5, 2.0):
-        assert norm(relax(T, lam).apply(p) - p) <= 1e-10
+        assert norm(Relaxation(T, lam).apply(p) - p) <= 1e-10
 
 
 def test_composition_of_averaged_fixes_common_point(three_balls):
     factors = [
         Projection(three_balls[0]),
-        relax(Projection(three_balls[1]), 0.5),
+        Relaxation(Projection(three_balls[1]), 0.5),
         dr_operator(three_balls[1:]),
     ]
     comp = Composition(factors)

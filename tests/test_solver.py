@@ -615,33 +615,79 @@ def test_trace_views_match_the_reference_loop_with_deferred_residuals():
     assert sum(d <= 1.5 for d in trace.displacements[1:]) == 10
 
 
-def test_residual_is_computed_at_once_only_at_steps_that_can_stop(monkeypatch):
-    # Each row's worst set distance is computed once: by a single-point call
-    # at the start and at each step whose displacement is within
-    # displacement_tol, in step order; the other rows' in batches, in step
-    # order, each over rows less than a block of steps apart
-    problem, f, r, x0 = disjoint_problem(), RandomBlock(3, 4, 2), 3, Point([3.0, -2.0])
-    K, tol = solver._RESIDUAL_BLOCK, 1.5
-    calls = []
+def measured_rows(trace, log, tol):
+    """Check the residual calls in the log of a run with displacement_tol
+    tol against its trace; return the rows of each call."""
+    K, x = solver._RESIDUAL_BLOCK, trace.iterates
+    new = [n == 0 or x[n] is not x[n - 1] for n in range(len(x))]
+    distinct = [n for n, is_new in enumerate(new) if is_new]
+    holder = np.cumsum(new) - 1  # row -> index of its array in distinct
+    batches = [rows for kind, rows in log if kind == "measure"]
+    # every distinct array is measured exactly once, in step order
+    assert np.array_equal(np.concatenate(batches), [x[n] for n in distinct])
+    # each call's rows span fewer than K steps
+    starts = np.cumsum([0] + [len(b) for b in batches[:-1]])
+    assert all(distinct[a + len(b) - 1] - distinct[a] < K for a, b in zip(starts, batches))
+    # a row that can stop the run is measured before the next step applies
+    counts, done = [], 0  # counts[n]: the arrays measured before step n + 1
+    for kind, rows in log:
+        if kind == "measure":
+            done += len(rows)
+        else:
+            counts.append(done)
+    assert len(counts) == len(x) - 1
+    for n, (d, count) in enumerate(zip(trace.displacements, counts)):
+        if not 0.0 < tol < d:
+            assert holder[n] < count
+    return batches
+
+
+@pytest.fixture
+def measure_log(monkeypatch):
+    """A log of each FeasibilityProblem._distances call, with its rows, and
+    each DrOperator or Projection step, in call order."""
+    log = []
     distances = FeasibilityProblem._distances
 
     def recording(self, x):
-        calls.append(x)
+        log.append(("measure", x.reshape(-1, x.shape[-1]).copy()))
         return distances(self, x)
 
+    def logged(apply):
+        def stepping(self, x):
+            log.append(("apply", None))
+            return apply(self, x)
+
+        return stepping
+
     monkeypatch.setattr(FeasibilityProblem, "_distances", recording)
+    for cls in (DrOperator, Projection):
+        monkeypatch.setattr(cls, "_apply", logged(cls._apply))
+    return log
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.5])
+def test_each_distinct_iterate_is_measured_once_within_a_block(measure_log, tol):
+    # With tol 1.5, 290 of the 300 steps cannot stop the run, so their rows
+    # are deferred and measured in batches; with tol 0 every step can stop it
+    problem, f, r, x0 = disjoint_problem(), RandomBlock(3, 4, 2), 3, Point([3.0, -2.0])
     trace = run_unrestricted_dr(problem, f, r, x0, StopRule(300, tol, 0.0))
-    at_once = [n for n, d in enumerate(trace.displacements) if d <= tol]
-    deferred = [n for n, d in enumerate(trace.displacements) if d > tol]
-    single = [x for x in calls if x.ndim == 1]
-    batches = [x for x in calls if x.ndim == 2]
-    assert len(single) == len(at_once) == 11
-    assert all(x is trace.iterates[n] for x, n in zip(single, at_once))
-    assert np.array_equal(np.concatenate(batches), [trace.iterates[n] for n in deferred])
-    sizes = [len(x) for x in batches]
-    assert sizes == [61, 63, 63, 61, 42]  # the deferred rows of blocks of 64 steps
-    starts = np.cumsum([0] + sizes[:-1])
-    assert all(deferred[a + k - 1] - deferred[a] < K for a, k in zip(starts, sizes))
+    batches = measured_rows(trace, measure_log, tol)
+    assert max(len(b) for b in batches) == (1 if tol == 0.0 else solver._RESIDUAL_BLOCK)
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.5])
+def test_each_distinct_iterate_is_measured_once_with_repeats(measure_log, tol):
+    # P1 twice, then P2, over two disjoint boxes: every third step repeats
+    # its iterate. With tol 0.5 the step before each repeat is deferred and
+    # the repeat can stop the run, so the repeat copies a distance that the
+    # same batch gives
+    sets = [Box([0.0, 0.0], [1.0, 1.0]), Box([3.0, 0.0], [4.0, 1.0])]
+    ops = [Projection(c) for c in (sets[0], sets[0], sets[1])]
+    trace = run_unrestricted_product(ops, Cyclic(3), Point([2.0, 5.0]), StopRule(100, tol, 0.0),
+                                     problem=FeasibilityProblem(sets))
+    assert shared_rows(trace) == list(range(2, 101, 3))
+    measured_rows(trace, measure_log, tol)
 
 
 class ShiftRight(Operator):
@@ -892,17 +938,14 @@ def test_unchanged_iterate_after_a_known_row_measures_nothing():
     assert len(CountingBox.measured) == 2 * (len(trace.iterates) - len(repeats))
 
 
-def test_unchanged_iterate_after_a_deferred_row_is_measured_at_once():
+def test_unchanged_iterate_after_a_deferred_row_measures_nothing():
     # The step before each repeat moves by more than displacement_tol, so its
-    # row is deferred; the repeat can stop the run and is measured at once
+    # row is deferred; the repeat can stop the run, and copies that row's
+    # distance from the batch that measures it
     trace, repeats = product_with_repeats(StopRule(30, displacement_tol=0.5,
                                                    feasibility_tol=0.0))
     assert all(trace.displacements[n - 1] > 0.5 for n in repeats)
-    assert len(CountingBox.measured) == 2 * len(trace.iterates)
-    # a batch measures copies; a single point, a view of the row's own array
-    at_once = [x for x in CountingBox.measured
-               if any(np.shares_memory(x, trace.iterates[n]) for n in repeats)]
-    assert len(at_once) == 2 * len(repeats)
+    assert len(CountingBox.measured) == 2 * (len(trace.iterates) - len(repeats))
     assert not any(math.isnan(d) for d in trace.max_set_distances)
 
 
