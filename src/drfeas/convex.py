@@ -15,9 +15,11 @@ sets at once, from data stacked into matrices (``STACKED_DISTANCES``;
 halfspaces and hyperplanes share one family); an entry agrees with the
 set's own ``_distance`` to rounding, and one that is not finite is left for
 ``_distance``. A nonzero distance whose sum of squares underflows is not
-read as 0: it is measured scaled by a power of two, as ``space._norm``
-does. A family takes one point, giving one distance per set, or a (..., d)
-batch, giving (..., sets); a batch row has the bits of its point.
+read as 0: the ball and box families measure it scaled by a power of two,
+as ``space._norm`` does, and the affine family reads it NaN, which leaves it
+for ``_distance``. A family takes one point, giving one distance per set,
+or a (..., d) batch, giving (..., sets); a batch row has the bits of its
+point.
 """
 
 from __future__ import annotations
@@ -269,7 +271,7 @@ class Ball(ConvexSet):
         return self.radius - _norm(self._coords(x) - self.center)
 
     def scale_hint(self) -> float:
-        return float(np.linalg.norm(self.center)) + self.radius
+        return _norm(self.center) + self.radius
 
     @staticmethod
     def _family_distances(sets: Sequence[Ball]) -> FamilyDistances:
@@ -334,8 +336,11 @@ class AffineSubspace(ConvexSet):
     come from one SVD of A scaled by the power of two of max |A_ij|, so the
     SVD cannot overflow; the entries of W are at most 1, so W x cannot
     overflow for an ordinary point. The projection is x - W^T (W x - c) and
-    the distance ||W x - c||; the public A and b are the given data. Systems
-    inconsistent or with no finite point are rejected here.
+    the distance ||W x - c||; the public A and b are the given data. For a
+    point near the largest float, whose W x - c overflows in its partial
+    sums, both are taken on x and c scaled by a power of two, a batch row
+    as a single point. Systems inconsistent or with no finite point are
+    rejected here.
     """
 
     __slots__ = ("A", "b", "_W", "_c")
@@ -379,10 +384,30 @@ class AffineSubspace(ConvexSet):
     def _project(self, x: np.ndarray) -> np.ndarray:
         # per row of a (..., d) batch, the products of a single point
         g = (self._W @ x[..., None])[..., 0] - self._c
-        return x - (g[..., None, :] @ self._W)[..., 0, :]
+        out = x - (g[..., None, :] @ self._W)[..., 0, :]
+        if x.ndim > 1:
+            for i in zip(*np.nonzero(~np.isfinite(g).all(axis=-1))):
+                out[i] = self._project(x[i])
+        elif not np.isfinite(g).all():
+            y, g, exponent = self._scaled_gap(x)
+            out = np.ldexp(y - g @ self._W, exponent)
+        return out
 
     def _distance(self, x: np.ndarray) -> float:
-        return _norm(self._W @ x - self._c)
+        g = self._W @ x - self._c
+        if np.isfinite(g).all():
+            return _norm(g)
+        _, g, exponent = self._scaled_gap(x)
+        return float(np.ldexp(_norm(g), exponent))  # inf past the largest float
+
+    def _scaled_gap(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """For one point whose W x - c is not finite (partial sums of W x
+        passed the largest float): y = x 2^-e and W y - c 2^-e, with 2^e the
+        power of two of the largest entry of x and c, as _LinearSet._project
+        scales."""
+        exponent = max(_exponent(x), _exponent(self._c))
+        y = np.ldexp(x, -exponent)
+        return y, self._W @ y - np.ldexp(self._c, -exponent), exponent
 
     def interior_margin(self, x: Point) -> float:
         self._coords(x)
@@ -398,8 +423,9 @@ class AffineSubspace(ConvexSet):
         """||W x - c|| per set, from one product with the rows of every set
         stacked and one sum of squares per set and point, each point's
         squares in bins of their own; a set of rank 0 (the zero system) has
-        no row and reads 0. A sum below the smallest normal float, from a
-        W x - c that is not 0, is measured again by the set's _distance."""
+        no row and reads 0. A sum below space._TINY, from a W x - c that is
+        not 0, has lost bits: it reads NaN, which leaves it for the set's
+        _distance."""
         W = np.concatenate([c._W for c in sets])
         offsets = np.concatenate([c._c for c in sets])
         owner = np.repeat(np.arange(len(sets)), [c._c.size for c in sets])
@@ -410,13 +436,11 @@ class AffineSubspace(ConvexSet):
             g = g.reshape(-1, g.shape[-1])
             bins = owner + np.arange(0, len(g) * k, k)[:, None]
             sums = np.bincount(bins.ravel(), (g * g).ravel(), minlength=len(g) * k)
-            out = np.sqrt(sums).reshape(len(g), k)
+            out = np.sqrt(sums)
             small = sums < _TINY
             if small.any():
                 nonzero = np.bincount(bins.ravel(), (g != 0.0).ravel(), minlength=len(g) * k)
-                points = x.reshape(-1, x.shape[-1])
-                for i, j in zip(*np.nonzero((small & (nonzero > 0)).reshape(len(g), k))):
-                    out[i, j] = sets[j]._distance(points[i])
+                out[small & (nonzero > 0)] = math.nan
             return out.reshape(x.shape[:-1] + (k,))
 
         return distances

@@ -20,9 +20,9 @@ violation is divided by M ||x - y|| and a plain one by M; the rounding error
 of a correct operator grows like eps M ||x - y||, so both stay near eps.
 The differences are first divided by the power of two that brings M into
 [0.5, 1), as ``space._norm`` scales a vector, so no inner product overflows
-or underflows and a violation is finite wherever the images are. Where the
-norms themselves underflow or pass the largest float, that power of two
-comes from the largest |coordinate| of the pair. No floor is put under M,
+or underflows and a violation is finite wherever the images are. Where a
+norm's square underflows or overflows, that power of two comes from the
+largest |coordinate| of the pair. No floor is put under M,
 so a check reads the same at every scale: x -> 2x fails at 1e-170 as it
 does at 1. A pair whose M is 0 (all four points at the origin) reads 0.
 """
@@ -71,27 +71,18 @@ def _pairs(dim: int, samples: int, scale: float, seed: int) -> np.ndarray:
 _TINY_NORM = 2.0**-511
 
 
-def _norms(b: np.ndarray) -> np.ndarray:
-    """Norms of the rows of a (n, d) batch; a row whose <v, v> overflows is
-    recomputed with _norm, which scales it first."""
-    norms = _row_norms(b)
-    for i in np.flatnonzero(norms == math.inf):
-        norms[i] = _norm(b[i])
-    return norms
-
-
 def _scale(*batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row i, M 2^-e and the column of factors 2^-e, where M is the
     largest norm of row i in any batch and 2^e is the power of two with
     M 2^-e in [0.5, 1). Multiplying by 2^-e is exact, and inner products of
     rows so scaled cannot overflow. A row whose M is below _TINY_NORM (its
-    <v, v> underflows) or inf (its norm passes the largest float) takes 2^e
-    from its largest |coordinate| instead, as _norm does, and M 2^-e from
-    the scaled rows; an all-zero row gets 1 there, so it reads 0. A batch
-    of one row broadcasts."""
+    <v, v> underflows) or inf (a <v, v> overflows, as space._row_norms
+    reads it) takes 2^e from its largest |coordinate| instead, as _norm
+    does, and M 2^-e from the scaled rows; an all-zero row gets 1 there, so
+    it reads 0. A batch of one row broadcasts."""
     M = 0.0
     for b in batches:
-        M = np.maximum(M, _norms(b))
+        M = np.maximum(M, _row_norms(b))
     # NaN gives 1: left unscaled; a subnormal M is clamped as the odd rows
     # below are, and those rows are overwritten there
     unit = np.ldexp(1.0, np.minimum(-np.frexp(M)[1], 1023))

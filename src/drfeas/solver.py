@@ -31,9 +31,12 @@ iterates, whose rows have the bits of single points, so the trace is the
 same as with every distance computed at once. A NaN in a deferred row ends
 the trace at that row with status ``non_finite``: up to
 ``_RESIDUAL_BLOCK`` - 1 later steps may have been applied by then, and their
-rows are dropped, as is an exception one of them raised. When the batched
-call raises, the rows are measured again one at a time in step order, so a
-NaN row before the one that raises still ends the run there.
+rows are dropped, as is an exception one of them raised. Each failure is
+handled where it happens: no built-in set reads NaN or raises at a finite
+point, and the sets of user subclasses are measured row by row in step
+order, stopping at the first row that holds a NaN, whose later rows read
+NaN unmeasured. So the batched call raises only when no NaN row comes
+before the row that raised, and it is made once.
 
 A step that returns its iterate unchanged, with a zero displacement and the
 same bytes (-0.0 and 0.0 differ), adds a row that keeps the previous row's
@@ -47,8 +50,9 @@ The stop-rule residual is the largest entry of one distance vector that
 families of ``convex.STACKED_DISTANCES`` and one of the sets of other
 ``ConvexSet`` subclasses, each measured by its own ``_distance``: the family
 vectors, concatenated, with a stacked entry that is not finite taken again
-from its set's ``_distance``; only ``distances`` puts them in set order, by
-one gather.
+from its set's ``_distance`` (the one fallback: an affine sum of squares
+that has lost bits to underflow reads NaN to reach it); only ``distances``
+puts them in set order, by one gather.
 Projections, operators and displacements never use the stacked data.
 
 Per step the loop builds no ``Point``: ``IterationTrace`` keeps columns of
@@ -79,7 +83,8 @@ FEASIBLE = "feasible"
 MAX_ITERS = "max_iters"
 NON_FINITE = "non_finite"
 
-# Declared interior points must clear every set boundary by this much.
+# Declared interior points must clear every set boundary by this much,
+# relative to the larger of the point's norm and the set's scale_hint.
 INTERIOR_MARGIN = 1e-9
 
 
@@ -160,8 +165,10 @@ class FeasibilityProblem:
     """An ordered family of convex sets sharing one ambient dimension.
 
     A declared interior point is optional; when present it must sit strictly
-    inside every set (margin >= 1e-9), which rules out declarations for
-    empty-interior sets such as hyperplanes.
+    inside every set: its margin must be positive and at least 1e-9 times
+    the larger of ||p|| and the set's scale_hint, so the test reads the same
+    at every scale. This rules out declarations for empty-interior sets such
+    as hyperplanes.
 
     At construction the sets are grouped by the stacked family their kind
     belongs to, so that the distances from x to all m sets, and the worst of
@@ -179,9 +186,10 @@ class FeasibilityProblem:
                 raise DimensionMismatch(
                     f"interior point has dimension {interior_point.dim}, expected {dim}"
                 )
+            size = _norm(interior_point.coords)
             for i, c in enumerate(sets):
                 margin = c.interior_margin(interior_point)
-                if not (margin >= INTERIOR_MARGIN):
+                if not (margin > 0.0 and margin >= INTERIOR_MARGIN * max(size, c.scale_hint())):
                     raise ValueError(
                         f"declared interior point is not strictly inside set "
                         f"{i + 1} ({c.kind}): margin {margin:.3e}"
@@ -215,7 +223,9 @@ class FeasibilityProblem:
         return (out if self._order is None else out[self._order]).tolist()
 
     def max_distance(self, x: Point) -> float:
-        return self._max_distance(_checked_coords(x, self.dim, "problem"))
+        """Worst set distance from x: the stop-rule residual. A NaN distance
+        makes it NaN, which no tolerance accepts."""
+        return float(self._distances(_checked_coords(x, self.dim, "problem")).max())
 
     def _distances(self, x: np.ndarray) -> np.ndarray:
         """Distance from a raw coordinate array to each set of self._grouped:
@@ -233,11 +243,6 @@ class FeasibilityProblem:
                     out[(*row, j)] = self._grouped[j]._distance(x[tuple(row)])
         return out
 
-    def _max_distance(self, x: np.ndarray) -> float:
-        """Worst set distance on a raw coordinate array: the stop-rule residual.
-        A NaN distance makes it NaN, which no tolerance accepts."""
-        return float(self._distances(x).max())
-
     def sampling_scale(self) -> float:
         """Default hypercube half-width for sampled diagnostics."""
         return 4.0 * max(1.0, max(c.scale_hint() for c in self.sets))
@@ -245,12 +250,17 @@ class FeasibilityProblem:
 
 def _each_distance(sets: Sequence[ConvexSet]) -> FamilyDistances:
     """The family of the sets with no stacked kind, each by its own _distance,
-    point by point."""
+    point by point in row order. At the first row that holds a NaN it stops:
+    the later rows read NaN, and their sets are not called, so a set that
+    raises on a later row does not raise."""
 
     def distances(x: np.ndarray) -> np.ndarray:
-        points = x.reshape(-1, x.shape[-1])
-        out = np.array([[c._distance(p) for c in sets] for p in points], dtype=float)
-        return out.reshape(x.shape[:-1] + (len(sets),))
+        out = np.full(x.shape[:-1] + (len(sets),), math.nan)
+        for row, p in zip(out.reshape(-1, len(sets)), x.reshape(-1, x.shape[-1])):
+            row[:] = [c._distance(p) for c in sets]
+            if np.isnan(row).any():
+                break
+        return out
 
     return distances
 
@@ -370,19 +380,8 @@ def _iterate(
             return False  # the column holds 0.0
         fresh = [i for i in rows if not (i and iterates[i] is iterates[i - 1])]
         if fresh:
-            points = [iterates[i] for i in fresh]
-            try:
-                worst = problem._distances(np.array(points)).max(axis=1).tolist()
-            except Exception:
-                # a set raised on some row: measure them again in step order,
-                # so that a NaN row before that one ends the run as it would
-                # alone
-                worst = []
-                for p in points:
-                    worst.append(problem._max_distance(p))
-                    if worst[-1] != worst[-1]:
-                        break
-            for i, d in zip(fresh, worst):
+            worst = problem._distances(np.array([iterates[i] for i in fresh])).max(axis=1)
+            for i, d in zip(fresh, worst.tolist()):
                 dists[i] = d
         for i in rows:
             if i and iterates[i] is iterates[i - 1]:

@@ -107,17 +107,19 @@ def _exponent(v: np.ndarray) -> int:
     return int(np.frexp(np.max(np.abs(v)))[1])
 
 
-# The smallest normal float: a sum of squares below it has lost bits.
-_TINY = float(np.finfo(float).tiny)
+# 2^54 times the smallest normal float. A sum of squares below it may owe
+# its bits to subnormal squares, which round at 2^-1075 absolute; at or above
+# it, that rounding is at most 2^-55 of an ulp of the sum.
+_TINY = 2.0**54 * float(np.finfo(float).tiny)
 
 
 def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a raw coordinate array, as sqrt(<x, x>).
 
-    When <x, x> overflows (||x|| above ~1.3e154), or falls below the
-    smallest normal float for a nonzero x (every |x_i| below ~1.5e-154),
-    x is scaled by a power of two first, and a norm beyond the largest float
-    is inf; other inputs never reach that branch.
+    When <x, x> overflows (||x|| above ~1.3e154), or falls below _TINY for
+    a nonzero x (||x|| below 2^-484, ~2e-146), x is scaled by a power of two
+    first, and a norm beyond the largest float is inf; other inputs never
+    reach that branch.
     """
     sq = float(x.dot(x))
     if sq == math.inf or (sq < _TINY and x.any()):
@@ -138,9 +140,8 @@ def _row_dots(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (..., d) array, as sqrt(<v_i, v_i>);
-    a nonzero row whose <v_i, v_i> is below the smallest normal float is
-    measured by _norm, but unlike _norm, a row whose <v_i, v_i> overflows
-    reads inf."""
+    a nonzero row whose <v_i, v_i> is below _TINY is measured by _norm, but
+    unlike _norm, a row whose <v_i, v_i> overflows reads inf."""
     sq = _row_dots(v, v)
     out = np.sqrt(sq)
     # one reduction; a NaN sum enters the branch, but its row is not < _TINY

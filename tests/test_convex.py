@@ -336,6 +336,31 @@ def test_affine_rows_near_the_largest_float_keep_their_distance():
     assert c.distance(c.project(x)) <= 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing W x
+def test_affine_distance_when_w_x_overflows():
+    # x is a point of the set, but the partial sums of W x pass the largest
+    # float, as the hyperplane's scaled dot product does not
+    c = AffineSubspace(np.ones((1, 8)), [0.0])
+    x = np.array([1.7e308] * 4 + [-1.7e308] * 4)
+    assert Hyperplane(np.ones(8), 0.0)._distance(x) == 0.0
+    assert c._distance(x) <= 1e-15 * 1.7e308
+    assert np.array_equal(c._project(x), x)
+    # Coordinates of 0.5 to 1 times the largest float, of either sign: the
+    # distance |x_1 + ... + x_8| / sqrt(8) is never NaN, and inf only where it
+    # passes the largest float
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.5, 1.0, (2000, 8)) * rng.choice([-1.0, 1.0], (2000, 8)) * 1.79e308
+    got = FeasibilityProblem([c])._distances(X)[:, 0]
+    for p, d in zip(X, got):
+        want = abs(math.fsum(np.ldexp(p, -3).tolist())) / math.sqrt(8)
+        if want < math.ldexp(np.finfo(float).max, -3):
+            assert abs(d - math.ldexp(want, 3)) <= 1e-13 * 1.79e308
+        else:
+            assert d == math.inf
+    batch = c._project(X[:50])
+    assert batch.tobytes() == np.stack([c._project(p) for p in X[:50]]).tobytes()
+
+
 def test_projection_dimension_mismatch():
     c = Ball([0.0, 0.0], 1.0)
     with pytest.raises(DimensionMismatch):
@@ -351,6 +376,26 @@ def test_interior_margin_semantics():
     assert Hyperplane([1.0, 0.0], 0.0).interior_margin(Point([0.0, 0.0])) == -math.inf
     hs = Halfspace([2.0, 0.0], 2.0)  # boundary x1 = 1, unit distance scaling
     assert hs.interior_margin(Point([0.0, 0.0])) == pytest.approx(1.0)
+    box = Box([0.0, 0.0], [2.0, 4.0])  # the nearest face bounds the margin
+    assert box.interior_margin(Point([0.5, 1.0])) == 0.5
+    assert box.interior_margin(Point([1.0, 3.75])) == 0.25
+    assert box.interior_margin(Point([3.0, 1.0])) == -1.0
+    line = AffineSubspace([[1.0, 0.0]], [2.0])
+    assert line.interior_margin(Point([2.0, 5.0])) == -math.inf  # member, but no interior
+    whole = AffineSubspace(np.zeros((2, 2)), [0.0, 0.0])  # the zero system
+    assert whole.interior_margin(Point([7.0, -3.0])) == math.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing dot
+def test_scale_hint_hand_values():
+    assert Box([-3.0, 0.0], [2.0, 4.0]).scale_hint() == 4.0  # the largest |bound|
+    assert Box([-5.0, 1.0], [2.0, 4.0]).scale_hint() == 5.0
+    # the norm of the minimum-norm solution, 10 / 25 * (3, 4)
+    assert AffineSubspace([[3.0, 4.0]], [10.0]).scale_hint() == pytest.approx(2.0)
+    assert AffineSubspace([[3.0, 4.0], [6.0, 8.0]], [5.0, 10.0]).scale_hint() == pytest.approx(1.0)
+    assert AffineSubspace(np.zeros((1, 2)), [0.0]).scale_hint() == 0.0
+    # ||center|| + radius, where ||center||^2 is past the largest float
+    assert Ball([1e200, 1e200], 1e199).scale_hint() == pytest.approx(math.sqrt(2) * 1e200 + 1e199)
 
 
 @pytest.mark.parametrize("c", catalog(), ids=lambda c: c.kind)

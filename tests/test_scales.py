@@ -5,10 +5,14 @@ distance of a projected point and firm nonexpansiveness, the last computed
 here with numpy. A problem's stacked distance vector agrees with each set's
 own distance at the same scales, and every set kind and operator class maps
 a (n, d) batch as it maps each of its rows; a batch's distances keep the
-bits of each row's."""
+bits of each row's. A whole run of each bundled document is equivariant
+under scaling by a power of two, bit for bit."""
 
+import copy
 import inspect
+import json
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from drfeas import (
     Relaxation,
 )
 from drfeas.convex import SET_KINDS
+from drfeas.problem_io import execute_config, parse_document
 
 DIM = 3
 # Errors are relative to the size of the points, up to this factor.
@@ -251,3 +256,40 @@ def test_batch_properties_cover_every_class():
     sets = [set_through(kind, np.zeros(DIM), 1.0, 1.0, rng) for kind in KINDS]
     assert {type(c) for c in sets} == _concrete_subclasses(ConvexSet)
     assert {type(op) for op in operators_over(sets, rng)} == _concrete_subclasses(Operator)
+
+
+# The parameters of each set kind that are lengths, and scale with the set.
+LENGTHS = {"Ball": ("center", "radius"), "Halfspace": ("b",), "Hyperplane": ("b",),
+           "Box": ("lo", "hi"), "AffineSubspace": ("b",)}
+BUNDLED = sorted(p.name for p in files("drfeas").joinpath("problems").iterdir()
+                 if p.name.endswith(".json"))
+
+
+def scaled_document(doc: dict, k: int) -> dict:
+    """doc with its sets, start, interior point and tolerances scaled by 2^k."""
+    doc = copy.deepcopy(doc)
+    for params in doc["sets"]:
+        for key in LENGTHS[params["kind"]]:
+            params[key] = np.ldexp(params[key], k).tolist()
+    for key in ("x0", "interior_point"):
+        doc[key] = np.ldexp(doc[key], k).tolist()
+    for key in ("displacement_tol", "feasibility_tol"):
+        doc["stop"][key] = math.ldexp(doc["stop"][key], k)
+    return doc
+
+
+@pytest.mark.parametrize("k", [-1000, -300, 300])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_runs_scale_by_powers_of_two(name, k):
+    # The interior point's margin is relative to the scale of the point and
+    # the set, so it is accepted at every k, and every float the run computes
+    # is the base run's times 2^k, bits included
+    doc = json.loads(files("drfeas").joinpath("problems", name).read_text())
+    base, scaled = (execute_config(*parse_document(json.dumps(d)))
+                    for d in (doc, scaled_document(doc, k)))
+    assert scaled.terminal_status == base.terminal_status
+    assert scaled.iterations == base.iterations
+    for x, y in zip(base.iterates, scaled.iterates):
+        assert np.ldexp(x, k).tobytes() == y.tobytes()
+    for column in ("displacements", "max_set_distances"):
+        assert [math.ldexp(v, k) for v in getattr(base, column)] == getattr(scaled, column)

@@ -78,6 +78,14 @@ def test_interior_point_must_be_strictly_inside():
         FeasibilityProblem([ball], interior_point=Point([1.0, 0.0]))  # boundary
     with pytest.raises(ValueError, match="strictly inside"):
         FeasibilityProblem([ball], interior_point=Point([2.0, 0.0]))
+    # The margin is relative to max(||p||, scale_hint): 1e-12 inside the unit
+    # ball is too shallow, the center of a ball of radius 2^-300 is not, and
+    # 1e-4 inside a ball of radius 1e6 around (1e6, 0) is too shallow again
+    with pytest.raises(ValueError, match="strictly inside"):
+        FeasibilityProblem([ball], interior_point=Point([1.0 - 1e-12, 0.0]))
+    FeasibilityProblem([Ball([0.0, 0.0], 2.0**-300)], interior_point=Point([0.0, 0.0]))
+    with pytest.raises(ValueError, match="strictly inside"):
+        FeasibilityProblem([Ball([1e6, 0.0], 1e6)], interior_point=Point([1e-4, 0.0]))
 
 
 def test_interior_point_rejected_for_empty_interior_sets():
@@ -727,8 +735,8 @@ def test_nan_deferred_row_ends_the_run_at_its_row(fail, raising):
     # deferred, as the displacement 1 is above displacement_tol. The steps
     # applied after it are dropped, the one that raises included, and no
     # more than the rest of a block of them is applied. A set that raises
-    # from x_3 = (3.5, 0) on makes the batch raise; the rows are then
-    # measured in step order, and the NaN row still ends the run first.
+    # from x_3 = (3.5, 0) on is never called there: its family measures the
+    # rows in step order and stops at the NaN row.
     sets = [Ball([10.0, 0.0], 1.0), NanRightOfTwo([1.0, 0.0], 1.0)]
     if raising:
         sets.append(RaisingRightOf([1.0, 0.0], 1.0, 3.0))
@@ -743,14 +751,32 @@ def test_nan_deferred_row_ends_the_run_at_its_row(fail, raising):
     assert T.calls <= 2 + solver._RESIDUAL_BLOCK - 1
 
 
+def test_nan_row_deferred_to_the_last_step_ends_the_run_at_its_row():
+    # Both steps move by 1, above displacement_tol, so no row is measured
+    # before the loop reaches max_iters; the measurement on the way out finds
+    # the NaN at x_2 = (2.5, 0) and ends the run there
+    problem = FeasibilityProblem([Ball([10.0, 0.0], 1.0), NanRightOfTwo([1.0, 0.0], 1.0)])
+    trace = run_unrestricted_product([ShiftRight()], Cyclic(1), Point([0.5, 0.0]),
+                                     StopRule(2, 0.5, 1e-8), problem=problem)
+    assert trace.terminal_status == NON_FINITE
+    assert trace.iterations == 2
+    assert trace.final.iterate == Point([2.5, 0.0])
+    assert trace.max_set_distances[:2] == [8.5, 7.5]
+    assert math.isnan(trace.final.max_set_distance)
+
+
 def test_set_that_raises_on_a_deferred_row_raises_in_step_order():
-    # The set raises on x_2 = (2.5, 0) in the batch, then once more when the
-    # rows are measured in step order, and is not measured again on the way
-    # out of the loop
+    # The set raises on x_2 = (2.5, 0) in the batch, once: the exception
+    # propagates, and the set is not measured again on the way out of the loop
     problem = FeasibilityProblem([Ball([10.0, 0.0], 1.0), RaisingRightOf([1.0, 0.0], 1.0, 2.0)])
     RaisingRightOf.raised = 0
     with pytest.raises(ArithmeticError, match="no distance"):
         run_unrestricted_product([ShiftRight()], Cyclic(1), Point([0.5, 0.0]), STOP,
+                                 problem=problem)
+    assert RaisingRightOf.raised == 1
+    # at a start point, measured alone, it also raises once
+    with pytest.raises(ArithmeticError, match="no distance"):
+        run_unrestricted_product([ShiftRight()], Cyclic(1), Point([2.5, 0.0]), STOP,
                                  problem=problem)
     assert RaisingRightOf.raised == 2
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from drfeas import DimensionMismatch, Point, norm
-from drfeas.space import _norm
+from drfeas.space import _TINY, _norm, _row_norms
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -36,11 +36,11 @@ def test_inner_gives_squared_norm():
 
 @given(st.lists(finite, min_size=1, max_size=8))
 def test_norm_is_sqrt_of_inner(xs):
-    # below the smallest normal float <x, x> has lost bits, and a nonzero x
-    # is measured scaled (test_norm_scales_with_a_power_of_two)
+    # below _TINY <x, x> may have lost bits, and a nonzero x is measured
+    # scaled (test_norm_scales_with_a_power_of_two)
     x = Point(xs)
     sq = np.dot(x.coords, x.coords)
-    assume(sq >= np.finfo(float).tiny or not x.coords.any())
+    assume(sq >= _TINY or not x.coords.any())
     assert norm(x) == math.sqrt(sq)
 
 
@@ -53,6 +53,18 @@ def test_norm_scales_with_a_power_of_two(xs):
     # At 2^-600 every square underflows, so <x, x> alone would read 0
     x = np.array(xs)
     assert _norm(np.ldexp(x, -600)) == math.ldexp(_norm(x), -600)
+
+
+@pytest.mark.parametrize("s", [-600, -560, -520, -500, -480])
+def test_norms_scale_with_a_power_of_two_near_the_threshold(s):
+    # 50 coordinates near 1e26 scaled by 2^s: at s = -600 each square is
+    # subnormal while their sum may be a normal float, so a sum taken
+    # unscaled would keep the bits the squares lost
+    for seed in range(20):
+        x = 1e26 * np.random.default_rng(seed).uniform(0.5, 1.5, 50)
+        y = np.ldexp(x, s)
+        assert _norm(y) == math.ldexp(_norm(x), s)
+        assert _row_norms(np.stack([y, x]))[0] == math.ldexp(_row_norms(x[None])[0], s)
 
 
 def test_combine_identity_case():
