@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .control import InvalidControl
 from .convex import InvalidSet
 from .diagnostics import CheckParameterError
@@ -163,7 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # numpy's overflow and invalid flags mark values the output already
+        # reports: an inf distance, a non_finite status, a failed check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except (ParseError, InvalidSet, InvalidControl, DimensionMismatch,
             CheckParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,14 +12,18 @@ batch row gets the arithmetic of a single point, so it has the same bits.
 
 Every kind also measures the distances from x to a whole family of its
 sets at once, from data stacked into matrices (``STACKED_DISTANCES``;
-halfspaces and hyperplanes share one family); an entry agrees with the
-set's own ``_distance`` to rounding, and one that is not finite is left for
-``_distance``. A nonzero distance whose sum of squares underflows is not
-read as 0: the ball and box families measure it scaled by a power of two,
-as ``space._norm`` does, and the affine family reads it NaN, which leaves it
-for ``_distance``. A family takes one point, giving one distance per set,
-or a (..., d) batch, giving (..., sets); a batch row has the bits of its
-point.
+halfspaces and hyperplanes share one family). A ball or box entry has the
+bits of the set's own ``_distance``, which computes the family's formula;
+a linear or affine entry agrees with it to rounding. A nonzero distance
+whose sum of squares underflows is not read as 0: ``space._row_norms``
+measures it scaled for balls and boxes, and the affine family sums it again
+scaled by its own ``bincount``, as it does a sum that overflows. An entry
+that is not finite is left for ``_distance``: for a ball or box whose
+squared norm overflows, that is the family's formula taken scaled, and for
+the other kinds it happens only near the largest float. Every power-of-two
+rescale here takes its exponent from ``space._scaled``. A family takes
+one point, giving one distance per set, or a (..., d) batch, giving
+(..., sets); a batch row has the bits of its point.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .space import (
-    _TINY, Point, _as_coords, _checked_coords, _exponent, _norm, _row_dots, _row_norms,
+    _TINY, Point, _as_coords, _checked_coords, _norm, _row_dots, _row_norms, _scaled,
 )
 
 # Largest admissible least-squares residual for an affine system A x = b,
@@ -132,14 +136,11 @@ class _LinearSet(ConvexSet):
             raise InvalidSet("b must be finite")
         if not a.any():
             raise InvalidSet("degenerate normal: a is zero")
-        exponent = _exponent(a)
-        self._sa = np.ldexp(a, -exponent)
+        e, self._sa = _scaled(a)
         self._a_norm = float(np.linalg.norm(self._sa))
         self._a_norm_sq = self._a_norm * self._a_norm
-        try:
-            self._sb = math.ldexp(self.b, -exponent)
-        except OverflowError:  # b over a tiny a
-            self._sb = math.inf
+        with np.errstate(over="ignore"):  # b over a tiny a reads inf
+            self._sb = float(np.ldexp(self.b, -e))
         if self.scale_hint() == math.inf:  # |b| / ||a||
             raise InvalidSet("b / ||a|| overflows: the set has no finite point")
 
@@ -157,12 +158,11 @@ class _LinearSet(ConvexSet):
         if not math.isfinite(t):
             # <a, x> - b or its quotient overflowed: project x scaled by a
             # power of two onto the set scaled alike, as Ball._project does.
-            exponent = max(_exponent(x), math.frexp(self._sb)[1])
-            y = np.ldexp(x, -exponent)
-            g = float(np.dot(self._sa, y)) - math.ldexp(self._sb, -exponent)
+            e, y, sb = _scaled(x, self._sb)
+            g = float(np.dot(self._sa, y)) - sb
             if self._one_sided and g <= 0.0:
                 return x
-            return np.ldexp(y - (g / self._a_norm_sq) * self._sa, exponent)
+            return np.ldexp(y - (g / self._a_norm_sq) * self._sa, e)
         return x - t * self._sa
 
     def _project_rows(self, x: np.ndarray) -> np.ndarray:
@@ -224,7 +224,9 @@ class Hyperplane(_LinearSet):
 
 
 class Ball(ConvexSet):
-    """Closed Euclidean ball of positive radius."""
+    """Closed Euclidean ball of positive radius. Its distance is the closed
+    form max(||x - c|| - r, 0) of its stacked family, with the norm taken
+    scaled where its square over- or underflows."""
 
     __slots__ = ("center", "radius")
 
@@ -248,8 +250,8 @@ class Ball(ConvexSet):
         if d == math.inf:
             # x - center overflowed, or its norm does: take the direction from
             # x and the center scaled by a power of two, as _norm does.
-            exponent = max(_exponent(x), _exponent(self.center))
-            v = np.ldexp(x, -exponent) - np.ldexp(self.center, -exponent)
+            _, y, c = _scaled(x, self.center)
+            v = y - c
             d = _norm(v)
         return self.center + (self.radius / d) * v
 
@@ -266,6 +268,9 @@ class Ball(ConvexSet):
         for i in zip(*np.nonzero(d == math.inf)):
             out[i] = self._project(x[i])
         return out
+
+    def _distance(self, x: np.ndarray) -> float:
+        return max(_norm(x - self.center) - self.radius, 0.0)
 
     def interior_margin(self, x: Point) -> float:
         return self.radius - _norm(self._coords(x) - self.center)
@@ -362,8 +367,7 @@ class AffineSubspace(ConvexSet):
         A.setflags(write=False)
         self.A = A
         self.b = b
-        exponent = _exponent(A)
-        sA = np.ldexp(A, -exponent)
+        e, sA = _scaled(A)
         U, s, Vt = np.linalg.svd(sA, full_matrices=False)
         k = int(np.count_nonzero(s > 1e-15 * s[0]))
         self._W = Vt[:k].copy()  # not a view that keeps all of Vt
@@ -371,10 +375,10 @@ class AffineSubspace(ConvexSet):
         # a tiny A overflows, and its least-squares residual, taken back to
         # the units of b before its norm (scaled, it underflows for a huge A).
         with np.errstate(over="ignore", invalid="ignore"):
-            sb = np.ldexp(b, -exponent)
+            sb = np.ldexp(b, -e)
             self._c = (sb @ U[:, :k]) / s[:k]
             x = self._project(np.zeros(self._dim))
-            residual = _norm(np.ldexp(sA @ x - sb, exponent))
+            residual = _norm(np.ldexp(sA @ x - sb, e))
             tol = AFFINE_CONSISTENCY_TOL * _norm(b)
         if not np.isfinite(x).all():
             raise InvalidSet("minimum-norm solution not finite: the set has no finite point")
@@ -389,25 +393,16 @@ class AffineSubspace(ConvexSet):
             for i in zip(*np.nonzero(~np.isfinite(g).all(axis=-1))):
                 out[i] = self._project(x[i])
         elif not np.isfinite(g).all():
-            y, g, exponent = self._scaled_gap(x)
-            out = np.ldexp(y - g @ self._W, exponent)
+            e, y, c = _scaled(x, self._c)
+            out = np.ldexp(y - (self._W @ y - c) @ self._W, e)
         return out
 
     def _distance(self, x: np.ndarray) -> float:
         g = self._W @ x - self._c
         if np.isfinite(g).all():
             return _norm(g)
-        _, g, exponent = self._scaled_gap(x)
-        return float(np.ldexp(_norm(g), exponent))  # inf past the largest float
-
-    def _scaled_gap(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """For one point whose W x - c is not finite (partial sums of W x
-        passed the largest float): y = x 2^-e and W y - c 2^-e, with 2^e the
-        power of two of the largest entry of x and c, as _LinearSet._project
-        scales."""
-        exponent = max(_exponent(x), _exponent(self._c))
-        y = np.ldexp(x, -exponent)
-        return y, self._W @ y - np.ldexp(self._c, -exponent), exponent
+        e, y, c = _scaled(x, self._c)
+        return float(np.ldexp(_norm(self._W @ y - c), e))  # inf past the largest float
 
     def interior_margin(self, x: Point) -> float:
         self._coords(x)
@@ -423,9 +418,10 @@ class AffineSubspace(ConvexSet):
         """||W x - c|| per set, from one product with the rows of every set
         stacked and one sum of squares per set and point, each point's
         squares in bins of their own; a set of rank 0 (the zero system) has
-        no row and reads 0. A sum below space._TINY, from a W x - c that is
-        not 0, has lost bits: it reads NaN, which leaves it for the set's
-        _distance."""
+        no row and reads 0. A sum that overflows, or falls below space._TINY
+        from a W x - c that is not 0, is summed again by the same bincount,
+        in one bin, over that set's entries taken by space._scaled; one whose
+        W x - c is not finite is left for the set's _distance."""
         W = np.concatenate([c._W for c in sets])
         offsets = np.concatenate([c._c for c in sets])
         owner = np.repeat(np.arange(len(sets)), [c._c.size for c in sets])
@@ -437,10 +433,12 @@ class AffineSubspace(ConvexSet):
             bins = owner + np.arange(0, len(g) * k, k)[:, None]
             sums = np.bincount(bins.ravel(), (g * g).ravel(), minlength=len(g) * k)
             out = np.sqrt(sums)
-            small = sums < _TINY
-            if small.any():
-                nonzero = np.bincount(bins.ravel(), (g != 0.0).ravel(), minlength=len(g) * k)
-                out[small & (nonzero > 0)] = math.nan
+            for i in np.flatnonzero(~((sums >= _TINY) & (sums < math.inf))):
+                row, j = divmod(i, k)
+                e, gj = _scaled(g[row, owner == j])
+                if gj.any() and np.isfinite(gj).all():
+                    one_bin = np.zeros(gj.size, dtype=np.intp)
+                    out[i] = np.ldexp(np.sqrt(np.bincount(one_bin, gj * gj)[0]), e)
             return out.reshape(x.shape[:-1] + (k,))
 
         return distances

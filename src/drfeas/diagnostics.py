@@ -19,12 +19,12 @@ scale. With M = max(||x||, ||y||, ||Tx||, ||Ty||) for a pair, a firm
 violation is divided by M ||x - y|| and a plain one by M; the rounding error
 of a correct operator grows like eps M ||x - y||, so both stay near eps.
 The differences are first divided by the power of two that brings M into
-[0.5, 1), as ``space._norm`` scales a vector, so no inner product overflows
-or underflows and a violation is finite wherever the images are. Where a
-norm's square underflows or overflows, that power of two comes from the
-largest |coordinate| of the pair. No floor is put under M,
-so a check reads the same at every scale: x -> 2x fails at 1e-170 as it
-does at 1. A pair whose M is 0 (all four points at the origin) reads 0.
+[0.5, 1), so no inner product overflows or underflows and a violation is
+finite wherever the images are. M is measured by ``space._row_norms``,
+exactly also where squares underflow; where a norm's square overflows, that
+power of two comes from the largest |coordinate| of the pair, by the rule
+of ``space._scaled``. No floor is put under M, so a check reads the same at
+every scale: x -> 2x fails at 1e-170 as it does at 1. A pair whose M is 0 (all four points at the origin) reads 0.
 """
 
 from __future__ import annotations
@@ -66,36 +66,28 @@ def _pairs(dim: int, samples: int, scale: float, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, dim))
 
 
-# sqrt of the smallest normal float 2^-1022: below this norm, <v, v> is
-# subnormal or 0 and has lost bits.
-_TINY_NORM = 2.0**-511
-
-
 def _scale(*batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row i, M 2^-e and the column of factors 2^-e, where M is the
-    largest norm of row i in any batch and 2^e is the power of two with
-    M 2^-e in [0.5, 1). Multiplying by 2^-e is exact, and inner products of
-    rows so scaled cannot overflow. A row whose M is below _TINY_NORM (its
-    <v, v> underflows) or inf (a <v, v> overflows, as space._row_norms
-    reads it) takes 2^e from its largest |coordinate| instead, as _norm
-    does, and M 2^-e from the scaled rows; an all-zero row gets 1 there, so
-    it reads 0. A batch of one row broadcasts."""
+    largest norm of row i in any batch, as space._row_norms measures it, and
+    2^e is the power of two with M 2^-e in [0.5, 1), or 2^-1023 if that is
+    smaller (a subnormal M). Multiplying by 2^-e is exact, and inner
+    products of rows so scaled cannot overflow. An all-zero row reads M = 1,
+    so it reads 0. A row whose M is inf (a <v, v> overflows) takes 2^e from
+    its largest |coordinate| instead, as space._scaled picks it, and M 2^-e
+    from the scaled rows. A batch of one row broadcasts."""
     M = 0.0
     for b in batches:
         M = np.maximum(M, _row_norms(b))
-    # NaN gives 1: left unscaled; a subnormal M is clamped as the odd rows
-    # below are, and those rows are overwritten there
+    M = np.where(M == 0.0, 1.0, M)
+    # a NaN M gives 1: left unscaled
     unit = np.ldexp(1.0, np.minimum(-np.frexp(M)[1], 1023))
     scaled = M * unit
-    odd = np.flatnonzero((M < _TINY_NORM) | (M == math.inf))
+    odd = np.flatnonzero(M == math.inf)
     if odd.size:
         rows = np.stack([b[odd] for b in np.broadcast_arrays(*batches)])
-        top = np.max(np.abs(rows), axis=(0, 2))
-        # at most 2^1023, which still brings a subnormal row to >= 2^-51;
         # an inf coordinate gives 1
-        unit[odd] = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1023))
-        M_odd = np.max(_row_norms(rows * unit[odd, None]), axis=0)
-        scaled[odd] = np.where(M_odd > 0.0, M_odd, 1.0)
+        unit[odd] = np.ldexp(1.0, -np.frexp(np.max(np.abs(rows), axis=(0, 2)))[1])
+        scaled[odd] = np.max(_row_norms(rows * unit[odd, None]), axis=0)
     return scaled, unit[:, None]
 
 

@@ -50,9 +50,11 @@ The stop-rule residual is the largest entry of one distance vector that
 families of ``convex.STACKED_DISTANCES`` and one of the sets of other
 ``ConvexSet`` subclasses, each measured by its own ``_distance``: the family
 vectors, concatenated, with a stacked entry that is not finite taken again
-from its set's ``_distance`` (the one fallback: an affine sum of squares
-that has lost bits to underflow reads NaN to reach it); only ``distances``
-puts them in set order, by one gather.
+from its set's ``_distance`` (the one fallback: for a ball or box whose
+squared norm overflows it computes the family's formula scaled, and linear
+and affine sets reach it only near the largest float, since the affine
+family sums an out-of-range sum of squares again itself); only
+``distances`` puts them in set order, by one gather.
 Projections, operators and displacements never use the stacked data.
 
 Per step the loop builds no ``Point``: ``IterationTrace`` keeps columns of
@@ -244,8 +246,10 @@ class FeasibilityProblem:
         return out
 
     def sampling_scale(self) -> float:
-        """Default hypercube half-width for sampled diagnostics."""
-        return 4.0 * max(1.0, max(c.scale_hint() for c in self.sets))
+        """Default hypercube half-width for sampled diagnostics: 4 times the
+        largest scale_hint, with no floor, so it scales with the sets; 4.0
+        when every hint is 0."""
+        return 4.0 * (max(c.scale_hint() for c in self.sets) or 1.0)
 
 
 def _each_distance(sets: Sequence[ConvexSet]) -> FamilyDistances:

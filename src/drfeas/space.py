@@ -1,4 +1,6 @@
-"""Dense real-vector substrate: immutable points of R^d and their norm."""
+"""Dense real-vector substrate: immutable points of R^d, their norm, and
+the one rule, ``_scaled``, by which every computation that would over- or
+underflow picks the power of two to take it at."""
 
 from __future__ import annotations
 
@@ -100,11 +102,14 @@ def _checked_coords(x: Point, dim: int, owner: str) -> np.ndarray:
     return x.coords
 
 
-def _exponent(v: np.ndarray) -> int:
-    """The power of two that puts the largest |v_i| in [0.5, 1): v scaled by
-    2^-exponent (np.ldexp) keeps its bits and has no entry of 1 or more;
-    0 for a zero array."""
-    return int(np.frexp(np.max(np.abs(v)))[1])
+def _scaled(*arrays) -> tuple:
+    """(e, a_1 2^-e, ...): the one rescale rule. 2^e is the power of two
+    that puts the largest |entry| of the arrays in [0.5, 1), so the scaled
+    arrays keep their bits (np.ldexp) and no entry reaches 1. e is 0 for
+    empty or all-zero data; an array that holds an inf or NaN counts as
+    all zero."""
+    e = max(int(np.frexp(np.max(np.abs(a), initial=0.0))[1]) for a in arrays)
+    return (e, *(np.ldexp(a, -e) for a in arrays))
 
 
 # 2^54 times the smallest normal float. A sum of squares below it may owe
@@ -117,16 +122,15 @@ def _norm(x: np.ndarray) -> float:
     """Euclidean norm of a raw coordinate array, as sqrt(<x, x>).
 
     When <x, x> overflows (||x|| above ~1.3e154), or falls below _TINY for
-    a nonzero x (||x|| below 2^-484, ~2e-146), x is scaled by a power of two
+    a nonzero x (||x|| below 2^-484, ~2e-146), x is taken scaled by _scaled
     first, and a norm beyond the largest float is inf; other inputs never
     reach that branch.
     """
     sq = float(x.dot(x))
     if sq == math.inf or (sq < _TINY and x.any()):
-        exponent = _exponent(x)
-        y = np.ldexp(x, -exponent)
+        e, y = _scaled(x)
         try:
-            return math.ldexp(math.sqrt(float(y.dot(y))), exponent)
+            return math.ldexp(math.sqrt(float(y.dot(y))), e)
         except OverflowError:
             return math.inf
     return math.sqrt(sq)

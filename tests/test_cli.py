@@ -62,7 +62,6 @@ def test_run_hits_iteration_cap(problem_file, tmp_path, capsys):
     assert "status=max_iters" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_non_finite_iterate_is_not_converged(tmp_path, capsys):
     doc = {
         "dimension": 2,
@@ -118,7 +117,6 @@ FALSE_FEASIBILITY = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(FALSE_FEASIBILITY))
 def test_run_never_reads_non_finite_numbers_as_feasible(name, tmp_path, capsys):
     doc, code = FALSE_FEASIBILITY[name]
@@ -132,38 +130,83 @@ def test_run_never_reads_non_finite_numbers_as_feasible(name, tmp_path, capsys):
         assert "error:" in out.err
 
 
-# Malformed documents whose errors once escaped as tracebacks; each must be
-# an input error (exit 2) with an "error:" line.
+# Malformed documents, each with the message its error line must carry:
+# errors that once escaped as tracebacks, and one document per check of the
+# parser and of the set constructors. A str is the raw text of the document.
 RANDOM_BLOCK = {"rule": "random_block", "m": 3, "seed": 1}
+PRODUCT_RUN = dict(THREE_BALLS_RUN, scheme="product", control={"rule": "cyclic", "m": 1})
+REALS = "must be a vector of reals"
 MALFORMED = {
-    "trace_path_true": dict(THREE_BALLS_RUN, trace_path=True),
-    "trace_path_number": dict(THREE_BALLS_RUN, trace_path=5),
-    "trace_path_list": dict(THREE_BALLS_RUN, trace_path=["a"]),
-    "x0_object": dict(THREE_BALLS_RUN, x0={"a": 1}),
-    "x0_int_beyond_floats": dict(THREE_BALLS_RUN, x0=[10**400, 0]),
-    "interior_point_object": dict(THREE_BALLS_RUN, interior_point={"a": 1}),
-    "kind_list": dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, kind=["Ball"])] * 3),
-    "kind_object": dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, kind={"a": 1})] * 3),
-    "radius_int_beyond_floats": dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, radius=10**400)] * 3),
-    "feasibility_tol_int_beyond_floats": dict(
-        THREE_BALLS_RUN, stop=dict(THREE_BALLS_RUN["stop"], feasibility_tol=10**400)),
-    "displacement_tol_int_beyond_floats": dict(
-        THREE_BALLS_RUN, stop=dict(THREE_BALLS_RUN["stop"], displacement_tol=10**400)),
+    "trace_path_true": (dict(THREE_BALLS_RUN, trace_path=True), "trace_path must be a string"),
+    "trace_path_number": (dict(THREE_BALLS_RUN, trace_path=5), "trace_path must be a string"),
+    "trace_path_list": (dict(THREE_BALLS_RUN, trace_path=["a"]), "trace_path must be a string"),
+    "x0_object": (dict(THREE_BALLS_RUN, x0={"a": 1}), f"x0: coordinates {REALS}"),
+    "x0_int_beyond_floats": (dict(THREE_BALLS_RUN, x0=[10**400, 0]), f"x0: coordinates {REALS}"),
+    "interior_point_object": (dict(THREE_BALLS_RUN, interior_point={"a": 1}),
+                              f"interior_point: coordinates {REALS}"),
+    "kind_list": (dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, kind=["Ball"])] * 3),
+                  "sets[0]: unknown set kind"),
+    "kind_object": (dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, kind={"a": 1})] * 3),
+                    "sets[0]: unknown set kind"),
+    "radius_int_beyond_floats": (
+        dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, radius=10**400)] * 3),
+        "sets[0]: bad parameters for Ball"),
+    "feasibility_tol_int_beyond_floats": (
+        dict(THREE_BALLS_RUN, stop=dict(THREE_BALLS_RUN["stop"], feasibility_tol=10**400)),
+        "stop: feasibility_tol must be finite"),
+    "displacement_tol_int_beyond_floats": (
+        dict(THREE_BALLS_RUN, stop=dict(THREE_BALLS_RUN["stop"], displacement_tol=10**400)),
+        "stop: displacement_tol must be finite"),
     # numpy refuses both block lengths before allocating anything
-    "block_past_max_dimension": dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=10**30)),
-    "block_too_big": dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=2**62)),
+    "block_past_max_dimension": (dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=10**30)),
+                                 "cannot draw a block of length M="),
+    "block_too_big": (dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=2**62)),
+                      "cannot draw a block of length M="),
     # a window this wide would be fetched without bound at the first step
-    "r_past_limit": dict(THREE_BALLS_RUN, r=10**30),
+    "r_past_limit": (dict(THREE_BALLS_RUN, r=10**30), "needs an integer r > 1"),
+    "set_not_object": (dict(THREE_BALLS_RUN, sets=[5]), "sets[0]: expected an object"),
+    "document_not_object": ([1, 2], "document must be a JSON object"),
+    "control_not_object": (dict(THREE_BALLS_RUN, control=5),
+                           "control: expected an object with a 'rule' key"),
+    "cyclic_m_zero": (dict(THREE_BALLS_RUN, control={"rule": "cyclic", "m": 0}),
+                      "control: range size m must be a positive integer"),
+    "stop_not_object": (dict(THREE_BALLS_RUN, stop=5), "stop: expected an object"),
+    "max_iters_not_integer": (dict(THREE_BALLS_RUN, stop={"max_iters": 1.5}),
+                              "stop: max_iters must be an integer"),
+    "operators_empty": (dict(PRODUCT_RUN, operators=[]), "operators must be a nonempty list"),
+    "operator_not_object": (dict(PRODUCT_RUN, operators=[5]),
+                            "operators[0]: expected an object"),
+    "dr_without_sets": (dict(PRODUCT_RUN, operators=[{"type": "dr", "sets": []}]),
+                        "operators[0]: 'sets' must be a nonempty index list"),
+    "operator_type_unknown": (dict(PRODUCT_RUN, operators=[{"type": "rotation"}]),
+                              "operators[0]: unknown operator type 'rotation'"),
+    "box_lengths_differ": (
+        dict(THREE_BALLS_RUN, sets=[{"kind": "Box", "lo": [0.0, 0.0], "hi": [1.0]}]),
+        "sets[0]: lo and hi must have the same dimension"),
+    "affine_a_not_matrix": (
+        dict(THREE_BALLS_RUN, sets=[{"kind": "AffineSubspace", "A": [1.0, 0.0], "b": [0.0]}]),
+        "sets[0]: A must be a nonempty matrix"),
+    "affine_a_past_floats": (
+        '{"dimension": 2, "sets": [{"kind": "AffineSubspace", "A": [[1e999, 0]], "b": [0]}]}',
+        "sets[0]: A must be finite"),
+    "affine_b_wrong_length": (
+        dict(THREE_BALLS_RUN, sets=[{"kind": "AffineSubspace", "A": [[1, 0], [0, 1]], "b": [0]}]),
+        "sets[0]: b has 1 entries but A has 2 rows"),
+    "ball_center_string": (dict(THREE_BALLS_RUN, sets=[dict(UNIT_BALL, center="x")]),
+                           f"sets[0]: center {REALS}"),
+    "interior_point_wrong_length": (dict(THREE_BALLS_RUN, interior_point=[0.5]),
+                                    "interior point has dimension 1, expected 2"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_run_classifies_malformed_document_as_input_error(name, tmp_path, capsys):
+    doc, message = MALFORMED[name]
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(MALFORMED[name]), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     assert main(["run", str(path)]) == 2  # an escaping exception fails here instead
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not path.with_suffix(".trace.csv").exists()
 
 
@@ -232,7 +275,6 @@ def test_check_rejects_malformed_document(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow
 def test_check_fails_on_overflowing_image(tmp_path, capsys):
     # The reflection through {x1 <= -1e308} sends x1 past the largest float:
     # a failed check (exit 1), not malformed input (exit 2)
@@ -318,6 +360,11 @@ def test_batch_runs_directory(tmp_path, capsys):
 
 def test_batch_empty_directory_is_input_error(tmp_path, capsys):
     assert main(["batch", str(tmp_path)]) == 2
+
+
+def test_batch_on_a_file_is_input_error(problem_file, capsys):
+    assert main(["batch", str(problem_file)]) == 2
+    assert "is not a directory" in capsys.readouterr().err
 
 
 def test_batch_reports_nonconverged(tmp_path):

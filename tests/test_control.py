@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drfeas import (
+    ControlMap,
     Cyclic,
     Explicit,
     InvalidControl,
@@ -123,6 +124,8 @@ def test_indices_rejects_negative_start():
             f.indices(-1, 3)
     with pytest.raises(InvalidControl):
         window(Cyclic(2), 2, 0, steps=0)
+    with pytest.raises(InvalidControl, match="step number must be nonnegative"):
+        window(Cyclic(2), 2, -1)
 
 
 def test_cyclic_windows_tile_index_set():
@@ -150,6 +153,25 @@ def test_cover_index_explicit_example():
 
 def test_cover_index_single_set():
     assert cover_index(Cyclic(1)) == 1
+
+
+class OnlyFirst(ControlMap):
+    """A control over 1..2 that never selects 2."""
+
+    m, quasi_period = 2, 2
+
+    def index_at(self, n: int) -> int:
+        return 1
+
+
+def test_cover_index_rejects_a_map_that_never_covers():
+    with pytest.raises(InvalidControl, match="never cover 1..2"):
+        cover_index(OnlyFirst())
+
+
+def test_quasi_periodicity_needs_a_positive_period():
+    with pytest.raises(InvalidControl, match="M must be a positive integer"):
+        is_quasi_periodic(Cyclic(2), 0, horizon=10)
 
 
 def test_cover_index_random_block_within_two_blocks():

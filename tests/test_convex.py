@@ -230,6 +230,16 @@ def test_linear_projection_when_step_overflows():
         assert np.array_equal(c._project(batch), [want, c._project(batch[1]), want])
 
 
+def test_linear_projection_keeps_a_member_whose_gap_overflows():
+    # Partial sums of <a, x> pass the largest float, so the unscaled gap is
+    # not finite; taken at a power-of-two scale it is 0, and x stays
+    c = Halfspace([1.5] * 16 + [-1.5] * 16, 0.0)
+    x = np.full(32, 1.7e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(c._gap(x))
+        assert c._project(x) is x
+
+
 def test_degenerate_normal_rejected():
     # a tiny normal is no degenerate one: this is the set {x1 <= 1e13}
     tiny = Halfspace([1e-13, 0.0], 1.0)

@@ -255,6 +255,18 @@ def test_parameter_validation():
         asymptotic_regularity_series(Identity(2), Point([0.0, 0.0]), 0)
 
 
+class Poison(Operator):
+    """Sends every point to NaN."""
+
+    def _apply(self, x):
+        return np.full_like(x, np.nan)
+
+
+def test_asymptotic_series_stops_at_a_non_finite_point():
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        asymptotic_regularity_series(Poison(2), Point([1.0, 2.0]), 3)
+
+
 def test_asymptotic_series_identity_all_zero():
     series = asymptotic_regularity_series(Identity(2), Point([3.0, -1.0]), 10)
     assert series == [0.0] * 10

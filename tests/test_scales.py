@@ -5,8 +5,9 @@ distance of a projected point and firm nonexpansiveness, the last computed
 here with numpy. A problem's stacked distance vector agrees with each set's
 own distance at the same scales, and every set kind and operator class maps
 a (n, d) batch as it maps each of its rows; a batch's distances keep the
-bits of each row's. A whole run of each bundled document is equivariant
-under scaling by a power of two, bit for bit."""
+bits of each row's. A whole run of each bundled document, and of a mixed
+document whose affine sums of squares overflow, is equivariant under scaling
+by a power of two, bit for bit, and so is the table of `drfeas check`."""
 
 import copy
 import inspect
@@ -35,6 +36,7 @@ from drfeas import (
     Reflection,
     Relaxation,
 )
+from drfeas.cli import main
 from drfeas.convex import SET_KINDS
 from drfeas.problem_io import execute_config, parse_document
 
@@ -95,7 +97,9 @@ def test_projection_properties_across_scales(kind, exponent, normal_exponent, se
 def test_stacked_distances_match_each_set(exponent, normal_exponent, seed, far_exponent):
     # Every kind three times, interleaved, each set through its own point,
     # plus two balls whose offset from x overflows ||x - c||^2: one at a
-    # finite distance and one whose distance passes the largest float.
+    # finite distance and one whose distance passes the largest float. A ball
+    # or box entry has the bits of the set's own distance, which computes
+    # the family's formula; the other kinds agree to rounding.
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
     sets = [set_through(kind, scale * rng.uniform(-1.0, 1.0, DIM), scale,
@@ -110,7 +114,7 @@ def test_stacked_distances_match_each_set(exponent, normal_exponent, seed, far_e
     each = [c._distance(x) for c in sets]
     tol = 8 * np.finfo(float).eps * max(1.0, np.linalg.norm(x))
     for c, got, want in zip(sets, stacked, each):
-        if c in far_balls or not math.isfinite(want):
+        if type(c) in (Ball, Box) or not math.isfinite(want):  # the family's formula
             assert got == want
         else:
             assert abs(got - want) <= tol
@@ -125,8 +129,8 @@ def test_stacked_affine_distances_match_each_set(exponent, seed, far_exponent):
     # and interleaved, so the family's row stack mixes sets of every rank; a
     # rank-deficient set, whose basis has fewer rows than its A; the zero
     # system, which is the whole space and holds no row; a set 1e155..1e300
-    # from x, whose stacked sum of squares overflows, so it takes the per-set
-    # fallback; and a set with normals near the largest float, whose A x
+    # from x, whose stacked sum of squares overflows, so the family sums it
+    # again scaled; and a set with normals near the largest float, whose A x
     # would overflow once ||x|| passes ~10, while its basis W x cannot.
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
@@ -272,24 +276,87 @@ def scaled_document(doc: dict, k: int) -> dict:
         for key in LENGTHS[params["kind"]]:
             params[key] = np.ldexp(params[key], k).tolist()
     for key in ("x0", "interior_point"):
-        doc[key] = np.ldexp(doc[key], k).tolist()
+        if key in doc:
+            doc[key] = np.ldexp(doc[key], k).tolist()
     for key in ("displacement_tol", "feasibility_tol"):
         doc["stop"][key] = math.ldexp(doc["stop"][key], k)
     return doc
 
 
-@pytest.mark.parametrize("k", [-1000, -300, 300])
-@pytest.mark.parametrize("name", BUNDLED)
-def test_bundled_runs_scale_by_powers_of_two(name, k):
-    # The interior point's margin is relative to the scale of the point and
-    # the set, so it is accepted at every k, and every float the run computes
-    # is the base run's times 2^k, bits included
-    doc = json.loads(files("drfeas").joinpath("problems", name).read_text())
-    base, scaled = (execute_config(*parse_document(json.dumps(d)))
-                    for d in (doc, scaled_document(doc, k)))
+def mixed_document() -> dict:
+    """All five kinds through one point in d = 50, affine sets of rank 2 and
+    3 among them, run by cyclic DR from a start 20 units away."""
+    rng = np.random.default_rng(5)
+    d = 50
+    p = rng.normal(size=d)
+    sets = []
+    for _ in range(3):
+        a = rng.normal(size=d)
+        sets.append({"kind": "Halfspace", "a": a.tolist(), "b": float(a @ p + 1.0)})
+    a = rng.normal(size=d)
+    sets.append({"kind": "Hyperplane", "a": a.tolist(), "b": float(a @ p)})
+    for _ in range(2):
+        u = rng.normal(size=d)
+        sets.append({"kind": "Ball", "center": (p + 3.0 * u / np.linalg.norm(u)).tolist(),
+                     "radius": 4.0})
+    sets.append({"kind": "Box", "lo": (p - 1.0).tolist(), "hi": (p + 1.0).tolist()})
+    for rank in (2, 3):
+        A = rng.normal(size=(rank, d))
+        sets.append({"kind": "AffineSubspace", "A": A.tolist(), "b": (A @ p).tolist()})
+    return {"dimension": d, "sets": sets, "scheme": "unrestricted_dr",
+            "control": {"rule": "cyclic", "m": len(sets)}, "r": 2,
+            "x0": (p + 20.0 * rng.normal(size=d)).tolist(),
+            "stop": {"max_iters": 5000, "displacement_tol": 1e-10, "feasibility_tol": 1e-8}}
+
+
+def assert_runs_scale(doc: dict, k: int) -> None:
+    """Every float a run of doc scaled by 2^k computes is the base run's
+    times 2^k, bits included. numpy's overflow flags are off: at k = 900 the
+    sums of squares overflow, and each is measured again scaled."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        base, scaled = (execute_config(*parse_document(json.dumps(d)))
+                        for d in (doc, scaled_document(doc, k)))
     assert scaled.terminal_status == base.terminal_status
     assert scaled.iterations == base.iterations
     for x, y in zip(base.iterates, scaled.iterates):
         assert np.ldexp(x, k).tobytes() == y.tobytes()
     for column in ("displacements", "max_set_distances"):
         assert [math.ldexp(v, k) for v in getattr(base, column)] == getattr(scaled, column)
+
+
+def bundled(name: str) -> dict:
+    return json.loads(files("drfeas").joinpath("problems", name).read_text())
+
+
+@pytest.mark.parametrize("k", [-1000, -300, 300, 900])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_runs_scale_by_powers_of_two(name, k):
+    # The interior point's margin is relative to the scale of the point and
+    # the set, so it is accepted at every k; at k = 900 the stacked ball
+    # family's ||x - c||^2 overflows, and the entry is the family's formula
+    # taken scaled
+    assert_runs_scale(bundled(name), k)
+
+
+def test_mixed_run_scales_where_affine_sums_overflow():
+    # At k = 900 the affine family's stacked sums of squares overflow, and
+    # the family sums each again at a power-of-two scale
+    doc = mixed_document()
+    base = execute_config(*parse_document(json.dumps(doc)))
+    assert base.terminal_status == "converged_displacement"
+    assert_runs_scale(doc, 900)
+
+
+@pytest.mark.parametrize("k", [-1000, -300, 300])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_checks_read_the_same_at_every_scale(name, k, tmp_path, capsys):
+    # The default sampling scale is 4 times the largest scale_hint with no
+    # floor, so scaling a document by 2^k scales its sampled pairs by 2^k,
+    # and the relative violations keep their bits
+    tables = []
+    for label, doc in (("base", bundled(name)), ("scaled", scaled_document(bundled(name), k))):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        main(["check", str(path), "--samples", "200"])
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]

@@ -472,7 +472,7 @@ def test_run_dimension_mismatch(three_ball_problem):
 def test_sampling_scale_tracks_set_magnitudes():
     small = FeasibilityProblem([Ball([0.0, 0.0], 0.5)])
     big = FeasibilityProblem([Ball([100.0, 0.0], 1.0)])
-    assert small.sampling_scale() == 4.0  # floor at 4 * 1.0
+    assert small.sampling_scale() == 2.0  # 4 * 0.5: no floor
     assert big.sampling_scale() == pytest.approx(404.0)
 
 
