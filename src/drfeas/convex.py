@@ -226,7 +226,8 @@ class Hyperplane(_LinearSet):
 class Ball(ConvexSet):
     """Closed Euclidean ball of positive radius. Its distance is the closed
     form max(||x - c|| - r, 0) of its stacked family, with the norm taken
-    scaled where its square over- or underflows."""
+    scaled where its square over- or underflows, and the whole form taken at
+    one power-of-two scale where x - c itself overflows."""
 
     __slots__ = ("center", "radius")
 
@@ -270,7 +271,14 @@ class Ball(ConvexSet):
         return out
 
     def _distance(self, x: np.ndarray) -> float:
-        return max(_norm(x - self.center) - self.radius, 0.0)
+        with np.errstate(over="ignore"):
+            d = _norm(x - self.center) - self.radius
+            if d == math.inf:
+                # x - center overflowed, or its norm does: the same closed form
+                # on x, the center and the radius scaled by one power of two
+                e, y, c, r = _scaled(x, self.center, self.radius)
+                d = float(np.ldexp(_norm(y - c) - r, e))  # inf past the largest float
+        return max(d, 0.0)
 
     def interior_margin(self, x: Point) -> float:
         return self.radius - _norm(self._coords(x) - self.center)
@@ -281,12 +289,14 @@ class Ball(ConvexSet):
     @staticmethod
     def _family_distances(sets: Sequence[Ball]) -> FamilyDistances:
         """max(||x - c|| - r, 0) per row of a center matrix; a row whose
-        squared norm overflows reads inf."""
+        x - c or squared norm overflows reads inf, which leaves it to the
+        set's _distance."""
         centers = np.stack([c.center for c in sets])
         radii = np.array([c.radius for c in sets])
 
         def distances(x: np.ndarray) -> np.ndarray:
-            return np.maximum(_row_norms(x[..., None, :] - centers) - radii, 0.0)
+            with np.errstate(over="ignore"):
+                return np.maximum(_row_norms(x[..., None, :] - centers) - radii, 0.0)
 
         return distances
 

@@ -9,10 +9,17 @@ asymptotic regularity series and converging runs.
 
 Each check draws its pairs in order from one generator seeded with
 ``seed``, so a check with fewer samples sees a prefix of the pairs of one
-with more. A check evaluates all its pairs at once: one ``T._apply`` call
-on the batch of first points and one on the batch of second points, then
-per-row inner products and norms. The checks share one report function and
-differ only in their inequality.
+with more. The draw is split once into two read-only, C-contiguous
+(samples, d) batches, the first points and the second points, and a
+one-entry memo keyed by (d, samples, scale, seed) hands the same two
+batches to every later check with that key: the checks of a suite, which
+share one dimension and one (samples, scale, seed), draw one sample between
+them. ``repro.run_check_suite`` empties the memo when it returns; a check
+called on its own keeps its last sample until the next draw. A check
+evaluates all its pairs at once: one ``T._apply`` call on the batch of
+first points and one on the batch of second points, then per-row inner
+products and norms. The checks share one report function and differ only
+in their inequality.
 
 Violations are relative, so that one tolerance serves every sampling
 scale. With M = max(||x||, ||y||, ||Tx||, ||Ty||) for a pair, a firm
@@ -29,6 +36,7 @@ every scale: x -> 2x fails at 1e-170 as it does at 1. A pair whose M is 0 (all f
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -53,17 +61,30 @@ class PropertyReport:
     passed: bool
 
 
-def _pairs(dim: int, samples: int, scale: float, seed: int) -> np.ndarray:
-    """The sampled pairs (x, y) of a check, shape (samples, 2, dim), after
-    validating its parameters. One generator draws them all in order, so the
-    first k pairs of an n-sample check are the pairs of a k-sample check."""
+def _pairs(dim: int, samples: int, scale: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled pairs of a check as two (samples, dim) batches, first
+    points and second points, after validating its parameters."""
     if samples < 1:
         raise CheckParameterError("samples must be at least 1")
     if not (0.0 < 2.0 * scale < math.inf):  # numpy draws from a range 2 * scale wide
         raise CheckParameterError("scale must be positive, with 2 * scale finite")
     if seed < 0:
         raise CheckParameterError("seed must be nonnegative")
-    return np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, dim))
+    return _draw_pairs(dim, samples, scale, seed)
+
+
+@functools.lru_cache(maxsize=1)
+def _draw_pairs(dim: int, samples: int, scale: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One generator draws the pairs in order, as one (samples, 2, dim)
+    array, so the first k pairs of an n-sample draw are those of a k-sample
+    draw; its first and second points are then copied out once, each into a
+    read-only C-contiguous batch. The one-entry memo holds the last draw: it
+    serves every check of a suite, and run_check_suite clears it."""
+    P = np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, dim))
+    x, y = np.ascontiguousarray(P[:, 0]), np.ascontiguousarray(P[:, 1])
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return x, y
 
 
 def _scale(*batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,11 +117,10 @@ def _report(
     samples: int, scale: float, seed: int, tol: float, name: str,
 ) -> PropertyReport:
     """The worst of violation(x, y), one entry per sampled pair for the
-    (samples, d) batches of first and second points, as the check's report.
-    A non-finite image makes a violation inf or NaN, and np.max keeps a NaN,
-    so the check fails."""
-    P = _pairs(T.dim, samples, scale, seed)
-    worst = float(np.max(violation(P[:, 0], P[:, 1]), initial=0.0))
+    read-only (samples, d) batches x of first and y of second points, as the
+    check's report. A non-finite image makes a violation inf or NaN, and
+    np.max keeps a NaN, so the check fails."""
+    worst = float(np.max(violation(*_pairs(T.dim, samples, scale, seed)), initial=0.0))
     return PropertyReport(name, samples, worst, tol, worst <= tol)
 
 

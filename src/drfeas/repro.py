@@ -27,6 +27,7 @@ from .control import (
 from .convex import SET_KINDS, AffineSubspace, Ball, Box, ConvexSet, Halfspace, Hyperplane
 from .diagnostics import (
     PropertyReport,
+    _draw_pairs,
     asymptotic_regularity_series,
     check_firmly_nonexpansive,
     check_nonexpansive,
@@ -77,14 +78,19 @@ CATALOG_DIMS = (2, 5, 50)
 
 def run_check_suite(suite, samples: int, scale: float, seed: int) -> list[PropertyReport]:
     """One report per (label, operator, firm) triple: firmly_nonexpansive[label]
-    when firm, else nonexpansive[label]. `drfeas check` and AC-1 both run here."""
-    return [
-        check_firmly_nonexpansive(op, samples, scale, seed,
-                                  name=f"firmly_nonexpansive[{label}]")
-        if firm
-        else check_nonexpansive(op, samples, scale, seed, name=f"nonexpansive[{label}]")
-        for label, op, firm in suite
-    ]
+    when firm, else nonexpansive[label]. `drfeas check` and AC-1 both run here.
+    Checks of one dimension share one draw of the pairs, which is let go
+    when the suite returns or raises."""
+    try:
+        return [
+            check_firmly_nonexpansive(op, samples, scale, seed,
+                                      name=f"firmly_nonexpansive[{label}]")
+            if firm
+            else check_nonexpansive(op, samples, scale, seed, name=f"nonexpansive[{label}]")
+            for label, op, firm in suite
+        ]
+    finally:
+        _draw_pairs.cache_clear()
 
 
 def operator_class_reports(

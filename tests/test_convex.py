@@ -214,6 +214,19 @@ def test_ball_projection_when_offset_overflows():
     assert far.distance(y) == math.inf
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ball_distance_when_offset_overflows_but_distance_is_finite():
+    # x - center overflows, yet x lies 5e307 beyond the sphere: the closed
+    # form max(||x - c|| - r, 0) on x, c and r scaled by one power of two
+    # reads it exactly, for one point and in the stacked residual alike
+    ball = Ball([-1e308, 0.0], 1.5e308)
+    x = Point([1e308, 0.0])
+    assert ball.distance(x) == 5e307
+    problem = FeasibilityProblem([ball])
+    assert problem._distances(x.coords).tolist() == [5e307]
+    assert problem._distances(np.array([x.coords, [0.0, 0.0]])).tolist() == [[5e307], [0.0]]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow
 def test_linear_projection_when_step_overflows():
     # The step <a, x> / ||a||^2 overflows for the scaled normal (0.5, 0),

@@ -1,8 +1,12 @@
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
+from drfeas import diagnostics, repro
+from drfeas.cli import _check_suite, main
 from drfeas.operators import Operator
-from drfeas.repro import operator_class_reports
+from drfeas.repro import bundled_document, load_bundled, operator_class_reports, run_check_suite
 
 from drfeas import (
     Ball,
@@ -320,3 +324,137 @@ def test_feasibility_report_on_converged_terminal_iterate(three_ball_problem):
                           StopRule(10_000, 1e-10, 1e-8))
     report = feasibility_report(three_ball_problem, trace.final.iterate)
     assert max(d for _, d in report) <= 1e-8
+
+
+# One draw per suite: the checks of a suite share one dimension and one
+# (samples, scale, seed), so they share one sample.
+
+
+def _count_generators(monkeypatch) -> list:
+    """The seeds of the numpy generators made from here on: one per draw."""
+    seeds, real = [], np.random.default_rng
+
+    def counting(seed=None):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return seeds
+
+
+def test_a_suite_draws_each_sample_once(monkeypatch, tmp_path, capsys):
+    seeds = _count_generators(monkeypatch)
+    assert len(operator_class_reports(dims=(2, 5, 50), samples=50)) == 45
+    assert seeds == [0, 0, 0]  # one draw per dimension, not one per check
+    seeds.clear()
+    path = tmp_path / "ac2_three_balls.json"
+    path.write_text(bundled_document("ac2_three_balls.json"), encoding="utf-8")
+    assert main(["check", str(path), "--samples", "50", "--seed", "4"]) == 0
+    assert seeds == [4]
+
+
+def _standalone(suite, samples, scale, seed):
+    """The reports of run_check_suite, each from a check of its own."""
+    reports = []
+    for label, op, firm in suite:
+        diagnostics._draw_pairs.cache_clear()
+        if firm:
+            rep = check_firmly_nonexpansive(op, samples, scale, seed,
+                                            name=f"firmly_nonexpansive[{label}]")
+        else:
+            rep = check_nonexpansive(op, samples, scale, seed, name=f"nonexpansive[{label}]")
+        reports.append(rep)
+    return reports
+
+
+def _bits(reports):
+    return [(r.property_name, r.samples, r.worst_violation.hex(), r.tolerance, r.passed)
+            for r in reports]
+
+
+def test_suite_reports_equal_standalone_checks_on_the_catalog(monkeypatch):
+    suites, real = [], repro.run_check_suite
+
+    def spy(suite, *args):
+        suites.append((suite, args))
+        return real(suite, *args)
+
+    monkeypatch.setattr(repro, "run_check_suite", spy)
+    reports = operator_class_reports(samples=200, seed=3)
+    [(suite, args)] = suites
+    assert {op.dim for _, op, _ in suite} == {2, 5, 50}
+    assert _bits(reports) == _bits(_standalone(suite, *args))
+
+
+BUNDLED = sorted(
+    p.name for p in files("drfeas").joinpath("problems").iterdir() if p.name.endswith(".json")
+)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_suite_reports_equal_standalone_checks_on_bundled_documents(name):
+    problem, config = load_bundled(name)
+    suite = _check_suite(problem, config)
+    args = (200, problem.sampling_scale(), 1)
+    assert _bits(run_check_suite(suite, *args)) == _bits(_standalone(suite, *args))
+
+
+class Recorder(Operator):
+    """The identity, keeping every array it is applied to."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.seen = []
+
+    def _apply(self, x):
+        self.seen.append(x)
+        return x
+
+
+def test_operators_see_shared_read_only_contiguous_batches():
+    ops = [Recorder(3), Recorder(3)]
+    run_check_suite([("a", ops[0], True), ("b", ops[1], False)], 20, 1.0, 0)
+    first, second = ops
+    assert len(first.seen) == len(second.seen) == 2  # first points, then second points
+    for x in first.seen + second.seen:
+        assert x.shape == (20, 3) and x.flags.c_contiguous and not x.flags.writeable
+    assert first.seen[0] is second.seen[0] and first.seen[1] is second.seen[1]
+    quasi = Recorder(3)
+    check_quasi_nonexpansive(quasi, Point([0.0, 0.0, 0.0]), samples=20, scale=1.0)
+    batch = quasi.seen[-1]
+    assert batch.shape == (20, 3) and batch.flags.c_contiguous and not batch.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        batch[0, 0] = 1.0
+
+
+class Raises(Operator):
+    def _apply(self, x):
+        raise RuntimeError("operator failed")
+
+
+def test_suite_holds_no_sample_once_it_returns():
+    memo = diagnostics._draw_pairs
+    check_nonexpansive(Identity(2), samples=10)
+    assert memo.cache_info().currsize == 1  # a check on its own keeps its last sample
+    run_check_suite([("id", Identity(2), True)], 10, 1.0, 0)
+    assert memo.cache_info().currsize == 0
+    with pytest.raises(RuntimeError, match="operator failed"):
+        run_check_suite([("id", Identity(2), True), ("raises", Raises(2), False)], 10, 1.0, 0)
+    assert memo.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_firmly_nonexpansive, check_nonexpansive,
+     lambda T, **kw: check_quasi_nonexpansive(T, Point([0.0, 0.0]), **kw)],
+    ids=["firm", "plain", "quasi"],
+)
+@pytest.mark.parametrize(
+    "bad", [{"samples": 0}, {"scale": 0.0}, {"scale": 1e308}, {"seed": -1}],
+    ids=["samples", "scale", "scale_overflow", "seed"],
+)
+def test_each_check_validates_its_parameters_before_the_memo(check, bad):
+    # a sample already drawn for valid parameters does not let a bad one through
+    check(Identity(2), samples=10, scale=1.0, seed=0)
+    with pytest.raises(CheckParameterError, match=next(iter(bad))[:5]):
+        check(Identity(2), **{"samples": 10, "scale": 1.0, "seed": 0, **bad})
