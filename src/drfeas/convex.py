@@ -60,7 +60,11 @@ def _as_vector(v, name: str) -> np.ndarray:
 
 
 class ConvexSet(ABC):
-    """A nonempty closed convex subset of R^d with a closed-form projection."""
+    """A nonempty closed convex subset of R^d with a closed-form projection.
+
+    The public project and distance run with numpy's overflow and invalid
+    flags off, since their results report what the flags would (an inf
+    distance); the raw _project and _distance set no flags."""
 
     __slots__ = ("_dim",)
 
@@ -80,11 +84,13 @@ class ConvexSet(ABC):
 
     def project(self, x: Point) -> Point:
         """Nearest point of the set to x."""
-        return Point(self._project(self._coords(x)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Point(self._project(self._coords(x)))
 
     def distance(self, x: Point) -> float:
         """Euclidean distance from x to the set."""
-        return self._distance(self._coords(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._distance(self._coords(x))
 
     def _distance(self, x: np.ndarray) -> float:
         """Distance on raw coordinate arrays (no dimension check)."""
@@ -354,11 +360,15 @@ class AffineSubspace(ConvexSet):
     the distance ||W x - c||; the public A and b are the given data. For a
     point near the largest float, whose W x - c overflows in its partial
     sums, both are taken on x and c scaled by a power of two, a batch row
-    as a single point. Systems inconsistent or with no finite point are
+    as a single point. So is the projection of a point whose W x - c has a
+    nonzero entry below _floor, the smallest normal float over the smallest
+    nonzero |W_ij|, as at 2^-1000, where its products with W may be
+    subnormal and lose bits; at ordinary scales the scaled projection has
+    the same bits. Systems inconsistent or with no finite point are
     rejected here.
     """
 
-    __slots__ = ("A", "b", "_W", "_c")
+    __slots__ = ("A", "b", "_W", "_c", "_floor")
 
     kind = "AffineSubspace"
 
@@ -381,6 +391,8 @@ class AffineSubspace(ConvexSet):
         U, s, Vt = np.linalg.svd(sA, full_matrices=False)
         k = int(np.count_nonzero(s > 1e-15 * s[0]))
         self._W = Vt[:k].copy()  # not a view that keeps all of Vt
+        nonzero = np.abs(self._W[self._W != 0.0])
+        self._floor = np.finfo(float).tiny / np.min(nonzero, initial=math.inf)
         # The minimum-norm solution x = W^T c, which is not finite when b over
         # a tiny A overflows, and its least-squares residual, taken back to
         # the units of b before its norm (scaled, it underflows for a huge A).
@@ -399,12 +411,17 @@ class AffineSubspace(ConvexSet):
         # per row of a (..., d) batch, the products of a single point
         g = (self._W @ x[..., None])[..., 0] - self._c
         out = x - (g[..., None, :] @ self._W)[..., 0, :]
-        if x.ndim > 1:
-            for i in zip(*np.nonzero(~np.isfinite(g).all(axis=-1))):
-                out[i] = self._project(x[i])
-        elif not np.isfinite(g).all():
-            e, y, c = _scaled(x, self._c)
-            out = np.ldexp(y - (self._W @ y - c) @ self._W, e)
+        # a point whose W x - c is not finite, or has a nonzero entry whose
+        # products with W may be subnormal, is taken scaled
+        a = np.abs(g)
+        if not (a.min(initial=math.inf) >= self._floor and a.max(initial=0.0) < math.inf):
+            scaled = ~(((a >= self._floor) | (a == 0.0)) & (a < math.inf)).all(axis=-1)
+            if x.ndim > 1:
+                for i in zip(*np.nonzero(scaled)):
+                    out[i] = self._project(x[i])
+            elif scaled:
+                e, y, c = _scaled(x, self._c)
+                out = np.ldexp(y - (self._W @ y - c) @ self._W, e)
         return out
 
     def _distance(self, x: np.ndarray) -> float:

@@ -18,7 +18,8 @@ from .space import Point, _checked_coords, _common_dim
 
 
 class Operator(ABC):
-    """Immutable map of R^d to itself."""
+    """Immutable map of R^d to itself. apply, which calling an operator
+    runs, has numpy's overflow and invalid flags off; _apply sets none."""
 
     __slots__ = ("_dim",)
 
@@ -30,7 +31,8 @@ class Operator(ABC):
         return self._dim
 
     def apply(self, x: Point) -> Point:
-        return Point(self._apply(_checked_coords(x, self._dim, "operator")))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Point(self._apply(_checked_coords(x, self._dim, "operator")))
 
     __call__ = apply
 

@@ -23,20 +23,23 @@ Each new iterate is measured once. A row's worst set distance is deferred
 until the loop measures the rows that lack one: at the start point, at a
 step that can stop the run (every step when displacement_tol == 0, otherwise
 a step whose displacement is within displacement_tol), once the oldest
-deferred row is ``_RESIDUAL_BLOCK`` - 1 steps old, and when the loop ends, so
-a measurement takes at most ``_RESIDUAL_BLOCK`` rows. A row that keeps the
-previous row's array copies that row's distance; the others are measured by
-one batched ``FeasibilityProblem._distances`` call over their stacked
-iterates, whose rows have the bits of single points, so the trace is the
-same as with every distance computed at once. A NaN in a deferred row ends
-the trace at that row with status ``non_finite``: up to
-``_RESIDUAL_BLOCK`` - 1 later steps may have been applied by then, and their
-rows are dropped, as is an exception one of them raised. Each failure is
-handled where it happens: no built-in set reads NaN or raises at a finite
-point, and the sets of user subclasses are measured row by row in step
-order, stopping at the first row that holds a NaN, whose later rows read
-NaN unmeasured. So the batched call raises only when no NaN row comes
-before the row that raised, and it is made once.
+deferred row is block - 1 steps old, and when the loop ends, so a
+measurement takes at most block rows. The block is ``_RESIDUAL_BLOCK`` when
+every set belongs to a stacked family, and 1 when the problem holds a set of
+a user ``ConvexSet`` subclass; the loop reads it from the set types once per
+run. A row that keeps the previous row's array copies that row's distance;
+the others are measured by one batched ``FeasibilityProblem._distances``
+call over their stacked iterates, whose rows have the bits of single points,
+so the trace is the same as with every distance computed at once.
+
+Only a set of a user subclass may read NaN or raise at a finite point: the
+distance to a nonempty closed convex set is a number there, and the built-in
+kinds read none. Such a problem measures each row as its step adds it, so a
+failure is met at the row that has it: a NaN ends the trace there with
+status ``non_finite``, and an exception leaves the loop as it is raised. No
+step runs after a NaN row, and the trace columns only grow. The loop runs
+with numpy's overflow and invalid flags off, since the trace reports each
+value they would flag.
 
 A step that returns its iterate unchanged, with a zero displacement and the
 same bytes (-0.0 and 0.0 differ), adds a row that keeps the previous row's
@@ -221,13 +224,15 @@ class FeasibilityProblem:
 
     def distances(self, x: Point) -> list[float]:
         """Distance from x to each set, in set order."""
-        out = self._distances(_checked_coords(x, self.dim, "problem"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._distances(_checked_coords(x, self.dim, "problem"))
         return (out if self._order is None else out[self._order]).tolist()
 
     def max_distance(self, x: Point) -> float:
         """Worst set distance from x: the stop-rule residual. A NaN distance
         makes it NaN, which no tolerance accepts."""
-        return float(self._distances(_checked_coords(x, self.dim, "problem")).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self._distances(_checked_coords(x, self.dim, "problem")).max())
 
     def _distances(self, x: np.ndarray) -> np.ndarray:
         """Distance from a raw coordinate array to each set of self._grouped:
@@ -254,16 +259,14 @@ class FeasibilityProblem:
 
 def _each_distance(sets: Sequence[ConvexSet]) -> FamilyDistances:
     """The family of the sets with no stacked kind, each by its own _distance,
-    point by point in row order. At the first row that holds a NaN it stops:
-    the later rows read NaN, and their sets are not called, so a set that
-    raises on a later row does not raise."""
+    point by point in row order. Only these sets may read NaN or raise at a
+    finite point, so a run over a problem that holds one measures each row
+    alone, as its step adds it."""
 
     def distances(x: np.ndarray) -> np.ndarray:
-        out = np.full(x.shape[:-1] + (len(sets),), math.nan)
+        out = np.empty(x.shape[:-1] + (len(sets),))
         for row, p in zip(out.reshape(-1, len(sets)), x.reshape(-1, x.shape[-1])):
             row[:] = [c._distance(p) for c in sets]
-            if np.isnan(row).any():
-                break
         return out
 
     return distances
@@ -331,9 +334,7 @@ def _require_range(f: ControlMap, size: int, what: str) -> None:
 
 
 def _certifier_residual(certifier: Operator | None, x: np.ndarray) -> float | None:
-    if certifier is None:
-        return None
-    return _norm(certifier._apply(x) - x)
+    return None if certifier is None else _norm(certifier._apply(x) - x)
 
 
 def _iterate(
@@ -348,6 +349,9 @@ def _iterate(
     """Shared loop: next_op(n) yields the operator on R^dim producing x_n
     (n >= 1). The loop runs on raw arrays, with no dimension checks and no
     Point, so start, problem and certifier are checked against dim here.
+    numpy's overflow and invalid flags are off while it runs: a value they
+    would flag is reported in the trace (an inf displacement or distance, a
+    non_finite status).
 
     The trace keeps each iterate array and makes it read-only. With copy the
     array kept is a float copy of what the operator returned, so an operator
@@ -357,51 +361,48 @@ def _iterate(
 
     Each row's worst set distance is deferred until measure() gives it, as
     the module docstring describes: at the start, at a step that can stop
-    the run, when the oldest deferred row is _RESIDUAL_BLOCK - 1 steps old,
-    and on the way out."""
+    the run, when the oldest deferred row is block - 1 steps old, and on the
+    way out. block is _RESIDUAL_BLOCK when every set has a stacked family,
+    and 1 when a set of a user subclass may read NaN or raise."""
     for what, part in (("start", x0), ("problem", problem), ("certifier", certifier)):
         if part is not None and part.dim != dim:
             raise DimensionMismatch(f"{what} has dimension {part.dim}, expected {dim}")
-    x = x0.coords
-    blank = 0.0 if problem is None else math.nan  # a distance not measured yet
-    trace = IterationTrace([x], [0.0], [blank], ["init"], [_certifier_residual(certifier, x)])
-    columns = (trace.iterates, trace.displacements, trace.max_set_distances,
-               trace.operator_ids, trace.certifier_residuals)
-    add_iterate, add_disp, add_dist, add_id, add_residual = (c.append for c in columns)
-    iterates, dists, tol = trace.iterates, trace.max_set_distances, stop.displacement_tol
-    known = 0  # the rows before this one have their worst set distance
+    stacked = problem is None or all(type(c) in STACKED_DISTANCES for c in problem.sets)
+    block = _RESIDUAL_BLOCK if stacked else 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0.coords
+        blank = 0.0 if problem is None else math.nan  # a distance not measured yet
+        trace = IterationTrace([x], [0.0], [blank], ["init"], [_certifier_residual(certifier, x)])
+        add_iterate, add_disp, add_dist, add_id, add_residual = (
+            c.append for c in (trace.iterates, trace.displacements, trace.max_set_distances,
+                               trace.operator_ids, trace.certifier_residuals))
+        iterates, dists, tol = trace.iterates, trace.max_set_distances, stop.displacement_tol
+        known = 0  # the rows before this one have their worst set distance
 
-    def measure() -> bool:
-        """Give the deferred rows their worst set distance: a row that keeps
-        the previous row's array copies its distance, and the others are
-        measured once, by one batched call. At a NaN, end the trace at the
-        first row that has it and return True."""
-        nonlocal known
-        # moved on first, so that a raising set is not measured again on the
-        # way out
-        rows, known = range(known, len(iterates)), len(iterates)
-        if problem is None:
-            return False  # the column holds 0.0
-        fresh = [i for i in rows if not (i and iterates[i] is iterates[i - 1])]
-        if fresh:
-            worst = problem._distances(np.array([iterates[i] for i in fresh])).max(axis=1)
-            for i, d in zip(fresh, worst.tolist()):
-                dists[i] = d
-        for i in rows:
-            if i and iterates[i] is iterates[i - 1]:
-                dists[i] = dists[i - 1]
-            if dists[i] != dists[i]:
-                for column in columns:
-                    del column[i + 1 :]
-                return True
-        return False
+        def measure() -> bool:
+            """Give the deferred rows their worst set distance: a row that
+            keeps the previous row's array copies its distance, and the
+            others are measured once, by one batched call. Return whether
+            the last row is NaN: only a user subclass reads NaN, and then
+            each row is measured alone."""
+            nonlocal known
+            rows, known = range(known, len(iterates)), len(iterates)
+            if problem is None:
+                return False  # the column holds 0.0
+            fresh = [i for i in rows if not (i and iterates[i] is iterates[i - 1])]
+            if fresh:
+                worst = problem._distances(np.array([iterates[i] for i in fresh])).max(axis=1)
+                for i, d in zip(fresh, worst.tolist()):
+                    dists[i] = d
+            for i in rows:
+                if i and iterates[i] is iterates[i - 1]:
+                    dists[i] = dists[i - 1]
+            return dists[-1] != dists[-1]
 
-    if measure() or problem is not None and dists[0] <= stop.feasibility_tol:
-        trace.terminal_status = NON_FINITE if math.isnan(dists[0]) else FEASIBLE
-        return trace
-
-    status = MAX_ITERS
-    try:
+        if measure() or problem is not None and dists[0] <= stop.feasibility_tol:
+            trace.terminal_status = NON_FINITE if math.isnan(dists[0]) else FEASIBLE
+            return trace
+        status = MAX_ITERS
         for n in range(1, stop.max_iters + 1):
             op, op_id = next_op(n)
             x_next = op._apply(x)
@@ -427,7 +428,7 @@ def _iterate(
             add_residual(residual)
             x = x_next
             settles = not 0.0 < tol < disp  # whether this step can stop the run
-            if (settles or n - known == _RESIDUAL_BLOCK - 1) and measure():
+            if (settles or n - known == block - 1) and measure():
                 status = NON_FINITE
                 break
             if not settles:
@@ -435,13 +436,8 @@ def _iterate(
             if dists[-1] <= stop.feasibility_tol and (problem is not None or tol > 0.0):
                 status = CONVERGED_DISPLACEMENT if tol > 0.0 else FEASIBLE
                 break
-    except Exception:
-        # a NaN row before the step that raised ends the run there instead
-        if not measure():
-            raise
-        status = NON_FINITE
-    if measure():
-        status = NON_FINITE
+        if measure():
+            status = NON_FINITE
     trace.terminal_status = status
     return trace
 

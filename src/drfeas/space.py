@@ -157,5 +157,6 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 def norm(x: Point) -> float:
     """Euclidean norm of a point, computed as sqrt(<x, x>)."""
-    return _norm(x.coords)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _norm(x.coords)
 

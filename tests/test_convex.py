@@ -14,6 +14,7 @@ from drfeas import (
     Hyperplane,
     InvalidSet,
     Point,
+    Projection,
     norm,
     set_from_params,
 )
@@ -225,6 +226,17 @@ def test_ball_distance_when_offset_overflows_but_distance_is_finite():
     problem = FeasibilityProblem([ball])
     assert problem._distances(x.coords).tolist() == [5e307]
     assert problem._distances(np.array([x.coords, [0.0, 0.0]])).tolist() == [[5e307], [0.0]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ball_projection_when_offset_overflows_is_silent():
+    # x - center overflows on the way to the right projection, 5e307: the
+    # public project and apply run with numpy's overflow and invalid flags
+    # off, so no warning reaches the caller
+    ball = Ball([-1e308, 0.0], 1.5e308)
+    x = Point([1e308, 0.0])
+    assert ball.project(x) == Point([5e307, 0.0])
+    assert Projection(ball).apply(x) == Projection(ball)(x) == Point([5e307, 0.0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow

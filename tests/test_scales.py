@@ -14,6 +14,7 @@ import inspect
 import json
 import math
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +346,20 @@ def test_mixed_run_scales_where_affine_sums_overflow():
     base = execute_config(*parse_document(json.dumps(doc)))
     assert base.terminal_status == "converged_displacement"
     assert_runs_scale(doc, 900)
+
+
+@pytest.mark.parametrize("k", [-1000, 900])
+def test_affine_correction_scales_past_underflow(k):
+    # data/affine_underflow.json is one window of the seed-1 `wide_mixed`
+    # benchmark document 3, in d = 1000: its rank-5 affine set and the
+    # halfspace after it, started from the iterate of step 39, where a run
+    # of that document scaled by 2^-1000 first moved off the base run. Both
+    # tolerances are 0, so the five steps run. At 2^-1000 the entries of
+    # W x - c are subnormal, and their products with W lost bits, so one
+    # coordinate of the first projection differed; such a point is now
+    # projected scaled by a power of two
+    path = Path(__file__).parent / "data" / "affine_underflow.json"
+    assert_runs_scale(json.loads(path.read_text(encoding="utf-8")), k)
 
 
 @pytest.mark.parametrize("k", [-1000, -300, 300])

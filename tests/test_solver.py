@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -243,7 +244,6 @@ def test_feasibility_only_stop_mode():
     assert problem.max_distance(trace.final.iterate) <= 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_iterate_stops_with_last_finite_step():
     # the halfspace reflection of x0 doubles x0 and overflows to inf
     problem = FeasibilityProblem([Halfspace([1.0, 0.0], 0.0), Ball([0.0, 0.0], 1.0)])
@@ -254,7 +254,6 @@ def test_non_finite_iterate_stops_with_last_finite_step():
     assert trace.final.iterate == x0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_set_distance_is_never_feasible():
     # The second set's distance is NaN at x0; Python's max would drop that NaN
     # behind the ball's 2.0
@@ -311,7 +310,6 @@ class InfiniteBall(Ball):
         return math.inf
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_user_subclass_distance_is_measured_once():
     # An entry of the user-subclass family already came from the set's own
     # _distance; only stacked entries that are not finite are measured again.
@@ -326,7 +324,6 @@ def test_user_subclass_distance_is_measured_once():
     assert InfiniteBall.calls == 4
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ball_offset_past_squared_overflow_keeps_its_distance():
     # ||x - c||^2 overflows in the stacked ball rows, so the far ball's
     # distance comes from Ball._distance, which rescales before the norm.
@@ -339,6 +336,20 @@ def test_ball_offset_past_squared_overflow_keeps_its_distance():
                                      StopRule(max_iters=5), problem=problem)
     assert trace.terminal_status == MAX_ITERS
     assert all(step.max_set_distance == 1e200 for step in trace.steps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_where_the_offset_from_a_center_overflows_is_silent():
+    # The first reflection through the ball takes x - center, which
+    # overflows on the way to the right projection 5e307; the loop runs with
+    # numpy's overflow and invalid flags off
+    problem = FeasibilityProblem([Ball([-1e308, 0.0], 1.5e308), Halfspace([1.0, 0.0], 1e308)])
+    trace = run_unrestricted_dr(problem, Cyclic(2), 2, Point([1e308, 0.0]), StopRule(max_iters=5))
+    assert (trace.terminal_status, trace.iterations) == (CONVERGED_DISPLACEMENT, 2)
+    assert [s.iterate for s in trace.steps] == [Point([1e308, 0.0]), Point([5e307, 0.0]),
+                                                Point([5e307, 0.0])]
+    assert trace.displacements == [0.0, 5e307, 0.0]
+    assert trace.max_set_distances == [5e307, 0.0, 0.0]
 
 
 def test_ill_conditioned_affine_distance_is_never_read_as_feasible():
@@ -698,6 +709,62 @@ def test_each_distinct_iterate_is_measured_once_with_repeats(measure_log, tol):
     measured_rows(trace, measure_log, tol)
 
 
+class TwinBall(Ball):
+    """A user subclass, measured by its own _distance, which is Ball's."""
+
+
+def test_a_user_subclass_is_measured_one_row_at_a_time(measure_log):
+    # With displacement_tol 1.5, 290 of the 300 steps defer their rows over
+    # the built-in balls, measured in blocks of up to _RESIDUAL_BLOCK rows.
+    # With one ball a user subclass, whose distance may read NaN or raise,
+    # each row is measured alone, as its step adds it; the trace is the same
+    stop, f, r, x0 = StopRule(300, 1.5, 0.0), RandomBlock(3, 4, 2), 3, Point([3.0, -2.0])
+    problem = disjoint_problem()
+    trace = run_unrestricted_dr(problem, f, r, x0, stop)
+    batches = measured_rows(trace, measure_log, 1.5)
+    assert max(len(b) for b in batches) == solver._RESIDUAL_BLOCK
+    measure_log.clear()
+    sets = list(problem.sets)
+    sets[1] = TwinBall(sets[1].center, sets[1].radius)
+    twin = run_unrestricted_dr(FeasibilityProblem(sets), f, r, x0, stop)
+    assert {len(b) for b in measured_rows(twin, measure_log, 1.5)} == {1}
+    assert twin == trace
+
+
+# The coordinates of the extreme grid: the largest floats, the square root
+# of the largest, subnormals and 0.
+EXTREMES = [1.7e308, -1.7e308, 1e154, -1e154, 5e-324, -5e-324, 1e-310, 0.0]
+
+
+def test_built_in_sets_read_no_nan_at_extreme_points():
+    # A problem of built-in sets is measured in blocks of rows, as its
+    # distances are never NaN at a finite point: every kind at extreme
+    # scales, over a grid of extreme points. <a, x> overflows with mixed
+    # signs for the first halfspace, and x - center for the first ball
+    sets = [
+        Halfspace([1.5, 1.5, 1.5], 0.0),
+        Halfspace([-1.0, 1e-300, 1e300], -1e300),
+        Hyperplane([1.5, -1.5, 1.5], 1e308),
+        Hyperplane([0.0, 5e-324, 0.0], 0.0),
+        Ball([-1.7e308, 1.7e308, 0.0], 1.0),
+        Ball([0.0, 0.0, 0.0], 1e-300),
+        Ball([1e154, 1e154, 1e154], 1e154),
+        Box([-1.7e308, 0.0, -5e-324], [1.7e308, 1e-310, 5e-324]),
+        Box([1.7e308] * 3, [1.7e308] * 3),
+        AffineSubspace([[1.5, 1.5, -1.5]], [0.0]),
+        AffineSubspace([[1e300, 0.0, 1.0], [0.0, 1e-300, 1.0]], [1e300, 1.0]),
+        AffineSubspace(np.zeros((1, 3)), [0.0]),
+    ]
+    problem = FeasibilityProblem(sets)
+    X = np.array(list(itertools.product(EXTREMES, repeat=3)))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the loop
+        batch = problem._distances(X)
+        single = np.stack([problem._distances(x) for x in X])
+    assert not np.isnan(batch).any()
+    assert batch.tobytes() == single.tobytes()
+    assert np.isinf(batch).any() and (batch == 0.0).any()
+
+
 class ShiftRight(Operator):
     """x -> x + (1, 0), raising at its `fail`-th call."""
 
@@ -731,12 +798,11 @@ class RaisingRightOf(Halfspace):
 @pytest.mark.parametrize("fail", [5, None])
 @pytest.mark.parametrize("raising", [False, True])
 def test_nan_deferred_row_ends_the_run_at_its_row(fail, raising):
-    # x_2 = (2.5, 0) is the first iterate whose distance is NaN; its row is
-    # deferred, as the displacement 1 is above displacement_tol. The steps
-    # applied after it are dropped, the one that raises included, and no
-    # more than the rest of a block of them is applied. A set that raises
-    # from x_3 = (3.5, 0) on is never called there: its family measures the
-    # rows in step order and stops at the NaN row.
+    # x_2 = (2.5, 0) is the first iterate whose distance is NaN. The
+    # displacement 1 is above displacement_tol, but the problem holds user
+    # subclasses, so each row is measured as its step adds it: no step is
+    # applied after the NaN row, so neither the step that would raise nor a
+    # set that raises from x_3 = (3.5, 0) on is ever called.
     sets = [Ball([10.0, 0.0], 1.0), NanRightOfTwo([1.0, 0.0], 1.0)]
     if raising:
         sets.append(RaisingRightOf([1.0, 0.0], 1.0, 3.0))
@@ -748,13 +814,13 @@ def test_nan_deferred_row_ends_the_run_at_its_row(fail, raising):
     assert trace.final.iterate == Point([2.5, 0.0])
     assert math.isnan(trace.final.max_set_distance)
     assert trace.max_set_distances[:2] == [8.5, 7.5]
-    assert T.calls <= 2 + solver._RESIDUAL_BLOCK - 1
+    assert T.calls == 2
 
 
 def test_nan_row_deferred_to_the_last_step_ends_the_run_at_its_row():
-    # Both steps move by 1, above displacement_tol, so no row is measured
-    # before the loop reaches max_iters; the measurement on the way out finds
-    # the NaN at x_2 = (2.5, 0) and ends the run there
+    # Both steps move by 1, above displacement_tol, yet the problem holds a
+    # user subclass, so each row is measured at its step: the NaN at
+    # x_2 = (2.5, 0), the last step, ends the run there
     problem = FeasibilityProblem([Ball([10.0, 0.0], 1.0), NanRightOfTwo([1.0, 0.0], 1.0)])
     trace = run_unrestricted_product([ShiftRight()], Cyclic(1), Point([0.5, 0.0]),
                                      StopRule(2, 0.5, 1e-8), problem=problem)
@@ -766,8 +832,8 @@ def test_nan_row_deferred_to_the_last_step_ends_the_run_at_its_row():
 
 
 def test_set_that_raises_on_a_deferred_row_raises_in_step_order():
-    # The set raises on x_2 = (2.5, 0) in the batch, once: the exception
-    # propagates, and the set is not measured again on the way out of the loop
+    # The set raises on x_2 = (2.5, 0), measured at its step, once: the
+    # exception leaves the loop as it is raised
     problem = FeasibilityProblem([Ball([10.0, 0.0], 1.0), RaisingRightOf([1.0, 0.0], 1.0, 2.0)])
     RaisingRightOf.raised = 0
     with pytest.raises(ArithmeticError, match="no distance"):
@@ -781,7 +847,6 @@ def test_set_that_raises_on_a_deferred_row_raises_in_step_order():
     assert RaisingRightOf.raised == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_finite_step_with_overflowing_displacement_keeps_running():
     # Each reflection is finite, near -+1e308, but x_next - x overflows, so
     # the displacement is inf without the iterate being non-finite
@@ -798,7 +863,6 @@ class Blowup(Operator):
         return 1e100 * x
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_trace_ends_at_the_last_finite_step():
     T, x0 = Blowup(2), Point([1.0, -1.0])
     trace = run_unrestricted_product([T], Cyclic(1), x0, STOP)
