@@ -62,9 +62,10 @@ def _as_vector(v, name: str) -> np.ndarray:
 class ConvexSet(ABC):
     """A nonempty closed convex subset of R^d with a closed-form projection.
 
-    The public project and distance run with numpy's overflow and invalid
-    flags off, since their results report what the flags would (an inf
-    distance); the raw _project and _distance set no flags."""
+    The public project and distance, and the interior_margin and scale_hint
+    of the built-in kinds, run with numpy's overflow and invalid flags off,
+    since their results report what the flags would (an inf distance); the
+    raw _project and _distance set no flags."""
 
     __slots__ = ("_dim",)
 
@@ -213,7 +214,8 @@ class Halfspace(_LinearSet):
     _one_sided = True
 
     def interior_margin(self, x: Point) -> float:
-        return -self._gap(self._coords(x)) / self._a_norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -self._gap(self._coords(x)) / self._a_norm
 
 
 class Hyperplane(_LinearSet):
@@ -277,20 +279,21 @@ class Ball(ConvexSet):
         return out
 
     def _distance(self, x: np.ndarray) -> float:
-        with np.errstate(over="ignore"):
-            d = _norm(x - self.center) - self.radius
-            if d == math.inf:
-                # x - center overflowed, or its norm does: the same closed form
-                # on x, the center and the radius scaled by one power of two
-                e, y, c, r = _scaled(x, self.center, self.radius)
-                d = float(np.ldexp(_norm(y - c) - r, e))  # inf past the largest float
+        d = _norm(x - self.center) - self.radius
+        if d == math.inf:
+            # x - center overflowed, or its norm does: the same closed form
+            # on x, the center and the radius scaled by one power of two
+            e, y, c, r = _scaled(x, self.center, self.radius)
+            d = float(np.ldexp(_norm(y - c) - r, e))  # inf past the largest float
         return max(d, 0.0)
 
     def interior_margin(self, x: Point) -> float:
-        return self.radius - _norm(self._coords(x) - self.center)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.radius - _norm(self._coords(x) - self.center)
 
     def scale_hint(self) -> float:
-        return _norm(self.center) + self.radius
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _norm(self.center) + self.radius
 
     @staticmethod
     def _family_distances(sets: Sequence[Ball]) -> FamilyDistances:
@@ -301,8 +304,7 @@ class Ball(ConvexSet):
         radii = np.array([c.radius for c in sets])
 
         def distances(x: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore"):
-                return np.maximum(_row_norms(x[..., None, :] - centers) - radii, 0.0)
+            return np.maximum(_row_norms(x[..., None, :] - centers) - radii, 0.0)
 
         return distances
 
@@ -330,7 +332,8 @@ class Box(ConvexSet):
 
     def interior_margin(self, x: Point) -> float:
         x = self._coords(x)
-        return float(min(np.min(x - self.lo), np.min(self.hi - x)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(min(np.min(x - self.lo), np.min(self.hi - x)))
 
     def scale_hint(self) -> float:
         return float(max(np.max(np.abs(self.lo)), np.max(np.abs(self.hi))))
@@ -438,7 +441,8 @@ class AffineSubspace(ConvexSet):
         return -math.inf
 
     def scale_hint(self) -> float:  # the norm of the minimum-norm solution
-        return _norm(self._c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _norm(self._c)
 
     @staticmethod
     def _family_distances(sets: Sequence[AffineSubspace]) -> FamilyDistances:

@@ -32,6 +32,10 @@ exactly also where squares underflow; where a norm's square overflows, that
 power of two comes from the largest |coordinate| of the pair, by the rule
 of ``space._scaled``. No floor is put under M, so a check reads the same at
 every scale: x -> 2x fails at 1e-170 as it does at 1. A pair whose M is 0 (all four points at the origin) reads 0.
+
+The checks and ``asymptotic_regularity_series`` run with numpy's overflow
+and invalid flags off: an image past the largest float makes a violation
+inf or NaN, which fails the check, or makes the series raise ValueError.
 """
 
 from __future__ import annotations
@@ -120,7 +124,8 @@ def _report(
     read-only (samples, d) batches x of first and y of second points, as the
     check's report. A non-finite image makes a violation inf or NaN, and
     np.max keeps a NaN, so the check fails."""
-    worst = float(np.max(violation(*_pairs(T.dim, samples, scale, seed)), initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = float(np.max(violation(*_pairs(T.dim, samples, scale, seed)), initial=0.0))
     return PropertyReport(name, samples, worst, tol, worst <= tol)
 
 
@@ -181,9 +186,10 @@ def check_quasi_nonexpansive(
     max(||x||, ||p||, ||Tx||). p counts as fixed when ||Tp - p|| is within
     tol of max(||p||, ||Tp||)."""
     q = _checked_coords(p, T.dim, "operator")
-    Tq = T._apply(q)
-    M, unit = _scale(q[None], Tq[None])
-    residual = float(_row_norms((Tq - q) * unit)[0] / M[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        Tq = T._apply(q)
+        M, unit = _scale(q[None], Tq[None])
+        residual = float(_row_norms((Tq - q) * unit)[0] / M[0])
     if not residual <= tol:  # a NaN residual is no fixed point either
         raise CheckParameterError(
             f"p is not a fixed point of the operator: relative residual "
@@ -209,12 +215,13 @@ def asymptotic_regularity_series(T: Operator, x0: Point, n_steps: int) -> list[f
         raise ValueError("n_steps must be at least 1")
     series = []
     x = _checked_coords(x0, T.dim, "operator")
-    for _ in range(n_steps):
-        x_next = T._apply(x)
-        if not np.isfinite(x_next).all():
-            raise ValueError("coordinates must be finite (no NaN/Inf)")
-        series.append(_norm(x_next - x))
-        x = x_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            x_next = T._apply(x)
+            if not np.isfinite(x_next).all():
+                raise ValueError("coordinates must be finite (no NaN/Inf)")
+            series.append(_norm(x_next - x))
+            x = x_next
     return series
 
 

@@ -64,24 +64,32 @@ Per step the loop builds no ``Point``: ``IterationTrace`` keeps columns of
 raw values (the iterate arrays, made read-only) and builds ``TraceStep``
 views on demand. The DR schemes keep the array their operator returned; the
 controlled product keeps a float copy, since its operators may be any
-subclass. The DR schemes read their windows from the control a run of steps
-at a time (``window`` with ``steps > 1``, over ``ControlMap.indices``), runs
-doubling from one step up to a fixed chunk; a set index outside 1..m still
-raises at the step whose window first holds it.
+subclass.
+
+The loop reads its steps, each an operator and its id, from an iterator in
+step order, and takes none past max_iters: the composite scheme repeats Q,
+the controlled product reads h(0), h(1), ..., and the DR run reads S_0,
+S_1, ... from one stream. The stream fetches its windows from the control
+a run of steps at a time (``window`` with ``steps > 1``, over
+``ControlMap.indices``), runs doubling from one step up to a fixed chunk; a
+set index outside 1..m still raises at the step whose window first holds
+it. ``build_S`` takes the first operator of a stream started at step n, and
+``build_composite_Q`` the first jf + 1 of one started at 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import count, islice, repeat
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .control import ControlMap, InvalidControl, cover_index, window
 from .convex import STACKED_DISTANCES, ConvexSet, FamilyDistances
 from .operators import Composition, DrOperator, Operator, dr_operator
-from .space import DimensionMismatch, Point, _checked_coords, _common_dim, _norm
+from .space import DimensionMismatch, Point, _checked_coords, _common_dim, _norm, norm
 
 CONVERGED_DISPLACEMENT = "converged_displacement"
 FEASIBLE = "feasible"
@@ -191,7 +199,7 @@ class FeasibilityProblem:
                 raise DimensionMismatch(
                     f"interior point has dimension {interior_point.dim}, expected {dim}"
                 )
-            size = _norm(interior_point.coords)
+            size = norm(interior_point)
             for i, c in enumerate(sets):
                 margin = c.interior_margin(interior_point)
                 if not (margin > 0.0 and margin >= INTERIOR_MARGIN * max(size, c.scale_hint())):
@@ -238,10 +246,7 @@ class FeasibilityProblem:
         """Distance from a raw coordinate array to each set of self._grouped:
         from one point, a vector; from a (..., d) batch, a (..., m) array
         whose rows have the bits of their points' vectors."""
-        if len(self._families) == 1:
-            out = self._families[0](x)
-        else:
-            out = np.concatenate([family(x) for family in self._families], axis=-1)
+        out = np.concatenate([family(x) for family in self._families], axis=-1)
         if not np.isfinite(out).all():
             # Overflow and NaN stay the business of each set's own _distance,
             # which gave the entries of a user subclass already.
@@ -280,50 +285,44 @@ _RESIDUAL_BLOCK = 64
 
 
 def _window_operators(
-    problem: FeasibilityProblem, f: ControlMap, r: int
-) -> Callable[[int], DrOperator]:
-    """n -> S_n, the r-set DR operator over the sets the window at step n
-    picks; one operator is built per distinct window, so quasi-periodic
-    controls reuse a finite pool while aperiodic ones still run.
+    problem: FeasibilityProblem, f: ControlMap, r: int, n: int = 0
+) -> Iterator[DrOperator]:
+    """S_n, S_{n+1}, ... in step order, S_k being the r-set DR operator over
+    the sets the window at step k picks; one operator is built per distinct
+    window, so quasi-periodic controls reuse a finite pool while aperiodic
+    ones still run.
 
-    Windows are fetched a run of steps at a time, from the first step asked
-    for outside the last run; runs double from 1 step up to _WINDOW_CHUNK,
-    so a caller in step order never fetches more windows than it uses. A set
-    index outside 1..m raises at the first step whose window holds it."""
+    Windows are fetched a run of steps at a time, runs doubling from 1 step
+    up to _WINDOW_CHUNK, so a reader fetches fewer than twice the windows
+    it takes, and only when it takes the first step of a run. A set index
+    outside 1..m raises at the first step whose window holds it."""
     cache: dict[tuple[int, ...], DrOperator] = {}
-    base, steps, run = 0, 0, []  # the windows of steps base, ..., base + steps - 1
-
-    def S(n: int) -> DrOperator:
-        nonlocal base, steps, run
-        k = n - base
-        if not 0 <= k < steps:
-            steps = min(2 * steps, _WINDOW_CHUNK) or 1
-            base, run, k = n, window(f, r, n, steps), 0
-        i = (r - 1) * k
-        key = tuple(run[i : i + r])
-        op = cache.get(key)
-        if op is None:
-            bad = [i for i in key if not 1 <= i <= problem.m]
-            if bad:
-                raise InvalidControl(
-                    f"control produced set index {bad[0]} but the problem has "
-                    f"sets 1..{problem.m}"
-                )
-            op = cache[key] = dr_operator([problem.sets[i - 1] for i in key])
-        return op
-
-    return S
+    steps = 1
+    while True:
+        run = window(f, r, n, steps)
+        for i in range(0, (r - 1) * steps, r - 1):
+            key = tuple(run[i : i + r])
+            op = cache.get(key)
+            if op is None:
+                bad = [j for j in key if not 1 <= j <= problem.m]
+                if bad:
+                    raise InvalidControl(
+                        f"control produced set index {bad[0]} but the problem has "
+                        f"sets 1..{problem.m}"
+                    )
+                op = cache[key] = dr_operator([problem.sets[j - 1] for j in key])
+            yield op
+        n, steps = n + steps, min(2 * steps, _WINDOW_CHUNK)
 
 
 def build_S(problem: FeasibilityProblem, f: ControlMap, r: int, n: int) -> DrOperator:
     """The r-set DR operator over the sets selected by the window at step n."""
-    return _window_operators(problem, f, r)(n)
+    return next(_window_operators(problem, f, r, n))
 
 
 def build_composite_Q(problem: FeasibilityProblem, f: ControlMap, r: int) -> Composition:
     """Composition S_0, ..., S_jf (applied in that order), jf = cover_index(f)."""
-    S = _window_operators(problem, f, r)
-    return Composition([S(n) for n in range(cover_index(f) + 1)])
+    return Composition(islice(_window_operators(problem, f, r), cover_index(f) + 1))
 
 
 def _require_range(f: ControlMap, size: int, what: str) -> None:
@@ -338,7 +337,7 @@ def _certifier_residual(certifier: Operator | None, x: np.ndarray) -> float | No
 
 
 def _iterate(
-    next_op: Callable[[int], tuple[Operator, str]],
+    steps: Iterator[tuple[Operator, str]],
     dim: int,
     x0: Point,
     stop: StopRule,
@@ -346,12 +345,13 @@ def _iterate(
     certifier: Operator | None,
     copy: bool,
 ) -> IterationTrace:
-    """Shared loop: next_op(n) yields the operator on R^dim producing x_n
-    (n >= 1). The loop runs on raw arrays, with no dimension checks and no
-    Point, so start, problem and certifier are checked against dim here.
-    numpy's overflow and invalid flags are off while it runs: a value they
-    would flag is reported in the trace (an inf displacement or distance, a
-    non_finite status).
+    """Shared loop: steps yields, in step order, the operator on R^dim
+    producing x_n and its id, for n = 1, 2, ...; no item past max_iters is
+    taken from it. The loop runs on raw arrays, with no dimension checks
+    and no Point, so start, problem and certifier are checked against dim
+    here. numpy's overflow and invalid flags are off while it runs: a value
+    they would flag is reported in the trace (an inf displacement or
+    distance, a non_finite status).
 
     The trace keeps each iterate array and makes it read-only. With copy the
     array kept is a float copy of what the operator returned, so an operator
@@ -403,8 +403,7 @@ def _iterate(
             trace.terminal_status = NON_FINITE if math.isnan(dists[0]) else FEASIBLE
             return trace
         status = MAX_ITERS
-        for n in range(1, stop.max_iters + 1):
-            op, op_id = next_op(n)
+        for n, (op, op_id) in zip(range(1, stop.max_iters + 1), steps):
             x_next = op._apply(x)
             if copy:
                 x_next = np.array(x_next, dtype=float)
@@ -452,10 +451,8 @@ def run_unrestricted_dr(
 ) -> IterationTrace:
     """Per-step DR scheme: x_n = S_{n-1} x_{n-1} over control windows."""
     _require_range(f, problem.m, "sets")
-    S = _window_operators(problem, f, r)
-    return _iterate(
-        lambda n: (S(n - 1), f"S{n - 1}"), problem.dim, x0, stop, problem, certifier, False
-    )
+    steps = ((S, f"S{n}") for n, S in enumerate(_window_operators(problem, f, r)))
+    return _iterate(steps, problem.dim, x0, stop, problem, certifier, False)
 
 
 def run_composite(
@@ -469,7 +466,7 @@ def run_composite(
     """Fixed-operator scheme: y_n = Q y_{n-1} with Q = S_jf ... S_0."""
     _require_range(f, problem.m, "sets")
     Q = build_composite_Q(problem, f, r)
-    return _iterate(lambda n: (Q, "Q"), problem.dim, y0, stop, problem, certifier, False)
+    return _iterate(repeat((Q, "Q")), problem.dim, y0, stop, problem, certifier, False)
 
 
 def run_unrestricted_product(
@@ -490,14 +487,15 @@ def run_unrestricted_product(
     dim = _common_dim(operators, "operator")
     _require_range(h, len(operators), "operators")
 
-    def next_op(n: int) -> tuple[Operator, str]:
-        j = h.index_at(n - 1)
-        if not 1 <= j <= len(operators):
-            raise InvalidControl(
-                f"control produced operator index {j} but there are operators "
-                f"1..{len(operators)}"
-            )
-        return operators[j - 1], f"T{j}"
+    def steps() -> Iterator[tuple[Operator, str]]:
+        for n in count():
+            j = h.index_at(n)
+            if not 1 <= j <= len(operators):
+                raise InvalidControl(
+                    f"control produced operator index {j} but there are operators "
+                    f"1..{len(operators)}"
+                )
+            yield operators[j - 1], f"T{j}"
 
     # The family may hold any Operator subclass, so its outputs are copied.
-    return _iterate(next_op, dim, x0, stop, problem, certifier, True)
+    return _iterate(steps(), dim, x0, stop, problem, certifier, True)

@@ -42,7 +42,9 @@ def _common_dim(items: Sequence, what: str) -> int:
 
 
 class Point:
-    """An immutable point of R^d with finite coordinates, d >= 1."""
+    """An immutable point of R^d with finite coordinates, d >= 1. Its +, -
+    and scalar * run with numpy's overflow and invalid flags off: a result
+    past the largest float raises ValueError, with no warning."""
 
     __slots__ = ("_coords",)
 
@@ -76,14 +78,17 @@ class Point:
 
     def __add__(self, other: "Point") -> "Point":
         _require_same_dim(self, other)
-        return Point(self._coords + other._coords)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Point(self._coords + other._coords)
 
     def __sub__(self, other: "Point") -> "Point":
         _require_same_dim(self, other)
-        return Point(self._coords - other._coords)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Point(self._coords - other._coords)
 
     def __rmul__(self, a: float) -> "Point":
-        return Point(float(a) * self._coords)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Point(float(a) * self._coords)
 
     def __repr__(self) -> str:
         return f"Point({self._coords.tolist()!r})"

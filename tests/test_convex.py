@@ -189,7 +189,6 @@ def test_huge_normal_keeps_distance(cls):
     assert shifted.scale_hint() == pytest.approx(2.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing dot
 def test_ball_projection_far_from_center():
     # ||x - c||^2 overflows once ||x - c|| exceeds ~1.3e154
     ball = Ball([0.0, 0.0], 1.0)
@@ -202,7 +201,6 @@ def test_ball_projection_far_from_center():
     assert ball.distance(y) == pytest.approx(5e200)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow
 def test_ball_projection_when_offset_overflows():
     # x - center overflows to inf although both are finite
     ball = Ball([-1e308, 0.0], 1.0)
@@ -224,8 +222,9 @@ def test_ball_distance_when_offset_overflows_but_distance_is_finite():
     x = Point([1e308, 0.0])
     assert ball.distance(x) == 5e307
     problem = FeasibilityProblem([ball])
-    assert problem._distances(x.coords).tolist() == [5e307]
-    assert problem._distances(np.array([x.coords, [0.0, 0.0]])).tolist() == [[5e307], [0.0]]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the loop
+        assert problem._distances(x.coords).tolist() == [5e307]
+        assert problem._distances(np.array([x.coords, [0.0, 0.0]])).tolist() == [[5e307], [0.0]]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -421,7 +420,6 @@ def test_interior_margin_semantics():
     assert whole.interior_margin(Point([7.0, -3.0])) == math.inf
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing dot
 def test_scale_hint_hand_values():
     assert Box([-3.0, 0.0], [2.0, 4.0]).scale_hint() == 4.0  # the largest |bound|
     assert Box([-5.0, 1.0], [2.0, 4.0]).scale_hint() == 5.0
@@ -431,6 +429,17 @@ def test_scale_hint_hand_values():
     assert AffineSubspace(np.zeros((1, 2)), [0.0]).scale_hint() == 0.0
     # ||center|| + radius, where ||center||^2 is past the largest float
     assert Ball([1e200, 1e200], 1e199).scale_hint() == pytest.approx(math.sqrt(2) * 1e200 + 1e199)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scale_hints_and_interior_margins_are_silent_on_overflow():
+    # Each squared norm, difference or dot product below overflows on the
+    # way to a finite answer; the public methods run with the flags off
+    assert Ball([1e200, 1e200], 1e199).scale_hint() == pytest.approx(math.sqrt(2) * 1e200 + 1e199)
+    assert AffineSubspace([[1.0, 0.0]], [1e200]).scale_hint() == pytest.approx(1e200)
+    assert Ball([0.0, 0.0], 1.0).interior_margin(Point([1e160, 0.0])) == -1e160
+    assert Box([-1e308], [1e308]).interior_margin(Point([1e308])) == 0.0
+    assert Halfspace([1.0] * 4, 0.0).interior_margin(Point([1.7e308] * 4)) == -math.inf
 
 
 @pytest.mark.parametrize("c", catalog(), ids=lambda c: c.kind)

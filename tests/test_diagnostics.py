@@ -149,7 +149,6 @@ def test_reports_deterministic_given_seed():
         assert 0.0 < small.worst_violation <= large.worst_violation
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing dot
 def test_overflowing_violation_fails_the_check():
     # At this scale <Tx - Ty, Tx - Ty> overflows unscaled; on pairs scaled by
     # a power of two the violation is finite, and still fails the check
@@ -168,7 +167,6 @@ def test_expansion_below_unit_scale_fails_the_check(check, scale):
     assert rep.worst_violation > 0.5 and not rep.passed
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing dot
 def test_norm_past_largest_float_stays_finite():
     # ||x|| of 50 coordinates near 8e307 passes the largest float; the pair is
     # scaled by the power of two of its largest coordinate, not left as inf
@@ -190,7 +188,6 @@ def test_pair_at_the_origin_reads_zero(check):
     assert rep.worst_violation == 0.0 and rep.passed
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow
 def test_non_finite_image_fails_the_check():
     # The reflection sends x1 past the largest float: the image is infinite,
     # and a check fails where it used to raise
@@ -199,13 +196,28 @@ def test_non_finite_image_fails_the_check():
     assert not rep.passed and not rep.worst_violation <= rep.tolerance
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_quasi_check_treats_nan_residual_as_not_fixed():
     # The first reflection sends the origin to x1 = -inf, the second to
     # 2 * (-inf) - (-inf) = NaN, so the fixed-point residual is NaN
     T = composite_reflection([Halfspace([1.0, 0.0], -1e308), Halfspace([1.0, 0.0], 0.0)])
     with pytest.raises(ValueError, match="not a fixed point"):
         check_quasi_nonexpansive(T, Point([0.0, 0.0]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_checks_and_series_are_silent_where_images_overflow():
+    # The reflection sends x1 past the largest float; the checks and the
+    # series run with numpy's overflow and invalid flags off, so the caller
+    # gets the failed report or the ValueError, not numpy's warning
+    R = Reflection(Halfspace([1.0, 0.0], -1e308))
+    for check in (check_firmly_nonexpansive, check_nonexpansive):
+        rep = check(R, samples=10, scale=1e307)
+        assert not rep.passed and np.isnan(rep.worst_violation)
+    T = composite_reflection([Halfspace([1.0, 0.0], -1e308), Halfspace([1.0, 0.0], 0.0)])
+    with pytest.raises(ValueError, match="not a fixed point"):
+        check_quasi_nonexpansive(T, Point([0.0, 0.0]))
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        asymptotic_regularity_series(R, Point([1e307, 0.0]), 3)
 
 
 def sphere_projection(self, x):

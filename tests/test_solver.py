@@ -330,7 +330,8 @@ def test_ball_offset_past_squared_overflow_keeps_its_distance():
     far = Ball([1e200, 0.0], 1.0)
     problem = FeasibilityProblem([Ball([0.0, 0.0], 1.0), far, Ball([0.0, 1.0], 1.0)])
     x0 = Point([3.0, 0.0])
-    assert problem.max_distance(x0) == far._distance(x0.coords) == 1e200
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the loop
+        assert problem.max_distance(x0) == far._distance(x0.coords) == 1e200
     assert problem.distances(x0)[1] == far.distance(x0)
     trace = run_unrestricted_product([Projection(problem.sets[0])], Cyclic(1), x0,
                                      StopRule(max_iters=5), problem=problem)
@@ -480,6 +481,16 @@ def test_run_dimension_mismatch(three_ball_problem):
         three_ball_problem.distances(Point([1.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_problem_near_overflow_builds_and_scales_silently():
+    # ||p||^2, ||p - c||^2 and ||c||^2 overflow on the way to finite values
+    big = Ball([1e200, 1e200], 1e200)
+    problem = FeasibilityProblem([big], Point([1.5e200, 1e200]))
+    assert problem.m == 1
+    two = FeasibilityProblem([big, Ball([-1e200, 1e200], 1e200)])
+    assert two.sampling_scale() == pytest.approx(4 * (math.sqrt(2) + 1) * 1e200)
+
+
 def test_sampling_scale_tracks_set_magnitudes():
     small = FeasibilityProblem([Ball([0.0, 0.0], 0.5)])
     big = FeasibilityProblem([Ball([100.0, 0.0], 1.0)])
@@ -499,8 +510,8 @@ def never_stop(max_iters):
 
 
 def test_run_windows_are_the_build_S_windows(monkeypatch):
-    # A run fetches its windows in runs of up to K steps; whatever the order
-    # of the calls, S(n) must be the operator build_S gives for step n
+    # A run fetches its windows in runs of up to K steps; whatever run holds
+    # step n, the stream's S_n must be the operator build_S gives for it
     problem, f, r, K = disjoint_problem(), RandomBlock(3, 4, 7), 3, solver._WINDOW_CHUNK
     expected = [build_S(problem, f, r, n).sets for n in range(3 * K + 1)]
     applied = []
@@ -514,9 +525,26 @@ def test_run_windows_are_the_build_S_windows(monkeypatch):
     trace = run_unrestricted_dr(problem, f, r, Point([3.0, 3.0]), never_stop(3 * K + 1))
     assert trace.iterations == 3 * K + 1
     assert applied == expected
-    S = solver._window_operators(problem, f, r)
+    stream = solver._window_operators(problem, f, r)
+    assert [S.sets for S in itertools.islice(stream, 3 * K + 1)] == expected
+    stream = solver._window_operators(problem, f, r, K + 1)
+    assert [S.sets for S in itertools.islice(stream, 2 * K)] == expected[K + 1 :]
     order = [2 * K + 5, 0, K, K - 1, 3 * K, 1, 2 * K + 5, K + 1, *range(3 * K, -1, -1)]
-    assert [S(n).sets for n in order] == [expected[n] for n in order]
+    assert [build_S(problem, f, r, n).sets for n in order] == [expected[n] for n in order]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, solver._WINDOW_CHUNK - 1, 2 * solver._WINDOW_CHUNK + 3])
+@pytest.mark.parametrize("f", [Cyclic(3), RandomBlock(3, 4, 7)], ids=["cyclic", "random_block"])
+def test_stream_started_at_n_is_the_stream_from_0_from_item_n_on(f, n):
+    # the runs of a stream from n start at other steps than those of a stream
+    # from 0, so the two fetch other runs of windows for the same steps
+    problem, r, length = disjoint_problem(), 3, 3 * solver._WINDOW_CHUNK
+
+    def stream(start, items):
+        ops = solver._window_operators(problem, f, r, start)
+        return [S.sets for S in itertools.islice(ops, items)]
+
+    assert stream(n, length) == stream(0, n + length)[n:]
 
 
 class OutOfRangeAt(ControlMap):

@@ -136,7 +136,22 @@ def test_point_arithmetic_sugar():
     assert 2.0 * x == Point([2.0, 4.0])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflowing dot
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: Point([1e308]) + Point([1e308]),
+        lambda: Point([1e308]) - Point([-1e308]),
+        lambda: 1e10 * Point([1e308]),
+        lambda: math.inf * Point([0.0]),  # inf * 0 is NaN
+    ],
+    ids=["add", "sub", "mul", "inf_times_zero"],
+)
+def test_point_arithmetic_past_largest_float_raises_value_error(op):
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        op()
+
+
 def test_norm_past_largest_float_is_inf():
     assert norm(Point([3e200, -4e200])) == pytest.approx(5e200)
     assert norm(Point([1.5e308, 1.5e308])) == math.inf

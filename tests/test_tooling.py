@@ -39,8 +39,9 @@ def test_every_traced_name_resolves():
     [
         ["scripts/three_ball_schemes.py"],
         ["scripts/operator_checks.py", "--dims", "2", "--samples", "100"],
+        ["scripts/code_lines.py"],
     ],
-    ids=["three_ball_schemes", "operator_checks"],
+    ids=["three_ball_schemes", "operator_checks", "code_lines"],
 )
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
