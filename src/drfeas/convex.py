@@ -9,6 +9,10 @@ products with ordinary points cannot overflow.
 
 Projections take one point of shape (d,) or a batch of shape (..., d); a
 batch row gets the arithmetic of a single point, so it has the same bits.
+A built-in kind's projection of a batch is always a new array, and
+``ConvexSet._reflect``, the one reflection formula 2 P(x) - x, doubles it
+and subtracts x in place; what a user subclass's _project returns is never
+written into.
 
 Every kind also measures the distances from x to a whole family of its
 sets at once, from data stacked into matrices (``STACKED_DISTANCES``;
@@ -97,6 +101,22 @@ class ConvexSet(ABC):
         """Distance on raw coordinate arrays (no dimension check)."""
         return _norm(x - self._project(x))
 
+    def _reflect(self, x: np.ndarray) -> np.ndarray:
+        """2 P(x) - x, the reflection through the set, on raw coordinate
+        arrays: a point or a (..., d) batch, as _project takes them. The
+        result is always a new array, which the caller may overwrite.
+
+        A built-in kind's projection of a batch is a new array, so it is
+        doubled and x subtracted in it, with the operations of 2 P(x) - x.
+        The projection of a single point may be x itself, and a user
+        subclass's may be an array it keeps, so neither is written into."""
+        p = self._project(x)
+        if x.ndim > 1 and type(self) in _BUILT_IN:
+            p *= 2.0
+            p -= x
+            return p
+        return 2.0 * p - x
+
     @abstractmethod
     def _project(self, x: np.ndarray) -> np.ndarray:
         """Projection on raw coordinate arrays (no dimension check).
@@ -158,7 +178,7 @@ class _LinearSet(ConvexSet):
     def _project(self, x: np.ndarray) -> np.ndarray:
         if x.ndim > 1:
             return self._project_rows(x)
-        g = self._gap(x)
+        g = float(np.dot(self._sa, x)) - self._sb  # self._gap(x), inlined: one call fewer
         if self._one_sided and g <= 0.0:
             return x
         t = g / self._a_norm_sq
@@ -180,7 +200,8 @@ class _LinearSet(ConvexSet):
         if self._one_sided:
             g = np.maximum(g, 0.0)
         t = g / self._a_norm_sq
-        out = x - t[..., None] * self._sa
+        out = t[..., None] * self._sa
+        np.subtract(x, out, out=out)
         for i in zip(*np.nonzero(~np.isfinite(t))):
             out[i] = self._project(x[i])
         return out
@@ -237,7 +258,7 @@ class Ball(ConvexSet):
     scaled where its square over- or underflows, and the whole form taken at
     one power-of-two scale where x - c itself overflows."""
 
-    __slots__ = ("center", "radius")
+    __slots__ = ("center", "radius", "_doubles")
 
     kind = "Ball"
 
@@ -248,6 +269,10 @@ class Ball(ConvexSet):
             raise InvalidSet("radius must be positive and finite")
         self.center = center
         self.radius = float(radius)
+        # A point whose computed distance from the center is at most the
+        # radius lies within twice the radius of it, so here 2x cannot
+        # overflow, and 2x - x is x + 0.0 bit for bit (-0.0 gives 0.0).
+        self._doubles = float(np.max(np.abs(center))) + 2.0 * self.radius < 2.0**1023
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         if x.ndim > 1:
@@ -263,6 +288,23 @@ class Ball(ConvexSet):
             v = y - c
             d = _norm(v)
         return self.center + (self.radius / d) * v
+
+    def _reflect(self, x: np.ndarray) -> np.ndarray:
+        """A single point is reflected with the arithmetic of 2 P(x) - x and
+        no call to _project; inside a ball whose points double without
+        overflow, that is x + 0.0. A batch, or a subclass's point, takes
+        ConvexSet._reflect."""
+        if x.ndim > 1 or type(self) is not Ball:
+            return super()._reflect(x)
+        v = x - self.center
+        d = _norm(v)
+        if d <= self.radius:
+            return x + 0.0 if self._doubles else 2.0 * x - x
+        if d == math.inf:  # as in _project
+            _, y, c = _scaled(x, self.center)
+            v = y - c
+            d = _norm(v)
+        return 2.0 * (self.center + (self.radius / d) * v) - x
 
     def _project_rows(self, x: np.ndarray) -> np.ndarray:
         """_project on a (..., d) batch: rows inside the ball stay, the others
@@ -328,7 +370,8 @@ class Box(ConvexSet):
         self.hi = hi
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
+        # the bits of np.clip(x, lo, hi), by two ufuncs and no Python call
+        return np.minimum(np.maximum(x, self.lo), self.hi)
 
     def interior_margin(self, x: Point) -> float:
         x = self._coords(x)
@@ -413,11 +456,13 @@ class AffineSubspace(ConvexSet):
     def _project(self, x: np.ndarray) -> np.ndarray:
         # per row of a (..., d) batch, the products of a single point
         g = (self._W @ x[..., None])[..., 0] - self._c
-        out = x - (g[..., None, :] @ self._W)[..., 0, :]
+        out = (g[..., None, :] @ self._W)[..., 0, :]
+        np.subtract(x, out, out=out)
         # a point whose W x - c is not finite, or has a nonzero entry whose
         # products with W may be subnormal, is taken scaled
         a = np.abs(g)
-        if not (a.min(initial=math.inf) >= self._floor and a.max(initial=0.0) < math.inf):
+        if not (np.minimum.reduce(a, axis=None, initial=math.inf) >= self._floor
+                and np.maximum.reduce(a, axis=None, initial=0.0) < math.inf):
             scaled = ~(((a >= self._floor) | (a == 0.0)) & (a < math.inf)).all(axis=-1)
             if x.ndim > 1:
                 for i in zip(*np.nonzero(scaled)):
@@ -478,6 +523,11 @@ class AffineSubspace(ConvexSet):
 SET_KINDS: dict[str, type[ConvexSet]] = {
     cls.kind: cls for cls in (Halfspace, Hyperplane, Ball, Box, AffineSubspace)
 }
+
+# The built-in kinds, by exact type: their projection of a (..., d) batch is
+# a new array, which _reflect may write into. A subclass may redefine
+# _project to return an array it keeps.
+_BUILT_IN = frozenset(SET_KINDS.values())
 
 # Exact set type -> builder of the distances to a family of such sets; the
 # sets of one builder stack together (halfspaces and hyperplanes share

@@ -18,7 +18,9 @@ them. ``repro.run_check_suite`` empties the memo when it returns; a check
 called on its own keeps its last sample until the next draw. A check
 evaluates all its pairs at once: one ``T._apply`` call on the batch of
 first points and one on the batch of second points, then per-row inner
-products and norms. The checks share one report function and differ only
+products and norms. Each scaled difference, (Tx - Ty) * unit or
+(x - y) * unit, is formed in one new array: the draws and the images are
+only read. The checks share one report function and differ only
 in their inequality.
 
 Violations are relative, so that one tolerance serves every sampling
@@ -116,6 +118,14 @@ def _scale(*batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scaled, unit[:, None]
 
 
+def _scaled_difference(a: np.ndarray, b: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """(a - b) * unit, formed in the one new array a - b: the batches a and
+    b, sampled points or images a user operator may keep, are only read."""
+    out = a - b
+    out *= unit
+    return out
+
+
 def _report(
     T: Operator, violation: Callable[[np.ndarray, np.ndarray], np.ndarray],
     samples: int, scale: float, seed: int, tol: float, name: str,
@@ -143,7 +153,7 @@ def check_firmly_nonexpansive(
     def violation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         Tx, Ty = T._apply(x), T._apply(y)
         M, unit = _scale(x, y, Tx, Ty)
-        dT, d = (Tx - Ty) * unit, (x - y) * unit
+        dT, d = _scaled_difference(Tx, Ty, unit), _scaled_difference(x, y, unit)
         excess = _row_dots(dT, dT) - _row_dots(dT, d)
         # A pair drawn twice, or so close that ||x - y|| underflows, has
         # ||x - y|| = 0; its excess is 0 then, or NaN from a non-finite image
@@ -167,7 +177,8 @@ def check_nonexpansive(
     def violation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         Tx, Ty = T._apply(x), T._apply(y)
         M, unit = _scale(x, y, Tx, Ty)
-        return (_row_norms((Tx - Ty) * unit) - _row_norms((x - y) * unit)) / M
+        return (_row_norms(_scaled_difference(Tx, Ty, unit))
+                - _row_norms(_scaled_difference(x, y, unit))) / M
 
     return _report(T, violation, samples, scale, seed, tol, name)
 
@@ -199,7 +210,8 @@ def check_quasi_nonexpansive(
     def violation(x: np.ndarray, _: np.ndarray) -> np.ndarray:
         Tx = T._apply(x)
         M, unit = _scale(x, Tx, q[None])
-        return (_row_norms((Tx - q) * unit) - _row_norms((x - q) * unit)) / M
+        return (_row_norms(_scaled_difference(Tx, q, unit))
+                - _row_norms(_scaled_difference(x, q, unit))) / M
 
     return _report(T, violation, samples, scale, seed, tol, name)
 

@@ -4,6 +4,11 @@ Operators are immutable expression trees evaluated on demand: projection,
 reflection (2P - Id), relaxation (1-lam)Id + lam*T, composition, and the
 r-set Douglas-Rachford operator (Id + R_r ... R_1) / 2. No matrices
 are materialized; every node applies cheap closed forms.
+
+Reflections come from ``ConvexSet._reflect``. A node writes only into
+arrays it made: the DR operator averages with x in the array of its last
+reflection, and a relaxation sums into lam T(x). An input, and whatever a
+user Operator or ConvexSet subclass returns, is only read.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ class Reflection(Operator):
         self.set_ = set_
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self.set_._project(x) - x
+        return self.set_._reflect(x)
 
     def __repr__(self) -> str:
         return f"Reflection({self.set_.kind})"
@@ -91,7 +96,11 @@ class Relaxation(Operator):
         self.lam = lam
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        return (1.0 - self.lam) * x + self.lam * self.inner_op._apply(x)
+        # (1 - lam) x + lam T(x), summed into the array lam T(x), not T(x),
+        # which a user operator may keep
+        out = self.lam * self.inner_op._apply(x)
+        out += (1.0 - self.lam) * x
+        return out
 
     def __repr__(self) -> str:
         return f"Relaxation({self.inner_op!r}, lam={self.lam})"
@@ -133,8 +142,11 @@ class DrOperator(Operator):
     def _apply(self, x: np.ndarray) -> np.ndarray:
         v = x
         for c in self.sets:
-            v = 2.0 * c._project(v) - v
-        return 0.5 * (x + v)
+            v = c._reflect(v)
+        # v is a new array of the operator's own (there is at least one set)
+        v += x
+        v *= 0.5
+        return v
 
     def __repr__(self) -> str:
         return f"DrOperator({[c.kind for c in self.sets]})"

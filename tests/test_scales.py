@@ -205,6 +205,13 @@ def operators_over(sets, rng):
     ]
 
 
+def read_only(X: np.ndarray) -> np.ndarray:
+    """X, which a batch operation may read but not write, as the checks'
+    sampled batches are."""
+    X.setflags(write=False)
+    return X
+
+
 def assert_batch_matches_rows(batched, X, single):
     assert batched.shape == X.shape
     for x, got in zip(X, batched):
@@ -228,7 +235,9 @@ def test_batched_projection_matches_each_point(kind, exponent, normal_exponent, 
     if kind == "Ball":
         far = int(rng.integers(len(X) + 1))
         X = np.insert(X, far, p + 10.0**far_exponent * rng.uniform(0.5, 1.0, DIM), axis=0)
+        read_only(X)
         assert np.array_equal(c._project(X)[far], c._project(X[far]))
+    read_only(X)
     assert_batch_matches_rows(c._project(X), X, c._project)
 
 
@@ -240,7 +249,7 @@ def test_batched_operators_match_each_point(exponent, normal_exponent, seed):
     p = scale * rng.uniform(-1.0, 1.0, DIM)
     sets = [set_through(kind, p, scale, 10.0**normal_exponent, rng)
             for kind in rng.permutation(KINDS)]
-    X = p + 4.0 * scale * rng.uniform(-1.0, 1.0, (8, DIM))
+    X = read_only(p + 4.0 * scale * rng.uniform(-1.0, 1.0, (8, DIM)))
     for op in operators_over(sets, rng):
         assert_batch_matches_rows(op._apply(X), X, op._apply)
 
