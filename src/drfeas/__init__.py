@@ -1,5 +1,7 @@
 """Douglas-Rachford iterations for convex feasibility with flexible controls."""
 
+from types import ModuleType as _ModuleType
+
 from .control import (
     ControlMap,
     Cyclic,
@@ -67,61 +69,9 @@ from .solver import (
 )
 from .space import DimensionMismatch, Point, norm
 
-__all__ = [
-    "AffineSubspace",
-    "Ball",
-    "Box",
-    "CONVERGED_DISPLACEMENT",
-    "CheckParameterError",
-    "Composition",
-    "ControlMap",
-    "ConvexSet",
-    "Cyclic",
-    "DimensionMismatch",
-    "DrOperator",
-    "Explicit",
-    "FEASIBLE",
-    "FeasibilityProblem",
-    "Halfspace",
-    "Hyperplane",
-    "InvalidControl",
-    "InvalidSet",
-    "IterationTrace",
-    "MAX_ITERS",
-    "NON_FINITE",
-    "Operator",
-    "ParseError",
-    "Point",
-    "Projection",
-    "PropertyReport",
-    "RandomBlock",
-    "Reflection",
-    "Relaxation",
-    "RunConfig",
-    "StopRule",
-    "TraceStep",
-    "asymptotic_regularity_series",
-    "build_S",
-    "build_composite_Q",
-    "check_firmly_nonexpansive",
-    "check_nonexpansive",
-    "check_quasi_nonexpansive",
-    "composite_reflection",
-    "cover_index",
-    "dr_operator",
-    "execute_config",
-    "feasibility_report",
-    "format_reports",
-    "format_trace",
-    "is_quasi_periodic",
-    "load_document",
-    "norm",
-    "parse_document",
-    "run_composite",
-    "run_unrestricted_dr",
-    "run_unrestricted_product",
-    "set_from_params",
-    "window",
-    "windows_quasi_periodic",
-    "write_trace",
-]
+# The public names are the ones bound above: every name without a leading
+# underscore that is not a submodule.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -25,6 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .space import _integer
+
 
 class InvalidControl(ValueError):
     """Control parameters or usage violate an invariant."""
@@ -51,7 +53,7 @@ class ControlMap(ABC):
         return [self.index_at(n) for n in range(start, start + count)]
 
     def _require_step(self, n: int) -> int:
-        n = int(n)
+        n = _integer(n, "step number", InvalidControl)
         if n < 0:
             raise InvalidControl("step number must be nonnegative")
         return n
@@ -63,10 +65,9 @@ class Cyclic(ControlMap):
     __slots__ = ("m", "quasi_period")
 
     def __init__(self, m: int) -> None:
-        if int(m) < 1:
+        self.m = self.quasi_period = _integer(m, "range size m", InvalidControl)
+        if self.m < 1:
             raise InvalidControl("range size m must be a positive integer")
-        self.m = int(m)
-        self.quasi_period = self.m
 
     def index_at(self, n: int) -> int:
         return self._require_step(n) % self.m + 1
@@ -84,7 +85,7 @@ class Explicit(ControlMap):
     __slots__ = ("prefix", "m", "quasi_period")
 
     def __init__(self, prefix) -> None:
-        prefix = tuple(int(i) for i in prefix)
+        prefix = tuple(_integer(i, "index", InvalidControl) for i in prefix)
         if not prefix:
             raise InvalidControl("prefix must be nonempty")
         if min(prefix) < 1:
@@ -133,15 +134,15 @@ class RandomBlock(ControlMap):
     __slots__ = ("m", "M", "seed", "quasi_period")
 
     def __init__(self, m: int, M: int, seed: int) -> None:
-        if int(m) < 1:
+        self.m = _integer(m, "range size m", InvalidControl)
+        self.M = _integer(M, "block length M", InvalidControl)
+        self.seed = _integer(seed, "seed", InvalidControl)
+        if self.m < 1:
             raise InvalidControl("range size m must be a positive integer")
-        if int(M) < int(m):
+        if self.M < self.m:
             raise InvalidControl("block length M must satisfy M >= m")
-        if int(seed) < 0:
+        if self.seed < 0:
             raise InvalidControl("seed must be a nonnegative integer")
-        self.m = int(m)
-        self.M = int(M)
-        self.seed = int(seed)
         self.quasi_period = 2 * self.M - 1
 
     def index_at(self, n: int) -> int:
@@ -169,10 +170,11 @@ def window(f: ControlMap, r: int, n: int, steps: int = 1) -> list[int]:
     (r-1) steps + 1 indices, in which the window of step n + k is the slice
     [(r-1)k, (r-1)k + r).
     """
-    r = int(r)
+    r = _integer(r, "window width r", InvalidControl)
+    n = _integer(n, "step number", InvalidControl)
+    steps = _integer(steps, "window run", InvalidControl)
     if r <= 1:
         raise InvalidControl("window width r must be an integer greater than 1")
-    n, steps = int(n), int(steps)
     if n < 0:
         raise InvalidControl("step number must be nonnegative")
     if steps < 1:
@@ -202,10 +204,9 @@ def _every_run_covers(value_at, M: int, horizon: int, universe=None) -> bool:
     """Whether every run of M consecutive values value_at(0), ...,
     value_at(horizon - 1) contains all of universe (default: every value
     that occurs within the horizon)."""
-    M = int(M)
+    M, horizon = _integer(M, "M", InvalidControl), _integer(horizon, "horizon", InvalidControl)
     if M < 1:
         raise InvalidControl("M must be a positive integer")
-    horizon = int(horizon)
     if horizon < M:
         raise InvalidControl("horizon must be at least M")
     values = [value_at(n) for n in range(horizon)]

@@ -15,7 +15,7 @@ and subtracts x in place; what a user subclass's _project returns is never
 written into.
 
 Every kind also measures the distances from x to a whole family of its
-sets at once, from data stacked into matrices (``STACKED_DISTANCES``;
+sets at once, from data stacked into matrices (``_family_distances``;
 halfspaces and hyperplanes share one family). A ball or box entry has the
 bits of the set's own ``_distance``, which computes the family's formula;
 a linear or affine entry agrees with it to rounding. A nonzero distance
@@ -524,18 +524,13 @@ SET_KINDS: dict[str, type[ConvexSet]] = {
     cls.kind: cls for cls in (Halfspace, Hyperplane, Ball, Box, AffineSubspace)
 }
 
-# The built-in kinds, by exact type: their projection of a (..., d) batch is
-# a new array, which _reflect may write into. A subclass may redefine
-# _project to return an array it keeps.
+# The built-in kinds, by exact type, which the library trusts: their
+# projection of a (..., d) batch is a new array, which _reflect may write
+# into, and their sets are measured by the stacked family of their type's
+# _family_distances (halfspaces and hyperplanes share _LinearSet's). A
+# subclass may redefine _project to return an array it keeps, or _distance,
+# so its sets are measured one at a time.
 _BUILT_IN = frozenset(SET_KINDS.values())
-
-# Exact set type -> builder of the distances to a family of such sets; the
-# sets of one builder stack together (halfspaces and hyperplanes share
-# _LinearSet's). Keyed by exact type because a subclass may redefine
-# _distance; the sets of a subclass are measured one at a time.
-STACKED_DISTANCES: dict[type[ConvexSet], Callable[[Sequence], FamilyDistances]] = {
-    cls: cls._family_distances for cls in SET_KINDS.values()
-}
 
 
 def set_from_params(params: dict) -> ConvexSet:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .operators import Operator
 from .solver import FeasibilityProblem
-from .space import Point, _checked_coords, _norm, _row_dots, _row_norms
+from .space import Point, _checked_coords, _integer, _norm, _row_dots, _row_norms
 
 
 class CheckParameterError(ValueError):
@@ -70,6 +70,8 @@ class PropertyReport:
 def _pairs(dim: int, samples: int, scale: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The sampled pairs of a check as two (samples, dim) batches, first
     points and second points, after validating its parameters."""
+    samples = _integer(samples, "samples", CheckParameterError)
+    seed = _integer(seed, "seed", CheckParameterError)
     if samples < 1:
         raise CheckParameterError("samples must be at least 1")
     if not (0.0 < 2.0 * scale < math.inf):  # numpy draws from a range 2 * scale wide
@@ -223,7 +225,7 @@ def asymptotic_regularity_series(T: Operator, x0: Point, n_steps: int) -> list[f
     positive for, e.g., a reflection through a hyperplane from an off-plane
     start (an involution).
     """
-    if n_steps < 1:
+    if _integer(n_steps, "n_steps") < 1:
         raise ValueError("n_steps must be at least 1")
     series = []
     x = _checked_coords(x0, T.dim, "operator")

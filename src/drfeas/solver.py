@@ -19,18 +19,23 @@ result has a NaN or infinite coordinate ends the run with status
 stop-rule residual (a set distance that is not a number) ends it with the
 same status, at the iterate that has it.
 
-Each new iterate is measured once. A row's worst set distance is deferred
-until the loop measures the rows that lack one: at the start point, at a
-step that can stop the run (every step when displacement_tol == 0, otherwise
-a step whose displacement is within displacement_tol), once the oldest
-deferred row is block - 1 steps old, and when the loop ends, so a
-measurement takes at most block rows. The block is ``_RESIDUAL_BLOCK`` when
-every set belongs to a stacked family, and 1 when the problem holds a set of
-a user ``ConvexSet`` subclass; the loop reads it from the set types once per
-run. A row that keeps the previous row's array copies that row's distance;
-the others are measured by one batched ``FeasibilityProblem._distances``
-call over their stacked iterates, whose rows have the bits of single points,
-so the trace is the same as with every distance computed at once.
+The residual rule: each new iterate is measured once, and the column of
+worst set distances, ``IterationTrace.max_set_distances``, is only appended
+to, so its length is the measured frontier: the rows from
+``len(max_set_distances)`` to the last iterate are pending. The loop
+measures the pending rows at the start point, at a step that can stop the
+run (every step when displacement_tol == 0, otherwise a step whose
+displacement is within displacement_tol), once block rows are pending, and
+when the loop ends, so a measurement takes at most block rows. The block is
+``_RESIDUAL_BLOCK`` when every set is of a built-in kind (its exact type in
+``convex._BUILT_IN``), and 1 when the problem holds a set of a user
+``ConvexSet`` subclass; the loop reads it from the set types once per run.
+A pending row that keeps the previous row's array takes that row's
+distance; the others are measured by one batched
+``FeasibilityProblem._distances`` call over their stacked iterates, whose
+rows have the bits of single points, so the trace is the same as with every
+distance computed at once. Without a problem every row reads 0.0, so a NaN
+in the column only ever means that a set read NaN.
 
 Only a set of a user subclass may read NaN or raise at a finite point: the
 distance to a nonempty closed convex set is a number there, and the built-in
@@ -49,8 +54,9 @@ again. Late in a run most windows may already hold the iterate, and their
 DR steps return it bit for bit.
 
 The stop-rule residual is the largest entry of one distance vector that
-``FeasibilityProblem`` evaluates per iterate, or per row of a stack, from the
-families of ``convex.STACKED_DISTANCES`` and one of the sets of other
+``FeasibilityProblem`` evaluates per iterate, or per row of a stack, from one
+stacked family per built-in kind (``_family_distances`` of the set's type;
+halfspaces and hyperplanes share one) and one of the sets of user
 ``ConvexSet`` subclasses, each measured by its own ``_distance``: the family
 vectors, concatenated, with a stacked entry that is not finite taken again
 from its set's ``_distance`` (the one fallback: for a ball or box whose
@@ -87,9 +93,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .control import ControlMap, InvalidControl, cover_index, window
-from .convex import STACKED_DISTANCES, ConvexSet, FamilyDistances
+from .convex import _BUILT_IN, ConvexSet, FamilyDistances
 from .operators import Composition, DrOperator, Operator, dr_operator
-from .space import DimensionMismatch, Point, _checked_coords, _common_dim, _norm, norm
+from .space import DimensionMismatch, Point, _checked_coords, _common_dim, _integer, _norm, norm
 
 CONVERGED_DISPLACEMENT = "converged_displacement"
 FEASIBLE = "feasible"
@@ -110,7 +116,7 @@ class StopRule:
     feasibility_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
+        if _integer(self.max_iters, "max_iters") < 1:
             raise ValueError("max_iters must be a positive integer")
         for name in ("displacement_tol", "feasibility_tol"):
             tol = getattr(self, name)
@@ -211,16 +217,17 @@ class FeasibilityProblem:
         self.interior_point = interior_point
         members: dict[Callable, list[int]] = {}
         for i, c in enumerate(sets):
-            members.setdefault(STACKED_DISTANCES.get(type(c), _each_distance), []).append(i)
+            family = type(c)._family_distances if type(c) in _BUILT_IN else _each_distance
+            members.setdefault(family, []).append(i)
         self._families = tuple(
             family([sets[i] for i in idx]) for family, idx in members.items()
         )
         # The family vectors, concatenated, list the sets in this order. The
         # worst distance needs no other; distances() puts them in set order
-        # by one gather with its inverse, unless they are so already.
+        # by one gather with its inverse.
         order = [i for idx in members.values() for i in idx]
         self._grouped = tuple(sets[i] for i in order)
-        self._order = None if order == sorted(order) else np.argsort(order)
+        self._order = np.argsort(order)
 
     @property
     def m(self) -> int:
@@ -234,7 +241,7 @@ class FeasibilityProblem:
         """Distance from x to each set, in set order."""
         with np.errstate(over="ignore", invalid="ignore"):
             out = self._distances(_checked_coords(x, self.dim, "problem"))
-        return (out if self._order is None else out[self._order]).tolist()
+        return out[self._order].tolist()
 
     def max_distance(self, x: Point) -> float:
         """Worst set distance from x: the stop-rule residual. A NaN distance
@@ -251,7 +258,7 @@ class FeasibilityProblem:
             # Overflow and NaN stay the business of each set's own _distance,
             # which gave the entries of a user subclass already.
             for *row, j in zip(*np.nonzero(~np.isfinite(out))):
-                if type(self._grouped[j]) in STACKED_DISTANCES:
+                if type(self._grouped[j]) in _BUILT_IN:
                     out[(*row, j)] = self._grouped[j]._distance(x[tuple(row)])
         return out
 
@@ -359,44 +366,37 @@ def _iterate(
     one returned, which must be new. The library's DR operators and their
     compositions always return a new array.
 
-    Each row's worst set distance is deferred until measure() gives it, as
-    the module docstring describes: at the start, at a step that can stop
-    the run, when the oldest deferred row is block - 1 steps old, and on the
-    way out. block is _RESIDUAL_BLOCK when every set has a stacked family,
-    and 1 when a set of a user subclass may read NaN or raise."""
+    Each row's worst set distance is deferred as the module docstring's
+    residual rule says: block is _RESIDUAL_BLOCK when every set is of a
+    built-in kind, and 1 when a set of a user subclass may read NaN or
+    raise."""
     for what, part in (("start", x0), ("problem", problem), ("certifier", certifier)):
         if part is not None and part.dim != dim:
             raise DimensionMismatch(f"{what} has dimension {part.dim}, expected {dim}")
-    stacked = problem is None or all(type(c) in STACKED_DISTANCES for c in problem.sets)
+    stacked = problem is None or all(type(c) in _BUILT_IN for c in problem.sets)
     block = _RESIDUAL_BLOCK if stacked else 1
     with np.errstate(over="ignore", invalid="ignore"):
         x = x0.coords
-        blank = 0.0 if problem is None else math.nan  # a distance not measured yet
-        trace = IterationTrace([x], [0.0], [blank], ["init"], [_certifier_residual(certifier, x)])
-        add_iterate, add_disp, add_dist, add_id, add_residual = (
-            c.append for c in (trace.iterates, trace.displacements, trace.max_set_distances,
-                               trace.operator_ids, trace.certifier_residuals))
+        trace = IterationTrace([x], [0.0], [], ["init"], [_certifier_residual(certifier, x)])
+        add_iterate, add_disp, add_id, add_residual = (
+            c.append for c in (trace.iterates, trace.displacements, trace.operator_ids,
+                               trace.certifier_residuals))
         iterates, dists, tol = trace.iterates, trace.max_set_distances, stop.displacement_tol
-        known = 0  # the rows before this one have their worst set distance
 
         def measure() -> bool:
-            """Give the deferred rows their worst set distance: a row that
-            keeps the previous row's array copies its distance, and the
-            others are measured once, by one batched call. Return whether
-            the last row is NaN: only a user subclass reads NaN, and then
-            each row is measured alone."""
-            nonlocal known
-            rows, known = range(known, len(iterates)), len(iterates)
+            """Append the worst set distance of the rows from len(dists) on,
+            by the module docstring's residual rule, and return whether the
+            last row's is NaN."""
+            rows = range(len(dists), len(iterates))
             if problem is None:
-                return False  # the column holds 0.0
-            fresh = [i for i in rows if not (i and iterates[i] is iterates[i - 1])]
-            if fresh:
-                worst = problem._distances(np.array([iterates[i] for i in fresh])).max(axis=1)
-                for i, d in zip(fresh, worst.tolist()):
-                    dists[i] = d
-            for i in rows:
-                if i and iterates[i] is iterates[i - 1]:
-                    dists[i] = dists[i - 1]
+                dists.extend([0.0] * len(rows))
+                return False
+            shared = [i > 0 and iterates[i] is iterates[i - 1] for i in rows]
+            if not all(shared):
+                fresh = [iterates[i] for i, s in zip(rows, shared) if not s]
+                worst = iter(problem._distances(np.array(fresh)).max(axis=1).tolist())
+            for s in shared:
+                dists.append(dists[-1] if s else next(worst))
             return dists[-1] != dists[-1]
 
         if measure() or problem is not None and dists[0] <= stop.feasibility_tol:
@@ -422,12 +422,11 @@ def _iterate(
                 residual = _certifier_residual(certifier, x_next)
             add_iterate(x_next)
             add_disp(disp)
-            add_dist(blank)
             add_id(op_id)
             add_residual(residual)
             x = x_next
             settles = not 0.0 < tol < disp  # whether this step can stop the run
-            if (settles or n - known == block - 1) and measure():
+            if (settles or len(iterates) - len(dists) == block) and measure():
                 status = NON_FINITE
                 break
             if not settles:

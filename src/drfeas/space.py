@@ -5,6 +5,7 @@ underflow picks the power of two to take it at."""
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,6 +40,16 @@ def _common_dim(items: Sequence, what: str) -> int:
         if item.dim != dim:
             raise DimensionMismatch(f"{what} {i + 1} has dimension {item.dim}, expected {dim}")
     return dim
+
+
+def _integer(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """value as an int, by operator.index: an int or numpy integer passes,
+    and a float or any other value raises error naming what, rather than
+    being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 class Point:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -220,3 +221,38 @@ def test_window_family_distinct_tuples_match_direct_enumeration():
     # stride 2 on a 4-cycle: two distinct windows
     assert tuples == {(1, 2, 3), (3, 4, 1)}
     assert windows_quasi_periodic(f, 3, 2, horizon=40)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (Cyclic, (2.7,)),
+        (Cyclic, ("3",)),
+        (RandomBlock, (2.5, 4, 1)),
+        (RandomBlock, (3, 4.5, 1)),
+        (RandomBlock, (3, 4, 1.9)),
+        (Explicit, ([1, 2.5],)),
+        (Cyclic(3).index_at, (1.7,)),
+        (RandomBlock(3, 4, 1).indices, (1.5, 3)),
+        (window, (Cyclic(3), 2.9, 0)),
+        (window, (Cyclic(3), 2, 0.5)),
+        (window, (Cyclic(3), 2, 0, 2.5)),
+        (is_quasi_periodic, (Cyclic(3), 3.5, 10)),
+        (is_quasi_periodic, (Cyclic(3), 3, 10.5)),
+    ],
+    ids=["cyclic_m", "cyclic_str", "block_m", "block_M", "block_seed", "explicit",
+         "index_at", "indices", "window_r", "window_n", "window_steps", "period_M",
+         "period_horizon"],
+)
+def test_non_integer_parameters_raise_invalid_control(call, args):
+    # a float is not truncated to a different control than the one asked for
+    with pytest.raises(InvalidControl, match="must be an integer"):
+        call(*args)
+
+
+def test_numpy_integer_parameters_pass():
+    f = RandomBlock(np.int64(3), np.int32(4), np.uint8(1))
+    assert (f.m, f.M, f.seed) == (3, 4, 1)
+    assert Explicit(np.array([1, 2, 1])).prefix == (1, 2, 1)
+    assert Cyclic(np.int64(3)).index_at(np.int64(4)) == 2
+    assert window(Cyclic(3), np.int64(2), np.int64(1), np.int64(2)) == [2, 3, 1]

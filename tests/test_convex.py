@@ -18,7 +18,7 @@ from drfeas import (
     norm,
     set_from_params,
 )
-from drfeas.convex import SET_KINDS, STACKED_DISTANCES
+from drfeas.convex import SET_KINDS
 
 # One instance per kind in R^3, used by the sampled property tests.
 def catalog():
@@ -455,9 +455,34 @@ def test_params_roundtrip(c):
         assert np.array_equal(getattr(clone, key), getattr(c, key)), key
 
 
-def test_every_set_kind_has_a_stacked_family():
-    # only sets of user subclasses are left to their own _distance per step
-    assert set(SET_KINDS.values()) <= set(STACKED_DISTANCES)
+class InfBall(Ball):
+    """A user subclass whose own _distance reads inf, counting its calls."""
+
+    calls = 0
+
+    def _distance(self, x):
+        InfBall.calls += 1
+        return math.inf
+
+
+def test_built_in_kinds_are_measured_by_their_families_and_a_subclass_by_itself(monkeypatch):
+    # Over one set of each built-in kind and a Ball subclass, a (64, 3)
+    # batch is measured with no built-in _distance call, by the kinds'
+    # stacked families, and the subclass by its own _distance once per row:
+    # its inf is kept, not taken again as a stacked entry that is not finite
+    def raising(self, x):
+        raise AssertionError(f"{type(self).__name__}._distance called")
+
+    for cls in SET_KINDS.values():
+        monkeypatch.setattr(cls, "_distance", raising)
+    problem = FeasibilityProblem([*catalog(), InfBall([0.0, 0.0, 0.0], 1.0)])
+    X = np.random.default_rng(5).uniform(-3.0, 3.0, size=(64, 3))
+    InfBall.calls = 0
+    out = problem._distances(X)[:, problem._order]
+    assert InfBall.calls == 64
+    assert (out[:, -1] == math.inf).all()
+    expected = [[np.linalg.norm(x - c._project(x)) for c in catalog()] for x in X]
+    assert np.allclose(out[:, :-1], expected, rtol=1e-12, atol=1e-15)
 
 
 def test_affine_sets_and_their_family_hold_one_basis_each():

@@ -271,6 +271,30 @@ def test_parameter_validation():
         asymptotic_regularity_series(Identity(2), Point([0.0, 0.0]), 0)
 
 
+@pytest.mark.parametrize(
+    "call, kwargs, error",
+    [
+        (check_nonexpansive, {"samples": 1.5}, CheckParameterError),
+        (check_nonexpansive, {"seed": 1.5}, CheckParameterError),
+        (check_firmly_nonexpansive, {"samples": 2.5}, CheckParameterError),
+        (check_quasi_nonexpansive, {"p": Point([0.0, 0.0]), "seed": 0.5}, CheckParameterError),
+        (asymptotic_regularity_series, {"x0": Point([0.0, 0.0]), "n_steps": 2.5}, ValueError),
+    ],
+    ids=["samples", "seed", "firm_samples", "quasi_seed", "n_steps"],
+)
+def test_non_integer_parameters_raise_the_module_error(call, kwargs, error):
+    # a float count or seed is refused with the module's own error, not a
+    # bare TypeError from numpy or range
+    with pytest.raises(error, match="must be an integer"):
+        call(Identity(2), **kwargs)
+
+
+def test_numpy_integer_samples_and_seed_pass():
+    report = check_nonexpansive(Identity(2), samples=np.int64(5), seed=np.int32(1))
+    assert report.passed
+    assert asymptotic_regularity_series(Identity(2), Point([0.0, 0.0]), np.int64(2)) == [0.0, 0.0]
+
+
 class Poison(Operator):
     """Sends every point to NaN."""
 

@@ -62,6 +62,24 @@ def test_stop_rule_validation():
             StopRule(displacement_tol=bad)
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: StopRule(max_iters=2.5), ValueError),
+        (lambda: build_S(thin_lens_problem(), Cyclic(2), 2, 1.5), InvalidControl),
+        (lambda: build_S(thin_lens_problem(), Cyclic(2), 2.5, 0), InvalidControl),
+        (lambda: run_unrestricted_dr(thin_lens_problem(), Cyclic(2), 2.5, Point([3.0, 0.0])),
+         InvalidControl),
+    ],
+    ids=["max_iters", "build_S_n", "build_S_r", "run_r"],
+)
+def test_non_integer_parameters_raise(call, error):
+    # a float step or width is not truncated to another operator, and a
+    # float max_iters is refused at once, not in the loop's range
+    with pytest.raises(error, match="must be an integer"):
+        call()
+
+
 def test_problem_requires_common_dimension():
     with pytest.raises(DimensionMismatch):
         FeasibilityProblem([Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)])
