@@ -16,6 +16,12 @@ a check, not a proof over all of N. The constructors above carry a
 Note on indexing: iterates and windows count steps from n = 0, while the
 cover index scans arguments starting at 1 (the covering set is {1, ..., j});
 both conventions are kept as-is, so cover_index(Cyclic(m)) == m.
+
+Each parameter rule has one home: integers, bools refused, go through
+``space._integer``; a step number, also ``window``'s, through
+``ControlMap._require_step``; and the rule that a control's range 1..m
+matches the family it indexes is ``_require_range``, which the solver and
+the document parser call with their own error class.
 """
 
 from __future__ import annotations
@@ -53,10 +59,7 @@ class ControlMap(ABC):
         return [self.index_at(n) for n in range(start, start + count)]
 
     def _require_step(self, n: int) -> int:
-        n = _integer(n, "step number", InvalidControl)
-        if n < 0:
-            raise InvalidControl("step number must be nonnegative")
-        return n
+        return _integer(n, "step number", InvalidControl, 0)
 
 
 class Cyclic(ControlMap):
@@ -65,9 +68,7 @@ class Cyclic(ControlMap):
     __slots__ = ("m", "quasi_period")
 
     def __init__(self, m: int) -> None:
-        self.m = self.quasi_period = _integer(m, "range size m", InvalidControl)
-        if self.m < 1:
-            raise InvalidControl("range size m must be a positive integer")
+        self.m = self.quasi_period = _integer(m, "range size m", InvalidControl, 1)
 
     def index_at(self, n: int) -> int:
         return self._require_step(n) % self.m + 1
@@ -85,7 +86,10 @@ class Explicit(ControlMap):
     __slots__ = ("prefix", "m", "quasi_period")
 
     def __init__(self, prefix) -> None:
-        prefix = tuple(_integer(i, "index", InvalidControl) for i in prefix)
+        try:
+            prefix = tuple(_integer(i, "index", InvalidControl) for i in prefix)
+        except TypeError:  # not iterable
+            raise InvalidControl(f"prefix must be a sequence of integers, got {prefix!r}") from None
         if not prefix:
             raise InvalidControl("prefix must be nonempty")
         if min(prefix) < 1:
@@ -134,15 +138,11 @@ class RandomBlock(ControlMap):
     __slots__ = ("m", "M", "seed", "quasi_period")
 
     def __init__(self, m: int, M: int, seed: int) -> None:
-        self.m = _integer(m, "range size m", InvalidControl)
+        self.m = _integer(m, "range size m", InvalidControl, 1)
         self.M = _integer(M, "block length M", InvalidControl)
-        self.seed = _integer(seed, "seed", InvalidControl)
-        if self.m < 1:
-            raise InvalidControl("range size m must be a positive integer")
+        self.seed = _integer(seed, "seed", InvalidControl, 0)
         if self.M < self.m:
             raise InvalidControl("block length M must satisfy M >= m")
-        if self.seed < 0:
-            raise InvalidControl("seed must be a nonnegative integer")
         self.quasi_period = 2 * self.M - 1
 
     def index_at(self, n: int) -> int:
@@ -171,15 +171,20 @@ def window(f: ControlMap, r: int, n: int, steps: int = 1) -> list[int]:
     [(r-1)k, (r-1)k + r).
     """
     r = _integer(r, "window width r", InvalidControl)
-    n = _integer(n, "step number", InvalidControl)
-    steps = _integer(steps, "window run", InvalidControl)
+    n = f._require_step(n)
+    steps = _integer(steps, "window run", InvalidControl, 1)
     if r <= 1:
         raise InvalidControl("window width r must be an integer greater than 1")
-    if n < 0:
-        raise InvalidControl("step number must be nonnegative")
-    if steps < 1:
-        raise InvalidControl("window run must span at least one step")
     return f.indices((r - 1) * n, (r - 1) * steps + 1)
+
+
+def _require_range(f: ControlMap, size: int, what: str,
+                   error: type[ValueError] = InvalidControl, name: str = "control") -> None:
+    """The rule that a control's range 1..f.m is the family of size members
+    it indexes (what names them, name the control in the message); a
+    mismatch raises error."""
+    if f.m != size:
+        raise error(f"{name} range 1..{f.m} does not match the {size} {what}")
 
 
 def cover_index(f: ControlMap) -> int:
@@ -204,9 +209,7 @@ def _every_run_covers(value_at, M: int, horizon: int, universe=None) -> bool:
     """Whether every run of M consecutive values value_at(0), ...,
     value_at(horizon - 1) contains all of universe (default: every value
     that occurs within the horizon)."""
-    M, horizon = _integer(M, "M", InvalidControl), _integer(horizon, "horizon", InvalidControl)
-    if M < 1:
-        raise InvalidControl("M must be a positive integer")
+    M, horizon = _integer(M, "M", InvalidControl, 1), _integer(horizon, "horizon", InvalidControl)
     if horizon < M:
         raise InvalidControl("horizon must be at least M")
     values = [value_at(n) for n in range(horizon)]

@@ -39,7 +39,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .space import (
-    _TINY, Point, _as_coords, _checked_coords, _norm, _row_dots, _row_norms, _scaled,
+    _TINY, Point, _as_coords, _checked_coords, _dimension, _norm, _row_dots, _row_norms,
+    _scaled,
 )
 
 # Largest admissible least-squares residual for an affine system A x = b,
@@ -76,9 +77,7 @@ class ConvexSet(ABC):
     kind: str = "abstract"
 
     def __init__(self, dim: int) -> None:
-        if int(dim) < 1:
-            raise InvalidSet("dimension must be a positive integer")
-        self._dim = int(dim)
+        self._dim = _dimension(dim, InvalidSet)
 
     @property
     def dim(self) -> int:

@@ -70,14 +70,10 @@ class PropertyReport:
 def _pairs(dim: int, samples: int, scale: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The sampled pairs of a check as two (samples, dim) batches, first
     points and second points, after validating its parameters."""
-    samples = _integer(samples, "samples", CheckParameterError)
-    seed = _integer(seed, "seed", CheckParameterError)
-    if samples < 1:
-        raise CheckParameterError("samples must be at least 1")
+    samples = _integer(samples, "samples", CheckParameterError, 1)
+    seed = _integer(seed, "seed", CheckParameterError, 0)
     if not (0.0 < 2.0 * scale < math.inf):  # numpy draws from a range 2 * scale wide
         raise CheckParameterError("scale must be positive, with 2 * scale finite")
-    if seed < 0:
-        raise CheckParameterError("seed must be nonnegative")
     return _draw_pairs(dim, samples, scale, seed)
 
 
@@ -134,11 +130,13 @@ def _report(
 ) -> PropertyReport:
     """The worst of violation(x, y), one entry per sampled pair for the
     read-only (samples, d) batches x of first and y of second points, as the
-    check's report. A non-finite image makes a violation inf or NaN, and
-    np.max keeps a NaN, so the check fails."""
+    check's report, which keeps len(x), the int that samples checked as. A
+    non-finite image makes a violation inf or NaN, and np.max keeps a NaN,
+    so the check fails."""
     with np.errstate(over="ignore", invalid="ignore"):
-        worst = float(np.max(violation(*_pairs(T.dim, samples, scale, seed)), initial=0.0))
-    return PropertyReport(name, samples, worst, tol, worst <= tol)
+        x, y = _pairs(T.dim, samples, scale, seed)
+        worst = float(np.max(violation(x, y), initial=0.0))
+    return PropertyReport(name, len(x), worst, tol, worst <= tol)
 
 
 def check_firmly_nonexpansive(
@@ -225,8 +223,7 @@ def asymptotic_regularity_series(T: Operator, x0: Point, n_steps: int) -> list[f
     positive for, e.g., a reflection through a hyperplane from an off-plane
     start (an involution).
     """
-    if _integer(n_steps, "n_steps") < 1:
-        raise ValueError("n_steps must be at least 1")
+    n_steps = _integer(n_steps, "n_steps", ValueError, 1)
     series = []
     x = _checked_coords(x0, T.dim, "operator")
     with np.errstate(over="ignore", invalid="ignore"):

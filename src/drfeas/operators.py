@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .convex import ConvexSet
-from .space import Point, _checked_coords, _common_dim
+from .space import Point, _checked_coords, _common_dim, _dimension
 
 
 class Operator(ABC):
@@ -29,7 +29,7 @@ class Operator(ABC):
     __slots__ = ("_dim",)
 
     def __init__(self, dim: int) -> None:
-        self._dim = int(dim)
+        self._dim = _dimension(dim)
 
     @property
     def dim(self) -> int:

@@ -30,7 +30,14 @@ start point once; the resulting ``RunConfig`` holds objects, not specs.
 
 Control rules: ``{"rule": "cyclic", "m": ...}``, ``{"rule": "explicit",
 "prefix": [...]}``, ``{"rule": "random_block", "m": ..., "M": ...,
-"seed": ...}``.
+"seed": ...}`` with ``M`` at most ``MAX_M``.
+
+The control and stop fields are checked by the constructors they are passed
+to (``Cyclic``, ``Explicit``, ``RandomBlock``, ``StopRule``), and a control's
+range by ``control._require_range``; the parser adds the location to their
+errors. It checks itself only what a document alone can get wrong: integer
+``dimension``, ``r``, set indices, ``lambda`` and ``n``, JSON booleans in
+float fields, and the bounds ``MAX_R`` and ``MAX_M``.
 
 Traces and property reports serialize to comma-separated tables with a
 one-line header; floats are written in full round-trip precision, so a
@@ -45,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlMap, Cyclic, Explicit, RandomBlock
+from .control import ControlMap, Cyclic, Explicit, RandomBlock, _require_range
 from .convex import ConvexSet, InvalidSet, set_from_params
 from .diagnostics import PropertyReport
 from .operators import Operator, Projection, Relaxation, dr_operator
@@ -67,6 +74,12 @@ SCHEMES = ("unrestricted_dr", "composite_q", "product")
 # to 64 steps at once, r - 1 new indices per step, so this bounds one fetch
 # at ~640k indices.
 MAX_R = 10_000
+
+# Longest random_block block a document may ask for: a block draws M int64
+# indices and is kept as a tuple of M ints, so this bounds one block at
+# ~50 MB while it is drawn and ~33 MB once kept. It bounds each block, not
+# the run: control._block_pattern caches up to 1024 blocks, ~33 GB at M = 10^6.
+MAX_M = 1_000_000
 
 # Dimension from which format_trace compares a new iterate's bits with the
 # previous one's to reformat only the changed coordinates. The comparison
@@ -183,24 +196,23 @@ def _parse_control(raw: object, where: str) -> ControlMap:
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: expected an object with a 'rule' key")
     rule = raw.get("rule")
-    for key in ("m", "M", "seed"):
-        if key in raw and not _is_int(raw[key]):
-            raise ParseError(f"{where}: {key} must be an integer, got {raw[key]!r}")
-    prefix = raw.get("prefix", [])
-    if not isinstance(prefix, list) or not all(_is_int(i) for i in prefix):
-        raise ParseError(f"{where}: prefix must be a list of integers")
     try:
         if rule == "cyclic":
             return Cyclic(raw["m"])
         if rule == "explicit":
             return Explicit(raw["prefix"])
         if rule == "random_block":
-            return RandomBlock(raw["m"], raw["M"], raw["seed"])
+            block = RandomBlock(raw["m"], raw["M"], raw["seed"])
     except KeyError as exc:
         raise ParseError(f"{where}: missing field {exc} for rule {rule!r}") from exc
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    raise ParseError(f"{where}: unknown rule {rule!r}")
+    if rule != "random_block":
+        raise ParseError(f"{where}: unknown rule {rule!r}")
+    if block.M > MAX_M:
+        raise ParseError(f"{where}: cannot draw a block of length M={block.M}: "
+                         f"a document allows M <= {MAX_M}")
+    return block
 
 
 def _parse_stop(raw: object) -> StopRule:
@@ -212,8 +224,6 @@ def _parse_stop(raw: object) -> StopRule:
     extra = set(raw) - known
     if extra:
         raise ParseError(f"stop: unknown fields {sorted(extra)}")
-    if "max_iters" in raw and not _is_int(raw["max_iters"]):
-        raise ParseError("stop: max_iters must be an integer")
     try:
         return StopRule(**raw)
     except (TypeError, ValueError) as exc:
@@ -242,11 +252,7 @@ def _parse_config(doc: dict, problem: FeasibilityProblem) -> RunConfig:
             _parse_operator(spec, problem, r, window_control, f"operators[{i}]")
             for i, spec in enumerate(raw_ops)
         ]
-        if control.m != len(operators):
-            raise ParseError(
-                f"control range 1..{control.m} does not match the "
-                f"{len(operators)} operators"
-            )
+        _require_range(control, len(operators), "operators", ParseError)
 
     certifier = doc.get("certifier")
     if certifier is not None:
@@ -273,8 +279,7 @@ def _check_windows(where: str, r: object, control: ControlMap, key: str, m: int)
     (document key `key`) whose range is the problem's sets 1..m."""
     if not _is_int(r) or not 1 < r <= MAX_R:
         raise ParseError(f"{where} needs an integer r > 1 and <= {MAX_R}")
-    if control.m != m:
-        raise ParseError(f"{where}: {key} range 1..{control.m} does not match the {m} sets")
+    _require_range(control, m, "sets", ParseError, f"{where}: {key}")
 
 
 def _parse_operator(

@@ -77,10 +77,15 @@ step order, and takes none past max_iters: the composite scheme repeats Q,
 the controlled product reads h(0), h(1), ..., and the DR run reads S_0,
 S_1, ... from one stream. The stream fetches its windows from the control
 a run of steps at a time (``window`` with ``steps > 1``, over
-``ControlMap.indices``), runs doubling from one step up to a fixed chunk; a
-set index outside 1..m still raises at the step whose window first holds
-it. ``build_S`` takes the first operator of a stream started at step n, and
-``build_composite_Q`` the first jf + 1 of one started at 0.
+``ControlMap.indices``), runs doubling from one step up to a fixed chunk.
+The stream checks ``control._require_range`` when it is made, so a control
+whose range is not the problem's 1..m raises ``InvalidControl`` at the call
+of either DR run, ``build_S`` or ``build_composite_Q``, also from a feasible
+start; a set index outside 1..m, which only a user ``ControlMap`` subclass
+can produce then, still raises at the step whose window first holds it.
+``build_S`` takes the first operator of a stream started at step n, and
+``build_composite_Q`` the first jf + 1 of one started at 0. The controlled
+product checks its control's range against its operators by the same rule.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .control import ControlMap, InvalidControl, cover_index, window
+from .control import ControlMap, InvalidControl, _require_range, cover_index, window
 from .convex import _BUILT_IN, ConvexSet, FamilyDistances
 from .operators import Composition, DrOperator, Operator, dr_operator
 from .space import DimensionMismatch, Point, _checked_coords, _common_dim, _integer, _norm, norm
@@ -116,8 +121,7 @@ class StopRule:
     feasibility_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if _integer(self.max_iters, "max_iters") < 1:
-            raise ValueError("max_iters must be a positive integer")
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters", ValueError, 1))
         for name in ("displacement_tol", "feasibility_tol"):
             tol = getattr(self, name)
             message = f"{name} must be finite and nonnegative"
@@ -301,25 +305,34 @@ def _window_operators(
 
     Windows are fetched a run of steps at a time, runs doubling from 1 step
     up to _WINDOW_CHUNK, so a reader fetches fewer than twice the windows
-    it takes, and only when it takes the first step of a run. A set index
-    outside 1..m raises at the first step whose window holds it."""
-    cache: dict[tuple[int, ...], DrOperator] = {}
-    steps = 1
-    while True:
-        run = window(f, r, n, steps)
-        for i in range(0, (r - 1) * steps, r - 1):
-            key = tuple(run[i : i + r])
-            op = cache.get(key)
-            if op is None:
-                bad = [j for j in key if not 1 <= j <= problem.m]
-                if bad:
-                    raise InvalidControl(
-                        f"control produced set index {bad[0]} but the problem has "
-                        f"sets 1..{problem.m}"
-                    )
-                op = cache[key] = dr_operator([problem.sets[j - 1] for j in key])
-            yield op
-        n, steps = n + steps, min(2 * steps, _WINDOW_CHUNK)
+    it takes, and only when it takes the first step of a run.
+
+    A control whose range 1..f.m is not the problem's 1..m raises here, at
+    the call; a set index outside 1..m, which only a user ControlMap
+    subclass can produce then, raises at the first step whose window holds
+    it."""
+    _require_range(f, problem.m, "sets")
+
+    def stream(n: int) -> Iterator[DrOperator]:
+        cache: dict[tuple[int, ...], DrOperator] = {}
+        steps = 1
+        while True:
+            run = window(f, r, n, steps)
+            for i in range(0, (r - 1) * steps, r - 1):
+                key = tuple(run[i : i + r])
+                op = cache.get(key)
+                if op is None:
+                    bad = [j for j in key if not 1 <= j <= problem.m]
+                    if bad:
+                        raise InvalidControl(
+                            f"control produced set index {bad[0]} but the problem has "
+                            f"sets 1..{problem.m}"
+                        )
+                    op = cache[key] = dr_operator([problem.sets[j - 1] for j in key])
+                yield op
+            n, steps = n + steps, min(2 * steps, _WINDOW_CHUNK)
+
+    return stream(n)
 
 
 def build_S(problem: FeasibilityProblem, f: ControlMap, r: int, n: int) -> DrOperator:
@@ -330,13 +343,6 @@ def build_S(problem: FeasibilityProblem, f: ControlMap, r: int, n: int) -> DrOpe
 def build_composite_Q(problem: FeasibilityProblem, f: ControlMap, r: int) -> Composition:
     """Composition S_0, ..., S_jf (applied in that order), jf = cover_index(f)."""
     return Composition(islice(_window_operators(problem, f, r), cover_index(f) + 1))
-
-
-def _require_range(f: ControlMap, size: int, what: str) -> None:
-    if f.m != size:
-        raise InvalidControl(
-            f"control range is 1..{f.m} but there are {size} {what}"
-        )
 
 
 def _certifier_residual(certifier: Operator | None, x: np.ndarray) -> float | None:
@@ -449,7 +455,6 @@ def run_unrestricted_dr(
     certifier: Operator | None = None,
 ) -> IterationTrace:
     """Per-step DR scheme: x_n = S_{n-1} x_{n-1} over control windows."""
-    _require_range(f, problem.m, "sets")
     steps = ((S, f"S{n}") for n, S in enumerate(_window_operators(problem, f, r)))
     return _iterate(steps, problem.dim, x0, stop, problem, certifier, False)
 
@@ -463,7 +468,6 @@ def run_composite(
     certifier: Operator | None = None,
 ) -> IterationTrace:
     """Fixed-operator scheme: y_n = Q y_{n-1} with Q = S_jf ... S_0."""
-    _require_range(f, problem.m, "sets")
     Q = build_composite_Q(problem, f, r)
     return _iterate(repeat((Q, "Q")), problem.dim, y0, stop, problem, certifier, False)
 

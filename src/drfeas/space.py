@@ -42,14 +42,27 @@ def _common_dim(items: Sequence, what: str) -> int:
     return dim
 
 
-def _integer(value, what: str, error: type[ValueError] = ValueError) -> int:
+def _integer(value, what: str, error: type[ValueError], least: int | None = None) -> int:
     """value as an int, by operator.index: an int or numpy integer passes,
-    and a float or any other value raises error naming what, rather than
-    being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+    and a bool, a float or any other value raises error naming what, rather
+    than being read as 0 or 1 or truncated. With least 0 (or 1) an int
+    below it raises error too: what must be nonnegative (or positive)."""
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if least is None or n >= least:
+                return n
+            sign = "positive" if least else "nonnegative"
+            raise error(f"{what} must be a {sign} integer, got {n}")
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _dimension(value, error: type[ValueError] = ValueError) -> int:
+    """The dimension rule that sets and operators share: a positive int."""
+    return _integer(value, "dimension", error, 1)
 
 
 class Point:

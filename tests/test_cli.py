@@ -157,7 +157,7 @@ MALFORMED = {
     "displacement_tol_int_beyond_floats": (
         dict(THREE_BALLS_RUN, stop=dict(THREE_BALLS_RUN["stop"], displacement_tol=10**400)),
         "stop: displacement_tol must be finite"),
-    # numpy refuses both block lengths before allocating anything
+    # both block lengths are past problem_io.MAX_M, so no block is drawn
     "block_past_max_dimension": (dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=10**30)),
                                  "cannot draw a block of length M="),
     "block_too_big": (dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=2**62)),

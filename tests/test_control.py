@@ -59,6 +59,11 @@ def test_random_block_parameter_validation():
         RandomBlock(0, 2, 0)
     with pytest.raises(InvalidControl):
         RandomBlock(2, 3, -1)
+    # numpy refuses these block lengths before allocating anything, and the
+    # map raises its own error for them at the first lookup
+    for M in (2**62, 10**30):
+        with pytest.raises(InvalidControl, match="cannot draw a block of length M="):
+            RandomBlock(3, M, 1).index_at(0)
 
 
 def test_negative_step_rejected():
@@ -125,7 +130,7 @@ def test_indices_rejects_negative_start():
             f.indices(-1, 3)
     with pytest.raises(InvalidControl):
         window(Cyclic(2), 2, 0, steps=0)
-    with pytest.raises(InvalidControl, match="step number must be nonnegative"):
+    with pytest.raises(InvalidControl, match="step number must be a nonnegative integer"):
         window(Cyclic(2), 2, -1)
 
 
@@ -239,10 +244,24 @@ def test_window_family_distinct_tuples_match_direct_enumeration():
         (window, (Cyclic(3), 2, 0, 2.5)),
         (is_quasi_periodic, (Cyclic(3), 3.5, 10)),
         (is_quasi_periodic, (Cyclic(3), 3, 10.5)),
+        # bool subclasses int, but True is no count or index
+        (Cyclic, (True,)),
+        (RandomBlock, (True, 4, 1)),
+        (RandomBlock, (3, True, 1)),
+        (RandomBlock, (3, 4, True)),
+        (Explicit, ([1, True, 2],)),
+        (Cyclic(3).index_at, (True,)),
+        (RandomBlock(3, 4, 1).indices, (True, 3)),
+        (window, (Cyclic(3), 2, True)),
+        (window, (Cyclic(3), 2, 0, True)),
+        (is_quasi_periodic, (Cyclic(3), True, 10)),
+        (is_quasi_periodic, (Cyclic(3), 3, True)),
     ],
     ids=["cyclic_m", "cyclic_str", "block_m", "block_M", "block_seed", "explicit",
          "index_at", "indices", "window_r", "window_n", "window_steps", "period_M",
-         "period_horizon"],
+         "period_horizon", "cyclic_m_true", "block_m_true", "block_M_true",
+         "block_seed_true", "explicit_true", "index_at_true", "indices_true",
+         "window_n_true", "window_steps_true", "period_M_true", "period_horizon_true"],
 )
 def test_non_integer_parameters_raise_invalid_control(call, args):
     # a float is not truncated to a different control than the one asked for

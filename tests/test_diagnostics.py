@@ -279,8 +279,14 @@ def test_parameter_validation():
         (check_firmly_nonexpansive, {"samples": 2.5}, CheckParameterError),
         (check_quasi_nonexpansive, {"p": Point([0.0, 0.0]), "seed": 0.5}, CheckParameterError),
         (asymptotic_regularity_series, {"x0": Point([0.0, 0.0]), "n_steps": 2.5}, ValueError),
+        (check_nonexpansive, {"samples": True}, CheckParameterError),
+        (check_nonexpansive, {"seed": True}, CheckParameterError),
+        (check_firmly_nonexpansive, {"samples": True}, CheckParameterError),
+        (check_quasi_nonexpansive, {"p": Point([0.0, 0.0]), "seed": True}, CheckParameterError),
+        (asymptotic_regularity_series, {"x0": Point([0.0, 0.0]), "n_steps": True}, ValueError),
     ],
-    ids=["samples", "seed", "firm_samples", "quasi_seed", "n_steps"],
+    ids=["samples", "seed", "firm_samples", "quasi_seed", "n_steps", "samples_true",
+         "seed_true", "firm_samples_true", "quasi_seed_true", "n_steps_true"],
 )
 def test_non_integer_parameters_raise_the_module_error(call, kwargs, error):
     # a float count or seed is refused with the module's own error, not a
@@ -292,6 +298,7 @@ def test_non_integer_parameters_raise_the_module_error(call, kwargs, error):
 def test_numpy_integer_samples_and_seed_pass():
     report = check_nonexpansive(Identity(2), samples=np.int64(5), seed=np.int32(1))
     assert report.passed
+    assert type(report.samples) is int  # the int its check returns
     assert asymptotic_regularity_series(Identity(2), Point([0.0, 0.0]), np.int64(2)) == [0.0, 0.0]
 
 

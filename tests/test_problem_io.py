@@ -16,7 +16,7 @@ from drfeas import (
     check_nonexpansive,
 )
 from drfeas.operators import Operator
-from drfeas.problem_io import MAX_R
+from drfeas.problem_io import MAX_M, MAX_R
 
 
 class Identity(Operator):
@@ -185,6 +185,16 @@ def test_control_parsing_variants():
     ):
         with pytest.raises(ParseError, match="integer"):
             parse_document(doc(control=control, **base))
+
+
+def test_random_block_length_is_bounded_before_a_block_is_drawn():
+    # a block of 10^9 indices would ask for 8 GB as it is drawn; parsing
+    # draws no block, so the bound refuses the document first
+    control = {"rule": "random_block", "m": 2, "M": MAX_M, "seed": 1}
+    _, config = parse_document(doc(scheme="unrestricted_dr", r=2, control=control))
+    assert config.control.M == MAX_M
+    with pytest.raises(ParseError, match="cannot draw a block of length M=1000000000"):
+        parse_document(doc(scheme="unrestricted_dr", r=2, control=dict(control, M=1_000_000_000)))
 
 
 def test_scheme_validation():

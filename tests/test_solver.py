@@ -11,6 +11,7 @@ from drfeas import (
     Box,
     CONVERGED_DISPLACEMENT,
     ControlMap,
+    ConvexSet,
     Cyclic,
     DimensionMismatch,
     DrOperator,
@@ -20,6 +21,7 @@ from drfeas import (
     Halfspace,
     Hyperplane,
     InvalidControl,
+    InvalidSet,
     IterationTrace,
     MAX_ITERS,
     NON_FINITE,
@@ -60,23 +62,71 @@ def test_stop_rule_validation():
             StopRule(feasibility_tol=bad)
         with pytest.raises(ValueError, match="displacement_tol must be finite"):
             StopRule(displacement_tol=bad)
+    # the rule keeps the int its check returns, not the numpy integer
+    assert type(StopRule(max_iters=np.int64(5)).max_iters) is int
+
+
+class Fixed(Operator):
+    """The identity, as a user Operator subclass with its one method."""
+
+    def _apply(self, x):
+        return x
+
+
+class Everything(ConvexSet):
+    """All of R^d, as a user ConvexSet subclass with its three methods."""
+
+    def _project(self, x):
+        return x
+
+    def interior_margin(self, x):
+        return math.inf
+
+    def scale_hint(self):
+        return 0.0
+
+
+def three_set_problem():
+    return FeasibilityProblem([Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0),
+                               Ball([0.0, 1.0], 1.0)])
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, message",
     [
-        (lambda: StopRule(max_iters=2.5), ValueError),
-        (lambda: build_S(thin_lens_problem(), Cyclic(2), 2, 1.5), InvalidControl),
-        (lambda: build_S(thin_lens_problem(), Cyclic(2), 2.5, 0), InvalidControl),
+        (lambda: StopRule(max_iters=2.5), ValueError, "must be an integer"),
+        (lambda: build_S(thin_lens_problem(), Cyclic(2), 2, 1.5), InvalidControl,
+         "must be an integer"),
+        (lambda: build_S(thin_lens_problem(), Cyclic(2), 2.5, 0), InvalidControl,
+         "must be an integer"),
         (lambda: run_unrestricted_dr(thin_lens_problem(), Cyclic(2), 2.5, Point([3.0, 0.0])),
-         InvalidControl),
+         InvalidControl, "must be an integer"),
+        (lambda: StopRule(max_iters=True), ValueError, "must be an integer"),
+        (lambda: build_S(thin_lens_problem(), Cyclic(2), 2, True), InvalidControl,
+         "must be an integer"),
+        (lambda: Fixed(2.7), ValueError, "dimension must be an integer"),
+        (lambda: Fixed(0), ValueError, "dimension must be a positive integer"),
+        (lambda: Fixed(-3), ValueError, "dimension must be a positive integer"),
+        (lambda: Everything(2.7), InvalidSet, "dimension must be an integer"),
+        (lambda: Everything(0), InvalidSet, "dimension must be a positive integer"),
+        (lambda: Everything(-3), InvalidSet, "dimension must be a positive integer"),
+        # a control over 1..2 would leave the third set out of every window
+        (lambda: build_S(three_set_problem(), Cyclic(2), 2, 0), InvalidControl,
+         "control range 1..2 does not match the 3 sets"),
+        (lambda: build_composite_Q(three_set_problem(), Cyclic(2), 2), InvalidControl,
+         "control range 1..2 does not match the 3 sets"),
     ],
-    ids=["max_iters", "build_S_n", "build_S_r", "run_r"],
+    ids=["max_iters", "build_S_n", "build_S_r", "run_r", "max_iters_true", "build_S_n_true",
+         "operator_dim_float", "operator_dim_zero", "operator_dim_negative",
+         "set_dim_float", "set_dim_zero", "set_dim_negative", "build_S_range",
+         "build_composite_Q_range"],
 )
-def test_non_integer_parameters_raise(call, error):
+def test_non_integer_parameters_raise(call, error, message):
     # a float step or width is not truncated to another operator, and a
-    # float max_iters is refused at once, not in the loop's range
-    with pytest.raises(error, match="must be an integer"):
+    # float max_iters is refused at once, not in the loop's range; True is
+    # no integer, a dimension is positive, and a control's range is the
+    # family it indexes
+    with pytest.raises(error, match=message):
         call()
 
 

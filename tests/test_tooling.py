@@ -1,11 +1,12 @@
-"""The benchmark's tracing hooks and the example scripts still find the
-package names they use, and every public name has a caller outside the
-tests."""
+"""The benchmark's tracing hooks, the example scripts and the mutation
+gate still find the package names and code they use, and every public name
+has a caller outside the tests."""
 
 import ast
 import importlib
 import importlib.util
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,17 @@ def test_every_traced_name_resolves():
             assert hasattr(owner, part), f"{module_name}.{attr}"
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attr}"
+
+
+def test_every_mutant_snippet_matches_once():
+    # The gate itself (scripts/mutants.py) runs in CI; here each entry is
+    # only checked to still aim at one place, with distinct ids.
+    gate = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
+    mutants = gate["MUTANTS"]
+    assert len({m.id for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert m.snippet != m.replacement and m.tests, m.id
+        assert gate["occurrences"](m) == 1, m.id
 
 
 @pytest.mark.parametrize(
