@@ -6,11 +6,12 @@ An entry is an id, a file under the repository root, a snippet that must
 occur in that file exactly once, its replacement, and the tests to run
 (files or node ids under tests/). The runner copies src/ and tests/ to a
 temporary directory, applies one mutant at a time to the copy, and runs
-that mutant's tests there with ``pytest -x -q``. A mutant is killed when
-its tests fail. Each distinct set of tests first runs once on the clean
-copy and must pass there, so a test that fails for another reason cannot
-count as a kill. The gate exits 1 when the clean copy fails, when a
-mutant survives, when its tests cannot run (none collected, a usage
+that mutant's tests there with ``pytest -x -q -W error::RuntimeWarning``,
+as the tier-1 run treats numpy's warnings. A mutant is killed when its
+tests fail. Every test an entry names first runs once, in one pytest run,
+on the clean copy and must pass there, so a test that fails for another
+reason cannot count as a kill. The gate exits 1 when the clean copy fails,
+when a mutant survives, when its tests cannot run (none collected, a usage
 error), or when a snippet no longer occurs exactly once, so a refactor
 that moves the code re-aims the entry in the open.
 
@@ -50,7 +51,7 @@ MUTANTS = [
            '    _require_range(f, problem.m, "sets")\n', "",
            ("tests/test_solver.py::test_non_integer_parameters_raise",)),
     Mutant("window_without_require_step", "src/drfeas/control.py",
-           "    n = f._require_step(n)\n", "",
+           "f.indices_from((r - 1) * f._require_step(n))", "f.indices_from((r - 1) * n)",
            ("tests/test_control.py::test_non_integer_parameters_raise_invalid_control",)),
     Mutant("operator_truncates_dim", "src/drfeas/operators.py",
            "self._dim = _dimension(dim)", "self._dim = int(dim)",
@@ -61,6 +62,27 @@ MUTANTS = [
     Mutant("no_max_m", "src/drfeas/problem_io.py",
            "    if block.M > MAX_M:\n", "    if False:\n",
            ("tests/test_problem_io.py::test_random_block_length_is_bounded_before_a_block_is_drawn",)),
+    # Controls as in-order streams: one window formula, eager checks.
+    Mutant("slide_rereads_boundary_index", "src/drfeas/control.py",
+           "        w = (next(indices),)\n        for new in zip(*[indices] * (r - 1)):\n"
+           "            w = w[-1:] + new\n            yield w\n",
+           "        for w in zip(*[indices] * r):\n            yield w\n",
+           ("tests/test_control.py::test_window_run_slices_into_one_step_windows",)),
+    Mutant("block_groups_overlap", "src/drfeas/control.py",
+           "g, k, skip = g + k,", "g, k, skip = g + 1,",
+           ("tests/test_control.py::test_indices_is_index_at_over_a_run",)),
+    Mutant("windows_without_width_check", "src/drfeas/control.py",
+           '    r = _integer(r, "window width r", InvalidControl)\n    if r <= 1:\n'
+           '        raise InvalidControl("window width r must be an integer greater than 1")\n',
+           "",
+           ("tests/test_solver.py::test_non_integer_parameters_raise",)),
+    Mutant("explicit_coverage_by_length", "src/drfeas/control.py",
+           "if len(set(prefix)) != m:", "if len(prefix) < m:",
+           ("tests/test_control.py::test_explicit_requires_surjective_prefix",)),
+    Mutant("explicit_coverage_by_range_set", "src/drfeas/control.py",
+           "if len(set(prefix)) != m:", "if set(prefix) != set(range(1, m + 1)):",
+           ("tests/test_control.py::"
+            "test_explicit_coverage_check_grows_with_the_prefix_not_its_largest_entry",)),
     # In-place batches: outputs are new arrays, inputs are only read.
     Mutant("ball_reflect_returns_x", "src/drfeas/convex.py",
            "return x + 0.0 if self._doubles else", "return x if self._doubles else",
@@ -110,6 +132,51 @@ MUTANTS = [
     Mutant("shared_row_takes_next_fresh_or_zero", "src/drfeas/solver.py",
            "dists.append(dists[-1] if s else next(worst))", "dists.append(next(worst, 0.0))",
            ("tests/test_solver.py", "tests/test_golden.py")),
+    Mutant("shared_rows_measured_again", "src/drfeas/solver.py",
+           "shared = [i > 0 and iterates[i] is iterates[i - 1] for i in rows]",
+           "shared = [False for i in rows]",
+           ("tests/test_solver.py",)),
+    Mutant("no_block_flush", "src/drfeas/solver.py",
+           "if (settles or len(iterates) - len(dists) == block) and measure():",
+           "if settles and measure():",
+           ("tests/test_solver.py",)),
+    Mutant("no_stop_row_trigger", "src/drfeas/solver.py",
+           "if (settles or len(iterates) - len(dists) == block) and measure():",
+           "if len(iterates) - len(dists) == block and measure():",
+           ("tests/test_solver.py",)),
+    Mutant("block_always_64", "src/drfeas/solver.py",
+           "block = _RESIDUAL_BLOCK if stacked else 1", "block = _RESIDUAL_BLOCK",
+           ("tests/test_solver.py",)),
+    # Floating-point flags and the affine step's scaled fallback.
+    Mutant("iterate_with_flags_on", "src/drfeas/solver.py",
+           '    with np.errstate(over="ignore", invalid="ignore"):\n        x = x0.coords\n',
+           '    with np.errstate(over="warn", invalid="warn"):\n        x = x0.coords\n',
+           ("tests/test_solver.py",)),
+    Mutant("project_with_flags_on", "src/drfeas/convex.py",
+           'with np.errstate(over="ignore", invalid="ignore"):\n'
+           "            return Point(self._project(",
+           'with np.errstate(over="warn", invalid="warn"):\n'
+           "            return Point(self._project(",
+           ("tests/test_convex.py",)),
+    Mutant("apply_with_flags_on", "src/drfeas/operators.py",
+           'with np.errstate(over="ignore", invalid="ignore"):\n'
+           "            return Point(self._apply(",
+           'with np.errstate(over="warn", invalid="warn"):\n'
+           "            return Point(self._apply(",
+           ("tests/test_operators.py",)),
+    Mutant("affine_floor_zero", "src/drfeas/convex.py",
+           "self._floor = np.finfo(float).tiny / np.min(nonzero, initial=math.inf)",
+           "self._floor = 0.0",
+           ("tests/test_convex.py", "tests/test_scales.py")),
+    Mutant("affine_trigger_without_floor_test", "src/drfeas/convex.py",
+           "np.minimum.reduce(a, axis=None, initial=math.inf) >= self._floor\n"
+           "                and np.maximum",
+           "np.maximum",
+           ("tests/test_convex.py", "tests/test_scales.py")),
+    # Trace text compares coordinates by their bits, so 0.0 and -0.0 differ.
+    Mutant("trace_diff_by_float_compare", "src/drfeas/problem_io.py",
+           "x.view(np.int64) != last.view(np.int64)", "x != last",
+           ("tests/test_solver.py", "tests/test_problem_io.py")),
 ]
 
 
@@ -119,10 +186,12 @@ def occurrences(mutant: Mutant) -> int:
 
 
 def pytest(tests: tuple[str, ...], copy: Path) -> subprocess.CompletedProcess:
-    """Run the tests in the copy with ``pytest -x -q``."""
+    """Run the tests in the copy with ``pytest -x -q``, numpy's warnings
+    raised as errors."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "-W", "error::RuntimeWarning", *tests],
         cwd=copy, env=env, capture_output=True, text=True, timeout=300,
     )
 
@@ -161,11 +230,11 @@ def main() -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        for tests in dict.fromkeys(m.tests for m in MUTANTS):
-            done = pytest(tests, copy)
-            if done.returncode != 0:
-                print(f"unmutated copy fails {' '.join(tests)} ({tail(done)})")
-                return 1
+        # one run of every named test: it passes when each set of tests does
+        done = pytest(tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)), copy)
+        if done.returncode != 0:
+            print(f"unmutated copy fails its tests ({tail(done)})")
+            return 1
         for mutant in MUTANTS:
             start = time.perf_counter()
             verdict = run(mutant, copy)

@@ -8,6 +8,14 @@ Three constructors are provided, each surjective by construction:
 * ``RandomBlock(m, M, seed)``: every aligned block of M consecutive steps
   contains all of {1, ..., m}, with uniformly random layout otherwise.
 
+Every reader takes a control's indices in step order, from one lazy stream
+per run: ``ControlMap.indices_from(start)`` yields the indices of steps
+start, start + 1, ... without end, and ``_windows`` slides the DR windows
+over one such stream. ``index_at`` answers a single step. A RandomBlock
+stream draws each block once, in groups that grow from one block to at
+least ``_GROUP`` indices, as it reaches the group, and keeps only that
+group.
+
 ``is_quasi_periodic`` verifies M-quasi-periodicity (every window of M
 consecutive values covers the full range) over a finite horizon only; it is
 a check, not a proof over all of N. The constructors above carry a
@@ -18,16 +26,18 @@ cover index scans arguments starting at 1 (the covering set is {1, ..., j});
 both conventions are kept as-is, so cover_index(Cyclic(m)) == m.
 
 Each parameter rule has one home: integers, bools refused, go through
-``space._integer``; a step number, also ``window``'s, through
-``ControlMap._require_step``; and the rule that a control's range 1..m
-matches the family it indexes is ``_require_range``, which the solver and
-the document parser call with their own error class.
+``space._integer``; a step number, also a window's, through
+``ControlMap._require_step``; the window width and the window formula
+through ``_windows``; and the rule that a control's range 1..m matches the
+family it indexes is ``_require_range``, which the solver and the document
+parser call with their own error class.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import lru_cache
+from itertools import chain, count, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,11 +62,11 @@ class ControlMap(ABC):
     def index_at(self, n: int) -> int:
         """Index selected at step n >= 0."""
 
-    def indices(self, start: int, count: int) -> list[int]:
-        """Indices selected at steps start, ..., start + count - 1 (count >= 0):
-        the list of index_at over them. A subclass may override it with a
-        faster form that returns the same list."""
-        return [self.index_at(n) for n in range(start, start + count)]
+    def indices_from(self, start: int = 0) -> Iterator[int]:
+        """The indices selected at steps start, start + 1, ..., without end:
+        index_at over them. start is checked at the call. A subclass may
+        override it with a faster stream of the same indices."""
+        return map(self.index_at, count(self._require_step(start)))
 
     def _require_step(self, n: int) -> int:
         return _integer(n, "step number", InvalidControl, 0)
@@ -95,7 +105,8 @@ class Explicit(ControlMap):
         if min(prefix) < 1:
             raise InvalidControl("indices must be >= 1")
         m = max(prefix)
-        if set(prefix) != set(range(1, m + 1)):
+        # every entry lies in 1..m, so m distinct entries are all of 1..m
+        if len(set(prefix)) != m:
             raise InvalidControl(
                 f"prefix must cover all of 1..{m}, got values {sorted(set(prefix))}"
             )
@@ -111,10 +122,13 @@ class Explicit(ControlMap):
         return f"Explicit({list(self.prefix)})"
 
 
-@lru_cache(maxsize=1024)
+# Indices a RandomBlock stream's groups of blocks grow to cover.
+_GROUP = 128
+
+
 def _block_pattern(m: int, M: int, seed: int, block: int) -> tuple[int, ...]:
     # Counter-based: each block's content depends only on (seed, block), so
-    # lookups are order-independent and need no shared RNG state.
+    # a block is drawn alone, in any order, with no shared RNG state.
     rng = np.random.default_rng([seed, block])
     try:
         vals = np.concatenate(
@@ -146,36 +160,59 @@ class RandomBlock(ControlMap):
         self.quasi_period = 2 * self.M - 1
 
     def index_at(self, n: int) -> int:
-        n = self._require_step(n)
-        block, pos = divmod(n, self.M)
+        """Index selected at step n >= 0. Each call draws the block of M
+        indices that holds step n, so a reader of many steps in order takes
+        indices_from, which draws each block once."""
+        block, pos = divmod(self._require_step(n), self.M)
         return _block_pattern(self.m, self.M, self.seed, block)[pos]
 
-    def indices(self, start: int, count: int) -> list[int]:
-        start = self._require_step(start)
-        first, pos = divmod(start, self.M)
-        out: list[int] = []
-        for block in range(first, (start + count - 1) // self.M + 1):
-            out += _block_pattern(self.m, self.M, self.seed, block)
-        return out[pos : pos + count]
+    def indices_from(self, start: int = 0) -> Iterator[int]:
+        # Blocks are drawn in groups of 1, 2, 4, ... blocks, up to at least
+        # _GROUP indices, each block once, as the stream reaches its group:
+        # a few draws in a row cost less per block than one draw between
+        # every few DR steps, and a short read still draws few blocks.
+        first, pos = divmod(self._require_step(start), self.M)
+        most = -(-_GROUP // self.M)
+
+        def groups() -> Iterator[list[int]]:
+            g, k, skip = first, 1, pos
+            while True:
+                blocks = range(g, g + k)
+                yield [i for b in blocks for i in _block_pattern(self.m, self.M, self.seed, b)][skip:]
+                g, k, skip = g + k, min(2 * k, most), 0
+
+        return chain.from_iterable(groups())
 
     def __repr__(self) -> str:
         return f"RandomBlock(m={self.m}, M={self.M}, seed={self.seed})"
 
 
-def window(f: ControlMap, r: int, n: int, steps: int = 1) -> list[int]:
-    """The r indices selected at step n: f((r-1)n + j - 1) for j = 1..r.
+def _windows(f: ControlMap, r: int, n: int = 0) -> Iterator[tuple[int, ...]]:
+    """The windows of steps n, n + 1, ... in step order, each the tuple of
+    the r indices f((r-1)k + j - 1), j = 1..r, selected at step k.
 
-    Consecutive windows overlap because the stride is r - 1. With steps > 1
-    the windows of steps n, ..., n + steps - 1 come as one run of
-    (r-1) steps + 1 indices, in which the window of step n + k is the slice
-    [(r-1)k, (r-1)k + r).
-    """
+    r and n are checked at the call. Consecutive windows overlap in one
+    index, since the stride is r - 1, so the windows slide over one
+    indices_from stream: each step keeps the last index of the window
+    before it and reads r - 1 new ones."""
     r = _integer(r, "window width r", InvalidControl)
-    n = f._require_step(n)
-    steps = _integer(steps, "window run", InvalidControl, 1)
     if r <= 1:
         raise InvalidControl("window width r must be an integer greater than 1")
-    return f.indices((r - 1) * n, (r - 1) * steps + 1)
+    indices = f.indices_from((r - 1) * f._require_step(n))
+
+    def slide() -> Iterator[tuple[int, ...]]:
+        w = (next(indices),)
+        for new in zip(*[indices] * (r - 1)):
+            w = w[-1:] + new
+            yield w
+
+    return slide()
+
+
+def window(f: ControlMap, r: int, n: int) -> list[int]:
+    """The r indices selected at step n: f((r-1)n + j - 1) for j = 1..r,
+    the first window of _windows(f, r, n)."""
+    return list(next(_windows(f, r, n)))
 
 
 def _require_range(f: ControlMap, size: int, what: str,
@@ -196,8 +233,8 @@ def cover_index(f: ControlMap) -> int:
     target = set(range(1, f.m + 1))
     seen: set[int] = set()
     cap = min(10 * f.m * f.quasi_period, 10**6)
-    for j in range(1, cap + 1):
-        seen.add(f.index_at(j))
+    for j, index in enumerate(islice(f.indices_from(1), cap), 1):
+        seen.add(index)
         if seen == target:
             return j
     raise InvalidControl(
@@ -205,14 +242,14 @@ def cover_index(f: ControlMap) -> int:
     )
 
 
-def _every_run_covers(value_at, M: int, horizon: int, universe=None) -> bool:
-    """Whether every run of M consecutive values value_at(0), ...,
-    value_at(horizon - 1) contains all of universe (default: every value
-    that occurs within the horizon)."""
+def _every_run_covers(values: Iterable, M: int, horizon: int, universe=None) -> bool:
+    """Whether every run of M consecutive items among the first horizon of
+    values contains all of universe (default: every value that occurs
+    within the horizon)."""
     M, horizon = _integer(M, "M", InvalidControl, 1), _integer(horizon, "horizon", InvalidControl)
     if horizon < M:
         raise InvalidControl("horizon must be at least M")
-    values = [value_at(n) for n in range(horizon)]
+    values = list(islice(values, horizon))
     universe = set(values) if universe is None else universe
     return all(
         set(values[start : start + M]) == universe for start in range(horizon - M + 1)
@@ -225,7 +262,7 @@ def is_quasi_periodic(f: ControlMap, M: int, horizon: int) -> bool:
     Finite-horizon verification only: a True verdict holds for windows
     starting at n = 0, ..., horizon - M, not for all of N.
     """
-    return _every_run_covers(f.index_at, M, horizon, set(range(1, f.m + 1)))
+    return _every_run_covers(f.indices_from(), M, horizon, set(range(1, f.m + 1)))
 
 
 def windows_quasi_periodic(f: ControlMap, r: int, M: int, horizon: int) -> bool:
@@ -235,4 +272,4 @@ def windows_quasi_periodic(f: ControlMap, r: int, M: int, horizon: int) -> bool:
     consecutive steps within the horizon must contain every distinct window
     tuple that occurs anywhere in the horizon.
     """
-    return _every_run_covers(lambda n: tuple(window(f, r, n)), M, horizon)
+    return _every_run_covers(_windows(f, r), M, horizon)

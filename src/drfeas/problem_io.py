@@ -70,15 +70,16 @@ from .space import Point
 
 SCHEMES = ("unrestricted_dr", "composite_q", "product")
 
-# Widest DR window a document may ask for: a run fetches the windows of up
-# to 64 steps at once, r - 1 new indices per step, so this bounds one fetch
-# at ~640k indices.
+# Widest DR window a document may ask for: each step's window is a tuple of
+# r indices and its DR operator composes r reflections, so this bounds one
+# window at 10k indices.
 MAX_R = 10_000
 
 # Longest random_block block a document may ask for: a block draws M int64
 # indices and is kept as a tuple of M ints, so this bounds one block at
-# ~50 MB while it is drawn and ~33 MB once kept. It bounds each block, not
-# the run: control._block_pattern caches up to 1024 blocks, ~33 GB at M = 10^6.
+# ~50 MB while it is drawn and ~33 MB once kept. A run's index stream keeps
+# only the group of blocks it is reading, whole blocks of at least 128
+# indices in all (one block when M >= 128), so this bounds the run too.
 MAX_M = 1_000_000
 
 # Dimension from which format_trace compares a new iterate's bits with the

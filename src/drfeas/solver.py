@@ -74,11 +74,10 @@ subclass.
 
 The loop reads its steps, each an operator and its id, from an iterator in
 step order, and takes none past max_iters: the composite scheme repeats Q,
-the controlled product reads h(0), h(1), ..., and the DR run reads S_0,
-S_1, ... from one stream. The stream fetches its windows from the control
-a run of steps at a time (``window`` with ``steps > 1``, over
-``ControlMap.indices``), runs doubling from one step up to a fixed chunk.
-The stream checks ``control._require_range`` when it is made, so a control
+the controlled product reads h(0), h(1), ... from one ``indices_from``
+stream, and the DR run reads S_0, S_1, ... from one stream of operators over
+the windows of ``control._windows``. The stream checks r, n and
+``control._require_range`` when it is made, so a bad width or a control
 whose range is not the problem's 1..m raises ``InvalidControl`` at the call
 of either DR run, ``build_S`` or ``build_composite_Q``, also from a feasible
 start; a set index outside 1..m, which only a user ``ControlMap`` subclass
@@ -92,12 +91,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from functools import cache
+from itertools import islice, repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .control import ControlMap, InvalidControl, _require_range, cover_index, window
+from .control import ControlMap, InvalidControl, _require_range, _windows, cover_index
+from .control import window  # noqa: F401  (perfbench/tracing.py wraps solver.window)
 from .convex import _BUILT_IN, ConvexSet, FamilyDistances
 from .operators import Composition, DrOperator, Operator, dr_operator
 from .space import DimensionMismatch, Point, _checked_coords, _common_dim, _integer, _norm, norm
@@ -288,8 +289,6 @@ def _each_distance(sets: Sequence[ConvexSet]) -> FamilyDistances:
     return distances
 
 
-# Most steps whose windows a run fetches from its control in one window() call.
-_WINDOW_CHUNK = 64
 # Steps over which the loop defers stop-rule residuals, to compute them in
 # one batched call.
 _RESIDUAL_BLOCK = 64
@@ -303,36 +302,22 @@ def _window_operators(
     window, so quasi-periodic controls reuse a finite pool while aperiodic
     ones still run.
 
-    Windows are fetched a run of steps at a time, runs doubling from 1 step
-    up to _WINDOW_CHUNK, so a reader fetches fewer than twice the windows
-    it takes, and only when it takes the first step of a run.
-
-    A control whose range 1..f.m is not the problem's 1..m raises here, at
-    the call; a set index outside 1..m, which only a user ControlMap
-    subclass can produce then, raises at the first step whose window holds
-    it."""
+    A bad r or n, or a control whose range 1..f.m is not the problem's 1..m,
+    raises here, at the call; a set index outside 1..m, which only a user
+    ControlMap subclass can produce then, raises at the first step whose
+    window holds it."""
     _require_range(f, problem.m, "sets")
 
-    def stream(n: int) -> Iterator[DrOperator]:
-        cache: dict[tuple[int, ...], DrOperator] = {}
-        steps = 1
-        while True:
-            run = window(f, r, n, steps)
-            for i in range(0, (r - 1) * steps, r - 1):
-                key = tuple(run[i : i + r])
-                op = cache.get(key)
-                if op is None:
-                    bad = [j for j in key if not 1 <= j <= problem.m]
-                    if bad:
-                        raise InvalidControl(
-                            f"control produced set index {bad[0]} but the problem has "
-                            f"sets 1..{problem.m}"
-                        )
-                    op = cache[key] = dr_operator([problem.sets[j - 1] for j in key])
-                yield op
-            n, steps = n + steps, min(2 * steps, _WINDOW_CHUNK)
+    @cache  # one operator per distinct window
+    def build(key: tuple[int, ...]) -> DrOperator:
+        bad = [j for j in key if not 1 <= j <= problem.m]
+        if bad:
+            raise InvalidControl(
+                f"control produced set index {bad[0]} but the problem has sets 1..{problem.m}"
+            )
+        return dr_operator([problem.sets[j - 1] for j in key])
 
-    return stream(n)
+    return map(build, _windows(f, r, n))
 
 
 def build_S(problem: FeasibilityProblem, f: ControlMap, r: int, n: int) -> DrOperator:
@@ -491,8 +476,7 @@ def run_unrestricted_product(
     _require_range(h, len(operators), "operators")
 
     def steps() -> Iterator[tuple[Operator, str]]:
-        for n in count():
-            j = h.index_at(n)
+        for j in h.indices_from():
             if not 1 <= j <= len(operators):
                 raise InvalidControl(
                     f"control produced operator index {j} but there are operators "

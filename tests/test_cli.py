@@ -162,7 +162,7 @@ MALFORMED = {
                                  "cannot draw a block of length M="),
     "block_too_big": (dict(THREE_BALLS_RUN, control=dict(RANDOM_BLOCK, M=2**62)),
                       "cannot draw a block of length M="),
-    # a window this wide would be fetched without bound at the first step
+    # a window this wide would be read and built at the first step
     "r_past_limit": (dict(THREE_BALLS_RUN, r=10**30), "needs an integer r > 1"),
     "set_not_object": (dict(THREE_BALLS_RUN, sets=[5]), "sets[0]: expected an object"),
     "document_not_object": ([1, 2], "document must be a JSON object"),

@@ -1,8 +1,12 @@
+import tracemalloc
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from drfeas import control
 from drfeas import (
     ControlMap,
     Cyclic,
@@ -31,9 +35,22 @@ def test_explicit_requires_surjective_prefix():
     with pytest.raises(InvalidControl):
         Explicit([1, 3])  # never produces 2
     with pytest.raises(InvalidControl):
+        Explicit([3, 1, 3])  # as long as its range, and still never 2
+    with pytest.raises(InvalidControl):
         Explicit([])
     with pytest.raises(InvalidControl):
         Explicit([0, 1])
+
+
+def test_explicit_coverage_check_grows_with_the_prefix_not_its_largest_entry():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidControl, match="must cover all of 1..1000000"):
+            Explicit([10**6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_random_block_every_aligned_block_covers():
@@ -60,10 +77,13 @@ def test_random_block_parameter_validation():
     with pytest.raises(InvalidControl):
         RandomBlock(2, 3, -1)
     # numpy refuses these block lengths before allocating anything, and the
-    # map raises its own error for them at the first lookup
+    # map raises its own error for them at the first lookup, also when a
+    # stream starts deep inside a block
     for M in (2**62, 10**30):
         with pytest.raises(InvalidControl, match="cannot draw a block of length M="):
             RandomBlock(3, M, 1).index_at(0)
+        with pytest.raises(InvalidControl, match="cannot draw a block of length M="):
+            next(RandomBlock(3, M, 1).indices_from(M - 1))
 
 
 def test_negative_step_rejected():
@@ -106,9 +126,22 @@ CONTROLS = st.one_of(
 )
 
 
-@given(f=CONTROLS, start=st.integers(0, 200), count=st.integers(0, 100))
+class Pairs(ControlMap):
+    """A user control over 1..3 that defines only index_at: each index twice
+    in a row."""
+
+    m, quasi_period = 3, 6
+
+    def index_at(self, n: int) -> int:
+        return n // 2 % 3 + 1
+
+
+@given(f=st.one_of(CONTROLS, st.just(Pairs())), start=st.integers(0, 200),
+       count=st.integers(0, 100))
 def test_indices_is_index_at_over_a_run(f, start, count):
-    assert f.indices(start, count) == [f.index_at(n) for n in range(start, start + count)]
+    expected = [f.index_at(n) for n in range(start, start + count)]
+    assert list(islice(f.indices_from(start), count)) == expected
+    assert list(islice(f.indices_from(), count)) == [f.index_at(n) for n in range(count)]
 
 
 @given(
@@ -118,20 +151,20 @@ def test_indices_is_index_at_over_a_run(f, start, count):
     steps=st.integers(1, 40),
 )
 def test_window_run_slices_into_one_step_windows(f, r, n, steps):
-    run = window(f, r, n, steps)
-    assert len(run) == (r - 1) * steps + 1
-    for k in range(steps):
-        assert run[(r - 1) * k : (r - 1) * k + r] == window(f, r, n + k)
+    # item k of the stream from step n is the window of step n + k
+    run = list(islice(control._windows(f, r, n), steps))
+    assert [list(w) for w in run] == [window(f, r, n + k) for k in range(steps)]
 
 
 def test_indices_rejects_negative_start():
-    for f in (Cyclic(2), Explicit([1, 2]), RandomBlock(2, 3, 0)):
+    # at the call, before any index is read
+    for f in (Cyclic(2), Explicit([1, 2]), RandomBlock(2, 3, 0), Pairs()):
         with pytest.raises(InvalidControl):
-            f.indices(-1, 3)
-    with pytest.raises(InvalidControl):
-        window(Cyclic(2), 2, 0, steps=0)
+            f.indices_from(-1)
     with pytest.raises(InvalidControl, match="step number must be a nonnegative integer"):
         window(Cyclic(2), 2, -1)
+    with pytest.raises(InvalidControl, match="step number must be a nonnegative integer"):
+        control._windows(Cyclic(2), 2, -1)
 
 
 def test_cyclic_windows_tile_index_set():
@@ -238,10 +271,9 @@ def test_window_family_distinct_tuples_match_direct_enumeration():
         (RandomBlock, (3, 4, 1.9)),
         (Explicit, ([1, 2.5],)),
         (Cyclic(3).index_at, (1.7,)),
-        (RandomBlock(3, 4, 1).indices, (1.5, 3)),
+        (RandomBlock(3, 4, 1).indices_from, (1.5,)),
         (window, (Cyclic(3), 2.9, 0)),
         (window, (Cyclic(3), 2, 0.5)),
-        (window, (Cyclic(3), 2, 0, 2.5)),
         (is_quasi_periodic, (Cyclic(3), 3.5, 10)),
         (is_quasi_periodic, (Cyclic(3), 3, 10.5)),
         # bool subclasses int, but True is no count or index
@@ -251,17 +283,16 @@ def test_window_family_distinct_tuples_match_direct_enumeration():
         (RandomBlock, (3, 4, True)),
         (Explicit, ([1, True, 2],)),
         (Cyclic(3).index_at, (True,)),
-        (RandomBlock(3, 4, 1).indices, (True, 3)),
+        (RandomBlock(3, 4, 1).indices_from, (True,)),
         (window, (Cyclic(3), 2, True)),
-        (window, (Cyclic(3), 2, 0, True)),
         (is_quasi_periodic, (Cyclic(3), True, 10)),
         (is_quasi_periodic, (Cyclic(3), 3, True)),
     ],
     ids=["cyclic_m", "cyclic_str", "block_m", "block_M", "block_seed", "explicit",
-         "index_at", "indices", "window_r", "window_n", "window_steps", "period_M",
+         "index_at", "indices", "window_r", "window_n", "period_M",
          "period_horizon", "cyclic_m_true", "block_m_true", "block_M_true",
          "block_seed_true", "explicit_true", "index_at_true", "indices_true",
-         "window_n_true", "window_steps_true", "period_M_true", "period_horizon_true"],
+         "window_n_true", "period_M_true", "period_horizon_true"],
 )
 def test_non_integer_parameters_raise_invalid_control(call, args):
     # a float is not truncated to a different control than the one asked for
@@ -274,4 +305,4 @@ def test_numpy_integer_parameters_pass():
     assert (f.m, f.M, f.seed) == (3, 4, 1)
     assert Explicit(np.array([1, 2, 1])).prefix == (1, 2, 1)
     assert Cyclic(np.int64(3)).index_at(np.int64(4)) == 2
-    assert window(Cyclic(3), np.int64(2), np.int64(1), np.int64(2)) == [2, 3, 1]
+    assert window(Cyclic(3), np.int64(3), np.int64(1)) == [3, 1, 2]

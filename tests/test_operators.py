@@ -194,3 +194,10 @@ def test_mixed_dimension_factors_rejected():
         Composition([Identity(2), Identity(3)])
     with pytest.raises(DimensionMismatch):
         dr_operator([Ball([0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_apply_where_the_offset_from_a_center_overflows_is_silent():
+    # x - c overflows, though the projection is an ordinary point
+    T = Projection(Ball([-1e308, 0.0], 1.5e308))
+    assert T.apply(Point([1e308, 0.0])) == Point([5e307, 0.0])

@@ -213,7 +213,7 @@ def test_scheme_validation():
     with pytest.raises(ParseError, match="r > 1"):
         parse_document(doc(scheme="composite_q", control={"rule": "cyclic", "m": 2},
                            r=True))
-    # r is bounded, so that one fetch of windows is too
+    # r is bounded, so that each window is too
     _, config = parse_document(doc(scheme="unrestricted_dr",
                                    control={"rule": "cyclic", "m": 2}, r=MAX_R))
     assert config.r == MAX_R

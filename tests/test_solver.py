@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from drfeas import problem_io, solver
+from drfeas import control, problem_io, solver
 from drfeas import (
     AffineSubspace,
     Ball,
@@ -115,17 +115,25 @@ def three_set_problem():
          "control range 1..2 does not match the 3 sets"),
         (lambda: build_composite_Q(three_set_problem(), Cyclic(2), 2), InvalidControl,
          "control range 1..2 does not match the 3 sets"),
+        # from a feasible start no step is taken, and the width is still checked
+        (lambda: run_unrestricted_dr(thin_lens_problem(), Cyclic(2), 2.5, Point([0.95, 0.0])),
+         InvalidControl, "window width r must be an integer"),
+        (lambda: run_unrestricted_dr(thin_lens_problem(), Cyclic(2), 1, Point([0.95, 0.0])),
+         InvalidControl, "window width r must be an integer greater than 1"),
+        (lambda: run_unrestricted_dr(thin_lens_problem(), Cyclic(2), True, Point([0.95, 0.0])),
+         InvalidControl, "window width r must be an integer"),
     ],
     ids=["max_iters", "build_S_n", "build_S_r", "run_r", "max_iters_true", "build_S_n_true",
          "operator_dim_float", "operator_dim_zero", "operator_dim_negative",
          "set_dim_float", "set_dim_zero", "set_dim_negative", "build_S_range",
-         "build_composite_Q_range"],
+         "build_composite_Q_range", "run_r_feasible_start", "run_r_one_feasible_start",
+         "run_r_true_feasible_start"],
 )
 def test_non_integer_parameters_raise(call, error, message):
     # a float step or width is not truncated to another operator, and a
     # float max_iters is refused at once, not in the loop's range; True is
-    # no integer, a dimension is positive, and a control's range is the
-    # family it indexes
+    # no integer, a dimension is positive, a window is wider than one set,
+    # and a control's range is the family it indexes
     with pytest.raises(error, match=message):
         call()
 
@@ -578,10 +586,12 @@ def never_stop(max_iters):
 
 
 def test_run_windows_are_the_build_S_windows(monkeypatch):
-    # A run fetches its windows in runs of up to K steps; whatever run holds
-    # step n, the stream's S_n must be the operator build_S gives for it
-    problem, f, r, K = disjoint_problem(), RandomBlock(3, 4, 7), 3, solver._WINDOW_CHUNK
-    expected = [build_S(problem, f, r, n).sets for n in range(3 * K + 1)]
+    # With M = 4 and r = 3 the window of step n holds indices 2n..2n + 2, so
+    # the window of every odd step straddles a block boundary; whatever
+    # block holds step n's indices, the stream's S_n must be the operator
+    # build_S gives for it
+    problem, f, r, N = disjoint_problem(), RandomBlock(3, 4, 7), 3, 41
+    expected = [build_S(problem, f, r, n).sets for n in range(N)]
     applied = []
     apply = DrOperator._apply
 
@@ -590,23 +600,24 @@ def test_run_windows_are_the_build_S_windows(monkeypatch):
         return apply(self, x)
 
     monkeypatch.setattr(DrOperator, "_apply", recording)
-    trace = run_unrestricted_dr(problem, f, r, Point([3.0, 3.0]), never_stop(3 * K + 1))
-    assert trace.iterations == 3 * K + 1
+    trace = run_unrestricted_dr(problem, f, r, Point([3.0, 3.0]), never_stop(N))
+    assert trace.iterations == N
     assert applied == expected
     stream = solver._window_operators(problem, f, r)
-    assert [S.sets for S in itertools.islice(stream, 3 * K + 1)] == expected
-    stream = solver._window_operators(problem, f, r, K + 1)
-    assert [S.sets for S in itertools.islice(stream, 2 * K)] == expected[K + 1 :]
-    order = [2 * K + 5, 0, K, K - 1, 3 * K, 1, 2 * K + 5, K + 1, *range(3 * K, -1, -1)]
+    assert [S.sets for S in itertools.islice(stream, N)] == expected
+    stream = solver._window_operators(problem, f, r, 13)
+    assert [S.sets for S in itertools.islice(stream, N - 13)] == expected[13:]
+    order = [35, 0, 13, 12, 40, 1, 35, 14, *range(N - 1, -1, -1)]
     assert [build_S(problem, f, r, n).sets for n in order] == [expected[n] for n in order]
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, solver._WINDOW_CHUNK - 1, 2 * solver._WINDOW_CHUNK + 3])
+# With M = 4 and r = 3 an odd step's window straddles a block boundary, so
+# the streams from 1, 5, 63 and 131 start across one and the stream from 2
+# at the start of a block
+@pytest.mark.parametrize("n", [1, 2, 5, 63, 131])
 @pytest.mark.parametrize("f", [Cyclic(3), RandomBlock(3, 4, 7)], ids=["cyclic", "random_block"])
 def test_stream_started_at_n_is_the_stream_from_0_from_item_n_on(f, n):
-    # the runs of a stream from n start at other steps than those of a stream
-    # from 0, so the two fetch other runs of windows for the same steps
-    problem, r, length = disjoint_problem(), 3, 3 * solver._WINDOW_CHUNK
+    problem, r, length = disjoint_problem(), 3, 100
 
     def stream(start, items):
         ops = solver._window_operators(problem, f, r, start)
@@ -630,14 +641,12 @@ class OutOfRangeAt(ControlMap):
 
 def test_out_of_range_index_raises_at_the_step_that_uses_it():
     # With r = 2 the window of step n is (f(n), f(n + 1)) and x_n comes from
-    # S_{n-1}, so f(K + 10) is first used by iteration K + 10; it is fetched
-    # earlier, with the run of windows of steps K - 1..2K - 2
-    K = solver._WINDOW_CHUNK
-    f, problem, x0 = OutOfRangeAt(K + 10), disjoint_problem(), Point([3.0, 3.0])
-    trace = run_unrestricted_dr(problem, f, 2, x0, never_stop(K + 9))
-    assert (trace.terminal_status, trace.iterations) == (MAX_ITERS, K + 9)
+    # S_{n-1}, so f(74) is first read, and used, by iteration 74
+    f, problem, x0 = OutOfRangeAt(74), disjoint_problem(), Point([3.0, 3.0])
+    trace = run_unrestricted_dr(problem, f, 2, x0, never_stop(73))
+    assert (trace.terminal_status, trace.iterations) == (MAX_ITERS, 73)
     with pytest.raises(InvalidControl, match="set index 4"):
-        run_unrestricted_dr(problem, f, 2, x0, never_stop(K + 10))
+        run_unrestricted_dr(problem, f, 2, x0, never_stop(74))
 
 
 def test_index_zero_raises_instead_of_picking_the_last_set():
@@ -969,29 +978,48 @@ def test_non_finite_trace_ends_at_the_last_finite_step():
     assert trace.final.iterate == Point([1e300, -1e300])
 
 
-def test_window_runs_double_up_to_the_chunk(monkeypatch):
-    # Runs of 1, 2, 4, ... steps up to K: a run over N steps fetches fewer
-    # than 2N windows, build_S one and build_composite_Q fewer than 2(jf + 1)
-    fetched = []
-    window = solver.window
+def test_a_run_draws_each_block_its_windows_touch_once(monkeypatch):
+    # The windows of N steps from step n hold indices (r-1)n..(r-1)(n + N).
+    # A stream draws each block over them once, in order, in groups of 1, 2,
+    # 4, ... blocks, up to k, so none past the group that holds the last.
+    drawn = []
+    draw = control._block_pattern
 
-    def recording(f, r, n, steps=1):
-        fetched.append(steps)
-        return window(f, r, n, steps)
+    def recording(m, M, seed, block):
+        drawn.append(block)
+        return draw(m, M, seed, block)
 
-    monkeypatch.setattr(solver, "window", recording)
-    problem, f, K = disjoint_problem(), RandomBlock(3, 4, 7), solver._WINDOW_CHUNK
-    for n_steps in (1, 3, 10, K, 3 * K):
-        fetched.clear()
-        run_unrestricted_dr(problem, f, 3, Point([3.0, 3.0]), never_stop(n_steps))
-        assert fetched == [min(2**i, K) for i in range(len(fetched))]
-        assert n_steps <= sum(fetched) < 2 * n_steps
-    fetched.clear()
-    build_S(problem, f, 3, 40)
-    assert fetched == [1]
-    fetched.clear()
-    build_composite_Q(problem, f, 3)
-    assert cover_index(f) + 1 <= sum(fetched) < 2 * (cover_index(f) + 1)
+    monkeypatch.setattr(control, "_block_pattern", recording)
+    problem, r = disjoint_problem(), 3
+    for f in (RandomBlock(3, 4, 7), RandomBlock(3, 50, 7), RandomBlock(3, 200, 7)):
+        k = -(-control._GROUP // f.M)
+
+        def through(first, last):
+            # the blocks of the groups from block first to the one holding last
+            end, size = first, 1
+            while end <= last:
+                end, size = end + size, min(2 * size, k)
+            return list(range(first, end))
+
+        def touched(n, n_steps):
+            return through((r - 1) * n // f.M, (r - 1) * (n + n_steps) // f.M)
+
+        for n_steps in (1, 2, 3, 10, 64, 193):
+            drawn.clear()
+            run_unrestricted_dr(problem, f, r, Point([3.0, 3.0]), never_stop(n_steps))
+            assert drawn == touched(0, n_steps)
+            for n in (1, 2, 5, 63):
+                drawn.clear()
+                list(itertools.islice(solver._window_operators(problem, f, r, n), n_steps))
+                assert drawn == touched(n, n_steps)
+        drawn.clear()
+        build_S(problem, f, r, 40)
+        assert drawn == touched(40, 1)
+        # Q's cover index scans f(1)..f(jf), then Q takes the windows of jf + 1 steps
+        jf = cover_index(f)
+        drawn.clear()
+        build_composite_Q(problem, f, r)
+        assert drawn == through(0, jf // f.M) + touched(0, jf + 1)
 
 
 def test_traces_compare_by_value():
