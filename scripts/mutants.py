@@ -107,6 +107,17 @@ MUTANTS = [
     Mutant("dr_average_0_55", "src/drfeas/operators.py",
            "v *= 0.5", "v *= 0.55",
            ("tests/test_in_place.py", "tests/test_operators.py")),
+    # One reflection chain per DR window of a check suite: T's images are
+    # V's, averaged in place after V's report has read them.
+    Mutant("dr_pair_t_report_without_average", "src/drfeas/diagnostics.py",
+           "Tx, Ty = T._average(Vx, x), T._average(Vy, y)", "Tx, Ty = Vx, Vy",
+           ("tests/test_diagnostics.py::test_suite_reports_equal_standalone_checks_on_the_catalog",)),
+    Mutant("dr_pair_average_before_v_report", "src/drfeas/diagnostics.py",
+           "        v_report = _report(v_name, _plain_violation(x, y, Vx, Vy), tol)\n"
+           "        Tx, Ty = T._average(Vx, x), T._average(Vy, y)\n",
+           "        Tx, Ty = T._average(Vx, x), T._average(Vy, y)\n"
+           "        v_report = _report(v_name, _plain_violation(x, y, Vx, Vy), tol)\n",
+           ("tests/test_diagnostics.py::test_suite_reports_equal_standalone_checks_on_the_catalog",)),
     # The residual rule and the one built-in registry.
     Mutant("trigger_at_block_plus_one", "src/drfeas/solver.py",
            "len(iterates) - len(dists) == block", "len(iterates) - len(dists) == block + 1",

@@ -17,7 +17,7 @@ import numpy as np
 from .control import InvalidControl
 from .convex import InvalidSet
 from .diagnostics import CheckParameterError
-from .operators import DrOperator, Projection, Reflection, composite_reflection
+from .operators import DrOperator, Projection, Reflection
 from .problem_io import (
     ParseError,
     execute_config,
@@ -25,7 +25,7 @@ from .problem_io import (
     load_document,
     write_trace,
 )
-from .repro import EXPERIMENTS, run_check_suite, run_experiment
+from .repro import EXPERIMENTS, DrPair, run_check_suite, run_experiment
 from .solver import CONVERGED_DISPLACEMENT, FEASIBLE, build_composite_Q
 from .space import DimensionMismatch
 
@@ -64,7 +64,9 @@ def cmd_run(args) -> int:
 def _check_suite(problem, config):
     """Every operator a config would construct, as (label, operator, firm)
     triples: firm for projections and DR operators, whose strongest checkable
-    property is firm nonexpansiveness, else plain nonexpansiveness."""
+    property is firm nonexpansiveness, else plain nonexpansiveness; each
+    window S_n of the composite Q comes with its composite reflection V_n
+    as one DrPair."""
     suite = []
     for i, c in enumerate(problem.sets):
         suite.append((f"P(C{i + 1})", Projection(c), True))
@@ -73,9 +75,7 @@ def _check_suite(problem, config):
         return suite
     if config.scheme in ("unrestricted_dr", "composite_q"):
         Q = build_composite_Q(problem, config.control, config.r)  # S_0, ..., S_jf
-        for n, S in enumerate(Q.factors):
-            suite.append((f"S{n}", S, True))
-            suite.append((f"V{n}", composite_reflection(S.sets), False))
+        suite += [DrPair(f"S{n}", f"V{n}", S) for n, S in enumerate(Q.factors)]
         if config.scheme == "composite_q":
             suite.append(("Q", Q, False))
     else:

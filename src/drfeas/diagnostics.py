@@ -20,8 +20,15 @@ evaluates all its pairs at once: one ``T._apply`` call on the batch of
 first points and one on the batch of second points, then per-row inner
 products and norms. Each scaled difference, (Tx - Ty) * unit or
 (x - y) * unit, is formed in one new array: the draws and the images are
-only read. The checks share one report function and differ only
-in their inequality.
+only read. The checks share one report function, and the firm and plain
+ones each one violation function of the batches and their images.
+
+A suite checks a DR operator T = (Id + V) / 2 and its composite reflection
+V together (``_check_dr_pair``), from one reflection chain per batch:
+V's images, made by the same ``ConvexSet._reflect`` calls as T's, give V's
+report, and ``DrOperator._average``, the average of ``T._apply``, then
+turns them in place into T's images for T's report. Both reports have the
+bits of the public checks called on T and on V alone.
 
 Violations are relative, so that one tolerance serves every sampling
 scale. With M = max(||x||, ||y||, ||Tx||, ||Ty||) for a pair, a firm
@@ -33,7 +40,8 @@ finite wherever the images are. M is measured by ``space._row_norms``,
 exactly also where squares underflow; where a norm's square overflows, that
 power of two comes from the largest |coordinate| of the pair, by the rule
 of ``space._scaled``. No floor is put under M, so a check reads the same at
-every scale: x -> 2x fails at 1e-170 as it does at 1. A pair whose M is 0 (all four points at the origin) reads 0.
+every scale: x -> 2x fails at 1e-170 as it does at 1. A pair whose M is 0
+(all four points at the origin) reads 0.
 
 The checks and ``asymptotic_regularity_series`` run with numpy's overflow
 and invalid flags off: an image past the largest float makes a violation
@@ -45,11 +53,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .operators import Operator
+from .operators import DrOperator, Operator
 from .solver import FeasibilityProblem
 from .space import Point, _checked_coords, _integer, _norm, _row_dots, _row_norms
 
@@ -124,19 +131,31 @@ def _scaled_difference(a: np.ndarray, b: np.ndarray, unit: np.ndarray) -> np.nda
     return out
 
 
-def _report(
-    T: Operator, violation: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    samples: int, scale: float, seed: int, tol: float, name: str,
-) -> PropertyReport:
-    """The worst of violation(x, y), one entry per sampled pair for the
-    read-only (samples, d) batches x of first and y of second points, as the
-    check's report, which keeps len(x), the int that samples checked as. A
+def _firm_violation(x: np.ndarray, y: np.ndarray, Tx: np.ndarray, Ty: np.ndarray) -> np.ndarray:
+    """Per pair, ||Tx - Ty||^2 - <Tx - Ty, x - y> relative to M ||x - y||."""
+    M, unit = _scale(x, y, Tx, Ty)
+    dT, d = _scaled_difference(Tx, Ty, unit), _scaled_difference(x, y, unit)
+    excess = _row_dots(dT, dT) - _row_dots(dT, d)
+    # A pair drawn twice, or so close that ||x - y|| underflows, has
+    # ||x - y|| = 0; its excess is 0 then, or NaN from a non-finite image
+    bound = M * _row_norms(d)
+    return np.divide(excess, bound, out=excess, where=bound > 0.0)
+
+
+def _plain_violation(x: np.ndarray, y: np.ndarray, Tx: np.ndarray, Ty: np.ndarray) -> np.ndarray:
+    """Per pair, ||Tx - Ty|| - ||x - y|| relative to M."""
+    M, unit = _scale(x, y, Tx, Ty)
+    return (_row_norms(_scaled_difference(Tx, Ty, unit))
+            - _row_norms(_scaled_difference(x, y, unit))) / M
+
+
+def _report(name: str, violation: np.ndarray, tol: float) -> PropertyReport:
+    """The worst of the violations, one per sampled pair, as a check's
+    report, which keeps their count, the int that samples checked as. A
     non-finite image makes a violation inf or NaN, and np.max keeps a NaN,
     so the check fails."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, y = _pairs(T.dim, samples, scale, seed)
-        worst = float(np.max(violation(x, y), initial=0.0))
-    return PropertyReport(name, len(x), worst, tol, worst <= tol)
+    worst = float(np.max(violation, initial=0.0))
+    return PropertyReport(name, len(violation), worst, tol, worst <= tol)
 
 
 def check_firmly_nonexpansive(
@@ -149,18 +168,9 @@ def check_firmly_nonexpansive(
 ) -> PropertyReport:
     """Worst violation of <Tx - Ty, x - y> >= ||Tx - Ty||^2 over sampled
     pairs, relative to M ||x - y||."""
-
-    def violation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        Tx, Ty = T._apply(x), T._apply(y)
-        M, unit = _scale(x, y, Tx, Ty)
-        dT, d = _scaled_difference(Tx, Ty, unit), _scaled_difference(x, y, unit)
-        excess = _row_dots(dT, dT) - _row_dots(dT, d)
-        # A pair drawn twice, or so close that ||x - y|| underflows, has
-        # ||x - y|| = 0; its excess is 0 then, or NaN from a non-finite image
-        bound = M * _row_norms(d)
-        return np.divide(excess, bound, out=excess, where=bound > 0.0)
-
-    return _report(T, violation, samples, scale, seed, tol, name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = _pairs(T.dim, samples, scale, seed)
+        return _report(name, _firm_violation(x, y, T._apply(x), T._apply(y)), tol)
 
 
 def check_nonexpansive(
@@ -173,14 +183,27 @@ def check_nonexpansive(
 ) -> PropertyReport:
     """Worst violation of ||Tx - Ty|| <= ||x - y|| over sampled pairs,
     relative to M."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = _pairs(T.dim, samples, scale, seed)
+        return _report(name, _plain_violation(x, y, T._apply(x), T._apply(y)), tol)
 
-    def violation(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        Tx, Ty = T._apply(x), T._apply(y)
-        M, unit = _scale(x, y, Tx, Ty)
-        return (_row_norms(_scaled_difference(Tx, Ty, unit))
-                - _row_norms(_scaled_difference(x, y, unit))) / M
 
-    return _report(T, violation, samples, scale, seed, tol, name)
+def _check_dr_pair(
+    T: DrOperator, V: Operator, samples: int, scale: float, seed: int,
+    t_name: str, v_name: str, tol: float = 1e-10,
+) -> list[PropertyReport]:
+    """check_firmly_nonexpansive of a DR operator T and check_nonexpansive
+    of V, the composite reflection over T's sets, bit for bit, from one
+    reflection chain per batch: V's report reads V's images, which
+    T._average then turns in place into T's, since T = (Id + V) / 2. The
+    reports come T first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = _pairs(T.dim, samples, scale, seed)
+        Vx, Vy = V._apply(x), V._apply(y)
+        v_report = _report(v_name, _plain_violation(x, y, Vx, Vy), tol)
+        Tx, Ty = T._average(Vx, x), T._average(Vy, y)
+        t_report = _report(t_name, _firm_violation(x, y, Tx, Ty), tol)
+    return [t_report, v_report]
 
 
 def check_quasi_nonexpansive(
@@ -206,14 +229,12 @@ def check_quasi_nonexpansive(
             f"p is not a fixed point of the operator: relative residual "
             f"{residual:.3e} exceeds tol {tol:.3e}"
         )
-
-    def violation(x: np.ndarray, _: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, _ = _pairs(T.dim, samples, scale, seed)
         Tx = T._apply(x)
         M, unit = _scale(x, Tx, q[None])
-        return (_row_norms(_scaled_difference(Tx, q, unit))
-                - _row_norms(_scaled_difference(x, q, unit))) / M
-
-    return _report(T, violation, samples, scale, seed, tol, name)
+        return _report(name, (_row_norms(_scaled_difference(Tx, q, unit))
+                              - _row_norms(_scaled_difference(x, q, unit))) / M, tol)
 
 
 def asymptotic_regularity_series(T: Operator, x0: Point, n_steps: int) -> list[float]:

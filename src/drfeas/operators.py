@@ -128,8 +128,12 @@ class Composition(Operator):
 class DrOperator(Operator):
     """r-set Douglas-Rachford operator over an ordered set list.
 
-    Applies (x + R_r(...R_1(x))) / 2 where R_i reflects through sets[i-1];
-    firmly nonexpansive, and fixes every common point of the sets.
+    Applies T = (Id + V) / 2, where V = R_r ... R_1 is the composite
+    reflection and R_i reflects through sets[i-1]; firmly nonexpansive, and
+    fixes every common point of the sets. _apply reflects x through the sets
+    with ConvexSet._reflect and averages in the last reflection by _average,
+    the one DR average, which the sampled check suites also apply to the
+    images of V.
     """
 
     __slots__ = ("sets",)
@@ -144,6 +148,12 @@ class DrOperator(Operator):
         for c in self.sets:
             v = c._reflect(v)
         # v is a new array of the operator's own (there is at least one set)
+        return self._average(v, x)
+
+    @staticmethod
+    def _average(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(x + v) / 2 for v = V(x), formed in v, which the caller owns and
+        gives up: the images of T are those of V, averaged in place."""
         v += x
         v *= 0.5
         return v

@@ -27,13 +27,14 @@ from .control import (
 from .convex import SET_KINDS, AffineSubspace, Ball, Box, ConvexSet, Halfspace, Hyperplane
 from .diagnostics import (
     PropertyReport,
+    _check_dr_pair,
     _draw_pairs,
     asymptotic_regularity_series,
     check_firmly_nonexpansive,
     check_nonexpansive,
     check_quasi_nonexpansive,
 )
-from .operators import Projection, Reflection, composite_reflection, dr_operator
+from .operators import DrOperator, Projection, Reflection, composite_reflection, dr_operator
 from .problem_io import ParseError, execute_config, parse_document, write_trace
 from .solver import (
     StopRule,
@@ -76,19 +77,46 @@ CATALOG_WINDOWS = [(1, 2), (3, 4), (5, 1), (1, 2, 3, 4, 5), (2, 2)]
 CATALOG_DIMS = (2, 5, 50)
 
 
+class DrPair:
+    """A check-suite entry: a DR operator T, checked firmly nonexpansive,
+    and V = 2T - Id, the composite reflection over its sets, checked
+    nonexpansive."""
+
+    __slots__ = ("t_label", "T", "v_label", "V")
+
+    def __init__(self, t_label: str, v_label: str, T: DrOperator) -> None:
+        self.t_label, self.T = t_label, T
+        self.v_label, self.V = v_label, composite_reflection(T.sets)
+
+
 def run_check_suite(suite, samples: int, scale: float, seed: int) -> list[PropertyReport]:
-    """One report per (label, operator, firm) triple: firmly_nonexpansive[label]
-    when firm, else nonexpansive[label]. `drfeas check` and AC-1 both run here.
-    Checks of one dimension share one draw of the pairs, which is let go
-    when the suite returns or raises."""
+    """The reports of a check suite, in its order: one per (label, operator,
+    firm) triple, firmly_nonexpansive[label] when firm, else
+    nonexpansive[label], and two per DrPair, firmly_nonexpansive[t_label]
+    then nonexpansive[v_label]. `drfeas check` and AC-1 both run here.
+    Each report has the bits of the public check of its operator alone, but
+    a DrPair applies its reflection chain once per batch: V's images are
+    averaged in place into T's once V's report has read them, so the pair
+    holds one pair of images at a time. Checks of one dimension share one
+    draw of the pairs, which is let go when the suite returns or raises."""
+    reports = []
     try:
-        return [
-            check_firmly_nonexpansive(op, samples, scale, seed,
-                                      name=f"firmly_nonexpansive[{label}]")
-            if firm
-            else check_nonexpansive(op, samples, scale, seed, name=f"nonexpansive[{label}]")
-            for label, op, firm in suite
-        ]
+        for entry in suite:
+            if isinstance(entry, DrPair):
+                reports += _check_dr_pair(
+                    entry.T, entry.V, samples, scale, seed,
+                    f"firmly_nonexpansive[{entry.t_label}]", f"nonexpansive[{entry.v_label}]",
+                )
+            else:
+                label, op, firm = entry
+                reports.append(
+                    check_firmly_nonexpansive(op, samples, scale, seed,
+                                              name=f"firmly_nonexpansive[{label}]")
+                    if firm
+                    else check_nonexpansive(op, samples, scale, seed,
+                                            name=f"nonexpansive[{label}]")
+                )
+        return reports
     finally:
         _draw_pairs.cache_clear()
 
@@ -103,10 +131,9 @@ def operator_class_reports(
         sets = catalog_sets(dim)
         suite += [(f"P(C{i + 1}),d={dim}", Projection(c), True) for i, c in enumerate(sets)]
         for w in CATALOG_WINDOWS:
-            picked = [sets[i - 1] for i in w]
             wname = "".join(map(str, w))
-            suite.append((f"T{wname},d={dim}", dr_operator(picked), True))
-            suite.append((f"V{wname},d={dim}", composite_reflection(picked), False))
+            T = dr_operator([sets[i - 1] for i in w])
+            suite.append(DrPair(f"T{wname},d={dim}", f"V{wname},d={dim}", T))
     return run_check_suite(suite, samples, scale, seed)
 
 

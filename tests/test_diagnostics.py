@@ -6,7 +6,14 @@ import pytest
 from drfeas import diagnostics, repro
 from drfeas.cli import _check_suite, main
 from drfeas.operators import Operator
-from drfeas.repro import bundled_document, load_bundled, operator_class_reports, run_check_suite
+from drfeas.repro import (
+    DrPair,
+    bundled_document,
+    load_bundled,
+    operator_class_reports,
+    run_check_suite,
+)
+from test_in_place import Keeper
 
 from drfeas import (
     Ball,
@@ -227,11 +234,9 @@ def sphere_projection(self, x):
     return self.center + (self.radius / np.linalg.norm(v, axis=-1, keepdims=True)) * v
 
 
-def overscaled_dr(self, x):
-    """DrOperator._apply scaled by 1.1: 0.55 (x + v) in place of 0.5 (x + v)."""
-    v = x
-    for c in self.sets:
-        v = 2.0 * c._project(v) - v
+def overscaled_average(v, x):
+    """The DR average scaled by 1.1: 0.55 (x + v) in place of 0.5 (x + v).
+    DrOperator._apply and the check suite's DR windows share the average."""
     return 0.55 * (x + v)
 
 
@@ -239,7 +244,7 @@ def overscaled_dr(self, x):
     "owner, attr, mutant, refuted",
     [
         (Ball, "_project", sphere_projection, ["firmly_nonexpansive[P(C1),d=2]"]),
-        (DrOperator, "_apply", overscaled_dr,
+        (DrOperator, "_average", staticmethod(overscaled_average),
          [f"firmly_nonexpansive[T22,d={d}]" for d in (2, 5, 50)]),
     ],
     ids=["ball_to_sphere", "dr_times_1.1"],
@@ -396,10 +401,22 @@ def test_a_suite_draws_each_sample_once(monkeypatch, tmp_path, capsys):
     assert seeds == [4]
 
 
+def _checks(suite):
+    """The suite's (label, operator, firm) triples, a DrPair read as its two:
+    T firm, then V plain."""
+    for entry in suite:
+        if isinstance(entry, DrPair):
+            yield entry.t_label, entry.T, True
+            yield entry.v_label, entry.V, False
+        else:
+            yield entry
+
+
 def _standalone(suite, samples, scale, seed):
-    """The reports of run_check_suite, each from a check of its own."""
+    """The reports of run_check_suite, each from a public check of its own
+    operator, called one operator at a time."""
     reports = []
-    for label, op, firm in suite:
+    for label, op, firm in _checks(suite):
         diagnostics._draw_pairs.cache_clear()
         if firm:
             rep = check_firmly_nonexpansive(op, samples, scale, seed,
@@ -425,7 +442,8 @@ def test_suite_reports_equal_standalone_checks_on_the_catalog(monkeypatch):
     monkeypatch.setattr(repro, "run_check_suite", spy)
     reports = operator_class_reports(samples=200, seed=3)
     [(suite, args)] = suites
-    assert {op.dim for _, op, _ in suite} == {2, 5, 50}
+    assert {op.dim for _, op, _ in _checks(suite)} == {2, 5, 50}
+    assert sum(isinstance(entry, DrPair) for entry in suite) == 15  # five windows per dimension
     assert _bits(reports) == _bits(_standalone(suite, *args))
 
 
@@ -438,8 +456,34 @@ BUNDLED = sorted(
 def test_suite_reports_equal_standalone_checks_on_bundled_documents(name):
     problem, config = load_bundled(name)
     suite = _check_suite(problem, config)
+    pairs = sum(isinstance(entry, DrPair) for entry in suite)
+    assert (pairs > 0) == (config.scheme != "product")  # one per window S_n of Q
     args = (200, problem.sampling_scale(), 1)
     assert _bits(run_check_suite(suite, *args)) == _bits(_standalone(suite, *args))
+
+
+def test_suite_reports_equal_standalone_checks_on_windows_with_a_user_set():
+    # A user set's projection is an array it keeps; the pair averages V's
+    # images in place, which never writes into a kept array.
+    keeper = Keeper([0.5, -0.25, 1.0])
+    ball, halfspace = Ball([0.0, 0.0, 0.0], 1.5), Halfspace([1.0, 1.0, 0.0], 0.5)
+    suite = [
+        DrPair("T1", "V1", dr_operator([ball, keeper, halfspace])),
+        ("P", Projection(keeper), True),
+        DrPair("T2", "V2", dr_operator([keeper])),
+        DrPair("T3", "V3", dr_operator([halfspace, keeper])),
+    ]
+    args = (100, 2.0, 7)
+    reports = run_check_suite(suite, *args)
+    assert [r.property_name for r in reports] == [
+        "firmly_nonexpansive[T1]", "nonexpansive[V1]", "firmly_nonexpansive[P]",
+        "firmly_nonexpansive[T2]", "nonexpansive[V2]",
+        "firmly_nonexpansive[T3]", "nonexpansive[V3]",
+    ]
+    assert _bits(reports) == _bits(_standalone(suite, *args))
+    assert len(keeper.kept) >= 14
+    for out, copy in keeper.kept:
+        assert out.tobytes() == copy.tobytes()
 
 
 class Recorder(Operator):
