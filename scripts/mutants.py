@@ -110,14 +110,31 @@ MUTANTS = [
     # One reflection chain per DR window of a check suite: T's images are
     # V's, averaged in place after V's report has read them.
     Mutant("dr_pair_t_report_without_average", "src/drfeas/diagnostics.py",
-           "Tx, Ty = T._average(Vx, x), T._average(Vy, y)", "Tx, Ty = Vx, Vy",
+           "Tx, Ty = T._average(Vx, sample.x), T._average(Vy, sample.y)", "Tx, Ty = Vx, Vy",
            ("tests/test_diagnostics.py::test_suite_reports_equal_standalone_checks_on_the_catalog",)),
     Mutant("dr_pair_average_before_v_report", "src/drfeas/diagnostics.py",
-           "        v_report = _report(v_name, _plain_violation(x, y, Vx, Vy), tol)\n"
-           "        Tx, Ty = T._average(Vx, x), T._average(Vy, y)\n",
-           "        Tx, Ty = T._average(Vx, x), T._average(Vy, y)\n"
-           "        v_report = _report(v_name, _plain_violation(x, y, Vx, Vy), tol)\n",
+           "    v_report = _check(v_name, False, sample, Vx, Vy, tol)\n"
+           "    Tx, Ty = T._average(Vx, sample.x), T._average(Vy, sample.y)\n",
+           "    Tx, Ty = T._average(Vx, sample.x), T._average(Vy, sample.y)\n"
+           "    v_report = _check(v_name, False, sample, Vx, Vy, tol)\n",
            ("tests/test_diagnostics.py::test_suite_reports_equal_standalone_checks_on_the_catalog",)),
+    # One projection per set and batch in a check suite: P(C), R(C) and the
+    # DR chains that start at C share C's images, and each draw's norms and
+    # x - y are taken once.
+    Mutant("one_set_window_without_copy", "src/drfeas/diagnostics.py",
+           "                Vx, Vy = Rx.copy(), Ry.copy()\n", "                pass\n",
+           ("tests/test_diagnostics.py::test_grouped_suites_equal_standalone_checks",)),
+    Mutant("projection_reports_after_reflection", "src/drfeas/diagnostics.py",
+           "        for key, name, firm in projections:\n"
+           "            reports[key] = [_check(name, firm, sample, Px, Py, tol)]\n"
+           "        Rx, Ry = ConvexSet._reflect_projection(Px, x), ConvexSet._reflect_projection(Py, y)\n",
+           "        Rx, Ry = ConvexSet._reflect_projection(Px, x), ConvexSet._reflect_projection(Py, y)\n"
+           "        for key, name, firm in projections:\n"
+           "            reports[key] = [_check(name, firm, sample, Px, Py, tol)]\n",
+           ("tests/test_diagnostics.py::test_suite_reports_equal_standalone_checks_on_the_catalog",)),
+    Mutant("draw_norms_from_x_alone", "src/drfeas/diagnostics.py",
+           "_Sample(x, y, _max_norms(x, y), diff)", "_Sample(x, y, _max_norms(x), diff)",
+           ("tests/test_diagnostics.py::test_violations_are_relative_to_the_largest_norm_of_a_pair",)),
     # The residual rule and the one built-in registry.
     Mutant("trigger_at_block_plus_one", "src/drfeas/solver.py",
            "len(iterates) - len(dists) == block", "len(iterates) - len(dists) == block + 1",

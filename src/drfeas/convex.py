@@ -11,8 +11,9 @@ Projections take one point of shape (d,) or a batch of shape (..., d); a
 batch row gets the arithmetic of a single point, so it has the same bits.
 A built-in kind's projection of a batch is always a new array, and
 ``ConvexSet._reflect``, the one reflection formula 2 P(x) - x, doubles it
-and subtracts x in place; what a user subclass's _project returns is never
-written into.
+and subtracts x in place (``ConvexSet._reflect_projection``, which the
+sampled check suites also apply to the projection images they share);
+what a user subclass's _project returns is never written into.
 
 Every kind also measures the distances from x to a whole family of its
 sets at once, from data stacked into matrices (``_family_distances``;
@@ -111,10 +112,18 @@ class ConvexSet(ABC):
         subclass's may be an array it keeps, so neither is written into."""
         p = self._project(x)
         if x.ndim > 1 and type(self) in _BUILT_IN:
-            p *= 2.0
-            p -= x
-            return p
+            return ConvexSet._reflect_projection(p, x)
         return 2.0 * p - x
+
+    @staticmethod
+    def _reflect_projection(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """2 p - x for p = P(x), formed in p, which the caller owns and gives
+        up: the reflections of a batch are its projections, doubled and less
+        x in place. The sampled check suites turn a set's shared projection
+        images into its reflection images with it."""
+        p *= 2.0
+        p -= x
+        return p
 
     @abstractmethod
     def _project(self, x: np.ndarray) -> np.ndarray:

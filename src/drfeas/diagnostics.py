@@ -10,25 +10,31 @@ asymptotic regularity series and converging runs.
 Each check draws its pairs in order from one generator seeded with
 ``seed``, so a check with fewer samples sees a prefix of the pairs of one
 with more. The draw is split once into two read-only, C-contiguous
-(samples, d) batches, the first points and the second points, and a
-one-entry memo keyed by (d, samples, scale, seed) hands the same two
-batches to every later check with that key: the checks of a suite, which
-share one dimension and one (samples, scale, seed), draw one sample between
-them. ``repro.run_check_suite`` empties the memo when it returns; a check
-called on its own keeps its last sample until the next draw. A check
+(samples, d) batches, the first points x and the second points y, and a
+one-entry memo keyed by (d, samples, scale, seed) keeps them, with the
+per-row max(||x||, ||y||) and x - y of the draw, also read-only, for every
+later check with that key: the checks of a suite, which share one dimension
+and one (samples, scale, seed), draw one sample and measure its norms
+between them. ``repro.run_check_suite`` empties the memo when it returns; a
+check called on its own keeps its last sample until the next draw. A check
 evaluates all its pairs at once: one ``T._apply`` call on the batch of
 first points and one on the batch of second points, then per-row inner
-products and norms. Each scaled difference, (Tx - Ty) * unit or
-(x - y) * unit, is formed in one new array: the draws and the images are
-only read. The checks share one report function, and the firm and plain
-ones each one violation function of the batches and their images.
+products and norms. Each scaled difference of images, (Tx - Ty) * unit, is
+formed in one new array: the draws and the images are only read. The
+checks share one report function, and the firm and plain ones each one
+violation function of the sample and the images.
 
-A suite checks a DR operator T = (Id + V) / 2 and its composite reflection
-V together (``_check_dr_pair``), from one reflection chain per batch:
-V's images, made by the same ``ConvexSet._reflect`` calls as T's, give V's
-report, and ``DrOperator._average``, the average of ``T._apply``, then
-turns them in place into T's images for T's report. Both reports have the
-bits of the public checks called on T and on V alone.
+A suite checks the operators that start by projecting onto one built-in
+set C together (``_check_set_group``), from one projection of each batch
+onto C: P(C)'s reports read those images, ``ConvexSet._reflect_projection``
+then turns them in place into R(C)'s images for R(C)'s reports, and every
+DR operator T = (Id + V) / 2 whose first set is C continues its reflection
+chain from R(C)'s images, never writing into them. A DR operator and its
+composite reflection V are checked together from one reflection chain per
+batch (``_dr_pair_reports``): V's images give V's report, and
+``DrOperator._average``, the average of ``T._apply``, then turns them in
+place into T's images for T's report. Every report has the bits of the
+public check called on its operator alone.
 
 Violations are relative, so that one tolerance serves every sampling
 scale. With M = max(||x||, ||y||, ||Tx||, ||Ty||) for a pair, a firm
@@ -53,9 +59,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .convex import ConvexSet
 from .operators import DrOperator, Operator
 from .solver import FeasibilityProblem
 from .space import Point, _checked_coords, _integer, _norm, _row_dots, _row_norms
@@ -74,9 +82,19 @@ class PropertyReport:
     passed: bool
 
 
-def _pairs(dim: int, samples: int, scale: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sampled pairs of a check as two (samples, dim) batches, first
-    points and second points, after validating its parameters."""
+class _Sample(NamedTuple):
+    """A check's draw, all read-only: the batches of first points x and
+    second points y, per row max(||x||, ||y||) as space._row_norms measures
+    it, and x - y."""
+
+    x: np.ndarray
+    y: np.ndarray
+    norms: np.ndarray
+    diff: np.ndarray
+
+
+def _pairs(dim: int, samples: int, scale: float, seed: int) -> _Sample:
+    """The sampled pairs of a check, after validating its parameters."""
     samples = _integer(samples, "samples", CheckParameterError, 1)
     seed = _integer(seed, "seed", CheckParameterError, 0)
     if not (0.0 < 2.0 * scale < math.inf):  # numpy draws from a range 2 * scale wide
@@ -85,31 +103,48 @@ def _pairs(dim: int, samples: int, scale: float, seed: int) -> tuple[np.ndarray,
 
 
 @functools.lru_cache(maxsize=1)
-def _draw_pairs(dim: int, samples: int, scale: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_pairs(dim: int, samples: int, scale: float, seed: int) -> _Sample:
     """One generator draws the pairs in order, as one (samples, 2, dim)
     array, so the first k pairs of an n-sample draw are those of a k-sample
     draw; its first and second points are then copied out once, each into a
-    read-only C-contiguous batch. The one-entry memo holds the last draw: it
-    serves every check of a suite, and run_check_suite clears it."""
+    read-only C-contiguous batch, and their norms and difference are taken
+    once. The one-entry memo holds the last draw: it serves every check of a
+    suite, and run_check_suite clears it.
+
+    x, y and x - y are the three planes of one block. One large allocation,
+    not three, keeps a suite's page faults down: glibc maps a block that
+    size on its own, and once one is unmapped, it keeps up to twice that of
+    free heap instead of returning it to the system, so the image arrays of
+    one group of checks reuse the pages of the last (an AC-1 suite at d=50
+    faults about 950 times instead of about 2700)."""
     P = np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, dim))
-    x, y = np.ascontiguousarray(P[:, 0]), np.ascontiguousarray(P[:, 1])
-    x.setflags(write=False)
-    y.setflags(write=False)
-    return x, y
+    block = np.empty((3, samples, dim))
+    block[:2] = P.transpose(1, 0, 2)
+    np.subtract(block[0], block[1], out=block[2])
+    block.setflags(write=False)
+    x, y, diff = block
+    sample = _Sample(x, y, _max_norms(x, y), diff)
+    sample.norms.setflags(write=False)
+    return sample
 
 
-def _scale(*batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row i, M 2^-e and the column of factors 2^-e, where M is the
-    largest norm of row i in any batch, as space._row_norms measures it, and
-    2^e is the power of two with M 2^-e in [0.5, 1), or 2^-1023 if that is
-    smaller (a subnormal M). Multiplying by 2^-e is exact, and inner
-    products of rows so scaled cannot overflow. An all-zero row reads M = 1,
-    so it reads 0. A row whose M is inf (a <v, v> overflows) takes 2^e from
-    its largest |coordinate| instead, as space._scaled picks it, and M 2^-e
-    from the scaled rows. A batch of one row broadcasts."""
-    M = 0.0
+def _max_norms(*batches: np.ndarray, M=0.0) -> np.ndarray:
+    """Per row, the largest of M and the norms of that row in the batches,
+    as space._row_norms measures them. A batch of one row broadcasts."""
     for b in batches:
         M = np.maximum(M, _row_norms(b))
+    return M
+
+
+def _scale(M: np.ndarray, *batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i, M 2^-e and the column of factors 2^-e, where M, from
+    _max_norms, is the largest norm of row i in any batch, and 2^e is the
+    power of two with M 2^-e in [0.5, 1), or 2^-1023 if that is smaller (a
+    subnormal M). Multiplying by 2^-e is exact, and inner products of rows
+    so scaled cannot overflow. An all-zero row reads M = 1, so it reads 0. A
+    row whose M is inf (a <v, v> overflows) takes 2^e from its largest
+    |coordinate| instead, as space._scaled picks it, and M 2^-e from the
+    scaled rows. A batch of one row broadcasts."""
     M = np.where(M == 0.0, 1.0, M)
     # a NaN M gives 1: left unscaled
     unit = np.ldexp(1.0, np.minimum(-np.frexp(M)[1], 1023))
@@ -131,10 +166,10 @@ def _scaled_difference(a: np.ndarray, b: np.ndarray, unit: np.ndarray) -> np.nda
     return out
 
 
-def _firm_violation(x: np.ndarray, y: np.ndarray, Tx: np.ndarray, Ty: np.ndarray) -> np.ndarray:
+def _firm_violation(sample: _Sample, Tx: np.ndarray, Ty: np.ndarray) -> np.ndarray:
     """Per pair, ||Tx - Ty||^2 - <Tx - Ty, x - y> relative to M ||x - y||."""
-    M, unit = _scale(x, y, Tx, Ty)
-    dT, d = _scaled_difference(Tx, Ty, unit), _scaled_difference(x, y, unit)
+    M, unit = _scale(_max_norms(Tx, Ty, M=sample.norms), sample.x, sample.y, Tx, Ty)
+    dT, d = _scaled_difference(Tx, Ty, unit), sample.diff * unit
     excess = _row_dots(dT, dT) - _row_dots(dT, d)
     # A pair drawn twice, or so close that ||x - y|| underflows, has
     # ||x - y|| = 0; its excess is 0 then, or NaN from a non-finite image
@@ -142,11 +177,10 @@ def _firm_violation(x: np.ndarray, y: np.ndarray, Tx: np.ndarray, Ty: np.ndarray
     return np.divide(excess, bound, out=excess, where=bound > 0.0)
 
 
-def _plain_violation(x: np.ndarray, y: np.ndarray, Tx: np.ndarray, Ty: np.ndarray) -> np.ndarray:
+def _plain_violation(sample: _Sample, Tx: np.ndarray, Ty: np.ndarray) -> np.ndarray:
     """Per pair, ||Tx - Ty|| - ||x - y|| relative to M."""
-    M, unit = _scale(x, y, Tx, Ty)
-    return (_row_norms(_scaled_difference(Tx, Ty, unit))
-            - _row_norms(_scaled_difference(x, y, unit))) / M
+    M, unit = _scale(_max_norms(Tx, Ty, M=sample.norms), sample.x, sample.y, Tx, Ty)
+    return (_row_norms(_scaled_difference(Tx, Ty, unit)) - _row_norms(sample.diff * unit)) / M
 
 
 def _report(name: str, violation: np.ndarray, tol: float) -> PropertyReport:
@@ -156,6 +190,13 @@ def _report(name: str, violation: np.ndarray, tol: float) -> PropertyReport:
     so the check fails."""
     worst = float(np.max(violation, initial=0.0))
     return PropertyReport(name, len(violation), worst, tol, worst <= tol)
+
+
+def _check(name: str, firm: bool, sample: _Sample, Tx: np.ndarray, Ty: np.ndarray,
+           tol: float) -> PropertyReport:
+    """The report of a firm check, or else a plain one, on the images of
+    the sample."""
+    return _report(name, (_firm_violation if firm else _plain_violation)(sample, Tx, Ty), tol)
 
 
 def check_firmly_nonexpansive(
@@ -169,8 +210,8 @@ def check_firmly_nonexpansive(
     """Worst violation of <Tx - Ty, x - y> >= ||Tx - Ty||^2 over sampled
     pairs, relative to M ||x - y||."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = _pairs(T.dim, samples, scale, seed)
-        return _report(name, _firm_violation(x, y, T._apply(x), T._apply(y)), tol)
+        sample = _pairs(T.dim, samples, scale, seed)
+        return _check(name, True, sample, T._apply(sample.x), T._apply(sample.y), tol)
 
 
 def check_nonexpansive(
@@ -184,8 +225,20 @@ def check_nonexpansive(
     """Worst violation of ||Tx - Ty|| <= ||x - y|| over sampled pairs,
     relative to M."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = _pairs(T.dim, samples, scale, seed)
-        return _report(name, _plain_violation(x, y, T._apply(x), T._apply(y)), tol)
+        sample = _pairs(T.dim, samples, scale, seed)
+        return _check(name, False, sample, T._apply(sample.x), T._apply(sample.y), tol)
+
+
+def _dr_pair_reports(T: DrOperator, sample: _Sample, Vx: np.ndarray, Vy: np.ndarray,
+                     t_name: str, v_name: str, tol: float) -> list[PropertyReport]:
+    """The firm report of a DR operator T and the plain one of V, the
+    composite reflection over its sets, from V's images of the sample,
+    which the caller gives up: V's report reads them, and T._average then
+    turns them in place into T's, since T = (Id + V) / 2. T's report comes
+    first."""
+    v_report = _check(v_name, False, sample, Vx, Vy, tol)
+    Tx, Ty = T._average(Vx, sample.x), T._average(Vy, sample.y)
+    return [_check(t_name, True, sample, Tx, Ty, tol), v_report]
 
 
 def _check_dr_pair(
@@ -194,16 +247,49 @@ def _check_dr_pair(
 ) -> list[PropertyReport]:
     """check_firmly_nonexpansive of a DR operator T and check_nonexpansive
     of V, the composite reflection over T's sets, bit for bit, from one
-    reflection chain per batch: V's report reads V's images, which
-    T._average then turns in place into T's, since T = (Id + V) / 2. The
-    reports come T first."""
+    reflection chain per batch (_dr_pair_reports)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x, y = _pairs(T.dim, samples, scale, seed)
-        Vx, Vy = V._apply(x), V._apply(y)
-        v_report = _report(v_name, _plain_violation(x, y, Vx, Vy), tol)
-        Tx, Ty = T._average(Vx, x), T._average(Vy, y)
-        t_report = _report(t_name, _firm_violation(x, y, Tx, Ty), tol)
-    return [t_report, v_report]
+        sample = _pairs(T.dim, samples, scale, seed)
+        return _dr_pair_reports(T, sample, V._apply(sample.x), V._apply(sample.y),
+                                t_name, v_name, tol)
+
+
+def _check_set_group(
+    c: ConvexSet, projections, reflections, pairs,
+    samples: int, scale: float, seed: int, tol: float = 1e-10,
+) -> dict:
+    """The checks of the operators that project onto a built-in set c
+    first, each report bit for bit that of check_firmly_nonexpansive or
+    check_nonexpansive on its operator alone, from one c._project call per
+    batch. projections and reflections hold a (key, name, firm) triple per
+    check of P(c) or R(c), firm for check_firmly_nonexpansive, and pairs a
+    (key, T, t_name, v_name) quadruple per DR operator T whose T.sets[0] is
+    c, checked with its composite reflection V. P(c)'s reports read the
+    projection images; ConvexSet._reflect_projection then turns them in
+    place into R(c)'s images for R(c)'s reports; and each DR chain goes on
+    from those through T.sets[1:] (_dr_pair_reports). No chain writes into
+    R(c)'s images: a one-set chain copies them. Returns each key's reports
+    as a list, T's first."""
+    reports = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        sample = _pairs(c.dim, samples, scale, seed)
+        x, y = sample.x, sample.y
+        Px, Py = c._project(x), c._project(y)
+        for key, name, firm in projections:
+            reports[key] = [_check(name, firm, sample, Px, Py, tol)]
+        Rx, Ry = ConvexSet._reflect_projection(Px, x), ConvexSet._reflect_projection(Py, y)
+        for key, name, firm in reflections:
+            reports[key] = [_check(name, firm, sample, Rx, Ry, tol)]
+        for key, T, t_name, v_name in pairs:
+            Vx, Vy = Rx, Ry
+            for s in T.sets[1:]:  # the chain of x, then that of y
+                Vx = s._reflect(Vx)
+            for s in T.sets[1:]:
+                Vy = s._reflect(Vy)
+            if Vx is Rx:  # a one-set chain, whose average would write into Rx
+                Vx, Vy = Rx.copy(), Ry.copy()
+            reports[key] = _dr_pair_reports(T, sample, Vx, Vy, t_name, v_name, tol)
+    return reports
 
 
 def check_quasi_nonexpansive(
@@ -222,7 +308,7 @@ def check_quasi_nonexpansive(
     q = _checked_coords(p, T.dim, "operator")
     with np.errstate(over="ignore", invalid="ignore"):
         Tq = T._apply(q)
-        M, unit = _scale(q[None], Tq[None])
+        M, unit = _scale(_max_norms(q[None], Tq[None]), q[None], Tq[None])
         residual = float(_row_norms((Tq - q) * unit)[0] / M[0])
     if not residual <= tol:  # a NaN residual is no fixed point either
         raise CheckParameterError(
@@ -230,9 +316,9 @@ def check_quasi_nonexpansive(
             f"{residual:.3e} exceeds tol {tol:.3e}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        x, _ = _pairs(T.dim, samples, scale, seed)
+        x = _pairs(T.dim, samples, scale, seed).x
         Tx = T._apply(x)
-        M, unit = _scale(x, Tx, q[None])
+        M, unit = _scale(_max_norms(x, Tx, q[None]), x, Tx, q[None])
         return _report(name, (_row_norms(_scaled_difference(Tx, q, unit))
                               - _row_norms(_scaled_difference(x, q, unit))) / M, tol)
 

@@ -24,10 +24,20 @@ from .control import (
     window,
     windows_quasi_periodic,
 )
-from .convex import SET_KINDS, AffineSubspace, Ball, Box, ConvexSet, Halfspace, Hyperplane
+from .convex import (
+    _BUILT_IN,
+    SET_KINDS,
+    AffineSubspace,
+    Ball,
+    Box,
+    ConvexSet,
+    Halfspace,
+    Hyperplane,
+)
 from .diagnostics import (
     PropertyReport,
     _check_dr_pair,
+    _check_set_group,
     _draw_pairs,
     asymptotic_regularity_series,
     check_firmly_nonexpansive,
@@ -80,7 +90,9 @@ CATALOG_DIMS = (2, 5, 50)
 class DrPair:
     """A check-suite entry: a DR operator T, checked firmly nonexpansive,
     and V = 2T - Id, the composite reflection over its sets, checked
-    nonexpansive."""
+    nonexpansive, both from one reflection chain per batch. The chain
+    starts from the images of T.sets[0]'s reflection that the suite's
+    P(C) and R(C) of that set share, when it is a built-in set."""
 
     __slots__ = ("t_label", "T", "v_label", "V")
 
@@ -89,34 +101,69 @@ class DrPair:
         self.v_label, self.V = v_label, composite_reflection(T.sets)
 
 
+def _name(label: str, firm: bool) -> str:
+    return f"firmly_nonexpansive[{label}]" if firm else f"nonexpansive[{label}]"
+
+
+def _first_set(entry) -> ConvexSet | None:
+    """The set that a suite entry's operator projects onto first, which
+    run_check_suite groups the entry by: c for Projection(c) and
+    Reflection(c), and T.sets[0] for a DrPair. None for every other entry,
+    and for a set of a user subclass, whose entries run on their own."""
+    if isinstance(entry, DrPair):
+        c = entry.T.sets[0]
+    else:
+        op = entry[1]
+        c = op.set_ if type(op) in (Projection, Reflection) else None
+    return c if type(c) in _BUILT_IN else None
+
+
+def _check_alone(entry, samples: int, scale: float, seed: int) -> list[PropertyReport]:
+    """The reports of an entry checked on its own: a DrPair's from one
+    reflection chain per batch, a triple's from its public check."""
+    if isinstance(entry, DrPair):
+        return _check_dr_pair(entry.T, entry.V, samples, scale, seed,
+                              _name(entry.t_label, True), _name(entry.v_label, False))
+    label, op, firm = entry
+    check = check_firmly_nonexpansive if firm else check_nonexpansive
+    return [check(op, samples, scale, seed, name=_name(label, firm))]
+
+
 def run_check_suite(suite, samples: int, scale: float, seed: int) -> list[PropertyReport]:
     """The reports of a check suite, in its order: one per (label, operator,
     firm) triple, firmly_nonexpansive[label] when firm, else
     nonexpansive[label], and two per DrPair, firmly_nonexpansive[t_label]
     then nonexpansive[v_label]. `drfeas check` and AC-1 both run here.
-    Each report has the bits of the public check of its operator alone, but
-    a DrPair applies its reflection chain once per batch: V's images are
-    averaged in place into T's once V's report has read them, so the pair
-    holds one pair of images at a time. Checks of one dimension share one
+    Each report has the bits of the public check of its operator alone.
+    The entries that project onto one built-in set C first, P(C), R(C) and
+    every DrPair whose T.sets[0] is C, are checked together when the first
+    of them comes up, from one projection of each batch onto C; their
+    images are let go before the next entry is checked. Every other entry
+    is checked on its own, in its turn. Checks of one dimension share one
     draw of the pairs, which is let go when the suite returns or raises."""
-    reports = []
+    suite = list(suite)
+    firsts = [_first_set(entry) for entry in suite]
+    # per set, the (key, name, firm) triples of its P and R checks and the
+    # (key, T, t_name, v_name) quadruples of its DR pairs
+    groups: dict[ConvexSet, tuple[list, list, list]] = {}
+    for i, (c, entry) in enumerate(zip(firsts, suite)):
+        if c is None:
+            continue
+        projections, reflections, pairs = groups.setdefault(c, ([], [], []))
+        if isinstance(entry, DrPair):
+            pairs.append((i, entry.T, _name(entry.t_label, True), _name(entry.v_label, False)))
+        else:
+            label, op, firm = entry
+            (projections if type(op) is Projection else reflections).append(
+                (i, _name(label, firm), firm))
+    reports: dict[int, list[PropertyReport]] = {}
     try:
-        for entry in suite:
-            if isinstance(entry, DrPair):
-                reports += _check_dr_pair(
-                    entry.T, entry.V, samples, scale, seed,
-                    f"firmly_nonexpansive[{entry.t_label}]", f"nonexpansive[{entry.v_label}]",
-                )
-            else:
-                label, op, firm = entry
-                reports.append(
-                    check_firmly_nonexpansive(op, samples, scale, seed,
-                                              name=f"firmly_nonexpansive[{label}]")
-                    if firm
-                    else check_nonexpansive(op, samples, scale, seed,
-                                            name=f"nonexpansive[{label}]")
-                )
-        return reports
+        for i, (c, entry) in enumerate(zip(firsts, suite)):
+            if c is None:
+                reports[i] = _check_alone(entry, samples, scale, seed)
+            elif c in groups:
+                reports.update(_check_set_group(c, *groups.pop(c), samples, scale, seed))
+        return [rep for i in range(len(suite)) for rep in reports[i]]
     finally:
         _draw_pairs.cache_clear()
 

@@ -486,6 +486,99 @@ def test_suite_reports_equal_standalone_checks_on_windows_with_a_user_set():
         assert out.tobytes() == copy.tobytes()
 
 
+def _grouped_suite(case):
+    """A suite of entries that share their first set, in an order a suite
+    of drfeas check or AC-1 never has, and the user sets among them."""
+    # most sampled points lie outside the ball, so that its reflection and
+    # its DR average move most rows
+    ball, box = Ball([0.25, 0.0, -0.5], 0.25), Box([-1.0, -1.0, -1.0], [0.5, 0.5, 2.0])
+    halfspace = Halfspace([1.0, 1.0, 0.0], 0.5)
+    if case == "one_set_window_first":
+        # The one-set window comes before the group's P, R and two-set
+        # window, but is checked after them; a later one-set window then
+        # reads the same R images again.
+        return [
+            DrPair("T1", "V1", DrOperator([ball])),
+            ("P", Projection(ball), True),
+            ("R", Reflection(ball), False),
+            DrPair("T2", "V2", DrOperator([ball, halfspace])),
+            DrPair("T3", "V3", DrOperator([ball])),
+            DrPair("T4", "V4", DrOperator([ball, box, ball])),
+        ], []
+    if case == "reflection_before_projection":
+        return [
+            ("R(ball)", Reflection(ball), False),
+            ("R(box), firm", Reflection(box), True),
+            ("P(ball)", Projection(ball), True),
+            ("P(box), plain", Projection(box), False),
+            DrPair("T", "V", DrOperator([box, ball])),
+        ], []
+    keeper = Keeper([0.5, -0.25, 1.0])
+    return [
+        DrPair("T1", "V1", DrOperator([keeper, ball])),
+        ("P(keeper)", Projection(keeper), True),
+        ("P(ball)", Projection(ball), True),
+        ("R(keeper)", Reflection(keeper), False),
+        DrPair("T2", "V2", DrOperator([ball, keeper, halfspace])),
+        DrPair("T3", "V3", DrOperator([keeper, keeper])),
+    ], [keeper]
+
+
+@pytest.mark.parametrize(
+    "case", ["one_set_window_first", "reflection_before_projection", "keeper_first"])
+def test_grouped_suites_equal_standalone_checks(case, monkeypatch):
+    # The images each report reads are compared too: a sampled check of a
+    # nonexpansive operator reads a worst violation of 0 from most wrong
+    # images as well.
+    images, real = {}, diagnostics._check
+
+    def spy(name, firm, sample, Tx, Ty, tol):
+        images[name] = (Tx.tobytes(), Ty.tobytes())
+        return real(name, firm, sample, Tx, Ty, tol)
+
+    monkeypatch.setattr(diagnostics, "_check", spy)
+    suite, keepers = _grouped_suite(case)
+    args = (100, 2.0, 5)
+    reports = run_check_suite(suite, *args)
+    grouped = dict(images)
+    assert _bits(reports) == _bits(_standalone(suite, *args))
+    assert len(grouped) == len(reports) and grouped == images
+    for keeper in keepers:
+        assert keeper.kept
+        for out, copy in keeper.kept:
+            assert out.tobytes() == copy.tobytes()
+
+
+def test_suites_of_other_seeds_and_dimensions_read_their_own_draw():
+    # The draw's norms and x - y belong to its key: a suite that follows
+    # another of the same dimension and another seed, or of another
+    # dimension, reads none of them.
+    for dim, seed, samples in [(3, 1, 60), (3, 2, 60), (4, 2, 60), (4, 2, 80), (3, 1, 60)]:
+        sets = [Ball(np.linspace(-0.5, 0.5, dim), 1.0), Halfspace(np.ones(dim), 0.25)]
+        suite = [("P", Projection(sets[0]), True), ("R", Reflection(sets[1]), False),
+                 DrPair("T", "V", DrOperator(sets))]
+        args = (samples, 3.0, seed)
+        assert _bits(run_check_suite(suite, *args)) == _bits(_standalone(suite, *args))
+
+
+class HalfTurn(Operator):
+    """x -> -x/2: ||Tx - Ty||^2 - <Tx - Ty, x - y> = 0.75 ||x - y||^2, and
+    both images are shorter than the pair's longer point."""
+
+    def _apply(self, x):
+        return -0.5 * x
+
+
+def test_violations_are_relative_to_the_largest_norm_of_a_pair():
+    samples, scale, seed = 300, 3.0, 4
+    P = np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, 3))
+    x, y = P[:, 0], P[:, 1]
+    M = np.maximum(np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1))
+    expected = np.max(0.75 * np.linalg.norm(x - y, axis=1) / M)
+    rep = check_firmly_nonexpansive(HalfTurn(3), samples, scale, seed)
+    assert rep.worst_violation == pytest.approx(expected, rel=1e-12)
+
+
 class Recorder(Operator):
     """The identity, keeping every array it is applied to."""
 
