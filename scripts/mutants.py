@@ -68,6 +68,20 @@ MUTANTS = [
            "            w = w[-1:] + new\n            yield w\n",
            "        for w in zip(*[indices] * r):\n            yield w\n",
            ("tests/test_control.py::test_window_run_slices_into_one_step_windows",)),
+    # A RandomBlock block keeps the draws of numpy's public calls.
+    Mutant("block_shuffles_short_prefix", "src/drfeas/control.py",
+           "rng.shuffle(vals[:m])", "rng.shuffle(vals[:m - 1])",
+           ("tests/test_control.py::test_block_pattern_draws_the_reference_stream",)),
+    Mutant("block_without_final_shuffle", "src/drfeas/control.py",
+           "    rng.shuffle(vals)\n", "",
+           ("tests/test_control.py::test_block_pattern_draws_the_reference_stream",)),
+    Mutant("seed_words_low_word_only", "src/drfeas/control.py",
+           "        while n := n >> 32:\n            words.append(n & 0xFFFFFFFF)\n", "",
+           ("tests/test_control.py::test_block_pattern_draws_the_reference_stream",)),
+    Mutant("block_arange_outside_try", "src/drfeas/control.py",
+           "    try:\n        vals = np.arange(1, M + 1)\n",
+           "    vals = np.arange(1, M + 1)\n    try:\n",
+           ("tests/test_control.py::test_random_block_parameter_validation",)),
     Mutant("block_groups_overlap", "src/drfeas/control.py",
            "g, k, skip = g + k,", "g, k, skip = g + 1,",
            ("tests/test_control.py::test_indices_is_index_at_over_a_run",)),
@@ -90,6 +104,14 @@ MUTANTS = [
     Mutant("ball_reflect_always_x_plus_zero", "src/drfeas/convex.py",
            "return x + 0.0 if self._doubles else 2.0 * x - x", "return x + 0.0",
            ("tests/test_in_place.py",)),
+    Mutant("ball_reflect_doubles_before_center", "src/drfeas/convex.py",
+           "        v += self.center\n        v *= 2.0\n",
+           "        v *= 2.0\n        v += self.center\n",
+           ("tests/test_in_place.py",)),
+    Mutant("ball_reflect_without_scaled_branch", "src/drfeas/convex.py",
+           "        if d == math.inf:  # as in _project\n", "        if False:\n",
+           ("tests/test_in_place.py::"
+            "test_ball_reflects_a_point_whose_offset_overflows_at_a_power_of_two",)),
     Mutant("reflect_in_place_without_type_test", "src/drfeas/convex.py",
            "if x.ndim > 1 and type(self) in _BUILT_IN:", "if x.ndim > 1:",
            ("tests/test_in_place.py",)),
@@ -142,6 +164,19 @@ MUTANTS = [
     Mutant("measure_never_nan", "src/drfeas/solver.py",
            "            return dists[-1] != dists[-1]\n", "            return False\n",
            ("tests/test_solver.py",)),
+    Mutant("finite_check_misses_nan", "src/drfeas/solver.py",
+           "if not math.isfinite(out.max()):", "if out.max() == math.inf:",
+           ("tests/test_convex.py::test_a_stacked_entry_that_is_not_finite_is_taken_again_from_its_set",)),
+    Mutant("finite_check_by_min", "src/drfeas/solver.py",
+           "if not math.isfinite(out.max()):", "if not math.isfinite(out.min()):",
+           ("tests/test_convex.py", "tests/test_solver.py")),
+    Mutant("certifier_residual_skipped", "src/drfeas/solver.py",
+           "residual = None if certifier is None else _certifier_residual(certifier, x_next)",
+           "residual = None",
+           ("tests/test_solver.py::test_certifier_residual_reported",)),
+    Mutant("step_ids_from_one", "src/drfeas/solver.py",
+           'map("S{}".format, count())', 'map("S{}".format, count(1))',
+           ("tests/test_golden.py",)),
     Mutant("grouping_by_isinstance", "src/drfeas/solver.py",
            "if type(c) in _BUILT_IN else _each_distance",
            "if isinstance(c, ConvexSet) else _each_distance",

@@ -14,7 +14,10 @@ start, start + 1, ... without end, and ``_windows`` slides the DR windows
 over one such stream. ``index_at`` answers a single step. A RandomBlock
 stream draws each block once, in groups that grow from one block to at
 least ``_GROUP`` indices, as it reaches the group, and keeps only that
-group.
+group. A block's indices are those numpy draws from
+``default_rng([seed, block])``, a permutation of 1..m, then M - m uniform
+indices, shuffled together; ``_block_pattern`` makes the same draws with
+fewer calls, so the stream is the one it always was.
 
 ``is_quasi_periodic`` verifies M-quasi-periodicity (every window of M
 consecutive values covers the full range) over a finite horizon only; it is
@@ -126,14 +129,29 @@ class Explicit(ControlMap):
 _GROUP = 128
 
 
+def _seed_words(*values: int) -> np.ndarray:
+    """The uint32 array numpy's SeedSequence makes of a list of ints >= 0:
+    each value's 32-bit words, lowest first, and one word for 0."""
+    words = []
+    for n in values:
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return np.array(words, np.uint32)
+
+
 def _block_pattern(m: int, M: int, seed: int, block: int) -> tuple[int, ...]:
     # Counter-based: each block's content depends only on (seed, block), so
-    # a block is drawn alone, in any order, with no shared RNG state.
-    rng = np.random.default_rng([seed, block])
+    # a block is drawn alone, in any order, with no shared RNG state. The
+    # draws are default_rng([seed, block])'s permutation(m) + 1 and
+    # integers(1, m + 1, size=M - m), shuffled together, by fewer calls: the
+    # generator is seeded with the words SeedSequence makes of [seed, block],
+    # and permutation(m) is a shuffle of arange(m), here shuffled in place.
+    rng = np.random.Generator(np.random.PCG64(_seed_words(seed, block)))
     try:
-        vals = np.concatenate(
-            [rng.permutation(m) + 1, rng.integers(1, m + 1, size=M - m)]
-        )
+        vals = np.arange(1, M + 1)
+        rng.shuffle(vals[:m])
+        vals[m:] = rng.integers(1, m + 1, size=M - m)
     except ValueError as exc:  # numpy refuses the size before allocating it
         raise InvalidControl(f"cannot draw a block of length M={M}: {exc}") from exc
     rng.shuffle(vals)

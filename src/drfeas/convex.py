@@ -300,7 +300,9 @@ class Ball(ConvexSet):
     def _reflect(self, x: np.ndarray) -> np.ndarray:
         """A single point is reflected with the arithmetic of 2 P(x) - x and
         no call to _project; inside a ball whose points double without
-        overflow, that is x + 0.0. A batch, or a subclass's point, takes
+        overflow, that is x + 0.0. Outside, 2 (c + (r / d) v) - x is formed
+        in place in v = x - c (or its scaled form), a new array, with the
+        same roundings. A batch, or a subclass's point, takes
         ConvexSet._reflect."""
         if x.ndim > 1 or type(self) is not Ball:
             return super()._reflect(x)
@@ -312,7 +314,11 @@ class Ball(ConvexSet):
             _, y, c = _scaled(x, self.center)
             v = y - c
             d = _norm(v)
-        return 2.0 * (self.center + (self.radius / d) * v) - x
+        v *= self.radius / d
+        v += self.center
+        v *= 2.0
+        v -= x
+        return v
 
     def _project_rows(self, x: np.ndarray) -> np.ndarray:
         """_project on a (..., d) batch: rows inside the ball stay, the others

@@ -92,7 +92,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -259,7 +259,9 @@ class FeasibilityProblem:
         from one point, a vector; from a (..., d) batch, a (..., m) array
         whose rows have the bits of their points' vectors."""
         out = np.concatenate([family(x) for family in self._families], axis=-1)
-        if not np.isfinite(out).all():
+        # one reduction: NaN and +inf carry through max, and no built-in
+        # entry is ever -inf
+        if not math.isfinite(out.max()):
             # Overflow and NaN stay the business of each set's own _distance,
             # which gave the entries of a user subclass already.
             for *row, j in zip(*np.nonzero(~np.isfinite(out))):
@@ -410,7 +412,7 @@ def _iterate(
                 residual = trace.certifier_residuals[-1]
             else:
                 x_next.setflags(write=False)
-                residual = _certifier_residual(certifier, x_next)
+                residual = None if certifier is None else _certifier_residual(certifier, x_next)
             add_iterate(x_next)
             add_disp(disp)
             add_id(op_id)
@@ -440,7 +442,7 @@ def run_unrestricted_dr(
     certifier: Operator | None = None,
 ) -> IterationTrace:
     """Per-step DR scheme: x_n = S_{n-1} x_{n-1} over control windows."""
-    steps = ((S, f"S{n}") for n, S in enumerate(_window_operators(problem, f, r)))
+    steps = zip(_window_operators(problem, f, r), map("S{}".format, count()))
     return _iterate(steps, problem.dim, x0, stop, problem, certifier, False)
 
 

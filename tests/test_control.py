@@ -69,6 +69,25 @@ def test_random_block_deterministic_and_seed_sensitive():
     assert a != c
 
 
+def reference_block(m, M, seed, block):
+    """A RandomBlock block by numpy's public calls: a permutation of 1..m and
+    M - m uniform indices from default_rng([seed, block]), shuffled."""
+    rng = np.random.default_rng([seed, block])
+    vals = np.concatenate([rng.permutation(m) + 1, rng.integers(1, m + 1, size=M - m)])
+    rng.shuffle(vals)
+    return tuple(vals.tolist())
+
+
+@pytest.mark.parametrize("m, M", [(1, 1), (1, 4), (3, 3), (3, 4), (6, 12), (5, 40)])
+def test_block_pattern_draws_the_reference_stream(m, M):
+    # Seeds and blocks at and across the 32-bit word boundaries by which
+    # numpy's SeedSequence reads an integer.
+    values = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)
+    for seed in values:
+        for block in values:
+            assert control._block_pattern(m, M, seed, block) == reference_block(m, M, seed, block)
+
+
 def test_random_block_parameter_validation():
     with pytest.raises(InvalidControl):
         RandomBlock(3, 2, 0)  # M < m

@@ -485,6 +485,28 @@ def test_built_in_kinds_are_measured_by_their_families_and_a_subclass_by_itself(
     assert np.allclose(out[:, :-1], expected, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_stacked_entry_that_is_not_finite_is_taken_again_from_its_set(bad):
+    # A family entry that reads NaN or inf, as a sum of products near the
+    # largest float may, is replaced by its set's own _distance, whose bits a
+    # ball entry has, in the row that holds it; a NaN among finite entries
+    # is found too. The ball's family comes first, the box's second.
+    problem = FeasibilityProblem([Ball([0.5, -1.0, 2.0], 1.25), Box([-1.0] * 3, [1.0] * 3)])
+    X = np.random.default_rng(7).uniform(-3.0, 3.0, size=(4, 3))
+    want = problem._distances(X)
+    ball = problem._families[0]
+
+    def spoiled(x):
+        out = ball(x)
+        out.reshape(-1, 1)[-1, 0] = bad
+        return out
+
+    problem._families = (spoiled, *problem._families[1:])
+    assert problem._distances(X).tobytes() == want.tobytes()
+    for x, row in zip(X, want):
+        assert problem._distances(x).tobytes() == row.tobytes()
+
+
 def test_affine_sets_and_their_family_hold_one_basis_each():
     # Eight 50 x 1000 systems of rank 50 and their problem hold each set's A
     # and orthonormal basis and one stack of every basis: 24 arrays of

@@ -2,9 +2,13 @@
 drift with the machine. A change that raises a pin updates it in the open,
 with its reason."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from drfeas import diagnostics, repro
+import drfeas
+from drfeas import control, diagnostics, problem_io, repro, solver
 from drfeas.cli import _check_suite
 from drfeas.convex import SET_KINDS, _LinearSet
 
@@ -82,3 +86,73 @@ def test_check_norms_on_a_dr_document(check_norms):
     # draw (83 when every report measured the draw again).
     _ac2_check_suite()
     assert len(check_norms) == 2 + 7 * 3 + 8 * 4 == 55
+
+
+PACKAGE = str(Path(drfeas.__file__).resolve().parent)
+
+# Comprehensions that Python 3.12 runs inline, without a frame of their own.
+INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
+
+def _ac4():
+    return repro.load_bundled("ac4_random_block_three_balls.json")
+
+
+def test_ac4_run_counts(monkeypatch):
+    # The bundled AC-4 document: three balls in d=2, RandomBlock(3, 5, 1),
+    # r=2, which converges in 5 steps.
+    blocks, rows, built = [], [], []
+    draw, distances, build = (control._block_pattern,
+                              solver.FeasibilityProblem._distances, solver.dr_operator)
+
+    def drawing(m, M, seed, block):
+        blocks.append(block)
+        return draw(m, M, seed, block)
+
+    def measuring(self, x):
+        rows.append(len(x) if x.ndim > 1 else 1)
+        return distances(self, x)
+
+    def building(sets):
+        built.append(len(sets))
+        return build(sets)
+
+    monkeypatch.setattr(control, "_block_pattern", drawing)
+    monkeypatch.setattr(solver.FeasibilityProblem, "_distances", measuring)
+    monkeypatch.setattr(solver, "dr_operator", building)
+    trace = problem_io.execute_config(*_ac4())
+    assert (trace.terminal_status, trace.iterations) == ("converged_displacement", 5)
+    # the windows read indices 0..5: block 0, then the group of blocks 1-2
+    assert blocks == [0, 1, 2]
+    # the start point alone, then the 4 rows of the 5 steps that do not
+    # repeat their iterate, at the step that stops the run
+    assert rows == [1, 4]
+    # one two-set DR operator per distinct window, and all five differ
+    assert built == [2] * 5
+
+
+def test_ac4_run_python_calls():
+    # Calls of Python functions of the package, generator resumptions
+    # included, in one run of the AC-4 document after a warm-up run of it:
+    # 150, 30.0 per step. Before the leaner small-d step there were 157
+    # (31.4 per step): the step ids came from a generator and each new
+    # iterate called _certifier_residual with no certifier, while a block
+    # draw was one call, not two. Comprehensions are not counted, since
+    # Python 3.12 runs them inline.
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(PACKAGE) and code.co_name not in INLINED:
+            calls += 1
+
+    problem, config = _ac4()
+    problem_io.execute_config(problem, config)
+    sys.setprofile(profile)
+    try:
+        trace = problem_io.execute_config(problem, config)
+    finally:
+        sys.setprofile(None)
+    assert trace.iterations == 5
+    assert calls == 150

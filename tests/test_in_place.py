@@ -57,7 +57,9 @@ def affine_branch(c, X):
 # Each kind with four rows: a member, which a single-point projection may
 # return as it is, a point outside, and two rows that take the kind's
 # power-of-two branch (a Box has none). The affine set passes through the
-# origin, so a point at 1e-308 has W x - c below its floor.
+# origin, so a point at 1e-308 has W x - c below its floor. The last ball
+# row lies farther than the largest float from the center, so that a single
+# point of it takes the branch too.
 CASES = {
     "Halfspace": (Halfspace([1.0, -2.0, 0.5], 0.7), linear_branch,
                   [[0.0, 1.0, 0.0], [3.0, -1.0, 2.0],
@@ -67,7 +69,7 @@ CASES = {
                     [0.0, 1e308, 1e308], [-1e308, 1.2e308, 1e308]]),
     "Ball": (Ball([0.5, -1.0, 2.0], 1.25), ball_branch,
              [[0.5, -1.0, 2.5], [4.0, 4.0, 4.0],
-              [1e200, 1e200, 1e200], [-1e300, 0.0, 1e300]]),
+              [1e200, 1e200, 1e200], [-1.7e308, 0.0, 1.7e308]]),
     "Box": (Box([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0]), None,
             [[0.0, 0.0, 1.0], [3.0, -2.0, 5.0], [1e308, 0.0, -1e308], [-0.0, 0.25, 0.0]]),
     "AffineSubspace": (AffineSubspace([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], [0.0, 0.0]),
@@ -96,16 +98,31 @@ def test_batch_projection_is_a_new_array(kind):
             assert out.flags.writeable and out.shape == batch.shape
 
 
+def set_arrays(c) -> list:
+    """The arrays a set holds (a ball's center, a box's bounds, ...)."""
+    slots = (name for cls in type(c).__mro__ for name in getattr(cls, "__slots__", ()))
+    return [v for v in (getattr(c, name) for name in slots) if isinstance(v, np.ndarray)]
+
+
 @pytest.mark.parametrize("kind", CASES)
 def test_reflection_has_the_bits_of_twice_the_projection_minus_x(kind):
+    # Single points and batches of every row: a member, a point outside and
+    # the power-of-two branch, where a ball's single point is reflected in
+    # the array x - c it forms, or in its scaled form. The result is new,
+    # and neither x nor the set's own arrays are written.
     c, _, rows = CASES[kind]
     X = read_only(rows)
+    held = set_arrays(c)
+    before = [a.tobytes() for a in held]
+    assert held
     with np.errstate(over="ignore", invalid="ignore"):
         for x in (*X, X, X.reshape(2, 2, 3)):
             want = 2.0 * c._project(x) - x
             got = c._reflect(x)
             assert got.tobytes() == want.tobytes()
-            assert not np.shares_memory(got, x)
+            assert not any(np.shares_memory(got, a) for a in (x, *held))
+    assert X.tobytes() == read_only(rows).tobytes()
+    assert [a.tobytes() for a in held] == before
 
 
 def test_ball_reflects_a_member_as_x_plus_zero():
@@ -125,6 +142,23 @@ def test_ball_whose_members_overflow_when_doubled_keeps_two_x_minus_x():
     x = read_only([1.6e308, -0.0])
     with np.errstate(over="ignore", invalid="ignore"):
         assert ball._reflect(x).tobytes() == np.array([math.inf, 0.0]).tobytes()
+
+
+def test_ball_reflects_a_point_whose_offset_overflows_at_a_power_of_two():
+    # x - c overflows, so d is inf, and the single point is reflected from
+    # the scaled offset, in a new array, as 2 P(x) - x is: inf where x - c
+    # overflows, where 0 * (x - c) would read NaN.
+    ball = Ball([1.5e308, 0.0, 0.0], 1.0)
+    center = ball.center.copy()
+    x = read_only([-1.5e308, 1.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isinf(np.linalg.norm(x - ball.center))
+        want = 2.0 * ball._project(x) - x
+        got = ball._reflect(x)
+    assert not np.isnan(got).any() and got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, x) and not np.shares_memory(got, ball.center)
+    assert x.tobytes() == read_only([-1.5e308, 1.0, 0.0]).tobytes()
+    assert ball.center.tobytes() == center.tobytes()
 
 
 def reference_dr(sets, x):
