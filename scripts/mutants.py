@@ -236,6 +236,23 @@ MUTANTS = [
            "                and np.maximum",
            "np.maximum",
            ("tests/test_convex.py", "tests/test_scales.py")),
+    # The dot rule below 8 coordinates, and the scalar reflections on it.
+    Mutant("norm_by_blas_dot_below_small", "src/drfeas/space.py",
+           "        sq = 0.0  # 0.0 + c * c is c * c: the sum from the first square\n"
+           "        for c in x.tolist():\n            sq += c * c\n",
+           "        sq = float(x.dot(x))\n",
+           ("tests/test_space.py::test_norm_follows_the_dot_rule_on_each_side_of_8",)),
+    Mutant("small_is_9", "src/drfeas/space.py",
+           "_SMALL = 8\n", "_SMALL = 9\n",
+           ("tests/test_space.py::test_norm_follows_the_dot_rule_on_each_side_of_8",)),
+    Mutant("row_dots_from_zero", "src/drfeas/space.py",
+           "        s = p[..., 0]  # a view of p, which is summed into it\n"
+           "        for j in range(1, p.shape[-1]):\n",
+           "        s = np.zeros(p.shape[:-1])\n        for j in range(p.shape[-1]):\n",
+           ("tests/test_space.py::test_row_dots_follow_the_dot_rule",)),
+    Mutant("ball_floats_without_fallback", "src/drfeas/convex.py",
+           "        if sq == math.inf or sq < _TINY and any(v):\n            return None\n", "",
+           ("tests/test_small_d.py",)),
     # Trace text compares coordinates by their bits, so 0.0 and -0.0 differ.
     Mutant("trace_diff_by_float_compare", "src/drfeas/problem_io.py",
            "x.view(np.int64) != last.view(np.int64)", "x != last",

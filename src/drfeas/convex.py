@@ -29,19 +29,28 @@ the other kinds it happens only near the largest float. Every power-of-two
 rescale here takes its exponent from ``space._scaled``. A family takes
 one point, giving one distance per set, or a (..., d) batch, giving
 (..., sets); a batch row has the bits of its point.
+
+Below ``space._SMALL`` coordinates every norm, gap and stacked family here
+follows the dot rule of ``space``: its products are summed left to right.
+There a ball, halfspace or hyperplane (``_FLOAT_KINDS``) also reflects a
+point given as a list of Python floats (``_reflect_floats``, which the DR
+operator takes), with the bits of ``_reflect``. A box has a norm to take
+but no dot; an affine subspace's products with its basis, and the SVD that
+makes it, are numpy's and the BLAS kernel's at every d.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .space import (
-    _TINY, Point, _as_coords, _checked_coords, _dimension, _norm, _row_dots, _row_norms,
-    _scaled,
+    _SMALL, _TINY, Point, _as_coords, _checked_coords, _dimension, _dot, _norm, _row_dots,
+    _row_norms, _scaled, _sum,
 )
 
 # Largest admissible least-squares residual for an affine system A x = b,
@@ -56,6 +65,12 @@ FamilyDistances = Callable[[np.ndarray], np.ndarray]
 
 class InvalidSet(ValueError):
     """Set parameters violate a construction invariant."""
+
+
+def _floats(v: np.ndarray) -> list[float] | None:
+    """A set's vector as the floats its _reflect_floats reads: only below
+    _SMALL coordinates, where the DR operator takes that form."""
+    return v.tolist() if v.shape[0] < _SMALL else None
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -158,7 +173,7 @@ class _LinearSet(ConvexSet):
     finite.
     """
 
-    __slots__ = ("a", "b", "_sa", "_sb", "_a_norm_sq", "_a_norm")
+    __slots__ = ("a", "b", "_sa", "_sb", "_a_norm_sq", "_a_norm", "_sa_floats")
 
     #: whether points with <a, x> < b belong to the set (halfspace)
     _one_sided: bool
@@ -172,7 +187,8 @@ class _LinearSet(ConvexSet):
         if not a.any():
             raise InvalidSet("degenerate normal: a is zero")
         e, self._sa = _scaled(a)
-        self._a_norm = float(np.linalg.norm(self._sa))
+        self._sa_floats = _floats(self._sa)
+        self._a_norm = _norm(self._sa)
         self._a_norm_sq = self._a_norm * self._a_norm
         with np.errstate(over="ignore"):  # b over a tiny a reads inf
             self._sb = float(np.ldexp(self.b, -e))
@@ -181,12 +197,12 @@ class _LinearSet(ConvexSet):
 
     def _gap(self, x: np.ndarray) -> float:
         """<a, x> - b in the scaled data."""
-        return float(np.dot(self._sa, x)) - self._sb
+        return _dot(self._sa, x) - self._sb
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         if x.ndim > 1:
             return self._project_rows(x)
-        g = float(np.dot(self._sa, x)) - self._sb  # self._gap(x), inlined: one call fewer
+        g = _dot(self._sa, x) - self._sb  # self._gap(x), inlined: one call fewer
         if self._one_sided and g <= 0.0:
             return x
         t = g / self._a_norm_sq
@@ -194,11 +210,22 @@ class _LinearSet(ConvexSet):
             # <a, x> - b or its quotient overflowed: project x scaled by a
             # power of two onto the set scaled alike, as Ball._project does.
             e, y, sb = _scaled(x, self._sb)
-            g = float(np.dot(self._sa, y)) - sb
+            g = _dot(self._sa, y) - sb
             if self._one_sided and g <= 0.0:
                 return x
             return np.ldexp(y - (g / self._a_norm_sq) * self._sa, e)
         return x - t * self._sa
+
+    def _reflect_floats(self, x: list[float]) -> list[float] | None:
+        """ConvexSet._reflect of a point given as a list of floats, with its
+        bits; None where _project would take x scaled."""
+        g = _sum(map(operator.mul, self._sa_floats, x)) - self._sb
+        if self._one_sided and g <= 0.0:
+            return [2.0 * a - a for a in x]
+        t = g / self._a_norm_sq
+        if not math.isfinite(t):
+            return None
+        return [2.0 * (a - t * s) - a for a, s in zip(x, self._sa_floats)]
 
     def _project_rows(self, x: np.ndarray) -> np.ndarray:
         """_project on a (..., d) batch: one gap per row, each the dot product
@@ -226,9 +253,11 @@ class _LinearSet(ConvexSet):
         sb = np.array([c._sb for c in sets])
         a_norm = np.array([c._a_norm for c in sets])
         one_sided = np.array([c._one_sided for c in sets])
+        small = SA.shape[1] < _SMALL
 
         def distances(x: np.ndarray) -> np.ndarray:
-            g = ((SA @ x[..., None])[..., 0] - sb) / a_norm
+            dots = _row_dots(x[..., None, :], SA) if small else (SA @ x[..., None])[..., 0]
+            g = (dots - sb) / a_norm
             return np.where(one_sided, np.maximum(g, 0.0), np.abs(g))
 
         return distances
@@ -266,7 +295,7 @@ class Ball(ConvexSet):
     scaled where its square over- or underflows, and the whole form taken at
     one power-of-two scale where x - c itself overflows."""
 
-    __slots__ = ("center", "radius", "_doubles")
+    __slots__ = ("center", "radius", "_doubles", "_center_floats")
 
     kind = "Ball"
 
@@ -276,6 +305,7 @@ class Ball(ConvexSet):
         if not (0.0 < float(radius) < math.inf):
             raise InvalidSet("radius must be positive and finite")
         self.center = center
+        self._center_floats = _floats(center)
         self.radius = float(radius)
         # A point whose computed distance from the center is at most the
         # radius lies within twice the radius of it, so here 2x cannot
@@ -319,6 +349,22 @@ class Ball(ConvexSet):
         v *= 2.0
         v -= x
         return v
+
+    def _reflect_floats(self, x: list[float]) -> list[float] | None:
+        """_reflect of a point given as a list of floats, with its bits;
+        None where _norm would take x - c scaled (its squares sum to inf, or
+        to less than _TINY while x != c)."""
+        v = list(map(operator.sub, x, self._center_floats))
+        sq = 0.0  # as _norm sums
+        for t in v:
+            sq += t * t
+        if sq == math.inf or sq < _TINY and any(v):
+            return None
+        d = math.sqrt(sq)
+        if d <= self.radius:
+            return [a + 0.0 for a in x] if self._doubles else [2.0 * a - a for a in x]
+        s = self.radius / d
+        return [2.0 * (t * s + c) - a for t, c, a in zip(v, self._center_floats, x)]
 
     def _project_rows(self, x: np.ndarray) -> np.ndarray:
         """_project on a (..., d) batch: rows inside the ball stay, the others
@@ -545,6 +591,9 @@ SET_KINDS: dict[str, type[ConvexSet]] = {
 # subclass may redefine _project to return an array it keeps, or _distance,
 # so its sets are measured one at a time.
 _BUILT_IN = frozenset(SET_KINDS.values())
+
+# The built-in kinds, by exact type, with a _reflect_floats.
+_FLOAT_KINDS = frozenset({Halfspace, Hyperplane, Ball})
 
 
 def set_from_params(params: dict) -> ConvexSet:

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .convex import ConvexSet
-from .space import Point, _checked_coords, _common_dim, _dimension
+from .convex import _FLOAT_KINDS, ConvexSet
+from .space import _SMALL, Point, _checked_coords, _common_dim, _dimension
 
 
 class Operator(ABC):
@@ -134,16 +134,32 @@ class DrOperator(Operator):
     with ConvexSet._reflect and averages in the last reflection by _average,
     the one DR average, which the sampled check suites also apply to the
     images of V.
+
+    Below space._SMALL coordinates, when every set is a ball, halfspace or
+    hyperplane (exactly, not a subclass), the operator is built to reflect
+    a single point on Python floats, by the sets' _reflect_floats, and to
+    average as (v_i + x_i) * 0.5: the operations, and so the bits, of the
+    array path, which it takes where a set's scaled branch would run.
     """
 
-    __slots__ = ("sets",)
+    __slots__ = ("sets", "_floats")
 
     def __init__(self, sets: Sequence[ConvexSet]) -> None:
         sets = tuple(sets)
         super().__init__(_common_dim(sets, "DR operator set"))
         self.sets = sets
+        scalar = self._dim < _SMALL and {type(c) for c in sets} <= _FLOAT_KINDS
+        self._floats = tuple([c._reflect_floats for c in sets]) if scalar else ()
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
+        if self._floats and x.ndim == 1:
+            v = xs = x.tolist()
+            for reflect in self._floats:
+                v = reflect(v)
+                if v is None:
+                    break
+            else:
+                return np.array([(a + b) * 0.5 for a, b in zip(v, xs)])
         v = x
         for c in self.sets:
             v = c._reflect(v)

@@ -1,12 +1,20 @@
 """Dense real-vector substrate: immutable points of R^d, their norm, and
-the one rule, ``_scaled``, by which every computation that would over- or
-underflow picks the power of two to take it at."""
+two rules. ``_scaled`` is the one by which every computation that would
+over- or underflow picks the power of two to take it at.
+
+The other is the dot rule. Below ``_SMALL`` coordinates a dot product is
+the sum of its products taken left to right, from the first: the value of
+``np.add.reduce`` (and its bits, but for the sign of a zero sum), which a
+Python-float loop reproduces and no BLAS kernel decides, so the traces of
+such problems are the same on every CPU. ``_norm``, ``_row_dots`` and
+``_dot`` follow it; from ``_SMALL`` on they take numpy's dot and matmul,
+whose bits depend on the BLAS kernel."""
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -147,19 +155,49 @@ def _scaled(*arrays) -> tuple:
 _TINY = 2.0**54 * float(np.finfo(float).tiny)
 
 
+# numpy's pairwise-sum block: np.add.reduce sums fewer terms than this left
+# to right, and the dot rule takes dot products below it as that sum
+_SMALL = 8
+
+
+def _sum(terms: Iterable[float]) -> float:
+    """The terms summed left to right in Python floats, from the first, so a
+    sum of -0.0 terms is -0.0 (from 0.0 it would be 0.0), and 0.0 for no
+    terms. Python's sum is not this: from 3.12 on it compensates."""
+    terms = iter(terms)
+    s = next(terms, 0.0)
+    for t in terms:
+        s += t
+    return s
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> of two (d,) arrays by the dot rule."""
+    if a.shape[0] < _SMALL:
+        return _sum(map(operator.mul, a.tolist(), b.tolist()))
+    return float(np.dot(a, b))
+
+
 def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a raw coordinate array, as sqrt(<x, x>).
+    """Euclidean norm of a raw coordinate array, as sqrt(<x, x>), with <x, x>
+    taken by the dot rule: below _SMALL coordinates, the squares of
+    x.tolist() summed left to right.
 
     When <x, x> overflows (||x|| above ~1.3e154), or falls below _TINY for
     a nonzero x (||x|| below 2^-484, ~2e-146), x is taken scaled by _scaled
     first, and a norm beyond the largest float is inf; other inputs never
     reach that branch.
     """
-    sq = float(x.dot(x))
+    if x.shape[0] < _SMALL:
+        sq = 0.0  # 0.0 + c * c is c * c: the sum from the first square
+        for c in x.tolist():
+            sq += c * c
+    else:
+        sq = float(x.dot(x))
     if sq == math.inf or (sq < _TINY and x.any()):
         e, y = _scaled(x)
         try:
-            return math.ldexp(math.sqrt(float(y.dot(y))), e)
+            return math.ldexp(math.sqrt(_dot(y, y)), e)
         except OverflowError:
             return math.inf
     return math.sqrt(sq)
@@ -167,7 +205,17 @@ def _norm(x: np.ndarray) -> float:
 
 def _row_dots(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """<v_i, w_i> for each row i of two (..., d) arrays, or of one and a
-    (d,) vector; each is the dot product numpy takes of the two rows."""
+    (d,) vector, by the dot rule: below _SMALL coordinates, the columns of
+    the products added left to right, from the first, which has the bits of
+    np.add.reduce(v * w, -1) but keeps a sum of -0.0 products -0.0 (reduce
+    starts from 0.0); from _SMALL on, the dot product numpy takes of the
+    two rows."""
+    if v.shape[-1] < _SMALL:
+        p = v * w
+        s = p[..., 0]  # a view of p, which is summed into it
+        for j in range(1, p.shape[-1]):
+            s += p[..., j]
+        return s
     return (v[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 

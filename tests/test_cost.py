@@ -3,8 +3,10 @@ drift with the machine. A change that raises a pin updates it in the open,
 with its reason."""
 
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import drfeas
@@ -134,11 +136,14 @@ def test_ac4_run_counts(monkeypatch):
 def test_ac4_run_python_calls():
     # Calls of Python functions of the package, generator resumptions
     # included, in one run of the AC-4 document after a warm-up run of it:
-    # 150, 30.0 per step. Before the leaner small-d step there were 157
-    # (31.4 per step): the step ids came from a generator and each new
-    # iterate called _certifier_residual with no certifier, while a block
-    # draw was one call, not two. Comprehensions are not counted, since
-    # Python 3.12 runs them inline.
+    # 135, 27.0 per step. A step's DR operator reflects through its two
+    # balls on Python floats (space._SMALL), with one _reflect_floats call
+    # per ball and no _norm or _average call, where the array path made 3
+    # (150, 30.0 per step, before the scalar forms). Before the leaner small-d
+    # step there were 157 (31.4 per step): the step ids came from a
+    # generator and each new iterate called _certifier_residual with no
+    # certifier, while a block draw was one call, not two. Comprehensions
+    # are not counted, since Python 3.12 runs them inline.
     calls = 0
 
     def profile(frame, event, arg):
@@ -155,4 +160,25 @@ def test_ac4_run_python_calls():
     finally:
         sys.setprofile(None)
     assert trace.iterations == 5
-    assert calls == 150
+    assert calls == 135
+
+
+def test_ac4_run_keeps_one_array_per_new_iterate():
+    # numpy data blocks (tracemalloc's numpy domain) alive after one run of
+    # the d=2 AC-4 document, with its trace, that were not before it: 4, one
+    # iterate per step that moves it. The step that repeats its iterate
+    # keeps none, and every temporary of a step, the scalar DR chain's
+    # included, is freed.
+    problem, config = _ac4()
+    problem_io.execute_config(problem, config)
+    numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces([numpy_data])
+        trace = problem_io.execute_config(problem, config)
+        after = tracemalloc.take_snapshot().filter_traces([numpy_data])
+    finally:
+        tracemalloc.stop()
+    assert trace.iterations == 5
+    assert len({id(x) for x in trace.iterates[1:]}) == 4
+    assert sum(stat.count_diff for stat in after.compare_to(before, "filename")) == 4

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from drfeas import DimensionMismatch, Point, norm
-from drfeas.space import _TINY, _norm, _row_norms
+from drfeas.space import _TINY, _norm, _row_dots, _row_norms
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -34,14 +34,66 @@ def test_inner_gives_squared_norm():
     assert norm(x) == 5.0
 
 
-@given(st.lists(finite, min_size=1, max_size=8))
+def left_to_right(terms) -> float:
+    """The terms summed in order, from the first."""
+    s, *rest = terms
+    for t in rest:
+        s += t
+    return s
+
+
+def inner(x: np.ndarray) -> float:
+    """<x, x> by the dot rule: below 8 coordinates the squares summed left
+    to right, from 8 on numpy's dot."""
+    return left_to_right((x * x).tolist()) if x.size < 8 else float(np.dot(x, x))
+
+
+@given(st.lists(finite, min_size=1, max_size=12))
 def test_norm_is_sqrt_of_inner(xs):
-    # below _TINY <x, x> may have lost bits, and a nonzero x is measured
-    # scaled (test_norm_scales_with_a_power_of_two)
+    # <x, x> is taken by the dot rule. Below _TINY it may have lost bits,
+    # and a nonzero x is measured scaled (test_norm_scales_with_a_power_of_two)
     x = Point(xs)
-    sq = np.dot(x.coords, x.coords)
+    sq = inner(x.coords)
     assume(sq >= _TINY or not x.coords.any())
     assert norm(x) == math.sqrt(sq)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_norm_follows_the_dot_rule_on_each_side_of_8(d):
+    # A BLAS dot at 2..7 terms (an FMA chain on AVX2 kernels), and a
+    # left-to-right sum at 8 or more, differ from the rule in some of these
+    # draws; the rule is numpy's add.reduce below 8.
+    rng = np.random.default_rng(d)
+    for _ in range(300):
+        x = rng.normal(size=d) * 10.0 ** rng.uniform(-3.0, 3.0, d)
+        assert _norm(x) == math.sqrt(inner(x))
+        if d < 8:
+            assert inner(x) == np.add.reduce(x * x)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_row_dots_follow_the_dot_rule(d):
+    # Below 8 coordinates each row is its products summed left to right from
+    # the first: the value of np.add.reduce(v * w, -1), with its bits except
+    # that the first two rows, of -0.0 products, stay -0.0 where add.reduce,
+    # which starts from 0.0, reads 0.0. From 8 on, numpy's dot of the rows.
+    rng = np.random.default_rng(d)
+    v = rng.normal(size=(200, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (200, d))
+    v[:2] = -0.0
+    w = rng.normal(size=(200, d))
+    w[:2] = 1.0
+    for a, b in ((v, w), (v, w[0]), (v.reshape(4, 50, d), w[:50])):
+        got = _row_dots(a, b)
+        rows = zip(*(np.broadcast_to(c, a.shape).reshape(-1, d) for c in (a, b)))
+        if d < 8:
+            want = [left_to_right(np.multiply(x, y).tolist()) for x, y in rows]
+            assert np.array_equal(got, np.add.reduce(a * b, axis=-1))
+        else:
+            want = [np.dot(x, y) for x, y in rows]
+        want = np.array(want).reshape(got.shape)
+        assert got.shape == a.shape[:-1]
+        assert got.tobytes() == want.tobytes()
+    assert np.signbit(_row_dots(v[:2], w[:2])).all() == (d < 8)
 
 
 # Magnitudes whose products with 2^-600 are normal floats
