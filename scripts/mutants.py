@@ -129,31 +129,48 @@ MUTANTS = [
     Mutant("dr_average_0_55", "src/drfeas/operators.py",
            "v *= 0.5", "v *= 0.55",
            ("tests/test_in_place.py", "tests/test_operators.py")),
-    # One reflection chain per DR window of a check suite: T's images are
-    # V's, averaged in place after V's report has read them.
-    Mutant("dr_pair_t_report_without_average", "src/drfeas/diagnostics.py",
-           "Tx, Ty = T._average(Vx, sample.x), T._average(Vy, sample.y)", "Tx, Ty = Vx, Vy",
+    # One trie walk per draw in a check suite: chains share their common
+    # prefixes, found by object identity; a node's reports read its images
+    # before its children run, a step that writes in place takes its
+    # parent's images only at their last read, and each image lives until
+    # the last step that reads it.
+    Mutant("non_last_in_place_child_without_copy", "src/drfeas/diagnostics.py",
+           "    if x and node.parent.images is not None:\n        v = [a.copy() for a in v]\n", "",
            ("tests/test_diagnostics.py::test_suite_reports_equal_standalone_checks_on_the_catalog",)),
-    Mutant("dr_pair_average_before_v_report", "src/drfeas/diagnostics.py",
-           "    v_report = _check(v_name, False, sample, Vx, Vy, tol)\n"
-           "    Tx, Ty = T._average(Vx, sample.x), T._average(Vy, sample.y)\n",
-           "    Tx, Ty = T._average(Vx, sample.x), T._average(Vy, sample.y)\n"
-           "    v_report = _check(v_name, False, sample, Vx, Vy, tol)\n",
-           ("tests/test_diagnostics.py::test_suite_reports_equal_standalone_checks_on_the_catalog",)),
-    # One projection per set and batch in a check suite: P(C), R(C) and the
-    # DR chains that start at C share C's images, and each draw's norms and
-    # x - y are taken once.
-    Mutant("one_set_window_without_copy", "src/drfeas/diagnostics.py",
-           "                Vx, Vy = Rx.copy(), Ry.copy()\n", "                pass\n",
+    Mutant("reports_read_after_the_children", "src/drfeas/diagnostics.py",
+           "            while stack:\n"
+           "                node = stack.pop()\n"
+           "                if node is not root:\n"
+           "                    node.images = _images(node)\n"
+           "                for i, name, violation in node.reports:\n"
+           "                    reports[i] = _report(name, violation(sample, *node.images), tol)\n",
+           "            late = []\n"
+           "            while stack or late:\n"
+           "                if not stack:\n"
+           "                    for i, name, violation, images in late:\n"
+           "                        reports[i] = _report(name, violation(sample, *images), tol)\n"
+           "                    break\n"
+           "                node = stack.pop()\n"
+           "                if node is not root:\n"
+           "                    node.images = _images(node)\n"
+           "                late += [(*r, node.images) for r in node.reports]\n",
            ("tests/test_diagnostics.py::test_grouped_suites_equal_standalone_checks",)),
-    Mutant("projection_reports_after_reflection", "src/drfeas/diagnostics.py",
-           "        for key, name, firm in projections:\n"
-           "            reports[key] = [_check(name, firm, sample, Px, Py, tol)]\n"
-           "        Rx, Ry = ConvexSet._reflect_projection(Px, x), ConvexSet._reflect_projection(Py, y)\n",
-           "        Rx, Ry = ConvexSet._reflect_projection(Px, x), ConvexSet._reflect_projection(Py, y)\n"
-           "        for key, name, firm in projections:\n"
-           "            reports[key] = [_check(name, firm, sample, Px, Py, tol)]\n",
-           ("tests/test_diagnostics.py::test_suite_reports_equal_standalone_checks_on_the_catalog",)),
+    Mutant("average_reads_the_sample", "src/drfeas/diagnostics.py",
+           'else len(obj._steps()) if kind == "_average"', 'else len(path) if kind == "_average"',
+           ("tests/test_diagnostics.py::test_grouped_suites_equal_standalone_checks",)),
+    Mutant("trie_keys_by_type", "src/drfeas/diagnostics.py",
+           "key = (id(path[-1]), kind, id(obj))", "key = (id(path[-1]), kind, type(obj))",
+           ("tests/test_diagnostics.py::test_equal_sets_are_distinct_steps",)),
+    Mutant("release_ignores_a_later_average", "src/drfeas/diagnostics.py",
+           "                if back:\n                    path[-back].reads += 1\n",
+           '                if kind == "_reflect_projection":\n                    path[-back].reads += 1\n',
+           ("tests/test_diagnostics.py::test_grouped_suites_equal_standalone_checks",)),
+    Mutant("images_never_let_go", "src/drfeas/diagnostics.py",
+           "        if not n.reads:\n            n.images = None\n", "",
+           ("tests/test_cost.py::test_ac1_suite_memory_peak_at_d50",)),
+    Mutant("composition_subclass_split", "src/drfeas/operators.py",
+           "return steps if type(self) is Composition else super()._steps()", "return steps",
+           ("tests/test_diagnostics.py::test_subclasses_of_built_in_operators_are_one_step",)),
     Mutant("draw_norms_from_x_alone", "src/drfeas/diagnostics.py",
            "_Sample(x, y, _max_norms(x, y), diff)", "_Sample(x, y, _max_norms(x), diff)",
            ("tests/test_diagnostics.py::test_violations_are_relative_to_the_largest_norm_of_a_pair",)),

@@ -16,8 +16,10 @@ import numpy as np
 
 from .control import InvalidControl
 from .convex import InvalidSet
-from .diagnostics import CheckParameterError
-from .operators import DrOperator, Projection, Reflection
+from .diagnostics import (
+    CheckParameterError, check_firmly_nonexpansive, check_nonexpansive, run_check_suite,
+)
+from .operators import DrOperator, Projection, Reflection, composite_reflection
 from .problem_io import (
     ParseError,
     execute_config,
@@ -25,7 +27,7 @@ from .problem_io import (
     load_document,
     write_trace,
 )
-from .repro import EXPERIMENTS, DrPair, run_check_suite, run_experiment
+from .repro import EXPERIMENTS, run_experiment
 from .solver import CONVERGED_DISPLACEMENT, FEASIBLE, build_composite_Q
 from .space import DimensionMismatch
 
@@ -62,27 +64,31 @@ def cmd_run(args) -> int:
 
 
 def _check_suite(problem, config):
-    """Every operator a config would construct, as (label, operator, firm)
-    triples: firm for projections and DR operators, whose strongest checkable
-    property is firm nonexpansiveness, else plain nonexpansiveness; each
-    window S_n of the composite Q comes with its composite reflection V_n
-    as one DrPair."""
+    """Every operator a config would construct, as (label, operator, check)
+    entries of diagnostics.run_check_suite: check_firmly_nonexpansive for
+    projections and DR operators, whose strongest checkable property is firm
+    nonexpansiveness, else check_nonexpansive. Each window S_n of the
+    composite Q comes with V_n, the composite reflection over its sets, and
+    the suite's trie finds the steps they share with each other, with P(Ci),
+    R(Ci) and with Q."""
+    firm, plain = check_firmly_nonexpansive, check_nonexpansive
     suite = []
     for i, c in enumerate(problem.sets):
-        suite.append((f"P(C{i + 1})", Projection(c), True))
-        suite.append((f"R(C{i + 1})", Reflection(c), False))
+        suite += [(f"P(C{i + 1})", Projection(c), firm), (f"R(C{i + 1})", Reflection(c), plain)]
     if config is None:
         return suite
     if config.scheme in ("unrestricted_dr", "composite_q"):
         Q = build_composite_Q(problem, config.control, config.r)  # S_0, ..., S_jf
-        suite += [DrPair(f"S{n}", f"V{n}", S) for n, S in enumerate(Q.factors)]
+        for n, S in enumerate(Q.factors):
+            suite += [(f"S{n}", S, firm), (f"V{n}", composite_reflection(S.sets), plain)]
         if config.scheme == "composite_q":
-            suite.append(("Q", Q, False))
+            suite.append(("Q", Q, plain))
     else:
         for k, op in enumerate(config.operators):
-            suite.append((f"T{k + 1}", op, isinstance(op, (Projection, DrOperator))))
+            check = firm if isinstance(op, (Projection, DrOperator)) else plain
+            suite.append((f"T{k + 1}", op, check))
     if config.certifier is not None:
-        suite.append(("certifier", config.certifier, False))
+        suite.append(("certifier", config.certifier, plain))
     return suite
 
 

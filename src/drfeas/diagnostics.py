@@ -10,31 +10,25 @@ asymptotic regularity series and converging runs.
 Each check draws its pairs in order from one generator seeded with
 ``seed``, so a check with fewer samples sees a prefix of the pairs of one
 with more. The draw is split once into two read-only, C-contiguous
-(samples, d) batches, the first points x and the second points y, and a
-one-entry memo keyed by (d, samples, scale, seed) keeps them, with the
-per-row max(||x||, ||y||) and x - y of the draw, also read-only, for every
-later check with that key: the checks of a suite, which share one dimension
-and one (samples, scale, seed), draw one sample and measure its norms
-between them. ``repro.run_check_suite`` empties the memo when it returns; a
-check called on its own keeps its last sample until the next draw. A check
-evaluates all its pairs at once: one ``T._apply`` call on the batch of
-first points and one on the batch of second points, then per-row inner
-products and norms. Each scaled difference of images, (Tx - Ty) * unit, is
-formed in one new array: the draws and the images are only read. The
-checks share one report function, and the firm and plain ones each one
-violation function of the sample and the images.
+(samples, d) batches, the first points x and the second points y, with the
+per-row max(||x||, ||y||) and x - y of the draw, also read-only.
 
-A suite checks the operators that start by projecting onto one built-in
-set C together (``_check_set_group``), from one projection of each batch
-onto C: P(C)'s reports read those images, ``ConvexSet._reflect_projection``
-then turns them in place into R(C)'s images for R(C)'s reports, and every
-DR operator T = (Id + V) / 2 whose first set is C continues its reflection
-chain from R(C)'s images, never writing into them. A DR operator and its
-composite reflection V are checked together from one reflection chain per
-batch (``_dr_pair_reports``): V's images give V's report, and
-``DrOperator._average``, the average of ``T._apply``, then turns them in
-place into T's images for T's report. Every report has the bits of the
-public check called on its operator alone.
+Every firm and plain check runs through ``run_check_suite``, the public ones
+as suites of one entry. A built-in operator is a chain of steps on a batch
+(``Operator._steps``): projections, reflections formed in place in their
+projection's images (``ConvexSet._reflect_projection``), and DR averages
+formed in place in their last reflection's images (``DrOperator._average``);
+a user set's reflection, and any other operator, is one step. A suite puts
+its chains into one trie per dimension, where chains share their common
+prefixes, draws each dimension's pairs once, and walks the trie depth
+first, computing each node's images once per batch. A node's reports read
+its images before any child runs, only its last child may take them over
+in place, and its images are let go at their last read, so every report
+has the bits of its operator's ``_apply`` on the draw. Each scaled
+difference of images, (Tx - Ty) * unit, is formed in one new array: the
+draws, and what a user set or operator returns, are only read. The checks
+share one report function, and the firm and plain ones each one violation
+function of the sample and the images.
 
 Violations are relative, so that one tolerance serves every sampling
 scale. With M = max(||x||, ||y||, ||Tx||, ||Ty||) for a pair, a firm
@@ -56,15 +50,14 @@ inf or NaN, which fails the check, or makes the series raise ValueError.
 
 from __future__ import annotations
 
-import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .convex import ConvexSet
-from .operators import DrOperator, Operator
+from .operators import Operator
 from .solver import FeasibilityProblem
 from .space import Point, _checked_coords, _integer, _norm, _row_dots, _row_norms
 
@@ -94,29 +87,21 @@ class _Sample(NamedTuple):
 
 
 def _pairs(dim: int, samples: int, scale: float, seed: int) -> _Sample:
-    """The sampled pairs of a check, after validating its parameters."""
-    samples = _integer(samples, "samples", CheckParameterError, 1)
-    seed = _integer(seed, "seed", CheckParameterError, 0)
-    if not (0.0 < 2.0 * scale < math.inf):  # numpy draws from a range 2 * scale wide
-        raise CheckParameterError("scale must be positive, with 2 * scale finite")
-    return _draw_pairs(dim, samples, scale, seed)
-
-
-@functools.lru_cache(maxsize=1)
-def _draw_pairs(dim: int, samples: int, scale: float, seed: int) -> _Sample:
-    """One generator draws the pairs in order, as one (samples, 2, dim)
-    array, so the first k pairs of an n-sample draw are those of a k-sample
-    draw; its first and second points are then copied out once, each into a
-    read-only C-contiguous batch, and their norms and difference are taken
-    once. The one-entry memo holds the last draw: it serves every check of a
-    suite, and run_check_suite clears it.
+    """The sampled pairs of a check, after validating its parameters. One
+    generator draws them in order, as one (samples, 2, dim) array, so the
+    first k pairs of an n-sample draw are those of a k-sample draw; its
+    first and second points are then copied out once, each into a read-only
+    C-contiguous batch, and their norms and difference are taken once.
 
     x, y and x - y are the three planes of one block. One large allocation,
     not three, keeps a suite's page faults down: glibc maps a block that
     size on its own, and once one is unmapped, it keeps up to twice that of
     free heap instead of returning it to the system, so the image arrays of
-    one group of checks reuse the pages of the last (an AC-1 suite at d=50
-    faults about 950 times instead of about 2700)."""
+    a suite reuse the pages of the last."""
+    samples = _integer(samples, "samples", CheckParameterError, 1)
+    seed = _integer(seed, "seed", CheckParameterError, 0)
+    if not (0.0 < 2.0 * scale < math.inf):  # numpy draws from a range 2 * scale wide
+        raise CheckParameterError("scale must be positive, with 2 * scale finite")
     P = np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, dim))
     block = np.empty((3, samples, dim))
     block[:2] = P.transpose(1, 0, 2)
@@ -192,11 +177,87 @@ def _report(name: str, violation: np.ndarray, tol: float) -> PropertyReport:
     return PropertyReport(name, len(violation), worst, tol, worst <= tol)
 
 
-def _check(name: str, firm: bool, sample: _Sample, Tx: np.ndarray, Ty: np.ndarray,
-           tol: float) -> PropertyReport:
-    """The report of a firm check, or else a plain one, on the images of
-    the sample."""
-    return _report(name, (_firm_violation if firm else _plain_violation)(sample, Tx, Ty), tol)
+class _Node:
+    """A step of a check suite's trie: its (kind, object) step, the node it
+    runs on, and the node whose images it also reads as x, its source (a
+    reflection's is its projection's input, an average's its chain's
+    input); its children in order, the (index, name, violation) reports
+    that end at it, and while they live, its images of the two batches
+    with the count of the reads of them still to come."""
+
+    __slots__ = ("kind", "obj", "parent", "source", "children", "reports", "reads", "images")
+
+    def __init__(self, kind, obj, parent, source) -> None:
+        self.kind, self.obj, self.parent, self.source = kind, obj, parent, source
+        self.children, self.reports, self.reads, self.images = (), (), 0, None
+
+
+def _images(node: _Node) -> list:
+    """The images of node's step on the two batches, by the method its kind
+    names (Operator._steps), from its parent's images and, for a step with
+    a source (_reflect_projection and _average), its source's as x. Such a
+    step writes into its parent's images: it takes them over at their last
+    read, which only the parent's last child makes, and otherwise writes
+    into a copy. The last read of a node's images lets go of them."""
+    inputs = [node.parent] if node.source is None else [node.parent, node.source]
+    v, *x = [n.images for n in inputs]
+    for n in inputs:
+        n.reads -= 1
+        if not n.reads:
+            n.images = None
+    if x and node.parent.images is not None:
+        v = [a.copy() for a in v]
+    return [getattr(node.obj, node.kind)(*args) for args in zip(v, *x)]
+
+
+def _trie(entries) -> dict:
+    """Per dimension, the root of a trie of the chains of steps
+    (Operator._steps) of the (name, operator, violation) entries. A node
+    stands for a chain prefix, found by the identity of each step's object
+    (a user set or operator may define __eq__, or be unhashable), so chains
+    share their common prefixes; an entry's report ends at the node of its
+    whole chain."""
+    roots, nodes = {}, {}
+    for i, (name, op, violation) in enumerate(entries):
+        path = [roots.setdefault(op.dim, _Node(None, None, None, None))]
+        for kind, obj in op._steps():
+            key = (id(path[-1]), kind, id(obj))
+            if key not in nodes:
+                # a reflection reads its projection's input, an average its chain's
+                back = (2 if kind == "_reflect_projection"
+                        else len(obj._steps()) if kind == "_average" else 0)
+                nodes[key] = _Node(kind, obj, path[-1], path[-back] if back else None)
+                path[-1].children += (nodes[key],)
+                path[-1].reads += 1
+                if back:
+                    path[-back].reads += 1
+            path.append(nodes[key])
+        path[-1].reports += ((i, name, violation),)
+    return roots
+
+
+def _suite(entries, samples: int, scale: float, seed: int, tol: float) -> list[PropertyReport]:
+    """The reports of (name, operator, violation) entries, in their order.
+    Each dimension draws its pairs once and walks its trie depth first: a
+    node's reports read its images before any child runs, and each image
+    is let go at its last read, so a path's images live only while a step
+    still reads them."""
+    reports = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dim, root in _trie(entries).items():
+            sample = _pairs(dim, samples, scale, seed)
+            root.images, stack = (sample.x, sample.y), [root]
+            while stack:
+                node = stack.pop()
+                if node is not root:
+                    node.images = _images(node)
+                for i, name, violation in node.reports:
+                    reports[i] = _report(name, violation(sample, *node.images), tol)
+                if not node.reads:
+                    node.images = None
+                stack += reversed(node.children)
+                node.children = ()  # the walk holds the children now
+    return [reports[i] for i in range(len(reports))]
 
 
 def check_firmly_nonexpansive(
@@ -209,9 +270,7 @@ def check_firmly_nonexpansive(
 ) -> PropertyReport:
     """Worst violation of <Tx - Ty, x - y> >= ||Tx - Ty||^2 over sampled
     pairs, relative to M ||x - y||."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sample = _pairs(T.dim, samples, scale, seed)
-        return _check(name, True, sample, T._apply(sample.x), T._apply(sample.y), tol)
+    return _suite([(name, T, _firm_violation)], samples, scale, seed, tol)[0]
 
 
 def check_nonexpansive(
@@ -224,72 +283,26 @@ def check_nonexpansive(
 ) -> PropertyReport:
     """Worst violation of ||Tx - Ty|| <= ||x - y|| over sampled pairs,
     relative to M."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sample = _pairs(T.dim, samples, scale, seed)
-        return _check(name, False, sample, T._apply(sample.x), T._apply(sample.y), tol)
+    return _suite([(name, T, _plain_violation)], samples, scale, seed, tol)[0]
 
 
-def _dr_pair_reports(T: DrOperator, sample: _Sample, Vx: np.ndarray, Vy: np.ndarray,
-                     t_name: str, v_name: str, tol: float) -> list[PropertyReport]:
-    """The firm report of a DR operator T and the plain one of V, the
-    composite reflection over its sets, from V's images of the sample,
-    which the caller gives up: V's report reads them, and T._average then
-    turns them in place into T's, since T = (Id + V) / 2. T's report comes
-    first."""
-    v_report = _check(v_name, False, sample, Vx, Vy, tol)
-    Tx, Ty = T._average(Vx, sample.x), T._average(Vy, sample.y)
-    return [_check(t_name, True, sample, Tx, Ty, tol), v_report]
+# The report name and the violation of each check a suite entry names.
+_KINDS = {check_firmly_nonexpansive: ("firmly_nonexpansive", _firm_violation),
+          check_nonexpansive: ("nonexpansive", _plain_violation)}
 
 
-def _check_dr_pair(
-    T: DrOperator, V: Operator, samples: int, scale: float, seed: int,
-    t_name: str, v_name: str, tol: float = 1e-10,
-) -> list[PropertyReport]:
-    """check_firmly_nonexpansive of a DR operator T and check_nonexpansive
-    of V, the composite reflection over T's sets, bit for bit, from one
-    reflection chain per batch (_dr_pair_reports)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sample = _pairs(T.dim, samples, scale, seed)
-        return _dr_pair_reports(T, sample, V._apply(sample.x), V._apply(sample.y),
-                                t_name, v_name, tol)
-
-
-def _check_set_group(
-    c: ConvexSet, projections, reflections, pairs,
-    samples: int, scale: float, seed: int, tol: float = 1e-10,
-) -> dict:
-    """The checks of the operators that project onto a built-in set c
-    first, each report bit for bit that of check_firmly_nonexpansive or
-    check_nonexpansive on its operator alone, from one c._project call per
-    batch. projections and reflections hold a (key, name, firm) triple per
-    check of P(c) or R(c), firm for check_firmly_nonexpansive, and pairs a
-    (key, T, t_name, v_name) quadruple per DR operator T whose T.sets[0] is
-    c, checked with its composite reflection V. P(c)'s reports read the
-    projection images; ConvexSet._reflect_projection then turns them in
-    place into R(c)'s images for R(c)'s reports; and each DR chain goes on
-    from those through T.sets[1:] (_dr_pair_reports). No chain writes into
-    R(c)'s images: a one-set chain copies them. Returns each key's reports
-    as a list, T's first."""
-    reports = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        sample = _pairs(c.dim, samples, scale, seed)
-        x, y = sample.x, sample.y
-        Px, Py = c._project(x), c._project(y)
-        for key, name, firm in projections:
-            reports[key] = [_check(name, firm, sample, Px, Py, tol)]
-        Rx, Ry = ConvexSet._reflect_projection(Px, x), ConvexSet._reflect_projection(Py, y)
-        for key, name, firm in reflections:
-            reports[key] = [_check(name, firm, sample, Rx, Ry, tol)]
-        for key, T, t_name, v_name in pairs:
-            Vx, Vy = Rx, Ry
-            for s in T.sets[1:]:  # the chain of x, then that of y
-                Vx = s._reflect(Vx)
-            for s in T.sets[1:]:
-                Vy = s._reflect(Vy)
-            if Vx is Rx:  # a one-set chain, whose average would write into Rx
-                Vx, Vy = Rx.copy(), Ry.copy()
-            reports[key] = _dr_pair_reports(T, sample, Vx, Vy, t_name, v_name, tol)
-    return reports
+def run_check_suite(suite, samples: int, scale: float, seed: int) -> list[PropertyReport]:
+    """The reports of a check suite, in its order: one per (label, operator,
+    check) entry, where check is check_firmly_nonexpansive or
+    check_nonexpansive, or a function that wraps one (functools.wraps), and
+    the report is firmly_nonexpansive[label] or nonexpansive[label]. Each
+    report has the bits of that check of its operator alone, which is a
+    suite of one entry. `drfeas check` and AC-1 run here. The entries may
+    come from an iterator: each is put into the suite's trie (_trie) as it
+    comes, and its operator is kept only as far as its steps need it."""
+    entries = ((f"{kind}[{label}]", op, violation) for label, op, check in suite
+               for kind, violation in [_KINDS[inspect.unwrap(check)]])
+    return _suite(entries, samples, scale, seed, 1e-10)
 
 
 def check_quasi_nonexpansive(

@@ -9,6 +9,10 @@ Reflections come from ``ConvexSet._reflect``. A node writes only into
 arrays it made: the DR operator averages with x in the array of its last
 reflection, and a relaxation sums into lam T(x). An input, and whatever a
 user Operator or ConvexSet subclass returns, is only read.
+
+Each operator also gives its evaluation on a batch as a chain of steps
+(``_steps``), which the sampled check suites put into one trie, so that
+operators that begin alike share their first steps' images (diagnostics).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .convex import _FLOAT_KINDS, ConvexSet
+from .convex import _BUILT_IN, _FLOAT_KINDS, ConvexSet
 from .space import _SMALL, Point, _checked_coords, _common_dim, _dimension
 
 
@@ -49,6 +53,15 @@ class Operator(ABC):
         each row; the sampled checks evaluate all their points in one call.
         """
 
+    def _steps(self) -> list:
+        """The operator on a batch as a chain of (kind, object) steps, which
+        the sampled check suites walk (diagnostics). A kind is the name of
+        the object's method that makes the step's images: from the images of
+        the step before, and for _reflect_projection and _average also from
+        an earlier step's images, which they take as x. One ("_apply", self)
+        step, unless a built-in operator, by exact type, splits it."""
+        return [("_apply", self)]
+
 
 class Projection(Operator):
     """Metric projection onto a convex set; firmly nonexpansive."""
@@ -61,6 +74,9 @@ class Projection(Operator):
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return self.set_._project(x)
+
+    def _steps(self) -> list:
+        return [("_project", self.set_)] if type(self) is Projection else super()._steps()
 
     def __repr__(self) -> str:
         return f"Projection({self.set_.kind})"
@@ -77,6 +93,9 @@ class Reflection(Operator):
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return self.set_._reflect(x)
+
+    def _steps(self) -> list:
+        return _reflection_steps(self.set_) if type(self) is Reflection else super()._steps()
 
     def __repr__(self) -> str:
         return f"Reflection({self.set_.kind})"
@@ -120,6 +139,10 @@ class Composition(Operator):
         for op in self.factors:
             x = op._apply(x)
         return x
+
+    def _steps(self) -> list:
+        steps = [step for op in self.factors for step in op._steps()]
+        return steps if type(self) is Composition else super()._steps()
 
     def __repr__(self) -> str:
         return f"Composition({list(self.factors)!r})"
@@ -174,8 +197,22 @@ class DrOperator(Operator):
         v *= 0.5
         return v
 
+    def _steps(self) -> list:
+        """The sets' reflection steps, then ("_average", self), which
+        averages the last reflection's images with the chain's own input."""
+        steps = [step for c in self.sets for step in _reflection_steps(c)] + [("_average", self)]
+        return steps if type(self) is DrOperator else super()._steps()
+
     def __repr__(self) -> str:
         return f"DrOperator({[c.kind for c in self.sets]})"
+
+
+def _reflection_steps(c: ConvexSet) -> list:
+    """The steps of c._reflect on a batch: ("_project", c), then
+    ("_reflect_projection", c), in the projection's images with its input,
+    for a built-in kind; one ("_reflect", c) step for a user subclass."""
+    split = type(c) in _BUILT_IN
+    return [("_project", c), ("_reflect_projection", c)] if split else [("_reflect", c)]
 
 
 def composite_reflection(sets: Sequence[ConvexSet]) -> Composition:

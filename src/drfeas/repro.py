@@ -25,7 +25,6 @@ from .control import (
     windows_quasi_periodic,
 )
 from .convex import (
-    _BUILT_IN,
     SET_KINDS,
     AffineSubspace,
     Ball,
@@ -35,16 +34,10 @@ from .convex import (
     Hyperplane,
 )
 from .diagnostics import (
-    PropertyReport,
-    _check_dr_pair,
-    _check_set_group,
-    _draw_pairs,
-    asymptotic_regularity_series,
-    check_firmly_nonexpansive,
-    check_nonexpansive,
-    check_quasi_nonexpansive,
+    PropertyReport, asymptotic_regularity_series, check_firmly_nonexpansive, check_nonexpansive,
+    check_quasi_nonexpansive, run_check_suite,
 )
-from .operators import DrOperator, Projection, Reflection, composite_reflection, dr_operator
+from .operators import Projection, Reflection, composite_reflection, dr_operator
 from .problem_io import ParseError, execute_config, parse_document, write_trace
 from .solver import (
     StopRule,
@@ -67,19 +60,13 @@ def load_bundled(name: str):
 
 def catalog_sets(dim: int) -> list[ConvexSet]:
     """One instance of every set kind in R^dim (dim >= 2)."""
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
-    normal = np.zeros(dim)
-    normal[0], normal[-1] = 1.0, -1.0
-    rows = np.zeros((2, dim))
-    rows[0, 0] = 1.0
-    rows[1, 1] = 1.0
+    e = np.eye(dim)  # the unit vectors, as rows
     return [
-        Ball(0.3 * e1, 1.5),
+        Ball(0.3 * e[0], 1.5),
         Halfspace(np.ones(dim), 1.0),
-        Hyperplane(normal, 0.25),
+        Hyperplane(e[0] - e[-1], 0.25),
         Box(-np.ones(dim), 0.5 * np.ones(dim)),
-        AffineSubspace(rows, [0.2, -0.1]),
+        AffineSubspace(e[:2], [0.2, -0.1]),
     ]
 
 
@@ -87,85 +74,18 @@ CATALOG_WINDOWS = [(1, 2), (3, 4), (5, 1), (1, 2, 3, 4, 5), (2, 2)]
 CATALOG_DIMS = (2, 5, 50)
 
 
-class DrPair:
-    """A check-suite entry: a DR operator T, checked firmly nonexpansive,
-    and V = 2T - Id, the composite reflection over its sets, checked
-    nonexpansive, both from one reflection chain per batch. The chain
-    starts from the images of T.sets[0]'s reflection that the suite's
-    P(C) and R(C) of that set share, when it is a built-in set."""
-
-    __slots__ = ("t_label", "T", "v_label", "V")
-
-    def __init__(self, t_label: str, v_label: str, T: DrOperator) -> None:
-        self.t_label, self.T = t_label, T
-        self.v_label, self.V = v_label, composite_reflection(T.sets)
-
-
-def _name(label: str, firm: bool) -> str:
-    return f"firmly_nonexpansive[{label}]" if firm else f"nonexpansive[{label}]"
-
-
-def _first_set(entry) -> ConvexSet | None:
-    """The set that a suite entry's operator projects onto first, which
-    run_check_suite groups the entry by: c for Projection(c) and
-    Reflection(c), and T.sets[0] for a DrPair. None for every other entry,
-    and for a set of a user subclass, whose entries run on their own."""
-    if isinstance(entry, DrPair):
-        c = entry.T.sets[0]
-    else:
-        op = entry[1]
-        c = op.set_ if type(op) in (Projection, Reflection) else None
-    return c if type(c) in _BUILT_IN else None
-
-
-def _check_alone(entry, samples: int, scale: float, seed: int) -> list[PropertyReport]:
-    """The reports of an entry checked on its own: a DrPair's from one
-    reflection chain per batch, a triple's from its public check."""
-    if isinstance(entry, DrPair):
-        return _check_dr_pair(entry.T, entry.V, samples, scale, seed,
-                              _name(entry.t_label, True), _name(entry.v_label, False))
-    label, op, firm = entry
-    check = check_firmly_nonexpansive if firm else check_nonexpansive
-    return [check(op, samples, scale, seed, name=_name(label, firm))]
-
-
-def run_check_suite(suite, samples: int, scale: float, seed: int) -> list[PropertyReport]:
-    """The reports of a check suite, in its order: one per (label, operator,
-    firm) triple, firmly_nonexpansive[label] when firm, else
-    nonexpansive[label], and two per DrPair, firmly_nonexpansive[t_label]
-    then nonexpansive[v_label]. `drfeas check` and AC-1 both run here.
-    Each report has the bits of the public check of its operator alone.
-    The entries that project onto one built-in set C first, P(C), R(C) and
-    every DrPair whose T.sets[0] is C, are checked together when the first
-    of them comes up, from one projection of each batch onto C; their
-    images are let go before the next entry is checked. Every other entry
-    is checked on its own, in its turn. Checks of one dimension share one
-    draw of the pairs, which is let go when the suite returns or raises."""
-    suite = list(suite)
-    firsts = [_first_set(entry) for entry in suite]
-    # per set, the (key, name, firm) triples of its P and R checks and the
-    # (key, T, t_name, v_name) quadruples of its DR pairs
-    groups: dict[ConvexSet, tuple[list, list, list]] = {}
-    for i, (c, entry) in enumerate(zip(firsts, suite)):
-        if c is None:
-            continue
-        projections, reflections, pairs = groups.setdefault(c, ([], [], []))
-        if isinstance(entry, DrPair):
-            pairs.append((i, entry.T, _name(entry.t_label, True), _name(entry.v_label, False)))
-        else:
-            label, op, firm = entry
-            (projections if type(op) is Projection else reflections).append(
-                (i, _name(label, firm), firm))
-    reports: dict[int, list[PropertyReport]] = {}
-    try:
-        for i, (c, entry) in enumerate(zip(firsts, suite)):
-            if c is None:
-                reports[i] = _check_alone(entry, samples, scale, seed)
-            elif c in groups:
-                reports.update(_check_set_group(c, *groups.pop(c), samples, scale, seed))
-        return [rep for i in range(len(suite)) for rep in reports[i]]
-    finally:
-        _draw_pairs.cache_clear()
+def _catalog_suite(dims):
+    """The AC-1 check-suite entries, made as the suite takes them in: per
+    dimension, every set's projection, then each catalog window's DR
+    operator T and its composite reflection V."""
+    for dim in dims:
+        sets = catalog_sets(dim)
+        for i, c in enumerate(sets):
+            yield f"P(C{i + 1}),d={dim}", Projection(c), check_firmly_nonexpansive
+        for w in CATALOG_WINDOWS:
+            wname, chosen = "".join(map(str, w)), [sets[i - 1] for i in w]
+            yield f"T{wname},d={dim}", dr_operator(chosen), check_firmly_nonexpansive
+            yield f"V{wname},d={dim}", composite_reflection(chosen), check_nonexpansive
 
 
 def operator_class_reports(
@@ -173,15 +93,7 @@ def operator_class_reports(
 ) -> list[PropertyReport]:
     """The AC-1 suite: projections and DR operators firmly nonexpansive,
     composite reflections nonexpansive, over the whole catalog."""
-    suite = []
-    for dim in dims:
-        sets = catalog_sets(dim)
-        suite += [(f"P(C{i + 1}),d={dim}", Projection(c), True) for i, c in enumerate(sets)]
-        for w in CATALOG_WINDOWS:
-            wname = "".join(map(str, w))
-            T = dr_operator([sets[i - 1] for i in w])
-            suite.append(DrPair(f"T{wname},d={dim}", f"V{wname},d={dim}", T))
-    return run_check_suite(suite, samples, scale, seed)
+    return run_check_suite(_catalog_suite(dims), samples, scale, seed)
 
 
 def repro_ac1(trace_dir=None) -> tuple[bool, list[str]]:

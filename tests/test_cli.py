@@ -3,8 +3,15 @@ from importlib.resources import files
 
 import pytest
 
-from drfeas.cli import main
-from drfeas.repro import bundled_document
+from drfeas import (
+    Composition,
+    DrOperator,
+    Reflection,
+    check_firmly_nonexpansive,
+    check_nonexpansive,
+)
+from drfeas.cli import _check_suite, main
+from drfeas.repro import bundled_document, load_bundled
 
 THREE_BALLS_RUN = {
     "dimension": 2,
@@ -284,6 +291,28 @@ def test_check_fails_on_overflowing_image(tmp_path, capsys):
     assert main(["check", str(path), "--samples", "10", "--scale", "1e307"]) == 1
     out = capsys.readouterr().out
     assert "nonexpansive[R(C1)],10,nan,1e-10,false" in out
+
+
+def test_check_suite_names_each_entry_by_its_check():
+    # ac2_three_balls (composite_q): P(Ci) firm and R(Ci) plain, each window
+    # S_n firm beside V_n, the composite reflection over its sets, plain,
+    # and Q plain; each entry names the public check whose report it gives
+    problem, config = load_bundled("ac2_three_balls.json")
+    suite = _check_suite(problem, config)
+    firm, plain = check_firmly_nonexpansive, check_nonexpansive
+    assert [(label, check) for label, _, check in suite] == [
+        ("P(C1)", firm), ("R(C1)", plain), ("P(C2)", firm), ("R(C2)", plain),
+        ("P(C3)", firm), ("R(C3)", plain),
+        ("S0", firm), ("V0", plain), ("S1", firm), ("V1", plain),
+        ("S2", firm), ("V2", plain), ("S3", firm), ("V3", plain), ("Q", plain),
+    ]
+    ops = {label: op for label, op, _ in suite}
+    for n in range(4):
+        S, V = ops[f"S{n}"], ops[f"V{n}"]
+        assert type(S) is DrOperator and type(V) is Composition
+        assert [R.set_ for R in V.factors] == list(S.sets)
+        assert all(type(R) is Reflection for R in V.factors)
+    assert ops["S3"] is ops["S0"]  # Q's cover repeats its first window
 
 
 def test_check_passes_a_correct_halfspace_projection(tmp_path, capsys):

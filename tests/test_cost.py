@@ -54,22 +54,26 @@ def _ac2_check_suite():
 @pytest.mark.parametrize("dim", repro.CATALOG_DIMS)
 def test_ac1_batch_projections_per_dimension(batch_projections, dim):
     # One projection onto each of the five sets, which P(Ci) and every
-    # window starting at Ci share, and the 8 further reflections of the
-    # five windows' chains (1, 1, 1, 4 and 1), each on the batch of first
-    # points and on the batch of second points (36 when each window
-    # projected onto its first set again, 62 when T reflected again too).
+    # window starting at Ci share, and the 7 further reflections of the
+    # five windows' chains (1, 1, 1, 3 and 1), each on the batch of first
+    # points and on the batch of second points. T12345 goes on from T12's
+    # R2 R1, where a check of each window on its own made 4 further
+    # reflections (26 then, 36 when each window projected onto its first
+    # set again, 62 when T reflected again too).
     repro.operator_class_reports(dims=(dim,))
-    assert len(batch_projections) == 2 * (5 + 8) == 26
+    assert len(batch_projections) == 2 * (5 + 7) == 24
 
 
 def test_check_batch_projections_on_a_dr_document(batch_projections):
-    # ac2_three_balls (composite_q, three balls, four windows of two sets):
-    # one projection onto each ball, which P(Ci), R(Ci) and the windows
-    # S_n / V_n starting at Ci share, the windows' second reflections and
-    # Q's eight reflections, each on two batches (44 when R(Ci) and each
-    # window projected again, 60 when S_n reflected again too).
+    # ac2_three_balls (composite_q, three balls, four windows of two sets,
+    # the last of which is the first): one projection onto each ball, which
+    # P(Ci), R(Ci) and the windows S_n / V_n starting at Ci share, the three
+    # distinct windows' second reflections, and the six reflections of Q
+    # after its first window, S_0, whose chain Q shares, each on two
+    # batches (30 when S_3 and Q's first window reflected again, 44 when
+    # R(Ci) and each window projected again, 60 when S_n reflected again).
     _ac2_check_suite()
-    assert len(batch_projections) == 2 * (3 + 4 + 8) == 30
+    assert len(batch_projections) == 2 * (3 + 3 + 6) == 24
 
 
 @pytest.mark.parametrize("dim", repro.CATALOG_DIMS)
@@ -88,6 +92,25 @@ def test_check_norms_on_a_dr_document(check_norms):
     # draw (83 when every report measured the draw again).
     _ac2_check_suite()
     assert len(check_norms) == 2 + 7 * 3 + 8 * 4 == 55
+
+
+def test_ac1_suite_memory_peak_at_d50():
+    # tracemalloc's peak over one d=50 AC-1 suite of 1000 samples, after a
+    # warm-up suite: 3,705,791 bytes on Python 3.11 with numpy 2.4, against
+    # 3,706,697 when each set's group of checks kept its reflection images
+    # alive through the group. It falls at T12's report: the draw's
+    # (3, 1000, 50) block, R2's images, which T12345 reads later, T12's
+    # average in a copy of them and a firm check's temporaries, about 9
+    # arrays of 400 kB. Each image is let go at its last read; the suite's
+    # trie nodes and report names are most of the rest.
+    repro.operator_class_reports(dims=(50,))
+    tracemalloc.start()
+    try:
+        repro.operator_class_reports(dims=(50,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_706_697
 
 
 PACKAGE = str(Path(drfeas.__file__).resolve().parent)

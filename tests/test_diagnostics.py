@@ -1,3 +1,5 @@
+import functools
+from dataclasses import dataclass
 from importlib.resources import files
 
 import numpy as np
@@ -5,20 +7,17 @@ import pytest
 
 from drfeas import diagnostics, repro
 from drfeas.cli import _check_suite, main
+from drfeas.diagnostics import run_check_suite
 from drfeas.operators import Operator
-from drfeas.repro import (
-    DrPair,
-    bundled_document,
-    load_bundled,
-    operator_class_reports,
-    run_check_suite,
-)
+from drfeas.repro import bundled_document, load_bundled, operator_class_reports
 from test_in_place import Keeper
 
 from drfeas import (
     Ball,
     Box,
     CheckParameterError,
+    Composition,
+    ConvexSet,
     Cyclic,
     DimensionMismatch,
     DrOperator,
@@ -27,6 +26,7 @@ from drfeas import (
     Hyperplane,
     Point,
     Projection,
+    PropertyReport,
     Reflection,
     Relaxation,
     asymptotic_regularity_series,
@@ -401,30 +401,24 @@ def test_a_suite_draws_each_sample_once(monkeypatch, tmp_path, capsys):
     assert seeds == [4]
 
 
-def _checks(suite):
-    """The suite's (label, operator, firm) triples, a DrPair read as its two:
-    T firm, then V plain."""
-    for entry in suite:
-        if isinstance(entry, DrPair):
-            yield entry.t_label, entry.T, True
-            yield entry.v_label, entry.V, False
-        else:
-            yield entry
-
-
 def _standalone(suite, samples, scale, seed):
-    """The reports of run_check_suite, each from a public check of its own
-    operator, called one operator at a time."""
-    reports = []
-    for label, op, firm in _checks(suite):
-        diagnostics._draw_pairs.cache_clear()
-        if firm:
-            rep = check_firmly_nonexpansive(op, samples, scale, seed,
-                                            name=f"firmly_nonexpansive[{label}]")
-        else:
-            rep = check_nonexpansive(op, samples, scale, seed, name=f"nonexpansive[{label}]")
-        reports.append(rep)
-    return reports
+    """The reports of run_check_suite and the images each reads, computed
+    apart from the suite's trie walk: each operator's _apply on the draw of
+    diagnostics._pairs, then the violation of its check, one entry at a
+    time."""
+    reports, images = [], {}
+    for label, op, check in suite:
+        firm = check is check_firmly_nonexpansive
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample = diagnostics._pairs(op.dim, samples, scale, seed)
+            Tx, Ty = op._apply(sample.x), op._apply(sample.y)
+            violation = (diagnostics._firm_violation if firm
+                         else diagnostics._plain_violation)(sample, Tx, Ty)
+        name = f"firmly_nonexpansive[{label}]" if firm else f"nonexpansive[{label}]"
+        worst = float(np.max(violation, initial=0.0))
+        reports.append(PropertyReport(name, samples, worst, 1e-10, worst <= 1e-10))
+        images[name] = (Tx.tobytes(), Ty.tobytes())
+    return reports, images
 
 
 def _bits(reports):
@@ -432,19 +426,43 @@ def _bits(reports):
             for r in reports]
 
 
-def test_suite_reports_equal_standalone_checks_on_the_catalog(monkeypatch):
+@pytest.fixture
+def read_images(monkeypatch) -> dict:
+    """Per report name, the images a suite's report read, as bytes, taken
+    when the report reads them."""
+    images, last = {}, []
+    for check, (kind, violation) in list(diagnostics._KINDS.items()):
+        def spy(sample, Tx, Ty, violation=violation):
+            last[:] = [(Tx.tobytes(), Ty.tobytes())]
+            return violation(sample, Tx, Ty)
+
+        monkeypatch.setitem(diagnostics._KINDS, check, (kind, spy))
+    real = diagnostics._report
+
+    def report(name, violation, tol):
+        images[name] = last.pop()
+        return real(name, violation, tol)
+
+    monkeypatch.setattr(diagnostics, "_report", report)
+    return images
+
+
+def test_suite_reports_equal_standalone_checks_on_the_catalog(monkeypatch, read_images):
     suites, real = [], repro.run_check_suite
 
     def spy(suite, *args):
+        suite = list(suite)
         suites.append((suite, args))
         return real(suite, *args)
 
     monkeypatch.setattr(repro, "run_check_suite", spy)
     reports = operator_class_reports(samples=200, seed=3)
     [(suite, args)] = suites
-    assert {op.dim for _, op, _ in _checks(suite)} == {2, 5, 50}
-    assert sum(isinstance(entry, DrPair) for entry in suite) == 15  # five windows per dimension
-    assert _bits(reports) == _bits(_standalone(suite, *args))
+    assert {op.dim for _, op, _ in suite} == {2, 5, 50}
+    assert sum(isinstance(op, DrOperator) for _, op, _ in suite) == 15  # five windows per dimension
+    expected, images = _standalone(suite, *args)
+    assert _bits(reports) == _bits(expected)
+    assert read_images == images
 
 
 BUNDLED = sorted(
@@ -453,25 +471,34 @@ BUNDLED = sorted(
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_suite_reports_equal_standalone_checks_on_bundled_documents(name):
+def test_suite_reports_equal_standalone_checks_on_bundled_documents(name, read_images):
     problem, config = load_bundled(name)
     suite = _check_suite(problem, config)
-    pairs = sum(isinstance(entry, DrPair) for entry in suite)
-    assert (pairs > 0) == (config.scheme != "product")  # one per window S_n of Q
+    windows = sum(label.startswith("V") for label, _, _ in suite)
+    assert (windows > 0) == (config.scheme != "product")  # V_n beside each window S_n of Q
     args = (200, problem.sampling_scale(), 1)
-    assert _bits(run_check_suite(suite, *args)) == _bits(_standalone(suite, *args))
+    expected, images = _standalone(suite, *args)
+    assert _bits(run_check_suite(suite, *args)) == _bits(expected)
+    assert read_images == images
 
 
-def test_suite_reports_equal_standalone_checks_on_windows_with_a_user_set():
-    # A user set's projection is an array it keeps; the pair averages V's
+def _windows(label, sets):
+    """The suite entries of the DR operator over sets, checked firmly
+    nonexpansive, and of its composite reflection, checked nonexpansive."""
+    return [(f"T{label}", dr_operator(sets), check_firmly_nonexpansive),
+            (f"V{label}", composite_reflection(sets), check_nonexpansive)]
+
+
+def test_suite_reports_equal_standalone_checks_on_windows_with_a_user_set(read_images):
+    # A user set's projection is an array it keeps; the walk averages V's
     # images in place, which never writes into a kept array.
     keeper = Keeper([0.5, -0.25, 1.0])
     ball, halfspace = Ball([0.0, 0.0, 0.0], 1.5), Halfspace([1.0, 1.0, 0.0], 0.5)
     suite = [
-        DrPair("T1", "V1", dr_operator([ball, keeper, halfspace])),
-        ("P", Projection(keeper), True),
-        DrPair("T2", "V2", dr_operator([keeper])),
-        DrPair("T3", "V3", dr_operator([halfspace, keeper])),
+        *_windows("1", [ball, keeper, halfspace]),
+        ("P", Projection(keeper), check_firmly_nonexpansive),
+        *_windows("2", [keeper]),
+        *_windows("3", [halfspace, keeper]),
     ]
     args = (100, 2.0, 7)
     reports = run_check_suite(suite, *args)
@@ -480,85 +507,197 @@ def test_suite_reports_equal_standalone_checks_on_windows_with_a_user_set():
         "firmly_nonexpansive[T2]", "nonexpansive[V2]",
         "firmly_nonexpansive[T3]", "nonexpansive[V3]",
     ]
-    assert _bits(reports) == _bits(_standalone(suite, *args))
+    expected, images = _standalone(suite, *args)
+    assert _bits(reports) == _bits(expected) and read_images == images
     assert len(keeper.kept) >= 14
     for out, copy in keeper.kept:
         assert out.tobytes() == copy.tobytes()
 
 
+@dataclass(eq=True)
+class ValueBall(ConvexSet):
+    """A ball as a user set that compares by value, and so is unhashable;
+    == on its array center cannot even be read as one bool."""
+
+    center: np.ndarray
+    radius: float
+    kind = "ValueBall"
+
+    def __post_init__(self):
+        super().__init__(len(self.center))
+
+    def _project(self, x):
+        v = x - self.center
+        d = np.linalg.norm(v, axis=-1, keepdims=True)
+        return np.where(d <= self.radius, x,
+                        self.center + self.radius / np.maximum(d, self.radius) * v)
+
+    def interior_margin(self, x):
+        return self.radius - float(np.linalg.norm(x.coords - self.center))
+
+    def scale_hint(self):
+        return float(np.max(np.abs(self.center))) + self.radius
+
+
+@dataclass(eq=True)
+class ValueHalving(Operator):
+    """x / 2 as a user operator that compares by value, and so is
+    unhashable."""
+
+    n: int
+
+    def __post_init__(self):
+        super().__init__(self.n)
+
+    def _apply(self, x):
+        return 0.5 * x
+
+
 def _grouped_suite(case):
-    """A suite of entries that share their first set, in an order a suite
-    of drfeas check or AC-1 never has, and the user sets among them."""
+    """A suite of entries whose chains share steps, in an order a suite of
+    drfeas check or AC-1 never has, and the user sets among them."""
     # most sampled points lie outside the ball, so that its reflection and
     # its DR average move most rows
     ball, box = Ball([0.25, 0.0, -0.5], 0.25), Box([-1.0, -1.0, -1.0], [0.5, 0.5, 2.0])
     halfspace = Halfspace([1.0, 1.0, 0.0], 0.5)
+    firm, plain = check_firmly_nonexpansive, check_nonexpansive
     if case == "one_set_window_first":
-        # The one-set window comes before the group's P, R and two-set
-        # window, but is checked after them; a later one-set window then
-        # reads the same R images again.
+        # The one-set window's average is R(ball)'s first child, but not its
+        # last, so it averages in a copy; a later one-set window of another
+        # DR operator reads the same R images again.
         return [
-            DrPair("T1", "V1", DrOperator([ball])),
-            ("P", Projection(ball), True),
-            ("R", Reflection(ball), False),
-            DrPair("T2", "V2", DrOperator([ball, halfspace])),
-            DrPair("T3", "V3", DrOperator([ball])),
-            DrPair("T4", "V4", DrOperator([ball, box, ball])),
+            *_windows("1", [ball]),
+            ("P", Projection(ball), firm),
+            ("R", Reflection(ball), plain),
+            *_windows("2", [ball, halfspace]),
+            *_windows("3", [ball]),
+            *_windows("4", [ball, box, ball]),
         ], []
     if case == "reflection_before_projection":
         return [
-            ("R(ball)", Reflection(ball), False),
-            ("R(box), firm", Reflection(box), True),
-            ("P(ball)", Projection(ball), True),
-            ("P(box), plain", Projection(box), False),
-            DrPair("T", "V", DrOperator([box, ball])),
+            ("R(ball)", Reflection(ball), plain),
+            ("R(box), firm", Reflection(box), firm),
+            ("P(ball)", Projection(ball), firm),
+            ("P(box), plain", Projection(box), plain),
+            *_windows("", [box, ball]),
+        ], []
+    if case == "average_of_a_projection":
+        # The DR operator's input is P(ball)'s images, which its average
+        # reads after the reflections through ball and halfspace; Q's second
+        # window reads the first window's output the same way.
+        T = dr_operator([ball, halfspace])
+        return [
+            ("P(ball)", Projection(ball), firm),
+            ("PT", Composition([Projection(ball), T]), plain),
+            ("T", T, firm),
+            ("Q", Composition([T, dr_operator([box, ball]), Projection(ball)]), plain),
+            ("R(ball)", Reflection(ball), plain),
+        ], []
+    if case == "value_objects":
+        # Distinct user sets and operators equal by value are distinct steps;
+        # hashing them or comparing them with == would raise.
+        a, b = ValueBall(np.array([0.5, 0.0, 0.0]), 1.0), ValueBall(np.array([0.5, 0.0, 0.0]), 1.0)
+        half_a, half_b = ValueHalving(3), ValueHalving(3)
+        return [
+            ("P(a)", Projection(a), firm),
+            *_windows("a", [a, ball]),
+            ("P(b)", Projection(b), firm),
+            *_windows("b", [b, ball]),
+            ("H(a)", half_a, firm),
+            ("H(b)P(a)", Composition([half_b, Projection(a)]), firm),
+            ("H(a)T", Composition([half_a, dr_operator([a, b])]), firm),
         ], []
     keeper = Keeper([0.5, -0.25, 1.0])
     return [
-        DrPair("T1", "V1", DrOperator([keeper, ball])),
-        ("P(keeper)", Projection(keeper), True),
-        ("P(ball)", Projection(ball), True),
-        ("R(keeper)", Reflection(keeper), False),
-        DrPair("T2", "V2", DrOperator([ball, keeper, halfspace])),
-        DrPair("T3", "V3", DrOperator([keeper, keeper])),
+        *_windows("1", [keeper, ball]),
+        ("P(keeper)", Projection(keeper), firm),
+        ("P(ball)", Projection(ball), firm),
+        ("R(keeper)", Reflection(keeper), plain),
+        *_windows("2", [ball, keeper, halfspace]),
+        *_windows("3", [keeper, keeper]),
     ], [keeper]
 
 
 @pytest.mark.parametrize(
-    "case", ["one_set_window_first", "reflection_before_projection", "keeper_first"])
-def test_grouped_suites_equal_standalone_checks(case, monkeypatch):
+    "case", ["one_set_window_first", "reflection_before_projection", "keeper_first",
+             "average_of_a_projection", "value_objects"])
+def test_grouped_suites_equal_standalone_checks(case, read_images):
     # The images each report reads are compared too: a sampled check of a
     # nonexpansive operator reads a worst violation of 0 from most wrong
     # images as well.
-    images, real = {}, diagnostics._check
-
-    def spy(name, firm, sample, Tx, Ty, tol):
-        images[name] = (Tx.tobytes(), Ty.tobytes())
-        return real(name, firm, sample, Tx, Ty, tol)
-
-    monkeypatch.setattr(diagnostics, "_check", spy)
     suite, keepers = _grouped_suite(case)
     args = (100, 2.0, 5)
     reports = run_check_suite(suite, *args)
-    grouped = dict(images)
-    assert _bits(reports) == _bits(_standalone(suite, *args))
-    assert len(grouped) == len(reports) and grouped == images
+    expected, images = _standalone(suite, *args)
+    assert _bits(reports) == _bits(expected)
+    assert len(read_images) == len(reports) and read_images == images
     for keeper in keepers:
         assert keeper.kept
         for out, copy in keeper.kept:
             assert out.tobytes() == copy.tobytes()
 
 
+def test_equal_sets_are_distinct_steps(monkeypatch):
+    # Two balls with equal data are two sets: the suite projects onto each,
+    # where keys by value or by type would merge them.
+    calls, real = [], Ball._project
+    monkeypatch.setattr(Ball, "_project", lambda c, x: calls.append(c) or real(c, x))
+    a, b = Ball([0.5, 0.0], 1.0), Ball([0.5, 0.0], 1.0)
+    suite = [("P(a)", Projection(a), check_firmly_nonexpansive),
+             ("P(b)", Projection(b), check_firmly_nonexpansive),
+             ("R(a)", Reflection(a), check_nonexpansive)]
+    reports = run_check_suite(suite, 50, 2.0, 0)
+    assert [id(c) for c in calls] == [id(a), id(a), id(b), id(b)]
+    assert _bits(reports) == _bits(_standalone(suite, 50, 2.0, 0)[0])
+
+
+def _halved(cls):
+    """A user subclass of a built-in operator whose _apply halves the
+    built-in one's images."""
+    return type(f"Halved{cls.__name__}", (cls,), {
+        "_apply": lambda self, x: 0.5 * cls._apply(self, x)})
+
+
+def test_subclasses_of_built_in_operators_are_one_step(read_images):
+    # A subclass may redefine _apply, so its chain is one _apply step, not
+    # the built-in operator's steps, and it shares no step with them.
+    ball, halfspace = Ball([0.25, 0.0], 0.5), Halfspace([1.0, 1.0], 0.5)
+    firm = check_firmly_nonexpansive
+    suite = [
+        ("P", _halved(Projection)(ball), firm), ("P(ball)", Projection(ball), firm),
+        ("R", _halved(Reflection)(ball), firm),
+        ("C", _halved(Composition)([Projection(ball), Projection(halfspace)]), firm),
+        ("T", _halved(DrOperator)([ball, halfspace]), firm),
+        ("T(ball, halfspace)", dr_operator([ball, halfspace]), firm),
+    ]
+    expected, images = _standalone(suite, 100, 2.0, 3)
+    assert _bits(run_check_suite(suite, 100, 2.0, 3)) == _bits(expected)
+    assert read_images == images
+
+
 def test_suites_of_other_seeds_and_dimensions_read_their_own_draw():
-    # The draw's norms and x - y belong to its key: a suite that follows
-    # another of the same dimension and another seed, or of another
+    # The draw's norms and x - y belong to its parameters: a suite that
+    # follows another of the same dimension and another seed, or of another
     # dimension, reads none of them.
     for dim, seed, samples in [(3, 1, 60), (3, 2, 60), (4, 2, 60), (4, 2, 80), (3, 1, 60)]:
         sets = [Ball(np.linspace(-0.5, 0.5, dim), 1.0), Halfspace(np.ones(dim), 0.25)]
-        suite = [("P", Projection(sets[0]), True), ("R", Reflection(sets[1]), False),
-                 DrPair("T", "V", DrOperator(sets))]
+        suite = [("P", Projection(sets[0]), check_firmly_nonexpansive),
+                 ("R", Reflection(sets[1]), check_nonexpansive), *_windows("", sets)]
         args = (samples, 3.0, seed)
-        assert _bits(run_check_suite(suite, *args)) == _bits(_standalone(suite, *args))
+        assert _bits(run_check_suite(suite, *args)) == _bits(_standalone(suite, *args)[0])
+
+
+def test_a_wrapped_check_names_its_check():
+    # A function that wraps a public check (functools.wraps), as a tracing
+    # harness installs one, names that check in a suite entry.
+    @functools.wraps(check_firmly_nonexpansive)
+    def traced(*args, **kwargs):
+        return check_firmly_nonexpansive(*args, **kwargs)
+
+    P = Projection(Ball([0.0, 0.0], 1.0))
+    [wrapped] = run_check_suite([("P", P, traced)], 50, 2.0, 0)
+    [plain] = run_check_suite([("P", P, check_firmly_nonexpansive)], 50, 2.0, 0)
+    assert wrapped == plain and wrapped.property_name == "firmly_nonexpansive[P]"
 
 
 class HalfTurn(Operator):
@@ -593,7 +732,8 @@ class Recorder(Operator):
 
 def test_operators_see_shared_read_only_contiguous_batches():
     ops = [Recorder(3), Recorder(3)]
-    run_check_suite([("a", ops[0], True), ("b", ops[1], False)], 20, 1.0, 0)
+    run_check_suite([("a", ops[0], check_firmly_nonexpansive), ("b", ops[1], check_nonexpansive)],
+                    20, 1.0, 0)
     first, second = ops
     assert len(first.seen) == len(second.seen) == 2  # first points, then second points
     for x in first.seen + second.seen:
@@ -607,22 +747,6 @@ def test_operators_see_shared_read_only_contiguous_batches():
         batch[0, 0] = 1.0
 
 
-class Raises(Operator):
-    def _apply(self, x):
-        raise RuntimeError("operator failed")
-
-
-def test_suite_holds_no_sample_once_it_returns():
-    memo = diagnostics._draw_pairs
-    check_nonexpansive(Identity(2), samples=10)
-    assert memo.cache_info().currsize == 1  # a check on its own keeps its last sample
-    run_check_suite([("id", Identity(2), True)], 10, 1.0, 0)
-    assert memo.cache_info().currsize == 0
-    with pytest.raises(RuntimeError, match="operator failed"):
-        run_check_suite([("id", Identity(2), True), ("raises", Raises(2), False)], 10, 1.0, 0)
-    assert memo.cache_info().currsize == 0
-
-
 @pytest.mark.parametrize(
     "check",
     [check_firmly_nonexpansive, check_nonexpansive,
@@ -634,7 +758,7 @@ def test_suite_holds_no_sample_once_it_returns():
     ids=["samples", "scale", "scale_overflow", "seed"],
 )
 def test_each_check_validates_its_parameters_before_the_memo(check, bad):
-    # a sample already drawn for valid parameters does not let a bad one through
+    # a check run with valid parameters does not let a bad one through next
     check(Identity(2), samples=10, scale=1.0, seed=0)
     with pytest.raises(CheckParameterError, match=next(iter(bad))[:5]):
         check(Identity(2), **{"samples": 10, "scale": 1.0, "seed": 0, **bad})
