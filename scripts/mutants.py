@@ -97,24 +97,27 @@ MUTANTS = [
            "if len(set(prefix)) != m:", "if set(prefix) != set(range(1, m + 1)):",
            ("tests/test_control.py::"
             "test_explicit_coverage_check_grows_with_the_prefix_not_its_largest_entry",)),
-    # In-place batches: outputs are new arrays, inputs are only read.
-    Mutant("ball_reflect_returns_x", "src/drfeas/convex.py",
-           "return x + 0.0 if self._doubles else", "return x if self._doubles else",
+    # In place: a projection is x or a new array, which a reflection doubles
+    # in; outputs are new arrays, inputs are only read.
+    Mutant("reflect_in_place_without_type_test", "src/drfeas/convex.py",
+           "if p is not x and type(self) in _BUILT_IN:", "if p is not x:",
            ("tests/test_in_place.py",)),
-    Mutant("ball_reflect_always_x_plus_zero", "src/drfeas/convex.py",
-           "return x + 0.0 if self._doubles else 2.0 * x - x", "return x + 0.0",
-           ("tests/test_in_place.py",)),
-    Mutant("ball_reflect_doubles_before_center", "src/drfeas/convex.py",
-           "        v += self.center\n        v *= 2.0\n",
-           "        v *= 2.0\n        v += self.center\n",
-           ("tests/test_in_place.py",)),
-    Mutant("ball_reflect_without_scaled_branch", "src/drfeas/convex.py",
-           "        if d == math.inf:  # as in _project\n", "        if False:\n",
+    Mutant("reflect_in_place_into_x", "src/drfeas/convex.py",
+           "if p is not x and type(self) in _BUILT_IN:", "if type(self) in _BUILT_IN:",
+           ("tests/test_in_place.py::test_reflection_has_the_bits_of_twice_the_projection_minus_x",)),
+    Mutant("ball_center_before_scaling", "src/drfeas/convex.py",
+           "        v *= self.radius / d\n        v += self.center\n",
+           "        v += self.center\n        v *= self.radius / d\n",
+           ("tests/test_in_place.py::test_dr_and_relaxation_keep_the_bits_of_their_formulas",)),
+    Mutant("ball_project_without_scaled_branch", "src/drfeas/convex.py",
+           "        if d == math.inf:\n            # x - center overflowed, or its norm does: take",
+           "        if False:\n            # x - center overflowed, or its norm does: take",
            ("tests/test_in_place.py::"
             "test_ball_reflects_a_point_whose_offset_overflows_at_a_power_of_two",)),
-    Mutant("reflect_in_place_without_type_test", "src/drfeas/convex.py",
-           "if x.ndim > 1 and type(self) in _BUILT_IN:", "if x.ndim > 1:",
-           ("tests/test_in_place.py",)),
+    Mutant("halfspace_rows_without_member_copy", "src/drfeas/convex.py",
+           "        if self._one_sided:  # x - 0 a would turn a -0.0 into 0.0\n"
+           "            np.copyto(out, x, where=(g <= 0.0)[..., None])\n", "",
+           ("tests/test_small_d.py::test_batch_rows_have_the_bits_of_single_point_projections",)),
     Mutant("linear_step_into_x", "src/drfeas/convex.py",
            "* self._sa\n        np.subtract(x, out, out=out)",
            "* self._sa\n        out = np.subtract(x, out, out=x)",
@@ -171,6 +174,9 @@ MUTANTS = [
     Mutant("composition_subclass_split", "src/drfeas/operators.py",
            "return steps if type(self) is Composition else super()._steps()", "return steps",
            ("tests/test_diagnostics.py::test_subclasses_of_built_in_operators_are_one_step",)),
+    Mutant("quasi_batch_writeable", "src/drfeas/diagnostics.py",
+           "        x.setflags(write=False)\n", "",
+           ("tests/test_diagnostics.py::test_operators_see_shared_read_only_contiguous_batches",)),
     Mutant("draw_norms_from_x_alone", "src/drfeas/diagnostics.py",
            "_Sample(x, y, _max_norms(x, y), diff)", "_Sample(x, y, _max_norms(x), diff)",
            ("tests/test_diagnostics.py::test_violations_are_relative_to_the_largest_norm_of_a_pair",)),

@@ -9,11 +9,13 @@ products with ordinary points cannot overflow.
 
 Projections take one point of shape (d,) or a batch of shape (..., d); a
 batch row gets the arithmetic of a single point, so it has the same bits.
-A built-in kind's projection of a batch is always a new array, and
-``ConvexSet._reflect``, the one reflection formula 2 P(x) - x, doubles it
-and subtracts x in place (``ConvexSet._reflect_projection``, which the
-sampled check suites also apply to the projection images they share);
-what a user subclass's _project returns is never written into.
+A built-in kind's _project returns either x itself or a new array that it
+owns. ``ConvexSet._reflect``, the one reflection formula 2 P(x) - x, rests
+on that: where the projection is a new array, of a point or a batch, it
+doubles it and subtracts x in place (``ConvexSet._reflect_projection``,
+which the sampled check suites also apply to the projection images they
+share); x itself, and what a user subclass's _project returns, are never
+written into.
 
 Every kind also measures the distances from x to a whole family of its
 sets at once, from data stacked into matrices (``_family_distances``;
@@ -121,12 +123,13 @@ class ConvexSet(ABC):
         arrays: a point or a (..., d) batch, as _project takes them. The
         result is always a new array, which the caller may overwrite.
 
-        A built-in kind's projection of a batch is a new array, so it is
-        doubled and x subtracted in it, with the operations of 2 P(x) - x.
-        The projection of a single point may be x itself, and a user
-        subclass's may be an array it keeps, so neither is written into."""
+        Where a built-in kind's projection is not x, it is a new array of
+        its own, so it is doubled and x subtracted in it, with the
+        operations of 2 P(x) - x. Otherwise, x itself or what a user
+        subclass's _project returns (an array it may keep), the result is
+        the new array 2.0 * p - x."""
         p = self._project(x)
-        if x.ndim > 1 and type(self) in _BUILT_IN:
+        if p is not x and type(self) in _BUILT_IN:
             return ConvexSet._reflect_projection(p, x)
         return 2.0 * p - x
 
@@ -146,6 +149,8 @@ class ConvexSet(ABC):
 
         Takes a point of shape (d,) or a batch of shape (..., d) and projects
         each row; the sampled checks evaluate all their points in one call.
+        A built-in kind returns either x itself or a new array that it
+        owns, which _reflect may write into.
         """
 
     @abstractmethod
@@ -195,14 +200,10 @@ class _LinearSet(ConvexSet):
         if self.scale_hint() == math.inf:  # |b| / ||a||
             raise InvalidSet("b / ||a|| overflows: the set has no finite point")
 
-    def _gap(self, x: np.ndarray) -> float:
-        """<a, x> - b in the scaled data."""
-        return _dot(self._sa, x) - self._sb
-
     def _project(self, x: np.ndarray) -> np.ndarray:
         if x.ndim > 1:
             return self._project_rows(x)
-        g = _dot(self._sa, x) - self._sb  # self._gap(x), inlined: one call fewer
+        g = _dot(self._sa, x) - self._sb  # <a, x> - b in the scaled data
         if self._one_sided and g <= 0.0:
             return x
         t = g / self._a_norm_sq
@@ -229,14 +230,17 @@ class _LinearSet(ConvexSet):
 
     def _project_rows(self, x: np.ndarray) -> np.ndarray:
         """_project on a (..., d) batch: one gap per row, each the dot product
-        of one point; a row whose step overflows takes the power-of-two
-        branch of a single point."""
+        of one point; a halfspace's member rows stay, as a single member
+        does, and a row whose step overflows takes the power-of-two branch
+        of a single point."""
         g = _row_dots(x, self._sa) - self._sb
         if self._one_sided:
             g = np.maximum(g, 0.0)
         t = g / self._a_norm_sq
         out = t[..., None] * self._sa
         np.subtract(x, out, out=out)
+        if self._one_sided:  # x - 0 a would turn a -0.0 into 0.0
+            np.copyto(out, x, where=(g <= 0.0)[..., None])
         for i in zip(*np.nonzero(~np.isfinite(t))):
             out[i] = self._project(x[i])
         return out
@@ -273,7 +277,7 @@ class Halfspace(_LinearSet):
 
     def interior_margin(self, x: Point) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            return -self._gap(self._coords(x)) / self._a_norm
+            return -(_dot(self._sa, self._coords(x)) - self._sb) / self._a_norm
 
 
 class Hyperplane(_LinearSet):
@@ -295,7 +299,7 @@ class Ball(ConvexSet):
     scaled where its square over- or underflows, and the whole form taken at
     one power-of-two scale where x - c itself overflows."""
 
-    __slots__ = ("center", "radius", "_doubles", "_center_floats")
+    __slots__ = ("center", "radius", "_center_floats")
 
     kind = "Ball"
 
@@ -307,10 +311,6 @@ class Ball(ConvexSet):
         self.center = center
         self._center_floats = _floats(center)
         self.radius = float(radius)
-        # A point whose computed distance from the center is at most the
-        # radius lies within twice the radius of it, so here 2x cannot
-        # overflow, and 2x - x is x + 0.0 bit for bit (-0.0 gives 0.0).
-        self._doubles = float(np.max(np.abs(center))) + 2.0 * self.radius < 2.0**1023
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         if x.ndim > 1:
@@ -325,29 +325,9 @@ class Ball(ConvexSet):
             _, y, c = _scaled(x, self.center)
             v = y - c
             d = _norm(v)
-        return self.center + (self.radius / d) * v
-
-    def _reflect(self, x: np.ndarray) -> np.ndarray:
-        """A single point is reflected with the arithmetic of 2 P(x) - x and
-        no call to _project; inside a ball whose points double without
-        overflow, that is x + 0.0. Outside, 2 (c + (r / d) v) - x is formed
-        in place in v = x - c (or its scaled form), a new array, with the
-        same roundings. A batch, or a subclass's point, takes
-        ConvexSet._reflect."""
-        if x.ndim > 1 or type(self) is not Ball:
-            return super()._reflect(x)
-        v = x - self.center
-        d = _norm(v)
-        if d <= self.radius:
-            return x + 0.0 if self._doubles else 2.0 * x - x
-        if d == math.inf:  # as in _project
-            _, y, c = _scaled(x, self.center)
-            v = y - c
-            d = _norm(v)
+        # c + (r / d) v, formed in v, the new array x - c or its scaled form
         v *= self.radius / d
         v += self.center
-        v *= 2.0
-        v -= x
         return v
 
     def _reflect_floats(self, x: list[float]) -> list[float] | None:
@@ -362,7 +342,7 @@ class Ball(ConvexSet):
             return None
         d = math.sqrt(sq)
         if d <= self.radius:
-            return [a + 0.0 for a in x] if self._doubles else [2.0 * a - a for a in x]
+            return [2.0 * a - a for a in x]
         s = self.radius / d
         return [2.0 * (t * s + c) - a for t, c, a in zip(v, self._center_floats, x)]
 
@@ -585,11 +565,11 @@ SET_KINDS: dict[str, type[ConvexSet]] = {
 }
 
 # The built-in kinds, by exact type, which the library trusts: their
-# projection of a (..., d) batch is a new array, which _reflect may write
-# into, and their sets are measured by the stacked family of their type's
-# _family_distances (halfspaces and hyperplanes share _LinearSet's). A
-# subclass may redefine _project to return an array it keeps, or _distance,
-# so its sets are measured one at a time.
+# projection is x itself or a new array of their own, which _reflect may
+# write into, and their sets are measured by the stacked family of their
+# type's _family_distances (halfspaces and hyperplanes share _LinearSet's).
+# A subclass may redefine _project to return an array it keeps, or
+# _distance, so its sets are measured one at a time.
 _BUILT_IN = frozenset(SET_KINDS.values())
 
 # The built-in kinds, by exact type, with a _reflect_floats.

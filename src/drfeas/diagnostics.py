@@ -11,7 +11,8 @@ Each check draws its pairs in order from one generator seeded with
 ``seed``, so a check with fewer samples sees a prefix of the pairs of one
 with more. The draw is split once into two read-only, C-contiguous
 (samples, d) batches, the first points x and the second points y, with the
-per-row max(||x||, ||y||) and x - y of the draw, also read-only.
+per-row max(||x||, ||y||) and x - y of the draw, also read-only. The quasi
+check, which reads only x, copies out x alone.
 
 Every firm and plain check runs through ``run_check_suite``, the public ones
 as suites of one entry. A built-in operator is a chain of steps on a batch
@@ -86,24 +87,29 @@ class _Sample(NamedTuple):
     diff: np.ndarray
 
 
+def _draw(dim: int, samples: int, scale: float, seed: int) -> np.ndarray:
+    """The sampled pairs of a check, after validating its parameters, as
+    one (samples, 2, dim) array, which one generator draws in order, so the
+    first k pairs of an n-sample draw are those of a k-sample draw."""
+    samples = _integer(samples, "samples", CheckParameterError, 1)
+    seed = _integer(seed, "seed", CheckParameterError, 0)
+    if not (0.0 < 2.0 * scale < math.inf):  # numpy draws from a range 2 * scale wide
+        raise CheckParameterError("scale must be positive, with 2 * scale finite")
+    return np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, dim))
+
+
 def _pairs(dim: int, samples: int, scale: float, seed: int) -> _Sample:
-    """The sampled pairs of a check, after validating its parameters. One
-    generator draws them in order, as one (samples, 2, dim) array, so the
-    first k pairs of an n-sample draw are those of a k-sample draw; its
-    first and second points are then copied out once, each into a read-only
-    C-contiguous batch, and their norms and difference are taken once.
+    """The draw of a firm or plain check (_draw): its first and second
+    points copied out once, each into a read-only C-contiguous batch, and
+    their norms and difference taken once.
 
     x, y and x - y are the three planes of one block. One large allocation,
     not three, keeps a suite's page faults down: glibc maps a block that
     size on its own, and once one is unmapped, it keeps up to twice that of
     free heap instead of returning it to the system, so the image arrays of
     a suite reuse the pages of the last."""
-    samples = _integer(samples, "samples", CheckParameterError, 1)
-    seed = _integer(seed, "seed", CheckParameterError, 0)
-    if not (0.0 < 2.0 * scale < math.inf):  # numpy draws from a range 2 * scale wide
-        raise CheckParameterError("scale must be positive, with 2 * scale finite")
-    P = np.random.default_rng(seed).uniform(-scale, scale, size=(samples, 2, dim))
-    block = np.empty((3, samples, dim))
+    P = _draw(dim, samples, scale, seed)
+    block = np.empty((3, P.shape[0], dim))
     block[:2] = P.transpose(1, 0, 2)
     np.subtract(block[0], block[1], out=block[2])
     block.setflags(write=False)
@@ -329,7 +335,9 @@ def check_quasi_nonexpansive(
             f"{residual:.3e} exceeds tol {tol:.3e}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _pairs(T.dim, samples, scale, seed).x
+        # the first points alone, in a read-only C-contiguous copy
+        x = _draw(T.dim, samples, scale, seed)[:, 0].copy()
+        x.setflags(write=False)
         Tx = T._apply(x)
         M, unit = _scale(_max_norms(x, Tx, q[None]), x, Tx, q[None])
         return _report(name, (_row_norms(_scaled_difference(Tx, q, unit))

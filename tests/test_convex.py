@@ -19,6 +19,7 @@ from drfeas import (
     set_from_params,
 )
 from drfeas.convex import SET_KINDS
+from drfeas.space import _dot
 
 # One instance per kind in R^3, used by the sampled property tests.
 def catalog():
@@ -256,11 +257,18 @@ def test_linear_projection_when_step_overflows():
 
 def test_linear_projection_keeps_a_member_whose_gap_overflows():
     # Partial sums of <a, x> pass the largest float, so the unscaled gap is
-    # not finite; taken at a power-of-two scale it is 0, and x stays
+    # not finite; taken at a power-of-two scale it is 0, and x stays. Below
+    # 8 coordinates the gap is summed left to right, so it overflows under
+    # every BLAS kernel; at d=32 the kernel's order decides whether it does
+    # (inf, NaN or a finite -1.6e293), and x stays either way.
+    small = Halfspace([1.5, 1.5, -1.5, -1.5], 0.0)
+    x = np.full(4, 1.7e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(_dot(small._sa, x) - small._sb)
+        assert small._project(x) is x
     c = Halfspace([1.5] * 16 + [-1.5] * 16, 0.0)
     x = np.full(32, 1.7e308)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not math.isfinite(c._gap(x))
         assert c._project(x) is x
 
 

@@ -12,7 +12,9 @@ import pytest
 import drfeas
 from drfeas import control, diagnostics, problem_io, repro, solver
 from drfeas.cli import _check_suite
-from drfeas.convex import SET_KINDS, _LinearSet
+from drfeas.convex import (
+    SET_KINDS, AffineSubspace, Ball, Box, Halfspace, Hyperplane, _LinearSet,
+)
 
 
 @pytest.fixture
@@ -111,6 +113,64 @@ def test_ac1_suite_memory_peak_at_d50():
     finally:
         tracemalloc.stop()
     assert peak <= 3_706_697
+
+
+def _peak(f) -> int:
+    """tracemalloc's peak over one call of f, after a warm-up call."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# One set of each built-in kind at d=1000, with a point outside it and a
+# member.
+_D = 1000
+_ALTERNATING = np.tile([1.0, -1.0], _D // 2)
+REFLECT_CASES = {
+    "Halfspace": (Halfspace(np.ones(_D), 0.0), np.full(_D, 2.0), -np.ones(_D)),
+    "Hyperplane": (Hyperplane(np.ones(_D), 0.0), np.full(_D, 2.0), _ALTERNATING),
+    "Ball": (Ball(np.zeros(_D), 1.0), np.full(_D, 2.0), np.full(_D, 0.01)),
+    "Box": (Box(-np.ones(_D), np.ones(_D)), np.full(_D, 2.0), np.zeros(_D)),
+    "AffineSubspace": (AffineSubspace(np.eye(3, _D), np.zeros(3)), np.full(_D, 2.0),
+                       np.zeros(_D)),
+}
+
+
+def test_reflect_cases_cover_every_kind():
+    assert {type(c) for c, _, _ in REFLECT_CASES.values()} == set(SET_KINDS.values())
+
+
+@pytest.mark.parametrize("kind", REFLECT_CASES)
+def test_single_point_reflection_keeps_two_arrays_at_most(kind):
+    # One single-point _reflect at d=1000 peaks at two d-arrays and their
+    # headers (16,192 bytes measured on Python 3.11 with numpy 2.4): the
+    # projection's temporary, if any, and the projection, which is
+    # reflected in place; a member of a halfspace or ball takes 2.0 * x - x.
+    # A ball's point outside is projected in its own x - c (8,224), and an
+    # affine subspace's points in its product with W (9,328 and 9,413).
+    # When only a batch was reflected in place, a point outside, or a
+    # member a projection moves, peaked at 24,288 (24,384 for the affine
+    # subspace), and a ball's member at 16,296 (x + 0.0 beside x - c).
+    c, outside, member = REFLECT_CASES[kind]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert c._distance(outside) > 0.0 and c._distance(member) <= 1e-12
+    for x in (outside, member):
+        assert _peak(lambda: c._reflect(x)) <= 16_256
+
+
+def test_quasi_check_memory_peak_at_d50():
+    # tracemalloc's peak over one quasi check of 1000 samples at d=50: the
+    # (1000, 2, 50) draw and the copy of its first points, 1,291,952 bytes
+    # on Python 3.11 with numpy 2.4, against 2,092,048 when the check built
+    # the firm checks' (3, 1000, 50) block of x, y and x - y, with their
+    # norms, and read only x.
+    T = drfeas.Projection(Ball(np.zeros(50), 1.0))
+    p = drfeas.Point(np.zeros(50))
+    assert _peak(lambda: diagnostics.check_quasi_nonexpansive(T, p)) <= 1_300_000
 
 
 PACKAGE = str(Path(drfeas.__file__).resolve().parent)

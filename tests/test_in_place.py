@@ -1,6 +1,6 @@
 """Batch operations write only into arrays they made themselves. A built-in
-kind's projection of a batch is a new array, which the reflection doubles
-and subtracts from in place. The DR operator averages in its own array, and
+kind's projection is x itself or a new array of its own, which the
+reflection then doubles and subtracts from in place. The DR operator averages in its own array, and
 relaxations and checks form their differences in one array each. Every
 in-place form keeps the bits of the expression it replaces. An input batch,
 and any array that a user ConvexSet or Operator subclass returns, is only
@@ -83,10 +83,32 @@ def test_cases_cover_every_kind():
     assert {type(c) for c, _, _ in CASES.values()} == set(SET_KINDS.values())
 
 
+def set_arrays(c) -> list:
+    """The arrays a set holds (a ball's center, a box's bounds, ...)."""
+    slots = (name for cls in type(c).__mro__ for name in getattr(cls, "__slots__", ()))
+    return [v for v in (getattr(c, name) for name in slots) if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_single_point_projection_is_x_or_a_new_array(kind):
+    # _reflect doubles and subtracts in a built-in kind's projection of a
+    # point unless it is x, so it may share memory with neither x nor the
+    # set's own arrays.
+    c, _, rows = CASES[kind]
+    X = read_only(rows)
+    held = set_arrays(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in X:
+            out = c._project(x)
+            if out is not x:
+                assert not any(np.shares_memory(out, a) for a in (x, *held))
+                assert out.flags.writeable and out.shape == x.shape
+
+
 @pytest.mark.parametrize("kind", CASES)
 def test_batch_projection_is_a_new_array(kind):
-    # _reflect doubles and subtracts in a built-in kind's batch projection,
-    # so none may share memory with its input, a branch row included.
+    # A built-in kind's projection of a batch is never the batch itself, so
+    # none may share memory with its input, a branch row included.
     c, branch, rows = CASES[kind]
     X = read_only(rows)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -98,18 +120,13 @@ def test_batch_projection_is_a_new_array(kind):
             assert out.flags.writeable and out.shape == batch.shape
 
 
-def set_arrays(c) -> list:
-    """The arrays a set holds (a ball's center, a box's bounds, ...)."""
-    slots = (name for cls in type(c).__mro__ for name in getattr(cls, "__slots__", ()))
-    return [v for v in (getattr(c, name) for name in slots) if isinstance(v, np.ndarray)]
-
-
 @pytest.mark.parametrize("kind", CASES)
 def test_reflection_has_the_bits_of_twice_the_projection_minus_x(kind):
     # Single points and batches of every row: a member, a point outside and
-    # the power-of-two branch, where a ball's single point is reflected in
-    # the array x - c it forms, or in its scaled form. The result is new,
-    # and neither x nor the set's own arrays are written.
+    # the power-of-two branch. A projection that is not x is doubled in
+    # place, a ball's single point in the array x - c it forms, or in its
+    # scaled form. The result is new, and neither x nor the set's own
+    # arrays are written.
     c, _, rows = CASES[kind]
     X = read_only(rows)
     held = set_arrays(c)

@@ -23,8 +23,8 @@ class RoundBall(Ball):
 # branch of the scalar forms.
 CASES = {
     "ball_outside": (Ball([0.5, -1.0, 2.0], 1.25), [4.0, 4.0, 4.0], False),
-    # inside a ball whose points double without overflow: x + 0.0, so -0.0
-    # becomes 0.0
+    # inside a ball whose points double without overflow: 2x - x, which is
+    # x + 0.0, so -0.0 becomes 0.0
     "ball_member": (Ball([0.0, 0.0], 1.0), [-0.0, 0.5], False),
     # inside, where 2x overflows: 2x - x, inf, and -0.0 becomes 0.0
     "ball_member_doubling_overflows": (Ball([9e307, 0.0], 1.0), [9e307, -0.0], False),
@@ -40,6 +40,8 @@ CASES = {
     # ||x - c||^2 underflows to a subnormal or 0 for x != c
     "ball_square_sum_underflows": (Ball([0.0, 0.0], 1e-170), [3e-170, 1e-171], True),
     "halfspace_member": (Halfspace([1.0, -2.0, 0.5], 0.7), [0.0, 1.0, -0.0], False),
+    # a member stays x: x - 0 a would turn the -0.0 under a's -1 into 0.0
+    "halfspace_member_negative_zeros": (Halfspace([1.0, -1.0], 5.0), [-0.0, -0.0], False),
     "halfspace_outside": (Halfspace([1.0, -2.0, 0.5], 0.7), [3.0, -1.0, 2.0], False),
     "halfspace_gap_overflows": (Halfspace([1.0, -2.0, 0.5], 0.7), [1e308, -1e308, 1e308], True),
     # <a, x> of -0.0 products is -0.0: the step t is -0.0, and x - t a is 0.0
@@ -65,12 +67,24 @@ def test_scalar_reflection_has_the_bits_of_the_array_path(case):
 
 
 def test_cases_reach_their_branches():
-    # the member cases reach both forms of 2x - x, and the square sum of
-    # the case above _TINY is summed unscaled
-    assert CASES["ball_member"][0]._doubles
-    assert not CASES["ball_member_doubling_overflows"][0]._doubles
+    # the ball member cases reflect to x + 0.0 and to the inf of a 2x that
+    # overflows, and the square sum of the case above _TINY is summed
+    # unscaled
+    for case, want in (("ball_member", [0.0, 0.5]),
+                       ("ball_member_doubling_overflows", [math.inf, 0.0])):
+        c, x, _ = CASES[case]
+        assert np.array(c._reflect_floats(x)).tobytes() == np.array(want).tobytes()
     c, x, _ = CASES["ball_square_sum_above_tiny"]
     assert _TINY <= sum(t * t for t in x) < 1e-290
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_batch_rows_have_the_bits_of_single_point_projections(case):
+    c, x, _ = CASES[case]
+    X = np.array([[1.0] * len(x), x])
+    X.setflags(write=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert c._project(X)[1].tobytes() == c._project(X[1]).tobytes()
 
 
 def reference_dr(sets, x):
