@@ -119,9 +119,19 @@ MUTANTS = [
            "            np.copyto(out, x, where=(g <= 0.0)[..., None])\n", "",
            ("tests/test_small_d.py::test_batch_rows_have_the_bits_of_single_point_projections",)),
     Mutant("linear_step_into_x", "src/drfeas/convex.py",
-           "* self._sa\n        np.subtract(x, out, out=out)",
-           "* self._sa\n        out = np.subtract(x, out, out=x)",
+           "t[..., None] * self._sa\n        np.subtract(x, out, out=out)",
+           "t[..., None] * self._sa\n        out = np.subtract(x, out, out=x)",
            ("tests/test_in_place.py", "tests/test_scales.py")),
+    Mutant("linear_point_step_into_x", "src/drfeas/convex.py",
+           "out = t * self._sa\n        np.subtract(x, out, out=out)",
+           "out = t * self._sa\n        out = np.subtract(x, out, out=x)",
+           ("tests/test_in_place.py",)),
+    Mutant("box_clip_into_x", "src/drfeas/convex.py",
+           "np.minimum(out, self.hi, out=out)", "np.minimum(out, self.hi, out=x)",
+           ("tests/test_in_place.py",)),
+    Mutant("member_reflection_in_two_arrays", "src/drfeas/convex.py",
+           "        r = 2.0 * p\n        r -= x\n", "        r = 2.0 * p - x\n",
+           ("tests/test_cost.py::test_single_point_reflection_keeps_two_arrays_at_most",)),
     Mutant("relaxation_scales_inner_output", "src/drfeas/operators.py",
            "        out = self.lam * self.inner_op._apply(x)\n",
            "        out = self.inner_op._apply(x)\n        out *= self.lam\n",
@@ -274,8 +284,22 @@ MUTANTS = [
            "        s = np.zeros(p.shape[:-1])\n        for j in range(p.shape[-1]):\n",
            ("tests/test_space.py::test_row_dots_follow_the_dot_rule",)),
     Mutant("ball_floats_without_fallback", "src/drfeas/convex.py",
-           "        if sq == math.inf or sq < _TINY and any(v):\n            return None\n", "",
+           "        if sq == inf or sq < TINY and ({ or |v#}):\n            return None\n", "",
            ("tests/test_small_d.py",)),
+    Mutant("ball_square_sum_from_last", "src/drfeas/convex.py",
+           "        sq = {; sq += |v# * v#}\n",
+           "        sq = 0.0\n        for t in ({, |v#},)[::-1]:\n            sq += t * t\n",
+           ("tests/test_small_d.py::test_single_points_have_the_bits_of_batch_rows",)),
+    Mutant("ball_member_returns_x", "src/drfeas/convex.py",
+           "        if d <= r:\n            return [{, |2.0 * x# - x#}]\n",
+           "        if d <= r:\n            return [{, |x#}]\n",
+           ("tests/test_small_d.py::test_cases_reach_their_branches",)),
+    Mutant("linear_floats_without_member_branch", "src/drfeas/convex.py",
+           "        if one_sided and g <= 0.0:\n            return [{, |2.0 * x# - x#}]\n", "",
+           ("tests/test_small_d.py::test_scalar_reflection_has_the_bits_of_the_array_path",)),
+    Mutant("average_halves_each_term", "src/drfeas/operators.py",
+           "(v# + x#) * 0.5", "v# * 0.5 + x# * 0.5",
+           ("tests/test_small_d.py::test_dr_operator_over_each_case_has_the_bits_of_the_array_path",)),
     # Trace text compares coordinates by their bits, so 0.0 and -0.0 differ.
     Mutant("trace_diff_by_float_compare", "src/drfeas/problem_io.py",
            "x.view(np.int64) != last.view(np.int64)", "x != last",

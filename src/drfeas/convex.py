@@ -15,7 +15,8 @@ on that: where the projection is a new array, of a point or a batch, it
 doubles it and subtracts x in place (``ConvexSet._reflect_projection``,
 which the sampled check suites also apply to the projection images they
 share); x itself, and what a user subclass's _project returns, are never
-written into.
+written into. Every kind forms a single point's projection in one array,
+so its reflection makes no other d-array.
 
 Every kind also measures the distances from x to a whole family of its
 sets at once, from data stacked into matrices (``_family_distances``;
@@ -35,8 +36,12 @@ one point, giving one distance per set, or a (..., d) batch, giving
 Below ``space._SMALL`` coordinates every norm, gap and stacked family here
 follows the dot rule of ``space``: its products are summed left to right.
 There a ball, halfspace or hyperplane (``_FLOAT_KINDS``) also reflects a
-point given as a list of Python floats (``_reflect_floats``, which the DR
-operator takes), with the bits of ``_reflect``. A box has a norm to take
+point given as a list of Python floats, by the closure over its constants
+that ``_float_reflection`` makes from a kernel: the ball or the linear
+template of ``space._kernel``, unrolled for d and compiled once per process
+and d, when a DR operator first binds it. The kernels are the only float
+path, which the DR operator takes, and they do the float operations of
+``_reflect`` in its order, so they have its bits. A box has a norm to take
 but no dot; an affine subspace's products with its basis, and the SVD that
 makes it, are numpy's and the BLAS kernel's at every d.
 """
@@ -44,15 +49,14 @@ makes it, are numpy's and the BLAS kernel's at every d.
 from __future__ import annotations
 
 import math
-import operator
 from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .space import (
-    _SMALL, _TINY, Point, _as_coords, _checked_coords, _dimension, _dot, _norm, _row_dots,
-    _row_norms, _scaled, _sum,
+    _SMALL, _TINY, Point, _as_coords, _checked_coords, _dimension, _dot, _kernel, _norm,
+    _row_dots, _row_norms, _scaled,
 )
 
 # Largest admissible least-squares residual for an affine system A x = b,
@@ -64,15 +68,48 @@ AFFINE_CONSISTENCY_TOL = 1e-9
 #: along a last axis added to the (...) of a (..., d) batch.
 FamilyDistances = Callable[[np.ndarray], np.ndarray]
 
+#: A set's reflection of a point given as a list of d < space._SMALL floats:
+#: a new list, or None where the array path takes the point scaled.
+FloatReflection = Callable[[list], "list | None"]
+
+# The space._kernel templates of the sets' float reflections: closure
+# factories of a set's constants (its radius and center, or its sidedness,
+# scaled b, ||a||^2 and scaled normal), so no set data enters the source.
+# Each does the float operations of the set's _reflect, in their order, the
+# dot rule's sums left to right from the first term, so it has their bits.
+_BALL_KERNEL = """\
+def ball(r, {, |c#}):
+    def reflect(x):
+        [{, |x#}] = x
+        {; |v# = x# - c#}
+        sq = {; sq += |v# * v#}
+        if sq == inf or sq < TINY and ({ or |v#}):
+            return None
+        d = sqrt(sq)
+        if d <= r:
+            return [{, |2.0 * x# - x#}]
+        s = r / d
+        return [{, |2.0 * (v# * s + c#) - x#}]
+    return reflect
+"""
+_LINEAR_KERNEL = """\
+def linear(one_sided, sb, a_norm_sq, {, |s#}):
+    def reflect(x):
+        [{, |x#}] = x
+        g = {; g += |s# * x#}
+        g -= sb
+        if one_sided and g <= 0.0:
+            return [{, |2.0 * x# - x#}]
+        t = g / a_norm_sq
+        if not isfinite(t):
+            return None
+        return [{, |2.0 * (x# - t * s#) - x#}]
+    return reflect
+"""
+
 
 class InvalidSet(ValueError):
     """Set parameters violate a construction invariant."""
-
-
-def _floats(v: np.ndarray) -> list[float] | None:
-    """A set's vector as the floats its _reflect_floats reads: only below
-    _SMALL coordinates, where the DR operator takes that form."""
-    return v.tolist() if v.shape[0] < _SMALL else None
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -127,11 +164,13 @@ class ConvexSet(ABC):
         its own, so it is doubled and x subtracted in it, with the
         operations of 2 P(x) - x. Otherwise, x itself or what a user
         subclass's _project returns (an array it may keep), the result is
-        the new array 2.0 * p - x."""
+        2.0 * p, a new array, less x in place."""
         p = self._project(x)
         if p is not x and type(self) in _BUILT_IN:
             return ConvexSet._reflect_projection(p, x)
-        return 2.0 * p - x
+        r = 2.0 * p
+        r -= x
+        return r
 
     @staticmethod
     def _reflect_projection(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -178,7 +217,7 @@ class _LinearSet(ConvexSet):
     finite.
     """
 
-    __slots__ = ("a", "b", "_sa", "_sb", "_a_norm_sq", "_a_norm", "_sa_floats")
+    __slots__ = ("a", "b", "_sa", "_sb", "_a_norm_sq", "_a_norm")
 
     #: whether points with <a, x> < b belong to the set (halfspace)
     _one_sided: bool
@@ -192,7 +231,6 @@ class _LinearSet(ConvexSet):
         if not a.any():
             raise InvalidSet("degenerate normal: a is zero")
         e, self._sa = _scaled(a)
-        self._sa_floats = _floats(self._sa)
         self._a_norm = _norm(self._sa)
         self._a_norm_sq = self._a_norm * self._a_norm
         with np.errstate(over="ignore"):  # b over a tiny a reads inf
@@ -215,18 +253,15 @@ class _LinearSet(ConvexSet):
             if self._one_sided and g <= 0.0:
                 return x
             return np.ldexp(y - (g / self._a_norm_sq) * self._sa, e)
-        return x - t * self._sa
+        out = t * self._sa
+        np.subtract(x, out, out=out)
+        return out
 
-    def _reflect_floats(self, x: list[float]) -> list[float] | None:
+    def _float_reflection(self) -> FloatReflection:
         """ConvexSet._reflect of a point given as a list of floats, with its
-        bits; None where _project would take x scaled."""
-        g = _sum(map(operator.mul, self._sa_floats, x)) - self._sb
-        if self._one_sided and g <= 0.0:
-            return [2.0 * a - a for a in x]
-        t = g / self._a_norm_sq
-        if not math.isfinite(t):
-            return None
-        return [2.0 * (a - t * s) - a for a, s in zip(x, self._sa_floats)]
+        bits, by the linear kernel; None where _project would take x scaled."""
+        return _kernel(_LINEAR_KERNEL, self._dim)(
+            self._one_sided, self._sb, self._a_norm_sq, *self._sa.tolist())
 
     def _project_rows(self, x: np.ndarray) -> np.ndarray:
         """_project on a (..., d) batch: one gap per row, each the dot product
@@ -299,7 +334,7 @@ class Ball(ConvexSet):
     scaled where its square over- or underflows, and the whole form taken at
     one power-of-two scale where x - c itself overflows."""
 
-    __slots__ = ("center", "radius", "_center_floats")
+    __slots__ = ("center", "radius")
 
     kind = "Ball"
 
@@ -309,7 +344,6 @@ class Ball(ConvexSet):
         if not (0.0 < float(radius) < math.inf):
             raise InvalidSet("radius must be positive and finite")
         self.center = center
-        self._center_floats = _floats(center)
         self.radius = float(radius)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
@@ -330,21 +364,11 @@ class Ball(ConvexSet):
         v += self.center
         return v
 
-    def _reflect_floats(self, x: list[float]) -> list[float] | None:
-        """_reflect of a point given as a list of floats, with its bits;
-        None where _norm would take x - c scaled (its squares sum to inf, or
-        to less than _TINY while x != c)."""
-        v = list(map(operator.sub, x, self._center_floats))
-        sq = 0.0  # as _norm sums
-        for t in v:
-            sq += t * t
-        if sq == math.inf or sq < _TINY and any(v):
-            return None
-        d = math.sqrt(sq)
-        if d <= self.radius:
-            return [2.0 * a - a for a in x]
-        s = self.radius / d
-        return [2.0 * (t * s + c) - a for t, c, a in zip(v, self._center_floats, x)]
+    def _float_reflection(self) -> FloatReflection:
+        """_reflect of a point given as a list of floats, with its bits, by
+        the ball kernel; None where _norm would take x - c scaled (its
+        squares sum to inf, or to less than _TINY while x != c)."""
+        return _kernel(_BALL_KERNEL, self._dim)(self.radius, *self.center.tolist())
 
     def _project_rows(self, x: np.ndarray) -> np.ndarray:
         """_project on a (..., d) batch: rows inside the ball stay, the others
@@ -410,8 +434,10 @@ class Box(ConvexSet):
         self.hi = hi
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        # the bits of np.clip(x, lo, hi), by two ufuncs and no Python call
-        return np.minimum(np.maximum(x, self.lo), self.hi)
+        # the bits of np.clip(x, lo, hi), by two ufuncs in one array
+        out = np.maximum(x, self.lo)
+        np.minimum(out, self.hi, out=out)
+        return out
 
     def interior_margin(self, x: Point) -> float:
         x = self._coords(x)
@@ -572,7 +598,7 @@ SET_KINDS: dict[str, type[ConvexSet]] = {
 # _distance, so its sets are measured one at a time.
 _BUILT_IN = frozenset(SET_KINDS.values())
 
-# The built-in kinds, by exact type, with a _reflect_floats.
+# The built-in kinds, by exact type, with a _float_reflection.
 _FLOAT_KINDS = frozenset({Halfspace, Hyperplane, Ball})
 
 

@@ -10,6 +10,13 @@ arrays it made: the DR operator averages with x in the array of its last
 reflection, and a relaxation sums into lam T(x). An input, and whatever a
 user Operator or ConvexSet subclass returns, is only read.
 
+Below ``space._SMALL`` coordinates a DR operator over balls, halfspaces and
+hyperplanes runs a single point on Python floats, by kernels alone: it
+binds its sets' reflection kernels when it is built, and averages by the
+average template of ``space._kernel``, unrolled for d and compiled once per
+process and d on first use. They do the array path's float operations in
+its order, so they keep its bits.
+
 Each operator also gives its evaluation on a batch as a chain of steps
 (``_steps``), which the sampled check suites put into one trie, so that
 operators that begin alike share their first steps' images (diagnostics).
@@ -23,7 +30,16 @@ from typing import Sequence
 import numpy as np
 
 from .convex import _BUILT_IN, _FLOAT_KINDS, ConvexSet
-from .space import _SMALL, Point, _checked_coords, _common_dim, _dimension
+from .space import _SMALL, Point, _checked_coords, _common_dim, _dimension, _kernel
+
+# The space._kernel template of the DR average (v_i + x_i) * 0.5 of two
+# points given as lists of floats, the operations of DrOperator._average.
+_AVERAGE_KERNEL = """\
+def average(v, x):
+    [{, |v#}] = v
+    [{, |x#}] = x
+    return [{, |(v# + x#) * 0.5}]
+"""
 
 
 class Operator(ABC):
@@ -160,19 +176,21 @@ class DrOperator(Operator):
 
     Below space._SMALL coordinates, when every set is a ball, halfspace or
     hyperplane (exactly, not a subclass), the operator is built to reflect
-    a single point on Python floats, by the sets' _reflect_floats, and to
-    average as (v_i + x_i) * 0.5: the operations, and so the bits, of the
-    array path, which it takes where a set's scaled branch would run.
+    a single point on Python floats, by the sets' kernels
+    (_float_reflection), and to average by the average kernel: unrolled
+    for d, with the operations, and so the bits, of the array path, which
+    it takes where a set's scaled branch would run.
     """
 
-    __slots__ = ("sets", "_floats")
+    __slots__ = ("sets", "_floats", "_average_floats")
 
     def __init__(self, sets: Sequence[ConvexSet]) -> None:
         sets = tuple(sets)
         super().__init__(_common_dim(sets, "DR operator set"))
         self.sets = sets
         scalar = self._dim < _SMALL and {type(c) for c in sets} <= _FLOAT_KINDS
-        self._floats = tuple([c._reflect_floats for c in sets]) if scalar else ()
+        self._floats = tuple([c._float_reflection() for c in sets]) if scalar else ()
+        self._average_floats = _kernel(_AVERAGE_KERNEL, self._dim) if scalar else None
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         if self._floats and x.ndim == 1:
@@ -182,7 +200,7 @@ class DrOperator(Operator):
                 if v is None:
                     break
             else:
-                return np.array([(a + b) * 0.5 for a, b in zip(v, xs)])
+                return np.array(self._average_floats(v, xs))
         v = x
         for c in self.sets:
             v = c._reflect(v)

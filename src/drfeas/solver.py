@@ -58,12 +58,12 @@ The stop-rule residual is the largest entry of one distance vector that
 stacked family per built-in kind (``_family_distances`` of the set's type;
 halfspaces and hyperplanes share one) and one of the sets of user
 ``ConvexSet`` subclasses, each measured by its own ``_distance``: the family
-vectors, concatenated, with a stacked entry that is not finite taken again
-from its set's ``_distance`` (the one fallback: for a ball or box whose
-squared norm overflows it computes the family's formula scaled, and linear
-and affine sets reach it only near the largest float, since the affine
-family sums an out-of-range sum of squares again itself); only
-``distances`` puts them in set order, by one gather.
+vectors, concatenated (one family's is taken as it is), with a stacked
+entry that is not finite taken again from its set's ``_distance`` (the one
+fallback: for a ball or box whose squared norm overflows it computes the
+family's formula scaled, and linear and affine sets reach it only near the
+largest float, since the affine family sums an out-of-range sum of squares
+again itself); only ``distances`` puts them in set order, by one gather.
 Projections, operators and displacements never use the stacked data.
 
 Per step the loop builds no ``Point``: ``IterationTrace`` keeps columns of
@@ -257,8 +257,13 @@ class FeasibilityProblem:
     def _distances(self, x: np.ndarray) -> np.ndarray:
         """Distance from a raw coordinate array to each set of self._grouped:
         from one point, a vector; from a (..., d) batch, a (..., m) array
-        whose rows have the bits of their points' vectors."""
-        out = np.concatenate([family(x) for family in self._families], axis=-1)
+        whose rows have the bits of their points' vectors. Each family
+        returns a new array, so one family's is the result itself."""
+        families = self._families
+        if len(families) == 1:
+            out = families[0](x)
+        else:
+            out = np.concatenate([family(x) for family in families], axis=-1)
         # one reduction: NaN and +inf carry through max, and no built-in
         # entry is ever -inf
         if not math.isfinite(out.max()):

@@ -8,13 +8,23 @@ the sum of its products taken left to right, from the first: the value of
 Python-float loop reproduces and no BLAS kernel decides, so the traces of
 such problems are the same on every CPU. ``_norm``, ``_row_dots`` and
 ``_dot`` follow it; from ``_SMALL`` on they take numpy's dot and matmul,
-whose bits depend on the BLAS kernel."""
+whose bits depend on the BLAS kernel.
+
+Below ``_SMALL`` the DR steps over balls, halfspaces and hyperplanes run on
+Python floats by kernels, the only float path: ``_kernel`` unrolls one fixed
+source template per kind (in ``convex`` and ``operators``) for d and
+compiles it once per process and d, on first use, never at import. A
+template's sums are the dot rule's, left to right from the first term, and
+it does the array path's other operations in its order too, so a kernel
+keeps the bits of the array path."""
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from typing import Iterable, Iterator, Sequence
+import re
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -158,6 +168,23 @@ _TINY = 2.0**54 * float(np.finfo(float).tiny)
 # numpy's pairwise-sum block: np.add.reduce sums fewer terms than this left
 # to right, and the dot rule takes dot products below it as that sum
 _SMALL = 8
+
+
+@functools.cache
+def _kernel(template: str, d: int) -> Callable:
+    """The function a kernel template defines, unrolled for d coordinates:
+    each {sep|pattern} of the template stands for pattern once per
+    coordinate, with # replaced by its index, joined by sep. The source is
+    fixed, so a kernel holds no data but what its caller passes, and it is
+    compiled once per template and d in a process, when first asked for,
+    under the filename <drfeas NAME kernel, d=D>. It sees math's inf, sqrt
+    and isfinite and _TINY as TINY."""
+    name = template[len("def "):template.index("(")]
+    source = re.sub(r"\{(.*?)\|(.*?)\}",
+                    lambda m: m[1].join(m[2].replace("#", str(i)) for i in range(d)), template)
+    namespace = {"inf": math.inf, "sqrt": math.sqrt, "isfinite": math.isfinite, "TINY": _TINY}
+    exec(compile(source, f"<drfeas {name} kernel, d={d}>", "exec"), namespace)
+    return namespace[name]
 
 
 def _sum(terms: Iterable[float]) -> float:

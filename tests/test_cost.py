@@ -140,26 +140,31 @@ REFLECT_CASES = {
 }
 
 
+REFLECT_PEAKS = {"Halfspace": 8_200, "Hyperplane": 8_200, "Ball": 8_224, "Box": 8_200,
+                 "AffineSubspace": 9_413}
+
+
 def test_reflect_cases_cover_every_kind():
     assert {type(c) for c, _, _ in REFLECT_CASES.values()} == set(SET_KINDS.values())
 
 
 @pytest.mark.parametrize("kind", REFLECT_CASES)
 def test_single_point_reflection_keeps_two_arrays_at_most(kind):
-    # One single-point _reflect at d=1000 peaks at two d-arrays and their
-    # headers (16,192 bytes measured on Python 3.11 with numpy 2.4): the
-    # projection's temporary, if any, and the projection, which is
-    # reflected in place; a member of a halfspace or ball takes 2.0 * x - x.
-    # A ball's point outside is projected in its own x - c (8,224), and an
-    # affine subspace's points in its product with W (9,328 and 9,413).
-    # When only a batch was reflected in place, a point outside, or a
-    # member a projection moves, peaked at 24,288 (24,384 for the affine
-    # subspace), and a ball's member at 16,296 (x + 0.0 beside x - c).
+    # One single-point _reflect at d=1000 peaks at one d-array and its
+    # header, measured on Python 3.11 with numpy 2.4 (REFLECT_PEAKS, with 64
+    # bytes to spare): every projection is formed in one array and
+    # reflected in place, a ball's in its own x - c, and a member's
+    # 2.0 * x - x is 2.0 * x less x in place; an affine subspace's points
+    # also keep the product of W with x. Each kind but the affine one
+    # peaked at 16,192 while the box clipped into a temporary, the linear
+    # step subtracted from x into a new array and a member took
+    # 2.0 * x - x in two; when only a batch was reflected in place, at
+    # 24,288 (24,384 for the affine subspace).
     c, outside, member = REFLECT_CASES[kind]
     with np.errstate(over="ignore", invalid="ignore"):
         assert c._distance(outside) > 0.0 and c._distance(member) <= 1e-12
     for x in (outside, member):
-        assert _peak(lambda: c._reflect(x)) <= 16_256
+        assert _peak(lambda: c._reflect(x)) <= REFLECT_PEAKS[kind] + 64
 
 
 def test_quasi_check_memory_peak_at_d50():
@@ -174,6 +179,10 @@ def test_quasi_check_memory_peak_at_d50():
 
 
 PACKAGE = str(Path(drfeas.__file__).resolve().parent)
+
+# The filenames of the package's kernels (space._kernel), which count as its
+# own functions.
+KERNELS = "<drfeas "
 
 # Comprehensions that Python 3.12 runs inline, without a frame of their own.
 INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}
@@ -217,22 +226,26 @@ def test_ac4_run_counts(monkeypatch):
 
 
 def test_ac4_run_python_calls():
-    # Calls of Python functions of the package, generator resumptions
-    # included, in one run of the AC-4 document after a warm-up run of it:
-    # 135, 27.0 per step. A step's DR operator reflects through its two
-    # balls on Python floats (space._SMALL), with one _reflect_floats call
-    # per ball and no _norm or _average call, where the array path made 3
-    # (150, 30.0 per step, before the scalar forms). Before the leaner small-d
-    # step there were 157 (31.4 per step): the step ids came from a
-    # generator and each new iterate called _certifier_residual with no
-    # certifier, while a block draw was one call, not two. Comprehensions
-    # are not counted, since Python 3.12 runs them inline.
+    # Calls of Python functions of the package, its kernels and generator
+    # resumptions included, in one run of the AC-4 document after a warm-up
+    # run of it: 160, 32.0 per step. A step's DR operator reflects through
+    # its two balls on Python floats (space._SMALL), by one ball kernel call
+    # per ball and one average kernel call, and each of the five window
+    # operators binds its two balls' kernels when it is built (a
+    # _float_reflection and a factory call each). Before the kernels there
+    # were 135 (27.0 per step): one _reflect_floats call per ball and none
+    # to average or bind; before the scalar forms 150 (30.0 per step), and
+    # before the leaner small-d step 157 (31.4 per step): the step ids came
+    # from a generator and each new iterate called _certifier_residual
+    # with no certifier, while a block draw was one call, not two.
+    # Comprehensions are not counted, since Python 3.12 runs them inline.
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
         code = frame.f_code
-        if event == "call" and code.co_filename.startswith(PACKAGE) and code.co_name not in INLINED:
+        if (event == "call" and code.co_filename.startswith((PACKAGE, KERNELS))
+                and code.co_name not in INLINED):
             calls += 1
 
     problem, config = _ac4()
@@ -243,7 +256,7 @@ def test_ac4_run_python_calls():
     finally:
         sys.setprofile(None)
     assert trace.iterations == 5
-    assert calls == 135
+    assert calls == 160
 
 
 def test_ac4_run_keeps_one_array_per_new_iterate():

@@ -1,12 +1,18 @@
 """Below space._SMALL (8) coordinates every dot product is the sum of its
 products taken left to right, so balls, halfspaces and hyperplanes reflect a
-point given as a list of Python floats (``_reflect_floats``), and a DR
-operator over such sets runs its chain on them. Each scalar form has the
-bits of the array path, or declines (None) where the array path takes its
-operands scaled, and a single point has the bits of its row in a batch on
-both sides of the boundary."""
+point given as a list of Python floats by kernels unrolled for d
+(``_float_reflection``, from the templates of ``space._kernel``), and a DR
+operator over such sets runs its chain and its average on them. Each kernel
+has the bits of the array path, or declines (None) where the array path
+takes its operands scaled, and a single point has the bits of its row in a
+batch on both sides of the boundary."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +65,7 @@ def test_scalar_reflection_has_the_bits_of_the_array_path(case):
     x = np.array(x)
     with np.errstate(over="ignore", invalid="ignore"):
         want = c._reflect(x)
-        got = c._reflect_floats(x.tolist())
+        got = c._float_reflection()(x.tolist())
     if scaled:
         assert got is None
     else:
@@ -73,7 +79,7 @@ def test_cases_reach_their_branches():
     for case, want in (("ball_member", [0.0, 0.5]),
                        ("ball_member_doubling_overflows", [math.inf, 0.0])):
         c, x, _ = CASES[case]
-        assert np.array(c._reflect_floats(x)).tobytes() == np.array(want).tobytes()
+        assert np.array(c._float_reflection()(x)).tobytes() == np.array(want).tobytes()
     c, x, _ = CASES["ball_square_sum_above_tiny"]
     assert _TINY <= sum(t * t for t in x) < 1e-290
 
@@ -93,6 +99,17 @@ def reference_dr(sets, x):
     for c in sets:
         v = c._reflect(v)
     return (v + x) * 0.5
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_dr_operator_over_each_case_has_the_bits_of_the_array_path(case):
+    # The kernels' chain and average on one set, or the array chain where
+    # the set declines; a subnormal average halves its sum, not each term.
+    c, x, _ = CASES[case]
+    op = DrOperator([c])
+    x = np.array(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert op._apply(x).tobytes() == reference_dr([c], x).tobytes()
 
 
 @pytest.mark.parametrize("d", range(1, _SMALL + 1))
@@ -135,8 +152,35 @@ def test_a_declined_reflection_runs_the_whole_chain_on_arrays():
     sets = [Hyperplane([1.0, 0.0], 0.0), Ball([0.0, 0.0], 1.0)]
     x = np.array([1e200, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):
-        v = sets[0]._reflect_floats(x.tolist())
-        assert v is not None and sets[1]._reflect_floats(v) is None
+        v = sets[0]._float_reflection()(x.tolist())
+        assert v is not None and sets[1]._float_reflection()(v) is None
         got = DrOperator(sets)._apply(x)
         assert got.tobytes() == reference_dr(sets, x).tobytes()
     assert np.isfinite(got).all() and not math.isnan(got[0])
+
+
+def test_kernels_compile_once_per_kind_and_d_on_first_use():
+    # In a fresh process: importing drfeas and building sets compiles no
+    # kernel; DR operators over many balls of one d compile one ball kernel
+    # and one average kernel, whose closures over different centers share
+    # one code object, so no set data is in the source.
+    script = textwrap.dedent("""
+        import numpy as np
+        from drfeas import Ball, DrOperator, Halfspace
+        from drfeas.space import _kernel
+        rng = np.random.default_rng(0)
+        balls = [Ball(rng.normal(size=5), 1.0) for _ in range(20)]
+        Halfspace(np.ones(5), 0.0)
+        assert _kernel.cache_info().currsize == 0
+        ops = [DrOperator(balls[i:i + 3]) for i in range(18)]
+        assert _kernel.cache_info().currsize == 2
+        a, b = ops[0]._floats[:2]
+        assert a is not b and a.__code__ is b.__code__
+        assert a.__code__.co_filename == "<drfeas ball kernel, d=5>"
+        DrOperator([Halfspace(np.ones(4), 0.0)])
+        assert _kernel.cache_info().currsize == 4
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
