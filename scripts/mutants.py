@@ -4,12 +4,14 @@ tests it names must catch the break.
 
 An entry is an id, a file under the repository root, a snippet that must
 occur in that file exactly once, its replacement, and the tests to run
-(files or node ids under tests/). The runner copies src/ and tests/ to a
-temporary directory, applies one mutant at a time to the copy, and runs
-that mutant's tests there with ``pytest -x -q -W error::RuntimeWarning``,
-as the tier-1 run treats numpy's warnings. A mutant is killed when its
-tests fail. Every test an entry names first runs once, in one pytest run,
-on the clean copy and must pass there, so a test that fails for another
+(files or node ids under tests/). The runner runs the mutants on
+``os.cpu_count()`` worker threads, each with its own copy of src/ and tests/
+in a temporary directory: a worker applies one mutant at a time to its copy
+and runs that mutant's tests there with ``pytest -x -q --assert=plain -W
+error::RuntimeWarning``, as the tier-1 run treats numpy's warnings, and the
+verdicts are printed in entry order. A mutant is killed when its tests
+fail. Every test an entry names first runs once, in one pytest run, on a
+clean copy and must pass there, so a test that fails for another
 reason cannot count as a kill. The gate exits 1 when the clean copy fails,
 when a mutant survives, when its tests cannot run (none collected, a usage
 error), or when a snippet no longer occurs exactly once, so a refactor
@@ -20,11 +22,13 @@ Usage:
 """
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -85,6 +89,9 @@ MUTANTS = [
     Mutant("block_groups_overlap", "src/drfeas/control.py",
            "g, k, skip = g + k,", "g, k, skip = g + 1,",
            ("tests/test_control.py::test_indices_is_index_at_over_a_run",)),
+    Mutant("index_at_reads_the_next_step", "src/drfeas/control.py",
+           "return next(self.indices_from(n))", "return next(self.indices_from(n + 1))",
+           ("tests/test_control.py::test_random_block_every_aligned_block_covers",)),
     Mutant("windows_without_width_check", "src/drfeas/control.py",
            '    r = _integer(r, "window width r", InvalidControl)\n    if r <= 1:\n'
            '        raise InvalidControl("window width r must be an integer greater than 1")\n',
@@ -168,9 +175,21 @@ MUTANTS = [
            "                    node.images = _images(node)\n"
            "                late += [(*r, node.images) for r in node.reports]\n",
            ("tests/test_diagnostics.py::test_grouped_suites_equal_standalone_checks",)),
-    Mutant("average_reads_the_sample", "src/drfeas/diagnostics.py",
-           'else len(obj._steps()) if kind == "_average"', 'else len(path) if kind == "_average"',
+    # Each step declares its second input, back places behind it.
+    Mutant("average_reads_the_sample", "src/drfeas/operators.py",
+           "        steps = [step for op in self.factors for step in op._steps()]\n",
+           "        steps = []\n"
+           "        for op in self.factors:\n"
+           "            steps += [(k, o, b + len(steps) if k == '_average' else b)\n"
+           "                      for k, o, b in op._steps()]\n",
            ("tests/test_diagnostics.py::test_grouped_suites_equal_standalone_checks",)),
+    Mutant("reflection_reads_its_projection", "src/drfeas/operators.py",
+           '("_reflect_projection", c, 2)] if split', '("_reflect_projection", c, 1)] if split',
+           ("tests/test_diagnostics.py::test_steps_declare_their_second_input",)),
+    Mutant("average_back_one_short", "src/drfeas/operators.py",
+           '("_average", self, len(steps) + 1)', '("_average", self, len(steps))',
+           ("tests/test_diagnostics.py::"
+            "test_chains_of_steps_have_the_bits_of_apply_on_the_catalog",)),
     Mutant("trie_keys_by_type", "src/drfeas/diagnostics.py",
            "key = (id(path[-1]), kind, id(obj))", "key = (id(path[-1]), kind, type(obj))",
            ("tests/test_diagnostics.py::test_equal_sets_are_distinct_steps",)),
@@ -314,10 +333,13 @@ def occurrences(mutant: Mutant) -> int:
 
 def pytest(tests: tuple[str, ...], copy: Path) -> subprocess.CompletedProcess:
     """Run the tests in the copy with ``pytest -x -q``, numpy's warnings
-    raised as errors."""
+    raised as errors. The gate reads only which tests fail, so assertions
+    are left plain: with no bytecode written, pytest would otherwise
+    rewrite every module of its plugins again in each run, about half a
+    second of it."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--assert=plain",
          "-W", "error::RuntimeWarning", *tests],
         cwd=copy, env=env, capture_output=True, text=True, timeout=300,
     )
@@ -351,22 +373,33 @@ def main() -> int:
     if stale:
         print(f"snippets that no longer occur exactly once: {stale}")
         return 1
-    failed = 0
+    failed, workers = 0, os.cpu_count() or 1
     with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, copy / part,
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        copies = queue.SimpleQueue()  # the copies no worker is using
+        for k in range(workers):
+            copy = Path(tmp) / str(k)
+            for part in ("src", "tests"):
+                shutil.copytree(ROOT / part, copy / part,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            copies.put(copy)
         # one run of every named test: it passes when each set of tests does
         done = pytest(tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)), copy)
         if done.returncode != 0:
             print(f"unmutated copy fails its tests ({tail(done)})")
             return 1
-        for mutant in MUTANTS:
-            start = time.perf_counter()
-            verdict = run(mutant, copy)
-            failed += not verdict.startswith("killed")
-            print(f"{mutant.id} ({time.perf_counter() - start:.1f} s): {verdict}", flush=True)
+
+        def timed(mutant: Mutant) -> tuple[str, float]:
+            copy = copies.get()
+            try:
+                start = time.perf_counter()
+                return run(mutant, copy), time.perf_counter() - start
+            finally:
+                copies.put(copy)
+
+        with ThreadPoolExecutor(workers) as pool:
+            for mutant, (verdict, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
+                failed += not verdict.startswith("killed")
+                print(f"{mutant.id} ({seconds:.1f} s): {verdict}", flush=True)
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 

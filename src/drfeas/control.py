@@ -11,7 +11,8 @@ Three constructors are provided, each surjective by construction:
 Every reader takes a control's indices in step order, from one lazy stream
 per run: ``ControlMap.indices_from(start)`` yields the indices of steps
 start, start + 1, ... without end, and ``_windows`` slides the DR windows
-over one such stream. ``index_at`` answers a single step. A RandomBlock
+over one such stream. ``index_at`` answers a single step, for a RandomBlock
+as the first index of its stream from that step. A RandomBlock
 stream draws each block once, in groups that grow from one block to at
 least ``_GROUP`` indices, as it reaches the group, and keeps only that
 group. A block's indices are those numpy draws from
@@ -178,11 +179,11 @@ class RandomBlock(ControlMap):
         self.quasi_period = 2 * self.M - 1
 
     def index_at(self, n: int) -> int:
-        """Index selected at step n >= 0. Each call draws the block of M
+        """Index selected at step n >= 0: the first of indices_from(n), the
+        one path by which blocks are drawn. Each call draws the block of M
         indices that holds step n, so a reader of many steps in order takes
         indices_from, which draws each block once."""
-        block, pos = divmod(self._require_step(n), self.M)
-        return _block_pattern(self.m, self.M, self.seed, block)[pos]
+        return next(self.indices_from(n))
 
     def indices_from(self, start: int = 0) -> Iterator[int]:
         # Blocks are drawn in groups of 1, 2, 4, ... blocks, up to at least

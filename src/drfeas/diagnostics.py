@@ -15,17 +15,20 @@ per-row max(||x||, ||y||) and x - y of the draw, also read-only. The quasi
 check, which reads only x, copies out x alone.
 
 Every firm and plain check runs through ``run_check_suite``, the public ones
-as suites of one entry. A built-in operator is a chain of steps on a batch
-(``Operator._steps``): projections, reflections formed in place in their
-projection's images (``ConvexSet._reflect_projection``), and DR averages
-formed in place in their last reflection's images (``DrOperator._average``);
-a user set's reflection, and any other operator, is one step. A suite puts
-its chains into one trie per dimension, where chains share their common
-prefixes, draws each dimension's pairs once, and walks the trie depth
-first, computing each node's images once per batch. A node's reports read
-its images before any child runs, only its last child may take them over
-in place, and its images are let go at their last read, so every report
-has the bits of its operator's ``_apply`` on the draw. Each scaled
+as suites of one entry. A built-in operator is a chain of (kind, object,
+back) steps on a batch (``Operator._steps``): projections, reflections formed
+in place in their projection's images (``ConvexSet._reflect_projection``),
+and DR averages formed in place in their last reflection's images
+(``DrOperator._average``); a user set's reflection, and any other operator,
+is one step. Each step names the method that makes its images and declares
+its second input, if any, by back, the number of places behind it along the
+chain, so the suite reads no step kind. A suite puts its chains into one
+trie per dimension, where chains share their common prefixes, draws each
+dimension's pairs once, and walks the trie depth first, computing each
+node's images once per batch. A node's reports read its images before any
+child runs, only its last child may take them over in place, and its images
+are let go at their last read, so every report has the bits of its
+operator's ``_apply`` on the draw. Each scaled
 difference of images, (Tx - Ty) * unit, is formed in one new array: the
 draws, and what a user set or operator returns, are only read. The checks
 share one report function, and the firm and plain ones each one violation
@@ -184,12 +187,12 @@ def _report(name: str, violation: np.ndarray, tol: float) -> PropertyReport:
 
 
 class _Node:
-    """A step of a check suite's trie: its (kind, object) step, the node it
-    runs on, and the node whose images it also reads as x, its source (a
-    reflection's is its projection's input, an average's its chain's
-    input); its children in order, the (index, name, violation) reports
-    that end at it, and while they live, its images of the two batches
-    with the count of the reads of them still to come."""
+    """A step of a check suite's trie: its kind and object, the node it
+    runs on, and the node whose images it also reads as x, its source, which
+    the step's back declares (Operator._steps); its children in order, the
+    (index, name, violation) reports that end at it, and while they live,
+    its images of the two batches with the count of the reads of them still
+    to come."""
 
     __slots__ = ("kind", "obj", "parent", "source", "children", "reports", "reads", "images")
 
@@ -201,10 +204,10 @@ class _Node:
 def _images(node: _Node) -> list:
     """The images of node's step on the two batches, by the method its kind
     names (Operator._steps), from its parent's images and, for a step with
-    a source (_reflect_projection and _average), its source's as x. Such a
-    step writes into its parent's images: it takes them over at their last
-    read, which only the parent's last child makes, and otherwise writes
-    into a copy. The last read of a node's images lets go of them."""
+    a source, its source's as x. Such a step writes into its parent's
+    images: it takes them over at their last read, which only the parent's
+    last child makes, and otherwise writes into a copy. The last read of a
+    node's images lets go of them."""
     inputs = [node.parent] if node.source is None else [node.parent, node.source]
     v, *x = [n.images for n in inputs]
     for n in inputs:
@@ -218,20 +221,17 @@ def _images(node: _Node) -> list:
 
 def _trie(entries) -> dict:
     """Per dimension, the root of a trie of the chains of steps
-    (Operator._steps) of the (name, operator, violation) entries. A node
+    (Operator._steps) of the (name, violation, operator) entries. A node
     stands for a chain prefix, found by the identity of each step's object
     (a user set or operator may define __eq__, or be unhashable), so chains
     share their common prefixes; an entry's report ends at the node of its
-    whole chain."""
+    whole chain. A step's source is the node back places up its path."""
     roots, nodes = {}, {}
-    for i, (name, op, violation) in enumerate(entries):
+    for i, (name, violation, op) in enumerate(entries):
         path = [roots.setdefault(op.dim, _Node(None, None, None, None))]
-        for kind, obj in op._steps():
+        for kind, obj, back in op._steps():
             key = (id(path[-1]), kind, id(obj))
             if key not in nodes:
-                # a reflection reads its projection's input, an average its chain's
-                back = (2 if kind == "_reflect_projection"
-                        else len(obj._steps()) if kind == "_average" else 0)
                 nodes[key] = _Node(kind, obj, path[-1], path[-back] if back else None)
                 path[-1].children += (nodes[key],)
                 path[-1].reads += 1
@@ -243,7 +243,7 @@ def _trie(entries) -> dict:
 
 
 def _suite(entries, samples: int, scale: float, seed: int, tol: float) -> list[PropertyReport]:
-    """The reports of (name, operator, violation) entries, in their order.
+    """The reports of (name, violation, operator) entries, in their order.
     Each dimension draws its pairs once and walks its trie depth first: a
     node's reports read its images before any child runs, and each image
     is let go at its last read, so a path's images live only while a step
@@ -272,11 +272,10 @@ def check_firmly_nonexpansive(
     scale: float = 4.0,
     seed: int = 0,
     tol: float = 1e-10,
-    name: str = "firmly_nonexpansive",
 ) -> PropertyReport:
     """Worst violation of <Tx - Ty, x - y> >= ||Tx - Ty||^2 over sampled
     pairs, relative to M ||x - y||."""
-    return _suite([(name, T, _firm_violation)], samples, scale, seed, tol)[0]
+    return _suite([(*_KINDS[check_firmly_nonexpansive], T)], samples, scale, seed, tol)[0]
 
 
 def check_nonexpansive(
@@ -285,14 +284,14 @@ def check_nonexpansive(
     scale: float = 4.0,
     seed: int = 0,
     tol: float = 1e-10,
-    name: str = "nonexpansive",
 ) -> PropertyReport:
     """Worst violation of ||Tx - Ty|| <= ||x - y|| over sampled pairs,
     relative to M."""
-    return _suite([(name, T, _plain_violation)], samples, scale, seed, tol)[0]
+    return _suite([(*_KINDS[check_nonexpansive], T)], samples, scale, seed, tol)[0]
 
 
-# The report name and the violation of each check a suite entry names.
+# The report name and the violation of each check: the one place either is
+# given, for the check's own report and for the suite entries that name it.
 _KINDS = {check_firmly_nonexpansive: ("firmly_nonexpansive", _firm_violation),
           check_nonexpansive: ("nonexpansive", _plain_violation)}
 
@@ -306,7 +305,7 @@ def run_check_suite(suite, samples: int, scale: float, seed: int) -> list[Proper
     suite of one entry. `drfeas check` and AC-1 run here. The entries may
     come from an iterator: each is put into the suite's trie (_trie) as it
     comes, and its operator is kept only as far as its steps need it."""
-    entries = ((f"{kind}[{label}]", op, violation) for label, op, check in suite
+    entries = ((f"{kind}[{label}]", violation, op) for label, op, check in suite
                for kind, violation in [_KINDS[inspect.unwrap(check)]])
     return _suite(entries, samples, scale, seed, 1e-10)
 
@@ -318,7 +317,6 @@ def check_quasi_nonexpansive(
     scale: float = 4.0,
     seed: int = 0,
     tol: float = 1e-10,
-    name: str = "quasi_nonexpansive",
 ) -> PropertyReport:
     """Worst violation of ||Tx - p|| <= ||x - p|| for a fixed point p of T,
     over the first point x of each sampled pair, relative to
@@ -340,8 +338,9 @@ def check_quasi_nonexpansive(
         x.setflags(write=False)
         Tx = T._apply(x)
         M, unit = _scale(_max_norms(x, Tx, q[None]), x, Tx, q[None])
-        return _report(name, (_row_norms(_scaled_difference(Tx, q, unit))
-                              - _row_norms(_scaled_difference(x, q, unit))) / M, tol)
+        violation = _row_norms(_scaled_difference(Tx, q, unit))
+        violation -= _row_norms(_scaled_difference(x, q, unit))
+        return _report("quasi_nonexpansive", violation / M, tol)
 
 
 def asymptotic_regularity_series(T: Operator, x0: Point, n_steps: int) -> list[float]:

@@ -17,9 +17,12 @@ average template of ``space._kernel``, unrolled for d and compiled once per
 process and d on first use. They do the array path's float operations in
 its order, so they keep its bits.
 
-Each operator also gives its evaluation on a batch as a chain of steps
-(``_steps``), which the sampled check suites put into one trie, so that
-operators that begin alike share their first steps' images (diagnostics).
+Each operator also gives its evaluation on a batch as a chain of
+(kind, object, back) steps (``_steps``), which the sampled check suites put
+into one trie, so that operators that begin alike share their first steps'
+images (diagnostics). A step declares its own inputs: its parent, the step
+before it, and for back > 0 the step back places behind it along the chain,
+the parent being 1.
 """
 
 from __future__ import annotations
@@ -70,13 +73,17 @@ class Operator(ABC):
         """
 
     def _steps(self) -> list:
-        """The operator on a batch as a chain of (kind, object) steps, which
-        the sampled check suites walk (diagnostics). A kind is the name of
-        the object's method that makes the step's images: from the images of
-        the step before, and for _reflect_projection and _average also from
-        an earlier step's images, which they take as x. One ("_apply", self)
-        step, unless a built-in operator, by exact type, splits it."""
-        return [("_apply", self)]
+        """The operator on a batch as a chain of (kind, object, back) steps,
+        which the sampled check suites walk (diagnostics). A kind is the name
+        of the object's method that makes the step's images from the images
+        of its parent, the step before, and, where back is not 0, from the
+        images of its second input, which it takes as x: the step back places
+        behind it, counting the parent as 1. That is 2 for a
+        _reflect_projection (its projection's input) and one more than the
+        reflection steps for a DR _average (its chain's input). One
+        ("_apply", self, 0) step, unless a built-in operator, by exact type,
+        splits it."""
+        return [("_apply", self, 0)]
 
 
 class Projection(Operator):
@@ -92,7 +99,7 @@ class Projection(Operator):
         return self.set_._project(x)
 
     def _steps(self) -> list:
-        return [("_project", self.set_)] if type(self) is Projection else super()._steps()
+        return [("_project", self.set_, 0)] if type(self) is Projection else super()._steps()
 
     def __repr__(self) -> str:
         return f"Projection({self.set_.kind})"
@@ -216,9 +223,11 @@ class DrOperator(Operator):
         return v
 
     def _steps(self) -> list:
-        """The sets' reflection steps, then ("_average", self), which
-        averages the last reflection's images with the chain's own input."""
-        steps = [step for c in self.sets for step in _reflection_steps(c)] + [("_average", self)]
+        """The sets' reflection steps, then ("_average", self, back), which
+        averages the last reflection's images with the chain's own input,
+        back = len(steps) + 1 places behind it."""
+        steps = [step for c in self.sets for step in _reflection_steps(c)]
+        steps.append(("_average", self, len(steps) + 1))
         return steps if type(self) is DrOperator else super()._steps()
 
     def __repr__(self) -> str:
@@ -226,11 +235,12 @@ class DrOperator(Operator):
 
 
 def _reflection_steps(c: ConvexSet) -> list:
-    """The steps of c._reflect on a batch: ("_project", c), then
-    ("_reflect_projection", c), in the projection's images with its input,
-    for a built-in kind; one ("_reflect", c) step for a user subclass."""
+    """The steps of c._reflect on a batch: ("_project", c, 0), then
+    ("_reflect_projection", c, 2), in the projection's images with its
+    input, for a built-in kind; one ("_reflect", c, 0) step for a user
+    subclass."""
     split = type(c) in _BUILT_IN
-    return [("_project", c), ("_reflect_projection", c)] if split else [("_reflect", c)]
+    return [("_project", c, 0), ("_reflect_projection", c, 2)] if split else [("_reflect", c, 0)]
 
 
 def composite_reflection(sets: Sequence[ConvexSet]) -> Composition:

@@ -36,8 +36,9 @@ The control and stop fields are checked by the constructors they are passed
 to (``Cyclic``, ``Explicit``, ``RandomBlock``, ``StopRule``), and a control's
 range by ``control._require_range``; the parser adds the location to their
 errors. It checks itself only what a document alone can get wrong: integer
-``dimension``, ``r``, set indices, ``lambda`` and ``n``, JSON booleans in
-float fields, and the bounds ``MAX_R`` and ``MAX_M``.
+``dimension`` and ``n`` (by the integer rules of ``space``), ``r``, set
+indices and ``lambda``, JSON booleans in float fields, and the bounds
+``MAX_R`` and ``MAX_M``.
 
 Traces and property reports serialize to comma-separated tables with a
 one-line header; floats are written in full round-trip precision, so a
@@ -66,7 +67,7 @@ from .solver import (
     run_unrestricted_dr,
     run_unrestricted_product,
 )
-from .space import Point
+from .space import Point, _dimension, _integer
 
 SCHEMES = ("unrestricted_dr", "composite_q", "product")
 
@@ -122,9 +123,7 @@ def _require(doc: dict, key: str) -> object:
 
 
 def _parse_sets(doc: dict) -> list[ConvexSet]:
-    dimension = _require(doc, "dimension")
-    if not _is_int(dimension) or dimension < 1:
-        raise ParseError("dimension must be a positive integer")
+    dimension = _dimension(_require(doc, "dimension"), ParseError)
     raw_sets = _require(doc, "sets")
     if not isinstance(raw_sets, list) or not raw_sets:
         raise ParseError("sets must be a nonempty list")
@@ -321,9 +320,7 @@ def _parse_operator(
         _check_windows(f"{where}: {kind!r}", r, window_control, "window_control", problem.m)
         if kind == "composite_q":
             return build_composite_Q(problem, window_control, r)
-        n = spec.get("n")
-        if not _is_int(n) or n < 0:
-            raise ParseError(f"{where}: 'n' must be a nonnegative integer")
+        n = _integer(spec.get("n"), f"{where}: 'n'", ParseError, 0)
         return build_S(problem, window_control, r, n)
     raise ParseError(f"{where}: unknown operator type {kind!r}")
 

@@ -24,7 +24,7 @@ import functools
 import math
 import operator
 import re
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -187,22 +187,10 @@ def _kernel(template: str, d: int) -> Callable:
     return namespace[name]
 
 
-def _sum(terms: Iterable[float]) -> float:
-    """The terms summed left to right in Python floats, from the first, so a
-    sum of -0.0 terms is -0.0 (from 0.0 it would be 0.0), and 0.0 for no
-    terms. Python's sum is not this: from 3.12 on it compensates."""
-    terms = iter(terms)
-    s = next(terms, 0.0)
-    for t in terms:
-        s += t
-    return s
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """<a, b> of two (d,) arrays by the dot rule."""
-    if a.shape[0] < _SMALL:
-        return _sum(map(operator.mul, a.tolist(), b.tolist()))
-    return float(np.dot(a, b))
+    """<a, b> of two (d,) arrays by the dot rule: below _SMALL coordinates,
+    the one left-to-right sum of _row_dots."""
+    return float(_row_dots(a, b) if a.shape[0] < _SMALL else np.dot(a, b))
 
 
 def _norm(x: np.ndarray) -> float:

@@ -651,6 +651,53 @@ def test_equal_sets_are_distinct_steps(monkeypatch):
     assert _bits(reports) == _bits(_standalone(suite, 50, 2.0, 0)[0])
 
 
+def _chain(steps):
+    """(kind, object id, back) of each step of a chain."""
+    return [(kind, id(obj), back) for kind, obj, back in steps]
+
+
+def test_steps_declare_their_second_input():
+    # back counts from the step's parent, 1, to its second input: a
+    # reflection's projection input, 2, and a DR average's chain input
+    ball, halfspace = Ball([0.25, 0.0, 0.0], 0.5), Halfspace([1.0, 1.0, 0.0], 0.5)
+    keeper = Keeper([0.5, -0.25, 1.0])
+    assert _chain(Projection(ball)._steps()) == [("_project", id(ball), 0)]
+    reflect_ball = [("_project", id(ball), 0), ("_reflect_projection", id(ball), 2)]
+    reflect_halfspace = [("_project", id(halfspace), 0), ("_reflect_projection", id(halfspace), 2)]
+    assert _chain(Reflection(ball)._steps()) == reflect_ball
+    assert _chain(Reflection(keeper)._steps()) == [("_reflect", id(keeper), 0)]
+    V = composite_reflection([ball, halfspace, ball])
+    assert _chain(V._steps()) == reflect_ball + reflect_halfspace + reflect_ball
+    T = dr_operator([ball, keeper, halfspace])
+    assert _chain(T._steps()) == [*reflect_ball, ("_reflect", id(keeper), 0),
+                                  *reflect_halfspace, ("_average", id(T), 6)]
+    identity = Identity(3)
+    assert _chain(Composition([identity, T])._steps()) == [
+        ("_apply", id(identity), 0), *_chain(T._steps())]
+
+
+def _run_steps(op, x):
+    """op on the batch x by its chain of steps alone: each step's method on
+    a copy of its parent's images and, where back is not 0, on the images
+    back places behind it."""
+    images = [x]
+    for kind, obj, back in op._steps():
+        inputs = (images[-1].copy(), images[-back]) if back else (images[-1].copy(),)
+        images.append(getattr(obj, kind)(*inputs))
+    return images[-1]
+
+
+def test_chains_of_steps_have_the_bits_of_apply_on_the_catalog():
+    ops = [op for _, op, _ in repro._catalog_suite(repro.CATALOG_DIMS)]
+    ball = Ball(np.linspace(0.0, 0.5, 5), 1.0)
+    T = dr_operator([ball, Halfspace(np.ones(5), 0.5)])
+    ops += [Composition([Projection(ball), T]), Composition([T, T])]
+    for op in ops:
+        x = np.random.default_rng(op.dim).uniform(-4.0, 4.0, size=(64, op.dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _run_steps(op, x).tobytes() == op._apply(x).tobytes(), op
+
+
 def _halved(cls):
     """A user subclass of a built-in operator whose _apply halves the
     built-in one's images."""
